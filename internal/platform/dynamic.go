@@ -346,65 +346,13 @@ func (st *runState) startNodeDyn(rs *reqState, group, member, replica, mc int, h
 // request's pre-sampled per-(replica, attempt) table for map/retry
 // steps and from the base draw otherwise.
 func (st *runState) executeDyn(rs *reqState, group, member, replica int, pod *cluster.Pod, cold, hit bool) {
-	dp := rs.plan.dyn
-	flat := dp.base[group] + member
-	node := rs.plan.groups[group][member]
-	fn := st.ex.fns[node.Function]
+	flat := rs.plan.dyn.base[group] + member
 	attempt := rs.dyn.attempt[flat][replica]
 	draw := rs.r.Draws[group][member]
-	if nd, ok := rs.r.Dyn.NodeDraws[node.Name]; ok {
+	if nd, ok := rs.r.Dyn.NodeDraws[rs.plan.dyn.steps[flat]]; ok {
 		draw = nd[replica][attempt]
 	}
-	if st.ex.cfg.LiveInterference {
-		census := st.cluster.Colocated(pod)
-		draw.Slowdown = st.ex.cfg.Interference.Sample(fn.Dimension(), census, st.stream)
-	}
-	startup := st.ex.cfg.WarmStartup
-	if cold {
-		startup = st.ex.cfg.ColdStartup
-	}
-	latency := fn.Latency(draw, pod.Millicores())
-	span := st.ex.cfg.DecisionOverhead + startup + latency
-	start := st.engine.Now()
-	st.engine.Schedule(span, func(end time.Duration) {
-		if st.failed != nil {
-			return
-		}
-		rs.acc.Stages = append(rs.acc.Stages, StageTrace{
-			Function:   node.Function,
-			Step:       node.Name,
-			Stage:      group,
-			Branch:     member,
-			Replica:    replica,
-			Attempt:    attempt,
-			Node:       pod.NodeID,
-			Millicores: pod.Millicores(),
-			Start:      start,
-			End:        end,
-			Startup:    startup,
-			Latency:    latency,
-			Cold:       cold,
-			Hit:        hit,
-		})
-		rs.acc.TotalMillicores += pod.Millicores()
-		if st.tracer != nil {
-			ev := reqEvent(rs, end, obs.KindRelease)
-			ev.Group, ev.Member, ev.Replica = group, member, replica
-			ev.Function = node.Function
-			ev.Value = int64(pod.Millicores())
-			ev.Aux = int64(pod.NodeID)
-			st.tracer.Emit(ev)
-		}
-		if rs.tn.om != nil {
-			rs.tn.om.observeNode(node.Function, latency)
-		}
-		if err := st.cluster.Release(pod); err != nil {
-			st.fail(err)
-			return
-		}
-		st.wake()
-		st.replicaDone(rs, group, member, replica, end)
-	})
+	st.launch(nodeRun{rs: rs, pod: pod, group: group, member: member, replica: replica, attempt: attempt, cold: cold, hit: hit}, draw)
 }
 
 // replicaDone handles one attempt's completion: a planned failure

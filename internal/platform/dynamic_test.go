@@ -131,17 +131,41 @@ func TestDynamicWorkloadResolutions(t *testing.T) {
 	}
 }
 
+// TestDynamicServingShapes checks every request's executed shape against
+// its pre-sampled resolution, on the default cluster and on one small
+// enough that nodes park and wake mid-request: a completion whose wake
+// launches parked work must still finish its own replica.
 func TestDynamicServingShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		millicore int
+	}{{"default", 0}, {"contended", 9000}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultExecutorConfig()
+			if tc.millicore > 0 {
+				cfg.Cluster.NodeMillicores = tc.millicore
+			}
+			e, err := NewExecutor(cfg, perfmodel.Catalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDynamicShapes(t, e, tc.millicore > 0)
+		})
+	}
+}
+
+func checkDynamicShapes(t *testing.T, e *Executor, wantParks bool) {
 	w := trigWorkflow(t)
 	reqs := trigWorkload(t, w, 120)
-	e := defaultExecutor(t)
 	traces, _, err := e.RunReplay(
 		[]TenantWorkload{{Requests: reqs, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}}},
 		ReplayConfig{Interval: 100 * time.Millisecond, Triggers: gateTriggers(reqs, "", 120*time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	parks := 0
 	for _, tr := range traces[""] {
+		parks += tr.Parked
 		r := reqs[tr.RequestID]
 		byStep := map[string]int{}
 		for _, st := range tr.Stages {
@@ -188,6 +212,9 @@ func TestDynamicServingShapes(t *testing.T) {
 		if tr.Decisions != liveGroups+retries {
 			t.Fatalf("request %d made %d decisions, want %d live groups + %d retries", tr.RequestID, tr.Decisions, liveGroups, retries)
 		}
+	}
+	if wantParks && parks == 0 {
+		t.Fatal("contended cluster parked nothing; the case does not exercise park/wake")
 	}
 }
 

@@ -38,7 +38,9 @@
 package platform
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"janus/internal/cluster"
@@ -598,9 +600,17 @@ type runState struct {
 	retryPos  int
 	failed    error
 	// reqStates holds every request's in-flight state in one arena,
-	// initialized up front by prepareRun; admission closures index into it
-	// instead of allocating per request.
+	// initialized up front by prepareRun.
 	reqStates []reqState
+	// admits lists the requests admitted at their own Arrival, in the
+	// order their admission events fire; admitted is the cursor the one
+	// shared admission callback advances (admitNext).
+	admits   []*reqState
+	admitted int
+	// free holds the completion records not in flight; each binds its
+	// event callback once, so a completion allocates nothing once the
+	// list has grown to the run's peak in-flight node count.
+	free []*completion
 	// window accumulates the per-function observations a replay run's
 	// control ticks consume; nil outside RunReplay.
 	window *replayWindow
@@ -840,12 +850,9 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			}
 		}
 	}
-	// Admissions are scheduled tenant by tenant in input order; the event
-	// engine merges them by arrival time, breaking ties by scheduling
-	// sequence, so the interleaving is a pure function of the inputs and
-	// mixed runs replay byte for byte. Every request's in-flight state is
-	// fully initialized here out of three arena allocations (states,
-	// countdowns, stage traces); admission merely arms the root groups.
+	// Every request's in-flight state is fully initialized here out of
+	// three arena allocations (states, countdowns, stage traces);
+	// admission merely arms the root groups.
 	st.reqStates = make([]reqState, total)
 	pendArena := make([]int, totalPending)
 	stageArena := make([]StageTrace, totalNodes)
@@ -916,21 +923,76 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			}
 		}
 	}
-	for i := range st.reqStates {
-		rs := &st.reqStates[i]
-		if rs.external {
-			continue // admitted by its start trigger instead
-		}
-		st.engine.ScheduleAt(rs.r.Arrival, func(time.Duration) { st.startRequest(rs) })
+	// Admissions fire by arrival, ties broken by tenant and then input
+	// position, so the interleaving is a pure function of the inputs and
+	// mixed runs replay byte for byte. They are scheduled in exactly that
+	// order, after the triggers, so their events take one contiguous
+	// block of sequence numbers ascending with their instants: they
+	// append to the engine's in-order lane rather than its heap (unless
+	// the triggers already hold later lane entries), and the k-th
+	// admission to fire is the k-th scheduled, which lets one shared
+	// callback admit them all.
+	st.admits = st.admissionOrder(tenants)
+	admit := st.admitNext
+	for _, rs := range st.admits {
+		st.engine.ScheduleAt(rs.r.Arrival, admit)
 	}
 	return st, nil
+}
+
+// admissionOrder lists the requests admitted at their own Arrival (not
+// by a start trigger) by arrival, ties broken by tenant and then input
+// position: a stable sort of the tenant-major arena by arrival. Each
+// tenant's stream is ascending as GenerateWorkload emits it (a stream
+// that is not is stably sorted first), so the order is a T-way merge of
+// the tenants' streams that takes the lowest tenant on a tie.
+func (st *runState) admissionOrder(tenants []TenantWorkload) []*reqState {
+	byArrival := func(a, b *reqState) int { return cmp.Compare(a.r.Arrival, b.r.Arrival) }
+	streams := make([][]*reqState, len(tenants))
+	flat := make([]*reqState, 0, len(st.reqStates))
+	off := 0
+	for t, tw := range tenants {
+		lo := len(flat)
+		for i := range tw.Requests {
+			if rs := &st.reqStates[off+i]; !rs.external {
+				flat = append(flat, rs)
+			}
+		}
+		off += len(tw.Requests)
+		streams[t] = flat[lo:]
+		if !slices.IsSortedFunc(streams[t], byArrival) {
+			slices.SortStableFunc(streams[t], byArrival)
+		}
+	}
+	order := make([]*reqState, 0, len(flat))
+	for len(order) < len(flat) {
+		best := -1
+		for t, s := range streams {
+			if len(s) > 0 && (best < 0 || s[0].r.Arrival < streams[best][0].r.Arrival) {
+				best = t
+			}
+		}
+		order = append(order, streams[best][0])
+		streams[best] = streams[best][1:]
+	}
+	return order
+}
+
+// admitNext is the admission event every request shares: the cursor
+// names the request, because admissions fire in the order prepareRun
+// scheduled them.
+func (st *runState) admitNext(time.Duration) {
+	rs := st.admits[st.admitted]
+	st.admitted++
+	st.startRequest(rs)
 }
 
 // armTriggers validates the external-event queue against the prepared
 // request states and schedules each trigger on the virtual clock. Start
 // triggers take over their request's admission; resume triggers latch
-// into the addressed await step. Trigger events are scheduled after all
-// admissions in queue order, so runs replay byte for byte.
+// into the addressed await step. Trigger events are scheduled in queue
+// order before every admission, so a trigger wins a same-instant tie
+// against an arrival, and runs replay byte for byte.
 func (st *runState) armTriggers(triggers []Trigger, byTenant map[string]map[int]*reqState) error {
 	for i, tr := range triggers {
 		if tr.At < 0 {
@@ -1163,63 +1225,109 @@ func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried 
 			st.tracer.Emit(cs)
 		}
 	}
-	st.execute(rs, group, member, pod, cold, hit)
+	st.launch(nodeRun{rs: rs, pod: pod, group: group, member: member, cold: cold, hit: hit}, rs.r.Draws[group][member])
 }
 
-func (st *runState) execute(rs *reqState, group, member int, pod *cluster.Pod, cold, hit bool) {
-	node := rs.plan.groups[group][member]
-	fn := st.ex.fns[node.Function]
-	draw := rs.r.Draws[group][member]
+// nodeRun is one node attempt running on its pod: what its completion
+// needs to record the stage and advance the request. replica and attempt
+// are always 0 on the static path.
+type nodeRun struct {
+	rs                      *reqState
+	pod                     *cluster.Pod
+	start, startup, latency time.Duration
+	group, member           int
+	replica, attempt        int
+	cold, hit               bool
+}
+
+// completion is a pooled node-completion event: fire is bound to the
+// record once, when it is created, so scheduling one allocates nothing.
+type completion struct {
+	st   *runState
+	fire simclock.Event
+	run  nodeRun
+}
+
+// launch prices one node attempt on its acquired pod — live
+// interference, startup, latency — and schedules its completion on a
+// record from the run's free list.
+func (st *runState) launch(n nodeRun, draw perfmodel.Draw) {
+	fn := st.ex.fns[n.rs.plan.groups[n.group][n.member].Function]
 	if st.ex.cfg.LiveInterference {
-		census := st.cluster.Colocated(pod)
+		census := st.cluster.Colocated(n.pod)
 		draw.Slowdown = st.ex.cfg.Interference.Sample(fn.Dimension(), census, st.stream)
 	}
-	startup := st.ex.cfg.WarmStartup
-	if cold {
-		startup = st.ex.cfg.ColdStartup
+	n.startup = st.ex.cfg.WarmStartup
+	if n.cold {
+		n.startup = st.ex.cfg.ColdStartup
 	}
-	latency := fn.Latency(draw, pod.Millicores())
+	n.latency = fn.Latency(draw, n.pod.Millicores())
+	n.start = st.engine.Now()
+	var c *completion
+	if k := len(st.free); k > 0 {
+		c = st.free[k-1]
+		st.free = st.free[:k-1]
+	} else {
+		c = &completion{st: st}
+		c.fire = c.done
+	}
+	c.run = n
 	// The group's decision gates every member launch, so each node span
 	// carries the decision overhead alongside its own startup and latency.
-	span := st.ex.cfg.DecisionOverhead + startup + latency
-	start := st.engine.Now()
-	st.engine.Schedule(span, func(end time.Duration) {
-		if st.failed != nil {
-			return
-		}
-		rs.acc.Stages = append(rs.acc.Stages, StageTrace{
-			Function:   node.Function,
-			Step:       node.Name,
-			Stage:      group,
-			Branch:     member,
-			Node:       pod.NodeID,
-			Millicores: pod.Millicores(),
-			Start:      start,
-			End:        end,
-			Startup:    startup,
-			Latency:    latency,
-			Cold:       cold,
-			Hit:        hit,
-		})
-		rs.acc.TotalMillicores += pod.Millicores()
-		if st.tracer != nil {
-			ev := reqEvent(rs, end, obs.KindRelease)
-			ev.Group, ev.Member = group, member
-			ev.Function = node.Function
-			ev.Value = int64(pod.Millicores())
-			ev.Aux = int64(pod.NodeID)
-			st.tracer.Emit(ev)
-		}
-		if rs.tn.om != nil {
-			rs.tn.om.observeNode(node.Function, latency)
-		}
-		if err := st.cluster.Release(pod); err != nil {
-			st.fail(err)
-			return
-		}
-		st.wake()
-		st.nodeDone(rs, node.Name, end)
+	st.engine.Schedule(st.ex.cfg.DecisionOverhead+n.startup+n.latency, c.fire)
+}
+
+// done is a completion record's event. It copies the record out and
+// returns it to the free list before doing any work: the wake below can
+// launch other nodes, and a nested launch may take this very record.
+func (c *completion) done(end time.Duration) {
+	st, n := c.st, c.run
+	c.run = nodeRun{}
+	st.free = append(st.free, c)
+	if st.failed != nil {
+		return
+	}
+	rs := n.rs
+	node := rs.plan.groups[n.group][n.member]
+	mc := n.pod.Millicores()
+	rs.acc.Stages = append(rs.acc.Stages, StageTrace{
+		Function:   node.Function,
+		Step:       node.Name,
+		Stage:      n.group,
+		Branch:     n.member,
+		Replica:    n.replica,
+		Attempt:    n.attempt,
+		Node:       n.pod.NodeID,
+		Millicores: mc,
+		Start:      n.start,
+		End:        end,
+		Startup:    n.startup,
+		Latency:    n.latency,
+		Cold:       n.cold,
+		Hit:        n.hit,
 	})
+	rs.acc.TotalMillicores += mc
+	if st.tracer != nil {
+		ev := reqEvent(rs, end, obs.KindRelease)
+		ev.Group, ev.Member, ev.Replica = n.group, n.member, n.replica
+		ev.Function = node.Function
+		ev.Value = int64(mc)
+		ev.Aux = int64(n.pod.NodeID)
+		st.tracer.Emit(ev)
+	}
+	if rs.tn.om != nil {
+		rs.tn.om.observeNode(node.Function, n.latency)
+	}
+	if err := st.cluster.Release(n.pod); err != nil {
+		st.fail(err)
+		return
+	}
+	st.wake()
+	if rs.dyn != nil {
+		st.replicaDone(rs, n.group, n.member, n.replica, end)
+	} else {
+		st.nodeDone(rs, node.Name, end)
+	}
 }
 
 // nodeDone advances the readiness countdowns after a node completes: any

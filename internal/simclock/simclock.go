@@ -8,7 +8,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -22,35 +21,31 @@ type item struct {
 	fn  Event
 }
 
-type eventHeap []item
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(item)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// before is the engine's one ordering: earlier instant first, then
+// earlier scheduling sequence. Sequences are unique, so it is total.
+func (a *item) before(b *item) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // ready to use and starts at virtual time zero.
+//
+// Pending events live in two queues. The lane is a FIFO of events that
+// arrived in (at, seq) order: an event whose instant is no earlier than
+// the newest lane entry's is appended there, which is the common case
+// for a preloaded arrival stream. Every other event goes to a binary
+// min-heap. Each queue's head is its own minimum (the lane because it is
+// sorted), so Step pops whichever head comes first and the engine fires
+// in exactly (at, seq) order; the split only keeps the heap down to the
+// work in flight. Neither queue boxes its items, so scheduling and
+// firing an event allocate nothing once the queues have grown to the
+// run's depth.
 type Engine struct {
 	now     time.Duration
 	seq     uint64
-	pending eventHeap
+	heap    []item
+	lane    []item // lane[head:] is pending, ascending by (at, seq)
+	head    int
 	stopped bool
 }
 
@@ -80,15 +75,27 @@ func (e *Engine) ScheduleAt(at time.Duration, fn Event) {
 		panic(fmt.Sprintf("simclock: scheduling at %v before now %v", at, e.now))
 	}
 	e.seq++
-	heap.Push(&e.pending, item{at: at, seq: e.seq, fn: fn})
+	it := item{at: at, seq: e.seq, fn: fn}
+	// The new sequence is the largest yet, so an instant no earlier than
+	// the newest lane entry's keeps the lane sorted.
+	if n := len(e.lane); n == e.head || at >= e.lane[n-1].at {
+		e.lane = append(e.lane, it)
+		return
+	}
+	e.push(it)
 }
 
 // Step executes the earliest pending event and reports whether one ran.
 func (e *Engine) Step() bool {
-	if len(e.pending) == 0 {
+	var it item
+	switch {
+	case e.head < len(e.lane) && (len(e.heap) == 0 || e.lane[e.head].before(&e.heap[0])):
+		it = e.popLane()
+	case len(e.heap) > 0:
+		it = e.pop()
+	default:
 		return false
 	}
-	it := heap.Pop(&e.pending).(item)
 	e.now = it.at
 	it.fn(e.now)
 	return true
@@ -101,20 +108,74 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (if it is in the future).
-func (e *Engine) RunUntil(deadline time.Duration) {
-	e.stopped = false
-	for !e.stopped && len(e.pending) > 0 && e.pending[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Stop makes the current Run/RunUntil return after the in-flight event.
+// Stop makes the current Run return after the in-flight event.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.pending) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.head }
+
+// popLane removes the lane's head. The vacated slot is zeroed so the
+// engine does not keep a fired callback reachable, and the consumed
+// prefix is reclaimed once it is at least half the slice — moving at
+// most one live item per pop, amortized.
+func (e *Engine) popLane() item {
+	it := e.lane[e.head]
+	e.lane[e.head] = item{}
+	e.head++
+	switch n := len(e.lane); {
+	case e.head == n:
+		e.lane, e.head = e.lane[:0], 0
+	case 2*e.head >= n:
+		live := copy(e.lane, e.lane[e.head:])
+		clear(e.lane[live:])
+		e.lane, e.head = e.lane[:live], 0
+	}
+	return it
+}
+
+// push adds it to the heap, sifting the hole up from the new leaf.
+func (e *Engine) push(it item) {
+	h := append(e.heap, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+	e.heap = h
+}
+
+// pop removes the heap's minimum: the last leaf fills the root's hole,
+// sifting down past every smaller child.
+func (e *Engine) pop() item {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = item{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.heap = h
+	return top
+}

@@ -8,7 +8,7 @@ import (
 
 // These tests close the gaps the fleet-scale work leans on: Stop's exact
 // mid-run semantics (the replay control loop stops the engine to surface
-// starvation) and heap ordering under interleaved Schedule/ScheduleAt
+// starvation) and queue ordering under interleaved Schedule/ScheduleAt
 // with heavily duplicated timestamps at a queue depth past 100k pending
 // events (a fleet burst's admission backlog).
 
@@ -43,7 +43,7 @@ func TestStopMidRunKeepsClockAndQueue(t *testing.T) {
 }
 
 func TestStopBeforeRunDoesNotPreempt(t *testing.T) {
-	// Stop only halts an in-flight Run/RunUntil: a Run started after Stop
+	// Stop only halts an in-flight Run: a Run started after Stop
 	// clears the flag and executes normally.
 	e := New()
 	fired := 0
@@ -55,28 +55,9 @@ func TestStopBeforeRunDoesNotPreempt(t *testing.T) {
 	}
 }
 
-func TestStopInsideRunUntil(t *testing.T) {
-	e := New()
-	fired := 0
-	e.Schedule(time.Second, func(time.Duration) {
-		fired++
-		e.Stop()
-	})
-	e.Schedule(2*time.Second, func(time.Duration) { fired++ })
-	e.RunUntil(time.Minute)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 after mid-RunUntil Stop", fired)
-	}
-	// RunUntil still advances the idle clock only up to where it ran:
-	// the deadline fast-forward is skipped... unless it already passed.
-	if e.Now() != time.Minute {
-		t.Fatalf("Now() = %v, want the deadline 1m", e.Now())
-	}
-}
-
 // TestDuplicateTimestampOrderAtScale interleaves Schedule and ScheduleAt
 // across >100k events with only 512 distinct timestamps, so every
-// timestamp carries hundreds of duplicates. The heap must pop in exact
+// timestamp carries hundreds of duplicates. The engine must pop in exact
 // (timestamp, scheduling-sequence) order.
 func TestDuplicateTimestampOrderAtScale(t *testing.T) {
 	const events = 120_000

@@ -101,32 +101,6 @@ func TestNilEventPanics(t *testing.T) {
 	e.Schedule(time.Second, nil)
 }
 
-func TestRunUntilStopsAtDeadline(t *testing.T) {
-	e := New()
-	var fired int
-	for i := 1; i <= 10; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func(time.Duration) { fired++ })
-	}
-	e.RunUntil(5 * time.Second)
-	if fired != 5 {
-		t.Fatalf("fired = %d, want 5", fired)
-	}
-	if e.Now() != 5*time.Second {
-		t.Fatalf("Now() = %v, want 5s", e.Now())
-	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending() = %d, want 5", e.Pending())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := New()
-	e.RunUntil(time.Minute)
-	if e.Now() != time.Minute {
-		t.Fatalf("Now() = %v, want 1m", e.Now())
-	}
-}
-
 func TestStopHaltsRun(t *testing.T) {
 	e := New()
 	var fired int
