@@ -15,6 +15,8 @@
 //  5. Hot-swap a new catalog generation over PUT /v1/catalog and show
 //     the diff the reload reports.
 //
+// Run it from the repository root:
+//
 //	go run ./examples/control-plane
 package main
 

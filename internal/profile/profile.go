@@ -132,8 +132,10 @@ type FunctionProfile struct {
 	// samples[ki] keeps the raw latency sample per allocation level for
 	// distribution-aware consumers (the ORION baseline). Not serialized.
 	samples []*stats.Sample
-	// pIndex maps percentile -> row.
-	pIndex map[int]int
+	// pRow[p] is 1 + the LatencyMs row of percentile p, or 0 when p is
+	// not profiled: a dense table over the validated range [1, 99], so a
+	// lookup is an index, not a hash.
+	pRow [100]uint8
 }
 
 func (fp *FunctionProfile) init() error {
@@ -151,11 +153,19 @@ func (fp *FunctionProfile) init() error {
 			return fmt.Errorf("profile: %s: row %d has %d levels, want %d", fp.Function, i, len(row), fp.Grid.Len())
 		}
 	}
-	fp.pIndex = make(map[int]int, len(fp.Percentiles))
+	fp.pRow = [100]uint8{}
 	for i, p := range fp.Percentiles {
-		fp.pIndex[p] = i
+		fp.pRow[p] = uint8(i + 1)
 	}
 	return nil
+}
+
+// row returns the LatencyMs row of percentile p.
+func (fp *FunctionProfile) row(p int) (int, bool) {
+	if p < 1 || p >= len(fp.pRow) || fp.pRow[p] == 0 {
+		return 0, false
+	}
+	return int(fp.pRow[p]) - 1, true
 }
 
 // NewFunctionProfile builds a validated profile from externally measured
@@ -184,13 +194,13 @@ func NewFunctionProfile(function string, batch int, grid Grid, percentiles []int
 
 // HasPercentile reports whether p is on the profile's percentile grid.
 func (fp *FunctionProfile) HasPercentile(p int) bool {
-	_, ok := fp.pIndex[p]
+	_, ok := fp.row(p)
 	return ok
 }
 
 // LMs returns L(p, k) in milliseconds. Both p and k must be on-grid.
 func (fp *FunctionProfile) LMs(p, k int) int {
-	pi, ok := fp.pIndex[p]
+	pi, ok := fp.row(p)
 	if !ok {
 		panic(fmt.Sprintf("profile: %s: percentile %d not profiled", fp.Function, p))
 	}

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -159,6 +160,43 @@ func TestTimeoutProperties(t *testing.T) {
 	if fp.TimeoutMs(25, 1000) < fp.TimeoutMs(25, 3000) {
 		t.Error("timeout should shrink with more cores")
 	}
+}
+
+// TestPercentileLookupOffGrid pins the percentile lookup's edges: every
+// profiled percentile resolves to its own row, and any other value —
+// unprofiled, or outside [1, 99] — is absent for HasPercentile and panics
+// in LMs with the profile's name, as does an off-grid allocation.
+func TestPercentileLookupOffGrid(t *testing.T) {
+	grid := Grid{Min: 1000, Max: 1200, Step: 100}
+	fp, err := NewFunctionProfile("f", 1, grid, []int{1, 50, 99}, [][]int{{10, 9, 8}, {20, 19, 18}, {30, 29, 28}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, p := range fp.Percentiles {
+		if !fp.HasPercentile(p) {
+			t.Errorf("HasPercentile(%d) = false for a profiled percentile", p)
+		}
+		if got, want := fp.LMs(p, 1100), fp.LatencyMs[pi][1]; got != want {
+			t.Errorf("LMs(%d, 1100) = %d, want %d", p, got, want)
+		}
+	}
+	panicsWith := func(want string, call func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if r := recover(); r != want {
+				t.Errorf("panic %v, want %q", r, want)
+			}
+		}()
+		call()
+	}
+	for _, p := range []int{-1, 0, 2, 49, 98, 100, 255, 1 << 20} {
+		if fp.HasPercentile(p) {
+			t.Errorf("HasPercentile(%d) = true off the grid", p)
+		}
+		panicsWith(fmt.Sprintf("profile: f: percentile %d not profiled", p), func() { fp.LMs(p, 1000) })
+	}
+	panicsWith("profile: f: allocation 1050 not on grid", func() { fp.LMs(50, 1050) })
 }
 
 func TestResilienceProperties(t *testing.T) {

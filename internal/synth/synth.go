@@ -36,6 +36,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -134,6 +135,68 @@ type coneProgram struct {
 	// resil[j][t]: total resilience (ms) sum_i R_i(99, k_i) of dp's
 	// optimal plan for layers j.. at budget t.
 	resil [][]int32
+	// downKmaxMs is the P99 execution time of layers 1.. with every layer
+	// at Kmax: the floor explore_percentile compares the head against.
+	downKmaxMs int
+	// head is the head layer's matrix; second is the next-to-head layer's,
+	// built only where Janus+ explores it (three or more layers).
+	head, second layerMatrix
+}
+
+// layerMatrix is one cone layer's profile as dense int32 matrices indexed
+// [percentile index][level index], row-major with len(levels) columns.
+// The budget sweep walks these indexes instead of looking every
+// (percentile, level) candidate up in the profile.
+type layerMatrix struct {
+	// pcts is the layer's percentile grid, ascending; the last row is P99.
+	pcts []int
+	// lat is L(p, k); timeout is Eq. 1's D(p, k) = L(99, k) - L(p, k);
+	// resil is Eq. 2's R(p, k) = L(p, k) - L(p, Kmax).
+	lat, timeout, resil []int32
+}
+
+// newLayerMatrix tabulates fp over the grid levels. Latencies must fit in
+// int32 milliseconds; timeouts and resiliences are narrowed exactly as the
+// Eq. 6 checks always compared them against the int32 DP resilience.
+func newLayerMatrix(fp *profile.FunctionProfile, levels []int) (layerMatrix, error) {
+	n := len(fp.Percentiles) * len(levels)
+	m := layerMatrix{
+		pcts:    fp.Percentiles,
+		lat:     make([]int32, 0, n),
+		timeout: make([]int32, 0, n),
+		resil:   make([]int32, 0, n),
+	}
+	for _, p := range fp.Percentiles {
+		for _, k := range levels {
+			l := fp.LMs(p, k)
+			if l < math.MinInt32 || l > math.MaxInt32 {
+				return layerMatrix{}, fmt.Errorf("synth: %s: L(%d, %d) = %d ms overflows int32", fp.Function, p, k, l)
+			}
+			m.lat = append(m.lat, int32(l))
+			m.timeout = append(m.timeout, int32(fp.TimeoutMs(p, k)))
+			m.resil = append(m.resil, int32(fp.ResilienceMs(p, k)))
+		}
+	}
+	return m, nil
+}
+
+// buildMatrices tabulates the head (and, for Janus+, the second layer)
+// and the downstream Kmax floor.
+func (p *coneProgram) buildMatrices() error {
+	p.downKmaxMs = 0
+	for _, fp := range p.profiles[1:] {
+		p.downKmaxMs += fp.LMs(99, p.kmax)
+	}
+	var err error
+	if p.head, err = newLayerMatrix(p.profiles[0], p.levels); err != nil {
+		return err
+	}
+	if p.cfg.Mode == ModeJanusPlus && len(p.profiles) >= 3 {
+		if p.second, err = newLayerMatrix(p.profiles[1], p.levels); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Result carries a generated bundle plus the bookkeeping the evaluation
@@ -210,6 +273,9 @@ func New(cfg Config) (*Synthesizer, error) {
 			tmax:     tmax,
 			maxMs:    maxMs,
 		}
+		if err := p.buildMatrices(); err != nil {
+			return nil, err
+		}
 		p.buildDP()
 		s.programs = append(s.programs, p)
 	}
@@ -230,7 +296,11 @@ func New(cfg Config) (*Synthesizer, error) {
 			if s.shaped[g] == nil {
 				s.shaped[g] = map[string]*coneProgram{}
 			}
-			s.shaped[g][shape] = variantProgram(s.programs[g], fp)
+			prog, err := variantProgram(s.programs[g], fp)
+			if err != nil {
+				return nil, err
+			}
+			s.shaped[g][shape] = prog
 		}
 	}
 	return s, nil
@@ -239,11 +309,12 @@ func New(cfg Config) (*Synthesizer, error) {
 // variantProgram derives the budget-split program of one resolved shape
 // from the group's base program: the head profile is swapped for the
 // shape variant and the Eq. 3 bounds recomputed, while the downstream
-// layers — and therefore the P99 DP, which never reads the head — are
-// shared with the base. The sweep stays clamped to the base's table
-// width, which is safe because a resolved shape can only shrink the head
-// (a prefix max over fewer replicas), never outgrow the worst case.
-func variantProgram(base *coneProgram, head *profile.FunctionProfile) *coneProgram {
+// layers — and therefore the P99 DP, which never reads the head, and the
+// second-layer matrix — are shared with the base. The sweep stays clamped
+// to the base's table width, which is safe because a resolved shape can
+// only shrink the head (a prefix max over fewer replicas), never outgrow
+// the worst case.
+func variantProgram(base *coneProgram, head *profile.FunctionProfile) (*coneProgram, error) {
 	seq := append([]*profile.FunctionProfile(nil), base.profiles...)
 	seq[0] = head
 	tmin, tmax := 0, 0
@@ -254,18 +325,25 @@ func variantProgram(base *coneProgram, head *profile.FunctionProfile) *coneProgr
 	if tmax > base.maxMs {
 		tmax = base.maxMs
 	}
-	return &coneProgram{
-		cfg:       base.cfg,
-		profiles:  seq,
-		levels:    base.levels,
-		kmax:      base.kmax,
-		tmin:      tmin,
-		tmax:      tmax,
-		maxMs:     base.maxMs,
-		dp:        base.dp,
-		choiceIdx: base.choiceIdx,
-		resil:     base.resil,
+	hm, err := newLayerMatrix(head, base.levels)
+	if err != nil {
+		return nil, err
 	}
+	return &coneProgram{
+		cfg:        base.cfg,
+		profiles:   seq,
+		levels:     base.levels,
+		kmax:       base.kmax,
+		tmin:       tmin,
+		tmax:       tmax,
+		maxMs:      base.maxMs,
+		dp:         base.dp,
+		choiceIdx:  base.choiceIdx,
+		resil:      base.resil,
+		downKmaxMs: base.downKmaxMs,
+		head:       hm,
+		second:     base.second,
+	}, nil
 }
 
 // buildDP fills dp/choiceIdx/resil bottom-up over the cone's layer
@@ -317,19 +395,18 @@ func (p *coneProgram) buildDP() {
 }
 
 // planP99 materializes the DP's optimal P99 allocation for layers j.. at
-// budget tMs into dst (which must have capacity for the suffix length).
-func (p *coneProgram) planP99(j, tMs int, dst []int) []int {
-	dst = dst[:0]
-	for layer := j; layer < len(p.profiles); layer++ {
+// budget tMs into dst, which must hold exactly the suffix length.
+func (p *coneProgram) planP99(j, tMs int, dst []int) {
+	for i := range dst {
+		layer := j + i
 		ki := p.choiceIdx[layer][tMs]
 		if ki < 0 {
 			panic(fmt.Sprintf("synth: planP99 called on infeasible state (%d, %d)", layer, tMs))
 		}
 		k := p.levels[ki]
-		dst = append(dst, k)
+		dst[i] = k
 		tMs -= p.profiles[layer].LMs(99, k)
 	}
-	return dst
 }
 
 // candidate is one feasible head decision during generation.
@@ -337,8 +414,7 @@ type candidate struct {
 	cost float64
 	p    int
 	k    int
-	// downBudgetMs is the budget handed to the downstream DP (or -1 for
-	// single-layer cones).
+	// downBudgetMs is the budget handed to the downstream DP.
 	downBudgetMs int
 	// secondP/secondK record the Janus+ next-to-head exploration.
 	secondP, secondK  int
@@ -385,7 +461,7 @@ func (s *Synthesizer) generateTable(prog *coneProgram, suffix int) (*hints.RawTa
 		tmax = prog.maxMs
 	}
 	step := s.cfg.BudgetStepMs
-	var budgets []int
+	first := tmin
 	if floor := s.cfg.BudgetFloorMs; floor > 0 && floor < tmin {
 		// Extend the sweep downward to the observed floor, anchored at
 		// tmin so every original budget stays on the grid: the floor adds
@@ -393,32 +469,36 @@ func (s *Synthesizer) generateTable(prog *coneProgram, suffix int) (*hints.RawTa
 		// it. The step count rounds up so the first extended budget lands
 		// at or below the floor — a floor inside the last step would
 		// otherwise stay uncovered and keep missing after the swap.
-		k := (tmin - floor + step - 1) / step
-		for t := tmin - k*step; t < tmin; t += step {
-			if t < 1 {
-				continue
-			}
-			budgets = append(budgets, t)
+		first = tmin - (tmin-floor+step-1)/step*step
+		for first < 1 {
+			first += step
 		}
 	}
-	for t := tmin; t <= tmax; t += step {
-		budgets = append(budgets, t)
+	// The sweep is first, first+step, ...: the floor extension below
+	// tmin, then tmin..tmax.
+	count := (tmin - first) / step
+	if tmax >= tmin {
+		count += (tmax-tmin)/step + 1
 	}
-	out := make([]*hints.Hint, len(budgets))
+	// Every hint of the sweep lands in one slice, its plan in a per-worker
+	// arena; budgets no plan fits stay zero (a real hint's head size is a
+	// positive grid level) and are dropped below.
+	out := make([]hints.Hint, count)
+	layers := len(prog.profiles)
 	var wg sync.WaitGroup
 	workers := s.cfg.Parallelism
-	if workers > len(budgets) {
-		workers = len(budgets)
+	if workers > count {
+		workers = count
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	chunk := (len(budgets) + workers - 1) / workers
+	chunk := (count + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		hi := lo + chunk
-		if hi > len(budgets) {
-			hi = len(budgets)
+		if hi > count {
+			hi = count
 		}
 		if lo >= hi {
 			break
@@ -426,18 +506,24 @@ func (s *Synthesizer) generateTable(prog *coneProgram, suffix int) (*hints.RawTa
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			planBuf := make([]int, 0, len(prog.profiles))
+			arena := make([]int, (hi-lo)*layers)
 			for i := lo; i < hi; i++ {
-				out[i] = prog.generateOne(budgets[i], planBuf)
+				plan := arena[:layers:layers]
+				arena = arena[layers:]
+				prog.generateOne(first+i*step, &out[i], plan)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	rt := &hints.RawTable{Suffix: suffix, Weight: s.cfg.Weight}
+	kept := out[:0]
 	for _, h := range out {
-		if h != nil {
-			rt.Hints = append(rt.Hints, *h)
+		if h.HeadMillicores > 0 {
+			kept = append(kept, h)
 		}
+	}
+	rt := &hints.RawTable{Suffix: suffix, Weight: s.cfg.Weight}
+	if len(kept) > 0 {
+		rt.Hints = kept
 	}
 	if err := rt.Validate(); err != nil {
 		return nil, err
@@ -445,45 +531,67 @@ func (s *Synthesizer) generateTable(prog *coneProgram, suffix int) (*hints.RawTa
 	return rt, nil
 }
 
-// generateOne solves the Eq. 4-8 program for the cone at one budget.
-func (p *coneProgram) generateOne(tMs int, planBuf []int) *hints.Hint {
-	head := p.profiles[0]
+// generateOne solves the Eq. 4-8 program for the cone at one budget. When
+// a plan fits, it writes the hint to h with plan (one entry per layer) as
+// its plan; otherwise it leaves h untouched.
+func (p *coneProgram) generateOne(tMs int, h *hints.Hint, plan []int) {
+	nl := len(p.levels)
 	nRem := len(p.profiles)
+	head := &p.head
+	p99 := len(head.pcts) - 1
 	// Single-layer cone: min_resource at P99 — there is no downstream
 	// resilience to absorb a timeout.
 	if nRem == 1 {
-		k, ok := head.MinCoresWithin(99, time.Duration(tMs)*time.Millisecond)
-		if !ok {
-			return nil
+		for ki, l := range head.lat[p99*nl : (p99+1)*nl] {
+			if int(l) <= tMs {
+				k := p.levels[ki]
+				plan[0] = k
+				*h = hints.Hint{
+					BudgetMs:       tMs,
+					HeadMillicores: k,
+					HeadPercentile: 99,
+					PlanMillicores: plan,
+					ExpectedCost:   p.cfg.Weight * float64(k),
+				}
+				return
+			}
 		}
-		return &hints.Hint{
-			BudgetMs:       tMs,
-			HeadMillicores: k,
-			HeadPercentile: 99,
-			PlanMillicores: []int{k},
-			ExpectedCost:   p.cfg.Weight * float64(k),
-		}
+		return
 	}
+	explore := p.cfg.Mode == ModeJanusPlus && nRem >= 3
+	dp, resil := p.dp[1], p.resil[1]
 	best := candidate{cost: -1}
-	for _, pct := range p.headPercentiles(tMs) {
-		for _, k := range p.levels {
-			downBudget := tMs - head.LMs(pct, k)
+	pi := 0
+	if p.cfg.Mode == ModeJanusMinus {
+		pi = p99
+	}
+	for ; pi < len(head.pcts); pi++ {
+		lat := head.lat[pi*nl : (pi+1)*nl]
+		// explore_percentile: keep the percentiles whose Kmax execution
+		// keeps the cone within the budget.
+		if int(lat[nl-1])+p.downKmaxMs > tMs {
+			continue
+		}
+		pct := head.pcts[pi]
+		timeout := head.timeout[pi*nl : (pi+1)*nl]
+		for ki, k := range p.levels {
+			downBudget := tMs - int(lat[ki])
 			if downBudget < 0 {
 				continue
 			}
-			if p.cfg.Mode == ModeJanusPlus && nRem >= 3 {
-				if c, ok := p.exploreSecond(pct, k, downBudget); ok {
+			if explore {
+				if c, ok := p.exploreSecond(pct, k, timeout[ki], downBudget); ok {
 					if best.cost < 0 || c.better(best) {
 						best = c
 					}
 				}
 				continue
 			}
-			down := p.dp[1][downBudget]
+			down := dp[downBudget]
 			if down < 0 {
 				continue
 			}
-			if int32(head.TimeoutMs(pct, k)) > p.resil[1][downBudget] {
+			if timeout[ki] > resil[downBudget] {
 				continue // Eq. 6: downstream cannot absorb the overrun
 			}
 			pf := float64(pct) / 100
@@ -495,16 +603,16 @@ func (p *coneProgram) generateOne(tMs int, planBuf []int) *hints.Hint {
 		}
 	}
 	if best.cost < 0 {
-		return nil
+		return
 	}
-	plan := []int{best.k}
+	plan[0] = best.k
 	if best.secondExploration {
-		plan = append(plan, best.secondK)
-		plan = append(plan, p.planP99(2, best.secondDownBudget, planBuf)...)
-	} else if best.downBudgetMs >= 0 {
-		plan = append(plan, p.planP99(1, best.downBudgetMs, planBuf)...)
+		plan[1] = best.secondK
+		p.planP99(2, best.secondDownBudget, plan[2:])
+	} else {
+		p.planP99(1, best.downBudgetMs, plan[1:])
 	}
-	return &hints.Hint{
+	*h = hints.Hint{
 		BudgetMs:       tMs,
 		HeadMillicores: best.k,
 		HeadPercentile: best.p,
@@ -513,61 +621,34 @@ func (p *coneProgram) generateOne(tMs int, planBuf []int) *hints.Hint {
 	}
 }
 
-// headPercentiles implements explore_percentile: the candidate percentiles
-// whose Kmax execution keeps the cone within the budget.
-func (p *coneProgram) headPercentiles(tMs int) []int {
-	head := p.profiles[0]
-	if p.cfg.Mode == ModeJanusMinus {
-		if head.LMs(99, p.kmax)+p.downKmaxMs(1) <= tMs {
-			return []int{99}
-		}
-		return nil
-	}
-	downMs := p.downKmaxMs(1)
-	var out []int
-	for _, pct := range head.Percentiles {
-		if head.LMs(pct, p.kmax)+downMs <= tMs {
-			out = append(out, pct)
-		}
-	}
-	return out
-}
-
-// downKmaxMs is the P99 execution time of layers from.. with every layer
-// at Kmax — the floor the percentile filter compares against.
-func (p *coneProgram) downKmaxMs(from int) int {
-	total := 0
-	for j := from; j < len(p.profiles); j++ {
-		total += p.profiles[j].LMs(99, p.kmax)
-	}
-	return total
-}
-
 // exploreSecond is the Janus+ extension: the next-to-head layer also
 // explores percentiles. The head's timeout must fit in the second layer's
 // own resilience plus the rest's; the second's timeout must fit in the
 // rest's.
-func (p *coneProgram) exploreSecond(p1, k1, budget1 int) (candidate, bool) {
-	second := p.profiles[1]
-	head := p.profiles[0]
+func (p *coneProgram) exploreSecond(p1, k1 int, headTimeout int32, budget1 int) (candidate, bool) {
+	nl := len(p.levels)
+	second := &p.second
 	nRem := len(p.profiles)
+	dp, restResil := p.dp[2], p.resil[2]
 	best := candidate{cost: -1}
-	for _, p2 := range second.Percentiles {
-		for _, k2 := range p.levels {
-			restBudget := budget1 - second.LMs(p2, k2)
+	for pi, p2 := range second.pcts {
+		lat := second.lat[pi*nl : (pi+1)*nl]
+		timeout := second.timeout[pi*nl : (pi+1)*nl]
+		resil := second.resil[pi*nl : (pi+1)*nl]
+		for ki, k2 := range p.levels {
+			restBudget := budget1 - int(lat[ki])
 			if restBudget < 0 {
 				continue
 			}
-			rest := p.dp[2][restBudget]
+			rest := dp[restBudget]
 			if rest < 0 {
 				continue
 			}
-			restRes := p.resil[2][restBudget]
-			if int32(second.TimeoutMs(p2, k2)) > restRes {
+			restRes := restResil[restBudget]
+			if timeout[ki] > restRes {
 				continue
 			}
-			secondRes := int32(second.LMs(p2, k2) - second.LMs(p2, p.kmax))
-			if int32(head.TimeoutMs(p1, k1)) > secondRes+restRes {
+			if headTimeout > resil[ki]+restRes {
 				continue
 			}
 			pf1 := float64(p1) / 100

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +21,7 @@ var (
 
 // iaProfiles profiles the IA chain once for all tests (600 samples/config
 // keeps it fast while staying statistically stable).
-func iaProfiles(t *testing.T) *profile.Set {
+func iaProfiles(t testing.TB) *profile.Set {
 	t.Helper()
 	iaSetOnce.Do(func() {
 		coloc, err := interfere.NewCountSampler([]float64{0.5, 0.35, 0.15})
@@ -74,6 +76,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Profiles: set, BudgetOverrideMs: [2]int{100, 50}}); err == nil {
 		t.Error("inverted budget override accepted")
+	}
+}
+
+// TestLatencyOverflowRejected: the budget sweep's matrices hold int32
+// milliseconds, so New rejects a profile latency outside that range
+// rather than narrowing it.
+func TestLatencyOverflowRejected(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits: every latency fits in int32")
+	}
+	grid := profile.Grid{Min: 1000, Max: 1100, Step: 100}
+	huge := math.MaxInt32
+	huge++
+	head, err := profile.NewFunctionProfile("head", 1, grid, []int{50, 99}, [][]int{{huge, huge}, {20, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := profile.NewFunctionProfile("tail", 1, grid, []int{50, 99}, [][]int{{5, 4}, {6, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workflow.NewChain("overflow", time.Second, "head", "tail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := &profile.Set{Workflow: w, Batch: 1, Profiles: []*profile.FunctionProfile{head, tail}}
+	if _, err := New(Config{Profiles: set}); err == nil || !strings.Contains(err.Error(), "overflows int32") {
+		t.Fatalf("New = %v, want an int32 overflow error", err)
 	}
 }
 
