@@ -19,26 +19,66 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 // traceDigest renders a trace — including every executed branch — into a
 // stable text form. Only fields that predate the node-granular engine are
 // printed, so the digest is comparable across the stage-indexed and
-// node-granular implementations.
-func traceDigest(tr *platform.Trace) string {
+// node-granular implementations. dyn adds the node identity only the
+// dynamic scheduler produces: step name, map replica and retry attempt.
+func traceDigest(tr *platform.Trace, dyn bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "req=%d sys=%s arr=%d done=%d e2e=%d slo=%d mc=%d dec=%d miss=%d park=%d\n",
 		tr.RequestID, tr.System, tr.Arrival, tr.Done, tr.E2E, tr.SLO,
 		tr.TotalMillicores, tr.Decisions, tr.Misses, tr.Parked)
 	for _, st := range tr.Stages {
-		fmt.Fprintf(&b, "  fn=%s stage=%d branch=%d node=%d mc=%d start=%d end=%d startup=%d lat=%d cold=%v hit=%v\n",
+		fmt.Fprintf(&b, "  fn=%s stage=%d branch=%d node=%d mc=%d start=%d end=%d startup=%d lat=%d cold=%v hit=%v",
 			st.Function, st.Stage, st.Branch, st.Node, st.Millicores,
 			st.Start, st.End, st.Startup, st.Latency, st.Cold, st.Hit)
+		if dyn {
+			fmt.Fprintf(&b, " step=%s replica=%d attempt=%d", st.Step, st.Replica, st.Attempt)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-func runHash(traces []platform.Trace) string {
+func runHash(traces []platform.Trace, dyn bool) string {
 	h := sha256.New()
 	for i := range traces {
-		fmt.Fprint(h, traceDigest(&traces[i]))
+		fmt.Fprint(h, traceDigest(&traces[i], dyn))
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// checkGolden compares got against testdata/name, or rewrites the file
+// under -update. what names the locked behavior in the failure message.
+func checkGolden(t *testing.T, name, what, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		gotLines := strings.Split(got, "\n")
+		wantLines := strings.Split(string(want), "\n")
+		for i := range gotLines {
+			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
+				wantLine := "<eof>"
+				if i < len(wantLines) {
+					wantLine = wantLines[i]
+				}
+				t.Fatalf("%s behavior drifted from the golden at line %d:\n got: %s\nwant: %s", what, i+1, gotLines[i], wantLine)
+			}
+		}
+		t.Fatalf("%s behavior drifted from the golden (got %d bytes, want %d)", what, len(got), len(want))
+	}
 }
 
 // TestChainSPGolden locks the serving and synthesis pipeline byte for byte
@@ -74,7 +114,7 @@ func TestChainSPGolden(t *testing.T) {
 			r := runs[sys]
 			fmt.Fprintf(&b, "run %s/%v/b1 %s p50=%d p99=%d viol=%.4f mc=%.1f miss=%.4f sha=%s\n",
 				g.w.Name(), g.w.SLO(), sys, r.P50E2E.Milliseconds(), r.P99E2E.Milliseconds(),
-				r.ViolationRate, r.MeanMillicores, r.MissRate, runHash(r.Traces))
+				r.ViolationRate, r.MeanMillicores, r.MissRate, runHash(r.Traces, false))
 		}
 	}
 
@@ -113,34 +153,26 @@ func TestChainSPGolden(t *testing.T) {
 	}
 	b.WriteString(FormatMixScenario(mix))
 
-	got := b.String()
-	path := filepath.Join("testdata", "golden_chain_sp.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
+	checkGolden(t, "golden_chain_sp.txt", "chain/SP", b.String())
+}
+
+// TestTriggerGolden locks the dynamic scheduler the same way: the
+// quick-scale trigger scenario — choice pruning, map fan-out up to width
+// 6, bounded retries, awaited gates, start triggers, and capacity parking
+// on the replay engine — under both shape-aware and shape-blind
+// planning. Each run's hash covers every executed replica and attempt;
+// the formatted table is what janusbench prints.
+func TestTriggerGolden(t *testing.T) {
+	s := quickSuite(t)
+	runs, err := s.TriggerScenario()
 	if err != nil {
-		t.Fatalf("golden file missing (run with -update to create): %v", err)
+		t.Fatal(err)
 	}
-	if got != string(want) {
-		gotLines := strings.Split(got, "\n")
-		wantLines := strings.Split(string(want), "\n")
-		for i := range gotLines {
-			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
-				wantLine := "<eof>"
-				if i < len(wantLines) {
-					wantLine = wantLines[i]
-				}
-				t.Fatalf("chain/SP behavior drifted from the pre-refactor golden at line %d:\n got: %s\nwant: %s", i+1, gotLines[i], wantLine)
-			}
-		}
-		t.Fatalf("chain/SP behavior drifted from the pre-refactor golden (got %d bytes, want %d)", len(got), len(want))
+	var b strings.Builder
+	for _, run := range runs {
+		fmt.Fprintf(&b, "run %s traces=%d pod-s=%.3f peak=%d sha=%s\n",
+			run.Config, len(run.Traces), run.Metrics.PodSeconds, run.Metrics.PeakPods, runHash(run.Traces, true))
 	}
+	b.WriteString(FormatTrigger(runs))
+	checkGolden(t, "golden_trigger.txt", "trigger", b.String())
 }
