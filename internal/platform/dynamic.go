@@ -4,17 +4,18 @@ import (
 	"fmt"
 	"time"
 
-	"janus/internal/cluster"
 	"janus/internal/obs"
 	"janus/internal/workflow"
 )
 
-// This file is the serving plane's dynamic-shape path: requests of a
-// workflow with dynamic annotations (workflow.NewDynamic) materialize
-// their plan online as predicates resolve, instead of executing the
-// full static skeleton. The skeleton still defines the decision groups
-// and readiness countdowns — the static engine's structures are reused
-// unchanged — and three per-request overlays project it down:
+// This file holds the dynamic-shape overlays on the serving plane's one
+// scheduler. Requests of a workflow with dynamic annotations
+// (workflow.NewDynamic) materialize their plan online as predicates
+// resolve, instead of executing the full static skeleton. The skeleton
+// still defines the decision groups and readiness countdowns; the
+// scheduler (startGroup, launchGroup, decide, startNode, replicaDone,
+// nodeDone in platform.go) is shared with static workflows and consults
+// these overlays only for requests whose reqState carries a dynReqState:
 //
 //   - liveness: a completed choice node kills its unchosen successor
 //     edges; a node all of whose incoming edges are dead is pruned —
@@ -27,12 +28,14 @@ import (
 //     fresh allocation decision against the SLO budget remaining at
 //     that instant (the budget mechanism absorbs the repeated work);
 //     an await node defers its group's decision to the fire instant of
-//     its external trigger.
+//     its external trigger;
+//   - shape: every dynamic decision reveals the group's resolved shape
+//     to shape-aware allocators, bypassing the static decision memo.
 //
 // Every resolution is pre-drawn from the request's seeded RNG
 // (DynDraws), so a dynamic run is a pure function of its inputs: the
 // event interleaving, traces, and metrics replay byte for byte at any
-// driver parallelism, exactly like the static engine.
+// driver parallelism, exactly like a static run.
 
 // dynPlan is the per-workflow dynamic overlay of a dagPlan: flat node
 // indexing plus the annotation, successor, and in-degree tables the
@@ -174,11 +177,12 @@ func newDynReqState(dp *dynPlan) *dynReqState {
 	return d
 }
 
-// startGroupDyn is the dynamic path of startGroup: it runs at the
-// group's readiness instant (every predecessor completed or dead, so
-// every member's liveness is determined), skips fully pruned groups,
-// and defers an await member's decision to its trigger.
-func (st *runState) startGroupDyn(rs *reqState, group int) {
+// dynReady reports whether a dynamic group's decision runs at its
+// readiness instant (every predecessor completed or dead, so every
+// member's liveness is determined). A fully pruned group never runs: the
+// members' deaths already advanced readiness. An await member whose
+// trigger has not fired yet defers the decision to fireTrigger.
+func (rs *reqState) dynReady(group int) bool {
 	dp := rs.plan.dyn
 	members := rs.plan.groups[group]
 	anyLive := false
@@ -189,65 +193,35 @@ func (st *runState) startGroupDyn(rs *reqState, group int) {
 		}
 	}
 	if !anyLive {
-		return // pruned; the members' deaths already advanced readiness
+		return false
 	}
 	if len(members) == 1 {
 		flat := dp.base[group]
 		if dp.spec[flat].Await && !rs.dyn.fired[flat] {
 			rs.dyn.waitingTrig[flat] = true
-			return
+			return false
 		}
 	}
-	st.launchGroupDyn(rs, group)
+	return true
 }
 
-// launchGroupDyn makes the group's one allocation decision — at its
-// actual readiness instant, against SLO − elapsed, with the resolved
-// shape revealed to shape-aware allocators — and launches every live
-// member (map members as their resolved number of replicas).
-func (st *runState) launchGroupDyn(rs *reqState, group int) {
+// armReplicas prepares a dynamic member's launch and returns how many
+// replicas to start: 0 for a pruned member, the resolved width for a map
+// member, 1 otherwise. The replica join and per-replica attempt counters
+// start here.
+func (rs *reqState) armReplicas(group, member int) int {
 	dp := rs.plan.dyn
-	now := st.engine.Now()
-	remaining := rs.r.Workflow.SLO() - (now - rs.arrival)
-	mc, hit := st.allocateDyn(rs, group, remaining)
-	if mc <= 0 {
-		st.fail(fmt.Errorf("platform: allocator %s returned non-positive allocation %d", rs.tn.alloc.Name(), mc))
-		return
+	flat := dp.base[group] + member
+	if rs.dyn.dead[flat] {
+		return 0
 	}
-	rs.acc.Decisions++
-	if !hit {
-		rs.acc.Misses++
+	width := 1
+	if dp.spec[flat].Map != nil {
+		width = rs.r.Dyn.Width[dp.steps[flat]]
 	}
-	if st.tracer != nil {
-		ev := reqEvent(rs, now, obs.KindDecision)
-		ev.Group = group
-		ev.Value = int64(mc)
-		ev.Aux = int64(remaining)
-		ev.Flag = hit
-		ev.Reason = st.groupShape(rs, group)
-		st.tracer.Emit(ev)
-	}
-	if rs.tn.om != nil {
-		rs.tn.om.decision(hit)
-	}
-	for b := range rs.plan.groups[group] {
-		flat := dp.base[group] + b
-		if rs.dyn.dead[flat] {
-			continue
-		}
-		width := 1
-		if dp.spec[flat].Map != nil {
-			width = rs.r.Dyn.Width[dp.steps[flat]]
-		}
-		rs.dyn.repsLeft[flat] = width
-		rs.dyn.attempt[flat] = make([]int, width)
-		for rep := 0; rep < width; rep++ {
-			st.startNodeDyn(rs, group, b, rep, mc, hit, false)
-			if st.failed != nil {
-				return
-			}
-		}
-	}
+	rs.dyn.repsLeft[flat] = width
+	rs.dyn.attempt[flat] = make([]int, width)
+	return width
 }
 
 // groupShape is the resolved-shape key of a decision group at its
@@ -276,218 +250,17 @@ func (st *runState) allocateDyn(rs *reqState, group int, remaining time.Duration
 	return rs.tn.alloc.Allocate(rs.r, group, remaining)
 }
 
-// startNodeDyn mirrors startNode for one replica of a dynamic node:
-// acquire a pod or park the already-decided allocation until capacity
-// frees up.
-func (st *runState) startNodeDyn(rs *reqState, group, member, replica, mc int, hit, retried bool) {
-	if st.failed != nil {
-		return
-	}
-	fn := rs.plan.groups[group][member].Function
-	pod, cold, err := st.cluster.Acquire(fn, mc)
-	if err != nil {
-		if retried {
-			st.park.restore(st.retrySlot, st.retryPos)
-			if st.om != nil {
-				st.om.parkDepth.Set(int64(st.park.live))
-			}
-			return
-		}
-		rs.acc.Parked++
-		if st.window != nil {
-			st.window.queued[fn]++
-		}
-		st.park.park(st.slotOf(fn), parkedNode{rs: rs, group: int32(group), member: int32(member), replica: int32(replica), mc: int32(mc), hit: hit, fn: fn})
-		if st.tracer != nil {
-			ev := reqEvent(rs, st.engine.Now(), obs.KindPark)
-			ev.Group, ev.Member, ev.Replica = group, member, replica
-			ev.Function = fn
-			ev.Value = int64(mc)
-			st.tracer.Emit(ev)
-		}
-		if rs.tn.om != nil {
-			rs.tn.om.parked.Inc()
-		}
-		if st.om != nil {
-			st.om.parkDepth.Set(int64(st.park.live))
-		}
-		return
-	}
-	if st.window != nil {
-		if retried {
-			st.window.queued[fn]--
-		}
-		st.window.acquires[fn]++
-		if cold {
-			st.window.cold[fn]++
-		}
-	}
-	if st.tracer != nil {
-		now := st.engine.Now()
-		ev := reqEvent(rs, now, obs.KindAcquire)
-		ev.Group, ev.Member, ev.Replica = group, member, replica
-		ev.Function = fn
-		ev.Value = int64(pod.Millicores())
-		ev.Aux = int64(pod.NodeID)
-		ev.Flag = cold
-		st.tracer.Emit(ev)
-		if cold {
-			cs := reqEvent(rs, now, obs.KindColdStart)
-			cs.Group, cs.Member, cs.Replica = group, member, replica
-			cs.Function = fn
-			cs.Value = int64(st.ex.cfg.ColdStartup)
-			st.tracer.Emit(cs)
-		}
-	}
-	st.executeDyn(rs, group, member, replica, pod, cold, hit)
-}
-
-// executeDyn runs one attempt of one replica: the draw comes from the
-// request's pre-sampled per-(replica, attempt) table for map/retry
-// steps and from the base draw otherwise.
-func (st *runState) executeDyn(rs *reqState, group, member, replica int, pod *cluster.Pod, cold, hit bool) {
-	flat := rs.plan.dyn.base[group] + member
-	attempt := rs.dyn.attempt[flat][replica]
-	draw := rs.r.Draws[group][member]
-	if nd, ok := rs.r.Dyn.NodeDraws[rs.plan.dyn.steps[flat]]; ok {
-		draw = nd[replica][attempt]
-	}
-	st.launch(nodeRun{rs: rs, pod: pod, group: group, member: member, replica: replica, attempt: attempt, cold: cold, hit: hit}, draw)
-}
-
-// replicaDone handles one attempt's completion: a planned failure
-// re-decides and relaunches the replica (bounded retry), the last
-// replica's success completes the node.
-func (st *runState) replicaDone(rs *reqState, group, member, replica int, end time.Duration) {
-	dp := rs.plan.dyn
-	flat := dp.base[group] + member
-	step := dp.steps[flat]
-	planned := 0
-	if a, ok := rs.r.Dyn.Attempts[step]; ok {
-		planned = a[replica]
-	}
-	if rs.dyn.attempt[flat][replica] < planned {
-		rs.dyn.attempt[flat][replica]++
-		// The re-attempt is a new readiness instant for this node: a
-		// fresh decision against the SLO budget that remains now. The
-		// group's cone table still applies — the remaining work is the
-		// same cone, just later in its budget.
-		remaining := rs.r.Workflow.SLO() - (end - rs.arrival)
-		mc, hit := st.allocateDyn(rs, group, remaining)
-		if mc <= 0 {
-			st.fail(fmt.Errorf("platform: allocator %s returned non-positive allocation %d", rs.tn.alloc.Name(), mc))
-			return
-		}
-		rs.acc.Decisions++
-		if !hit {
-			rs.acc.Misses++
-		}
-		if st.tracer != nil {
-			ev := reqEvent(rs, end, obs.KindDecision)
-			ev.Group = group
-			ev.Value = int64(mc)
-			ev.Aux = int64(remaining)
-			ev.Flag = hit
-			ev.Reason = st.groupShape(rs, group)
-			st.tracer.Emit(ev)
-		}
-		if rs.tn.om != nil {
-			rs.tn.om.decision(hit)
-		}
-		st.startNodeDyn(rs, group, member, replica, mc, hit, false)
-		return
-	}
-	rs.dyn.repsLeft[flat]--
-	if rs.dyn.repsLeft[flat] > 0 {
-		return
-	}
-	st.nodeDoneDyn(rs, flat, end)
-}
-
-// nodeDoneDyn is the dynamic path of nodeDone: a completed choice node
-// first kills its unchosen successor edges (settling every downstream
-// readiness countdown before the completion itself is applied), then
-// the usual pending decrements start whichever groups became ready.
-func (st *runState) nodeDoneDyn(rs *reqState, flat int, end time.Duration) {
-	dp := rs.plan.dyn
-	step := dp.steps[flat]
-	if dp.spec[flat].Choice != nil {
-		chosen := rs.r.Dyn.Choice[step]
-		for i, next := range dp.succ[flat] {
-			if i == chosen {
-				continue
-			}
-			st.edgeDead(rs, next, end)
-			if st.failed != nil {
-				return
-			}
-		}
-	}
-	rs.remaining--
-	if rs.remaining == 0 {
-		st.finishRequest(rs, end)
-		return
-	}
-	for _, dg := range rs.plan.dependents[step] {
-		rs.pending[dg]--
-		if rs.pending[dg] == 0 {
-			st.startGroupDyn(rs, dg)
-			if st.failed != nil {
-				return
-			}
-		}
-	}
-}
-
 // edgeDead records one incoming edge of a node as dead; the node dies
-// when its last potentially-live edge does.
+// when its last potentially-live edge does, and counts as finished at
+// once (nodeDone propagates the death downstream).
 func (st *runState) edgeDead(rs *reqState, flat int, end time.Duration) {
 	rs.dyn.liveIn[flat]--
 	if rs.dyn.liveIn[flat] > 0 || rs.dyn.dead[flat] {
 		return
 	}
-	st.markDead(rs, flat, end)
-}
-
-// markDead prunes a node: it counts as finished immediately (for both
-// the request's completion and its dependents' readiness), and its
-// death propagates along every outgoing edge — the cascade that prunes
-// a whole unchosen subtree in one instant.
-func (st *runState) markDead(rs *reqState, flat int, end time.Duration) {
-	dp := rs.plan.dyn
 	rs.dyn.dead[flat] = true
-	rs.remaining--
-	if rs.remaining == 0 {
-		st.finishRequest(rs, end)
-		return
-	}
-	for _, next := range dp.succ[flat] {
-		st.edgeDead(rs, next, end)
-		if st.failed != nil {
-			return
-		}
-	}
-	step := dp.steps[flat]
-	for _, dg := range rs.plan.dependents[step] {
-		rs.pending[dg]--
-		if rs.pending[dg] == 0 {
-			st.startGroupDyn(rs, dg)
-			if st.failed != nil {
-				return
-			}
-		}
-	}
-}
-
-func (st *runState) finishRequest(rs *reqState, end time.Duration) {
-	rs.acc.Done = end
-	rs.acc.E2E = end - rs.arrival
-	rs.tn.traces[rs.r.ID] = rs.acc
-	rs.tn.done++
-	st.done++
-	if st.tracer != nil || rs.tn.om != nil {
-		st.observeComplete(rs, end)
-	}
+	loc := rs.plan.dyn.loc[flat]
+	st.nodeDone(rs, loc.group, loc.member, end)
 }
 
 // fireTrigger delivers an external event to its await step: if the
@@ -508,5 +281,5 @@ func (st *runState) fireTrigger(rs *reqState, flat int, now time.Duration) {
 		return
 	}
 	rs.dyn.waitingTrig[flat] = false
-	st.launchGroupDyn(rs, rs.plan.dyn.loc[flat].group)
+	st.launchGroup(rs, rs.plan.dyn.loc[flat].group)
 }

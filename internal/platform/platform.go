@@ -1085,27 +1085,65 @@ func (st *runState) startRequest(rs *reqState) {
 	}
 }
 
-// startGroup makes the group's allocation decision — exactly once, even if
-// member nodes later stall on capacity — and launches every member. The
-// budget handed to the allocator is the critical-path remaining budget
-// SLO − elapsed: the group's descendant cone (every path from here to the
-// workflow's sinks) must complete within it, and the group's hints table
-// splits it over the cone's critical path, so no further scaling is
-// applied at decision time.
+// startGroup runs at a decision group's readiness instant, when every
+// predecessor has completed (or, in a dynamic workflow, died). A dynamic
+// group whose members were all pruned is skipped — their deaths already
+// advanced readiness — and an await member defers the group's decision
+// to its trigger's fire instant (fireTrigger).
 func (st *runState) startGroup(rs *reqState, group int) {
 	if st.failed != nil {
 		return
 	}
-	if rs.dyn != nil {
-		st.startGroupDyn(rs, group)
+	if rs.dyn != nil && !rs.dynReady(group) {
 		return
 	}
-	now := st.engine.Now()
+	st.launchGroup(rs, group)
+}
+
+// launchGroup makes the group's allocation decision — exactly once, even
+// if member nodes later stall on capacity — and launches every member:
+// in a dynamic workflow, every live member, a map member as its resolved
+// number of replicas.
+func (st *runState) launchGroup(rs *reqState, group int) {
+	mc, hit := st.decide(rs, group, st.engine.Now())
+	if st.failed != nil {
+		return
+	}
+	for b := range rs.plan.groups[group] {
+		width := 1
+		if rs.dyn != nil {
+			width = rs.armReplicas(group, b)
+		}
+		for rep := 0; rep < width; rep++ {
+			st.startNode(rs, group, b, rep, mc, hit, false)
+			if st.failed != nil {
+				return
+			}
+		}
+	}
+}
+
+// decide makes one allocation decision for the group at now — its
+// readiness instant, or a retried attempt's — and records it. The budget
+// handed to the allocator is the critical-path remaining budget
+// SLO − elapsed: the group's descendant cone (every path from here to the
+// workflow's sinks) must complete within it, and the group's hints table
+// splits it over the cone's critical path, so no further scaling is
+// applied at decision time. Static decisions go through the tenant's
+// memo; dynamic ones reveal the group's resolved shape instead
+// (allocateDyn). A non-positive allocation fails the run.
+func (st *runState) decide(rs *reqState, group int, now time.Duration) (int, bool) {
 	remaining := rs.r.Workflow.SLO() - (now - rs.arrival)
-	mc, hit := st.allocate(rs, group, remaining)
+	var mc int
+	var hit bool
+	if rs.dyn == nil {
+		mc, hit = st.allocate(rs, group, remaining)
+	} else {
+		mc, hit = st.allocateDyn(rs, group, remaining)
+	}
 	if mc <= 0 {
 		st.fail(fmt.Errorf("platform: allocator %s returned non-positive allocation %d", rs.tn.alloc.Name(), mc))
-		return
+		return 0, false
 	}
 	rs.acc.Decisions++
 	if !hit {
@@ -1117,17 +1155,15 @@ func (st *runState) startGroup(rs *reqState, group int) {
 		ev.Value = int64(mc)
 		ev.Aux = int64(remaining)
 		ev.Flag = hit
+		if rs.dyn != nil {
+			ev.Reason = st.groupShape(rs, group)
+		}
 		st.tracer.Emit(ev)
 	}
 	if rs.tn.om != nil {
 		rs.tn.om.decision(hit)
 	}
-	for b := range rs.plan.groups[group] {
-		st.startNode(rs, group, b, mc, hit, false)
-		if st.failed != nil {
-			return
-		}
-	}
+	return mc, hit
 }
 
 // allocate makes one decision, serving it from the tenant's memo when the
@@ -1156,12 +1192,12 @@ func (st *runState) allocate(rs *reqState, group int, remaining time.Duration) (
 	return mc, hit
 }
 
-// startNode acquires a pod for one node, parking the acquisition (not the
-// decision — that is already made and paid for) when the cluster lacks
-// capacity. retried marks a wake()-driven re-attempt: a node counts one
-// Parked queueing episode no matter how many releases it sleeps through
-// before fitting.
-func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried bool) {
+// startNode acquires a pod for one node — one replica of it, in a dynamic
+// workflow — parking the acquisition (not the decision — that is already
+// made and paid for) when the cluster lacks capacity. retried marks a
+// wake()-driven re-attempt: a node counts one Parked queueing episode no
+// matter how many releases it sleeps through before fitting.
+func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit, retried bool) {
 	if st.failed != nil {
 		return
 	}
@@ -1183,10 +1219,10 @@ func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried 
 		if st.window != nil {
 			st.window.queued[fn]++
 		}
-		st.park.park(st.slotOf(fn), parkedNode{rs: rs, group: int32(group), member: int32(member), mc: int32(mc), hit: hit, fn: fn})
+		st.park.park(st.slotOf(fn), parkedNode{rs: rs, group: int32(group), member: int32(member), replica: int32(replica), mc: int32(mc), hit: hit, fn: fn})
 		if st.tracer != nil {
 			ev := reqEvent(rs, st.engine.Now(), obs.KindPark)
-			ev.Group, ev.Member = group, member
+			ev.Group, ev.Member, ev.Replica = group, member, replica
 			ev.Function = fn
 			ev.Value = int64(mc)
 			st.tracer.Emit(ev)
@@ -1211,7 +1247,7 @@ func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried 
 	if st.tracer != nil {
 		now := st.engine.Now()
 		ev := reqEvent(rs, now, obs.KindAcquire)
-		ev.Group, ev.Member = group, member
+		ev.Group, ev.Member, ev.Replica = group, member, replica
 		ev.Function = fn
 		ev.Value = int64(pod.Millicores())
 		ev.Aux = int64(pod.NodeID)
@@ -1219,18 +1255,29 @@ func (st *runState) startNode(rs *reqState, group, member, mc int, hit, retried 
 		st.tracer.Emit(ev)
 		if cold {
 			cs := reqEvent(rs, now, obs.KindColdStart)
-			cs.Group, cs.Member = group, member
+			cs.Group, cs.Member, cs.Replica = group, member, replica
 			cs.Function = fn
 			cs.Value = int64(st.ex.cfg.ColdStartup)
 			st.tracer.Emit(cs)
 		}
 	}
-	st.launch(nodeRun{rs: rs, pod: pod, group: group, member: member, cold: cold, hit: hit}, rs.r.Draws[group][member])
+	n := nodeRun{rs: rs, pod: pod, group: group, member: member, replica: replica, cold: cold, hit: hit}
+	draw := rs.r.Draws[group][member]
+	if rs.dyn != nil {
+		// Map replicas and retry attempts run off their own pre-sampled
+		// draws; other dynamic nodes keep the base draw.
+		flat := rs.plan.dyn.base[group] + member
+		n.attempt = rs.dyn.attempt[flat][replica]
+		if nd, ok := rs.r.Dyn.NodeDraws[rs.plan.dyn.steps[flat]]; ok {
+			draw = nd[replica][n.attempt]
+		}
+	}
+	st.launch(n, draw)
 }
 
 // nodeRun is one node attempt running on its pod: what its completion
 // needs to record the stage and advance the request. replica and attempt
-// are always 0 on the static path.
+// are always 0 for static workflows.
 type nodeRun struct {
 	rs                      *reqState
 	pod                     *cluster.Pod
@@ -1323,31 +1370,76 @@ func (c *completion) done(end time.Duration) {
 		return
 	}
 	st.wake()
-	if rs.dyn != nil {
-		st.replicaDone(rs, n.group, n.member, n.replica, end)
-	} else {
-		st.nodeDone(rs, node.Name, end)
-	}
+	st.replicaDone(rs, n.group, n.member, n.replica, end)
 }
 
-// nodeDone advances the readiness countdowns after a node completes: any
-// dependent group whose predecessor count reaches zero starts (the
-// implicit join at in-degree > 1 nodes), and the request finishes when its
-// last node does.
-func (st *runState) nodeDone(rs *reqState, step string, end time.Duration) {
+// replicaDone handles one attempt's completion. In a dynamic workflow a
+// planned failure re-decides and relaunches the replica (bounded retry),
+// only the last replica's success completes a map node, and a completed
+// choice node kills its unchosen successor edges — settling every
+// downstream readiness countdown — before its own completion counts.
+func (st *runState) replicaDone(rs *reqState, group, member, replica int, end time.Duration) {
+	if rs.dyn != nil {
+		dp := rs.plan.dyn
+		flat := dp.base[group] + member
+		step := dp.steps[flat]
+		if a, ok := rs.r.Dyn.Attempts[step]; ok && rs.dyn.attempt[flat][replica] < a[replica] {
+			rs.dyn.attempt[flat][replica]++
+			// The re-attempt is a new readiness instant for this node: a
+			// fresh decision against the SLO budget that remains now. The
+			// group's cone table still applies — the remaining work is the
+			// same cone, just later in its budget.
+			mc, hit := st.decide(rs, group, end)
+			if st.failed != nil {
+				return
+			}
+			st.startNode(rs, group, member, replica, mc, hit, false)
+			return
+		}
+		rs.dyn.repsLeft[flat]--
+		if rs.dyn.repsLeft[flat] > 0 {
+			return
+		}
+		if dp.spec[flat].Choice != nil {
+			chosen := rs.r.Dyn.Choice[step]
+			for i, next := range dp.succ[flat] {
+				if i == chosen {
+					continue
+				}
+				st.edgeDead(rs, next, end)
+				if st.failed != nil {
+					return
+				}
+			}
+		}
+	}
+	st.nodeDone(rs, group, member, end)
+}
+
+// nodeDone counts one node as finished — completed, or pruned by an
+// upstream choice — and advances the readiness countdowns: any dependent
+// group whose predecessor count reaches zero starts (the implicit join at
+// in-degree > 1 nodes), and the request finishes when its last node does.
+// A pruned node first propagates its death along every outgoing edge, the
+// cascade that prunes a whole unchosen subtree in one instant.
+func (st *runState) nodeDone(rs *reqState, group, member int, end time.Duration) {
 	rs.remaining--
 	if rs.remaining == 0 {
-		rs.acc.Done = end
-		rs.acc.E2E = end - rs.arrival
-		rs.tn.traces[rs.r.ID] = rs.acc
-		rs.tn.done++
-		st.done++
-		if st.tracer != nil || rs.tn.om != nil {
-			st.observeComplete(rs, end)
-		}
+		st.finishRequest(rs, end)
 		return
 	}
-	for _, dg := range rs.plan.dependents[step] {
+	if rs.dyn != nil {
+		flat := rs.plan.dyn.base[group] + member
+		if rs.dyn.dead[flat] {
+			for _, next := range rs.plan.dyn.succ[flat] {
+				st.edgeDead(rs, next, end)
+				if st.failed != nil {
+					return
+				}
+			}
+		}
+	}
+	for _, dg := range rs.plan.dependents[rs.plan.groups[group][member].Name] {
 		rs.pending[dg]--
 		if rs.pending[dg] == 0 {
 			st.startGroup(rs, dg)
@@ -1355,6 +1447,18 @@ func (st *runState) nodeDone(rs *reqState, step string, end time.Duration) {
 				return
 			}
 		}
+	}
+}
+
+// finishRequest records a request's trace once its last node finished.
+func (st *runState) finishRequest(rs *reqState, end time.Duration) {
+	rs.acc.Done = end
+	rs.acc.E2E = end - rs.arrival
+	rs.tn.traces[rs.r.ID] = rs.acc
+	rs.tn.done++
+	st.done++
+	if st.tracer != nil || rs.tn.om != nil {
+		st.observeComplete(rs, end)
 	}
 }
 
@@ -1425,11 +1529,7 @@ func (st *runState) wake() {
 		if st.om != nil {
 			st.om.parkDepth.Set(int64(st.park.live))
 		}
-		if p.rs.dyn != nil {
-			st.startNodeDyn(p.rs, int(p.group), int(p.member), int(p.replica), int(p.mc), p.hit, true)
-		} else {
-			st.startNode(p.rs, int(p.group), int(p.member), int(p.mc), p.hit, true)
-		}
+		st.startNode(p.rs, int(p.group), int(p.member), int(p.replica), int(p.mc), p.hit, true)
 		if st.failed != nil {
 			return
 		}
