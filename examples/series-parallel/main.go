@@ -1,10 +1,11 @@
 // Series-parallel: the paper's future-work extension in action. A diamond
 // workflow — object detection fanning out to concurrent question answering
-// and text-to-speech, joining into compression — gets its hints through the
-// effective-chain reduction, then serves on the real cluster substrate:
-// every branch holds its own pod, pays warm-pool specialization or a cold
-// start, queues when the node is out of capacity, and the join waits for
-// the slowest branch.
+// and text-to-speech, joining into compression — is an ordinary workflow
+// DAG: the profiler measures each decision group (the parallel stage as
+// the maximum over its branches), the synthesizer builds its hints, and
+// it serves on the real cluster substrate: every branch holds its own pod,
+// pays warm-pool specialization or a cold start, queues when the node is
+// out of capacity, and the join waits for the slowest branch.
 //
 //	go run ./examples/series-parallel
 package main
@@ -18,88 +19,75 @@ import (
 )
 
 func main() {
-	w := &janus.SPWorkflow{
-		Name: "diamond",
-		SLO:  3500 * time.Millisecond,
-		Stages: []janus.SPStage{
-			{Functions: []string{"od"}},
-			{Functions: []string{"qa", "ts"}}, // concurrent branches, join
-			{Functions: []string{"ico"}},
-		},
+	// Stages run in order; qa and ts are concurrent branches that join.
+	w, err := janus.NewSeriesParallelWorkflow("diamond", 3500*time.Millisecond,
+		[][]string{{"od"}, {"qa", "ts"}, {"ico"}})
+	if err != nil {
+		log.Fatal(err)
 	}
 	coloc, err := janus.NewColocationSampler([]float64{0.6, 0.3, 0.1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := janus.SPProfilerConfig{
-		Functions:        janus.Catalog(),
-		Colocation:       coloc,
-		Interference:     janus.DefaultInterference(),
-		SamplesPerConfig: 1500,
-		Seed:             3,
-	}
 
 	fmt.Println("reducing the diamond to an effective chain (parallel stage -> max-of-branches profile)...")
-	set, err := janus.ReduceSP(w, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < set.Len(); i++ {
-		fmt.Printf("  stage %d: %-22s L(99, Kmin)=%v\n", i, set.At(i).Function, set.At(i).L(99, 1000))
-	}
-
-	dep, err := janus.DeployProfiled(set, janus.DeployOptions{
+	dep, err := janus.Deploy(w, janus.DeployOptions{
 		Functions:           janus.Catalog(),
 		Colocation:          coloc,
 		Interference:        janus.DefaultInterference(),
-		Seed:                5,
+		Seed:                3,
+		SamplesPerConfig:    1500,
 		BudgetStepMs:        5,
 		DisableRegeneration: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	for i := 0; i < dep.Profiles.Len(); i++ {
+		fmt.Printf("  stage %d: %-22s L(99, Kmin)=%v\n", i, dep.Profiles.At(i).Function, dep.Profiles.At(i).L(99, 1000))
+	}
 	fmt.Printf("hints: %d tables, %d condensed ranges\n", dep.Bundle().Stages(), dep.Bundle().TotalRanges())
 
 	// Serving runs the fork-join DAG on the discrete-event cluster — not a
 	// sequential replay loop — so the numbers below include cold starts,
 	// capacity queueing, and per-stage decision overhead.
-	ivs, err := janus.ServeSP(w, dep.Adapter, cfg, 500, 9)
+	reqs, err := janus.GenerateWorkload(janus.WorkloadConfig{
+		Workflow:          w,
+		Functions:         janus.Catalog(),
+		N:                 500,
+		ArrivalRatePerSec: 2,
+		Colocation:        coloc,
+		Interference:      janus.DefaultInterference(),
+		Seed:              9,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := janus.DefaultExecutorConfig()
+	cfg.Seed = 9
+	ex, err := janus.NewExecutor(cfg, janus.Catalog())
+	if err != nil {
+		log.Fatal(err)
+	}
+	traces, err := ex.Run(reqs, dep.Allocator("janus"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	var worst time.Duration
-	misses, cold, parked := 0, 0, 0
-	for _, iv := range ivs {
-		if iv.E2E > worst {
-			worst = iv.E2E
+	cold, parked := 0, 0
+	for _, tr := range traces {
+		worst = max(worst, tr.E2E)
+		parked += tr.Parked
+		for _, st := range tr.Stages {
+			if st.Cold {
+				cold++
+			}
 		}
-		misses += iv.Misses
-		cold += iv.ColdStarts
-		parked += iv.Parked
 	}
 	fmt.Printf("\nserved %d requests on the cluster substrate: mean %.0f millicores (branches included)\n",
-		len(ivs), meanMC(ivs))
+		len(traces), janus.MeanMillicores(traces))
 	fmt.Printf("worst e2e %v (SLO %v), SLO violations %.2f%%, hints misses %.2f%%\n",
-		worst.Round(time.Millisecond), w.SLO,
-		violationPct(ivs, w.SLO), float64(misses)/float64(3*len(ivs))*100)
+		worst.Round(time.Millisecond), w.SLO(),
+		janus.SLOViolationRate(traces)*100, janus.MissRate(traces)*100)
 	fmt.Printf("substrate events: %d cold starts, %d capacity parkings\n", cold, parked)
-}
-
-func meanMC(ivs []janus.SPInvocation) float64 {
-	total := 0.0
-	for _, iv := range ivs {
-		total += float64(iv.Millicores)
-	}
-	return total / float64(len(ivs))
-}
-
-func violationPct(ivs []janus.SPInvocation, slo time.Duration) float64 {
-	v := 0
-	for _, iv := range ivs {
-		if iv.E2E > slo {
-			v++
-		}
-	}
-	return float64(v) / float64(len(ivs)) * 100
 }

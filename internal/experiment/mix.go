@@ -33,14 +33,10 @@ type MixTenant struct {
 // census, the same-function contention the paper's interference study
 // (Fig 1c) measures.
 func MixTenants() ([]MixTenant, error) {
-	sp, err := SPWorkflow()
-	if err != nil {
-		return nil, err
-	}
 	return []MixTenant{
 		{Tenant: "ia", Workflow: workflow.IntelligentAssistant()},
 		{Tenant: "va", Workflow: workflow.VideoAnalyze()},
-		{Tenant: "va-sp", Workflow: sp},
+		{Tenant: "va-sp", Workflow: SPWorkflow()},
 	}, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"janus/internal/parallel"
 	"janus/internal/platform"
 	"janus/internal/workflow"
 )
@@ -18,9 +17,7 @@ const SPWorkflowName = "va-sp"
 // SPWorkflow returns the scenario's fork-join DAG. It serves through the
 // same platform.Executor as every chain point: per-branch pods, warm-pool
 // hits and cold starts per branch, capacity parking, slowest-branch joins.
-func SPWorkflow() (*workflow.Workflow, error) {
-	return parallel.VideoAnalyze().DAG()
-}
+func SPWorkflow() *workflow.Workflow { return workflow.VideoAnalyzeSP() }
 
 // SPSystems lists the systems of the series-parallel scenario, in display
 // order. ORION sits out: its distribution model needs raw per-allocation
@@ -43,10 +40,7 @@ func spSweepSystems() []string { return []string{SysOptimal, SysJanus, SysGrandS
 // SPPoints enumerates the series-parallel scenario grid — every scenario
 // system at the default rate plus the arrival sweep — as runner points.
 func SPPoints() ([]Point, error) {
-	w, err := SPWorkflow()
-	if err != nil {
-		return nil, err
-	}
+	w := SPWorkflow()
 	var out []Point
 	for _, sys := range SPSystems() {
 		out = append(out, Point{Workflow: w, Batch: 1, System: sys})
@@ -77,10 +71,7 @@ type SPRow struct {
 // scenario system on the shared cluster substrate and summarizes latency,
 // consumption, and substrate behavior per system.
 func (s *Suite) SPScenario() ([]SPRow, error) {
-	w, err := SPWorkflow()
-	if err != nil {
-		return nil, err
-	}
+	w := SPWorkflow()
 	runs, err := s.RunPoint(w, 1, SPSystems())
 	if err != nil {
 		return nil, err
@@ -140,10 +131,7 @@ type SPArrivalRow struct {
 // worker pool; results come back in input order and are consumed by
 // position.
 func (s *Suite) SPArrivalSweep() ([]SPArrivalRow, error) {
-	w, err := SPWorkflow()
-	if err != nil {
-		return nil, err
-	}
+	w := SPWorkflow()
 	var points []Point
 	for _, rate := range SPArrivalRates() {
 		for _, sys := range spSweepSystems() {

@@ -722,6 +722,53 @@ func TestRunMixedMultiNodePlacement(t *testing.T) {
 	}
 }
 
+// TestServeInheritsQueueingFromTheSubstrate serves the same fork-join
+// workload on an uncongested and a cramped cluster: the cramped plane
+// must park acquisitions and show strictly higher end-to-end latency —
+// queueing a sequential replay loop over the draws could never produce.
+func TestServeInheritsQueueingFromTheSubstrate(t *testing.T) {
+	coloc, err := interfere.NewCountSampler([]float64{0.6, 0.3, 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := GenerateWorkload(WorkloadConfig{
+		Workflow:          diamondSP(t),
+		Functions:         perfmodel.Catalog(),
+		N:                 120,
+		ArrivalRatePerSec: 6,
+		Colocation:        coloc,
+		Interference:      interfere.Default(),
+		Seed:              11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveOn := func(nodeMC int) []Trace {
+		cfg := DefaultExecutorConfig()
+		cfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: nodeMC, PoolSize: 2, IdleMillicores: 100}
+		e, err := NewExecutor(cfg, perfmodel.Catalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := e.Run(reqs, &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traces
+	}
+	roomy, cramped := serveOn(52000), serveOn(10000)
+	parked := 0
+	for i := range cramped {
+		parked += cramped[i].Parked
+	}
+	if parked == 0 {
+		t.Fatal("cramped cluster parked no acquisitions")
+	}
+	if c, r := E2ESample(cramped).Mean(), E2ESample(roomy).Mean(); c <= r {
+		t.Fatalf("cramped cluster mean e2e %.1fms not above roomy %.1fms", c, r)
+	}
+}
+
 // TestSeriesParallelColdStartsAndParkingDeterministic runs the diamond on a
 // pool-less tiny cluster with live interference: every branch cold-starts,
 // parking is rampant, and two identical runs stay byte-identical.

@@ -459,3 +459,76 @@ func TestSortedPercentiles(t *testing.T) {
 		t.Fatal("input mutated")
 	}
 }
+
+// spProfiler matches the series-parallel tests' profiling setup: the
+// contention mix and seed the fork-join workloads are calibrated against.
+func spProfiler(t *testing.T) *Profiler {
+	t.Helper()
+	coloc, err := interfere.NewCountSampler([]float64{0.6, 0.3, 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProfiler(perfmodel.Catalog(), coloc, interfere.Default(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SamplesPerConfig = 1000
+	return p
+}
+
+func TestProfileGroupCompositeDominatesBranches(t *testing.T) {
+	p := spProfiler(t)
+	group := func(fns ...string) *FunctionProfile {
+		t.Helper()
+		nodes := make([]workflow.Node, len(fns))
+		for i, f := range fns {
+			nodes[i] = workflow.Node{Name: f, Function: f}
+		}
+		fp, err := p.ProfileGroup(workflow.Group{Nodes: nodes}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	composite, qa, ts := group("qa", "ts"), group("qa"), group("ts")
+	// max(QA, TS) stochastically dominates each branch. The estimates come
+	// from independent Monte-Carlo paths, so compare with the sampling
+	// tolerance appropriate to each percentile: tight at the median, loose
+	// at the tail.
+	tolerance := map[int]float64{50: 0.97, 99: 0.85}
+	for _, pct := range []int{50, 99} {
+		for _, k := range []int{1000, 2000, 3000} {
+			floor := float64(max(qa.LMs(pct, k), ts.LMs(pct, k))) * tolerance[pct]
+			if float64(composite.LMs(pct, k)) < floor {
+				t.Errorf("composite L(%d,%d)=%d below dominated floor %.0f (qa %d, ts %d)",
+					pct, k, composite.LMs(pct, k), floor, qa.LMs(pct, k), ts.LMs(pct, k))
+			}
+		}
+	}
+	if composite.Function != "par(2)+qa+ts" {
+		t.Errorf("composite name %q", composite.Function)
+	}
+}
+
+// TestSingleStageForkDAG is the regression test for the disconnected-node
+// validation: a one-stage parallel workflow (a pure fork-join map) is a
+// DAG with multiple nodes and zero edges, which must stay valid — all
+// members form one decision group, join at completion, and profile as
+// one composite.
+func TestSingleStageForkDAG(t *testing.T) {
+	dag, err := workflow.NewSeriesParallel("map", 2*time.Second, [][]string{{"qa", "ts"}})
+	if err != nil {
+		t.Fatalf("single-stage fork rejected: %v", err)
+	}
+	groups := dag.DecisionGroups()
+	if len(groups) != 1 || len(groups[0].Nodes) != 2 {
+		t.Fatalf("fork groups = %+v", groups)
+	}
+	set, err := spProfiler(t).ProfileWorkflow(dag, 1)
+	if err != nil {
+		t.Fatalf("single-stage fork profiling failed: %v", err)
+	}
+	if set.Len() != 1 || set.At(0).Function != "par(2)+qa+ts" {
+		t.Fatalf("single-stage fork profiles = %d, first %q", set.Len(), set.At(0).Function)
+	}
+}

@@ -211,6 +211,14 @@ func TestCatalogWorkflows(t *testing.T) {
 			t.Errorf("%s: not a 3-function chain", w.Name())
 		}
 	}
+	sp := VideoAnalyzeSP()
+	if sp.Name() != "va-sp" || sp.SLO() != 1100*time.Millisecond {
+		t.Errorf("VA-SP = %s at %v, want va-sp at 1.1s", sp.Name(), sp.SLO())
+	}
+	stages, err := sp.SeriesParallel()
+	if err != nil || sp.IsChain() || len(stages) != 2 || len(stages[0]) != 1 || len(stages[1]) != 2 {
+		t.Errorf("VA-SP is not fe -> (icl || ico): %v, %v", stages, err)
+	}
 }
 
 func TestNewChainEmpty(t *testing.T) {

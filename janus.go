@@ -45,7 +45,6 @@ import (
 	"janus/internal/hints"
 	"janus/internal/httpapi"
 	"janus/internal/interfere"
-	"janus/internal/parallel"
 	"janus/internal/perfmodel"
 	"janus/internal/platform"
 	"janus/internal/profile"
@@ -394,59 +393,6 @@ type CatalogRegistry = catalog.Registry
 // NewCatalogRegistry builds an empty registry; opts apply to every
 // adapter it creates.
 func NewCatalogRegistry(opts ...AdapterOption) *CatalogRegistry { return catalog.NewRegistry(opts...) }
-
-// Series-parallel workflows (the paper's future-work extension): hints
-// come from reducing the fan-out/join application to an effective chain
-// the unmodified synthesizer consumes; serving runs the fork-join DAG on
-// the same discrete-event cluster substrate as the chain experiments, so
-// every branch pays warm-pool specialization or cold starts and queues on
-// exhausted capacity, and joins wait for the slowest branch.
-
-// SPWorkflow is a series-parallel application: stages in sequence, with
-// the functions inside a stage running concurrently until a join.
-type SPWorkflow = parallel.Workflow
-
-// SPStage is one stage of an SPWorkflow.
-type SPStage = parallel.Stage
-
-// SPProfilerConfig parameterizes composite-stage profiling.
-type SPProfilerConfig = parallel.ProfilerConfig
-
-// SPInvocation is one served series-parallel request.
-type SPInvocation = parallel.Invocation
-
-// SPServeConfig parameterizes SP serving beyond the profile-time inputs
-// (request count, seed, arrival rate, custom executor).
-type SPServeConfig = parallel.ServeConfig
-
-// VideoAnalyzeSP returns the series-parallel form of the Video Analyze
-// application: frame extraction fanning out to concurrent classification
-// and compression.
-func VideoAnalyzeSP() *SPWorkflow { return parallel.VideoAnalyze() }
-
-// ReduceSP profiles every stage (parallel stages by max-of-branches
-// Monte-Carlo) and returns the effective-chain profile set for
-// DeployProfiled.
-func ReduceSP(w *SPWorkflow, cfg SPProfilerConfig) (*ProfileSet, error) {
-	return parallel.Reduce(w, cfg)
-}
-
-// ServeSP executes n requests of the series-parallel workflow under the
-// adapter's runtime adaptation, on the default serving plane.
-func ServeSP(w *SPWorkflow, a *Adapter, cfg SPProfilerConfig, n int, seed uint64) ([]SPInvocation, error) {
-	return parallel.Serve(w, a, cfg, n, seed)
-}
-
-// ServeSPTraces executes the series-parallel workflow on the serving plane
-// under any allocator and returns full per-branch traces; pass a custom
-// Executor via the config to shrink the cluster, disable warm pools, or
-// enable live interference.
-func ServeSPTraces(w *SPWorkflow, alloc Allocator, cfg SPProfilerConfig, sc SPServeConfig) ([]Trace, error) {
-	return parallel.ServeTraces(w, alloc, cfg, sc)
-}
-
-// SPInvocations summarizes serving-plane traces as SP invocations.
-func SPInvocations(traces []Trace) []SPInvocation { return parallel.Invocations(traces) }
 
 // Arbitrary-DAG workflows (the node-granular engine): serving, profiling,
 // and hints synthesis all operate on decision groups — nodes sharing an
