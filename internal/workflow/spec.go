@@ -3,6 +3,7 @@ package workflow
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -50,8 +51,15 @@ func ParseSpec(data []byte) (*Workflow, error) {
 	return s.Build()
 }
 
+// maxSLOMillis is the largest slo_ms whose time.Duration does not
+// overflow.
+const maxSLOMillis = math.MaxInt64 / int64(time.Millisecond)
+
 // Build validates the spec and constructs the workflow.
 func (s *Spec) Build() (*Workflow, error) {
+	if s.SLOMillis <= 0 || s.SLOMillis > maxSLOMillis {
+		return nil, fmt.Errorf("workflow %s: slo_ms %d outside [1, %d]", s.Name, s.SLOMillis, maxSLOMillis)
+	}
 	slo := time.Duration(s.SLOMillis) * time.Millisecond
 	if len(s.Dynamic) == 0 {
 		return New(s.Name, slo, s.Nodes, s.Edges)

@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -96,4 +97,68 @@ func TestBuildRejectsInvalidDynamic(t *testing.T) {
 	if _, err := s.Build(); err == nil {
 		t.Fatal("annotation on unknown step built")
 	}
+}
+
+// TestBuildRejectsSLOOverflow: an slo_ms whose nanosecond Duration would
+// overflow int64 is rejected, not wrapped into a tiny (or negative) SLO
+// that re-marshals to a spec ParseSpec itself refuses.
+func TestBuildRejectsSLOOverflow(t *testing.T) {
+	for _, slo := range []string{"18446744073710", "9223372036855", "-10000000000000"} {
+		spec := `{"name":"x","slo_ms":` + slo + `,"functions":[{"name":"a","function":"fe"}]}`
+		if w, err := ParseSpec([]byte(spec)); err == nil {
+			t.Errorf("slo_ms %s accepted as SLO %v", slo, w.SLO())
+		}
+	}
+	max := `{"name":"x","slo_ms":9223372036854,"functions":[{"name":"a","function":"fe"}]}`
+	w, err := ParseSpec([]byte(max))
+	if err != nil {
+		t.Fatalf("largest representable slo_ms rejected: %v", err)
+	}
+	if w.SLO() != 9223372036854*time.Millisecond {
+		t.Fatalf("slo_ms 9223372036854 built SLO %v", w.SLO())
+	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and every spec it accepts —
+// dynamic kinds included — marshals to JSON that parses again and
+// re-marshals byte for byte.
+func FuzzParseSpec(f *testing.F) {
+	nodes, edges := dynNodes()
+	dyn, err := NewDynamic("trig", time.Second, nodes, edges, []DynamicNode{
+		{Step: "triage", Choice: &ChoiceSpec{Weights: []float64{0.6, 0.4}}},
+		{Step: "ocr", Map: &MapSpec{MaxWidth: 4, Decay: 0.5}, Retry: &RetrySpec{MaxRetries: 2, FailureProb: 0.15}},
+		{Step: "gate", Await: true},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, w := range []*Workflow{IntelligentAssistant(), VideoAnalyzeSP(), dyn} {
+		data, err := json.Marshal(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name":"x","slo_ms":18446744073710,"functions":[{"name":"a","function":"fe"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(w)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := ParseSpec(first)
+		if err != nil {
+			t.Fatalf("accepted spec marshals to %s, which ParseSpec rejects: %v", first, err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("re-parsed spec does not marshal: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("re-marshal diverged:\n%s\n%s", first, second)
+		}
+	})
 }
