@@ -8,8 +8,10 @@
 // first iteration of each benchmark pays the real cost and the reported
 // per-op numbers stabilize quickly. cmd/janusbench prints the same rows.
 //
-// BenchmarkEvaluationGrid{Sequential,Parallel} are the exception: they
-// build a fresh reduced-scale suite per iteration to time the concurrent
+// BenchmarkReplayScenario and BenchmarkFleetScenario build a fresh
+// paper-scale suite per iteration, so every iteration serves the grid.
+// BenchmarkEvaluationGrid{Sequential,Parallel} likewise build a fresh
+// reduced-scale suite per iteration to time the concurrent
 // experiment engine end to end. Compare the pair with
 //
 //	go test -bench='BenchmarkEvaluationGrid' -benchtime=1x
@@ -444,12 +446,13 @@ func BenchmarkOverheadOnlineAdaptation(b *testing.B) {
 // BenchmarkReplayScenario times the non-stationary replay grid: the
 // burst+diurnal schedule over ia/va/dag under static pools, the elastic
 // autoscaler, and the closed bilateral loop (online hint regeneration
-// hot-swapping bundles mid-run).
+// hot-swapping bundles mid-run). Every iteration builds a fresh suite:
+// the shared one memoizes each run, so later iterations would time a
+// cache lookup instead of the grid.
 func BenchmarkReplayScenario(b *testing.B) {
-	s := suite()
 	var closedAttainment float64
 	for i := 0; i < b.N; i++ {
-		runs, err := s.ReplayScenario()
+		runs, err := janus.NewExperimentSuite().ReplayScenario()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -466,11 +469,12 @@ func BenchmarkReplayScenario(b *testing.B) {
 // non-stationary schedule at ~230k requests on a 200-node cluster, under
 // every provider configuration. This is the workload the indexed cluster
 // state is sized against; the BENCH_*.json files record its trajectory.
+// Like BenchmarkReplayScenario, every iteration builds a fresh suite so
+// each one serves the grid.
 func BenchmarkFleetScenario(b *testing.B) {
-	s := suite()
 	var closedAttainment float64
 	for i := 0; i < b.N; i++ {
-		runs, err := s.FleetScenario()
+		runs, err := janus.NewExperimentSuite().FleetScenario()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // TestBenchGuard is the benchmark-regression harness: it replays the
-// alloc-critical benchmarks with -benchtime=1x and diffs allocs/op
-// against the thresholds committed in BENCH_PR15.json (the `guard`
-// section). The indexed cluster's contract is that pickNode and the
+// alloc-critical benchmarks for a fixed stretch of time (guardBenchtime)
+// and diffs allocs/op against the thresholds committed in
+// BENCH_PR15.json (the `guard` section). The indexed cluster's contract is that pickNode and the
 // Colocated census never allocate on the hot path, and the serving
 // plane's contract is that a park/wake cycle at fleet depth
 // (BenchmarkParkWake), the event loop's schedule/fire cycle
@@ -21,9 +21,20 @@
 //	                       leaving the knob set)
 //
 // The guard shells out to `go test -bench` per package so each
-// benchmark runs exactly as CI's bench-smoke job runs it, rather than
-// through testing.Benchmark (which cannot reach other packages'
+// benchmark runs in its own test binary with its package's setup, rather
+// than through testing.Benchmark (which cannot reach other packages'
 // benchmarks and skips their TestMain setup).
+//
+// Why a time-based -benchtime rather than 1x: allocs/op is the process's
+// whole malloc count over the timed loop divided by b.N. At b.N = 1 a
+// microsecond-long iteration of an allocation-free benchmark absorbs any
+// stray runtime allocation that lands inside it, and under CPU load
+// BenchmarkFlightRecorderEmit read 1 or 5 allocs/op in about 4% of runs.
+// Run for guardBenchtime instead, cheap benchmarks reach b.N in the
+// thousands to millions: a one-off stray truncates to 0/op while a
+// per-call allocation still reads at least 1/op. Benchmarks whose single
+// iteration outlasts guardBenchtime still run exactly once, so each
+// must time fresh work per iteration rather than a memoized result.
 package janus_test
 
 import (
@@ -40,6 +51,9 @@ import (
 
 // benchTrajectory mirrors the slice of BENCH_PR15.json the guard consumes;
 // the measurement sections are documented in docs/BENCHMARKS.md.
+// guardBenchtime is the -benchtime every guarded benchmark runs for.
+const guardBenchtime = "100ms"
+
 type benchTrajectory struct {
 	Guard struct {
 		// AllocsPerOp maps package path -> benchmark name -> maximum
@@ -88,6 +102,7 @@ func TestBenchGuard(t *testing.T) {
 				t.Errorf("%s: benchmark %s did not run — renamed or deleted? update BENCH_PR15.json's guard section", pkg, name)
 				continue
 			}
+			t.Logf("%s: %s %d allocs/op (threshold %d)", pkg, name, allocs, thresholds[name])
 			if max := thresholds[name]; allocs > max {
 				t.Errorf("%s: %s allocates %d/op, threshold %d/op — the hot path regressed to per-call allocation (set JANUS_BENCHGUARD=off only while triaging; fix or re-baseline BENCH_PR15.json)",
 					pkg, name, allocs, max)
@@ -96,8 +111,8 @@ func TestBenchGuard(t *testing.T) {
 	}
 }
 
-// runBenchmarks executes the named benchmarks once each and returns their
-// measured allocs/op.
+// runBenchmarks executes the named benchmarks for guardBenchtime each and
+// returns their measured allocs/op.
 func runBenchmarks(pkg string, thresholds map[string]int64) (map[string]int64, error) {
 	names := make([]string, 0, len(thresholds))
 	for name := range thresholds {
@@ -106,7 +121,7 @@ func runBenchmarks(pkg string, thresholds map[string]int64) (map[string]int64, e
 	sort.Strings(names)
 	pattern := "^(" + strings.Join(names, "|") + ")$"
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-		"-benchtime", "1x", "-benchmem", "-timeout", "15m", pkg)
+		"-benchtime", guardBenchtime, "-benchmem", "-timeout", "15m", pkg)
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out

@@ -57,8 +57,8 @@ func BenchmarkParkWake(b *testing.B) {
 			px.park(int(woken[j].slot), woken[j])
 		}
 	}
-	// Warm to steady state: the guard runs -benchtime=1x, so the very
-	// first timed iteration must already find full-grown arrays.
+	// Warm to steady state before the timer: array growth must never
+	// land in a timed iteration, however few of them the run has.
 	for i := 0; i < 64; i++ {
 		cycle(i)
 	}
