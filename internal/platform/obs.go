@@ -119,9 +119,8 @@ func reqEvent(rs *reqState, at time.Duration, kind obs.Kind) obs.Event {
 }
 
 // observeComplete emits the completion (and SLO-miss) events and updates
-// the tenant's completion metrics — the shared back half of the static
-// and dynamic completion sites. Callers guard with
-// `st.tracer != nil || rs.tn.om != nil`.
+// the tenant's completion metrics — finishRequest's observability half.
+// Callers guard with `st.tracer != nil || rs.tn.om != nil`.
 func (st *runState) observeComplete(rs *reqState, end time.Duration) {
 	e2e, slo := rs.acc.E2E, rs.acc.SLO
 	if st.tracer != nil {

@@ -625,7 +625,7 @@ type runState struct {
 // parkedNode is one pod acquisition waiting on cluster capacity: the
 // already-decided allocation for one member node of a decision group.
 // replica distinguishes map replicas of a dynamic node; it is always 0
-// on the static path. The park index stores these records in
+// for static workflows. The park index stores these records in
 // per-function arrays at fleet depth, so the layout is deliberately
 // narrow: int32 covers every field's range (group/member/slot are
 // dense small indexes, replica < MaxMapWidth, millicores < 2^31) and
@@ -659,8 +659,8 @@ type dagPlan struct {
 	// count as finished at the instant their death is determined).
 	nodes int
 	// dyn is the dynamic-shape overlay (liveness edges, annotations,
-	// choice targets); nil for static workflows, whose serving path is
-	// untouched by it.
+	// choice targets); nil for static workflows, whose requests never
+	// consult it.
 	dyn *dynPlan
 }
 
@@ -718,7 +718,9 @@ type reqState struct {
 	// its own Arrival instant.
 	external bool
 	// dyn holds the per-request dynamic-shape state (liveness, replica
-	// joins, retry counters, await latches); nil for static plans.
+	// joins, retry counters, await latches); nil for static plans, so a
+	// static request allocates none of it and the scheduler's dynamic
+	// branches reduce to one nil check each.
 	dyn *dynReqState
 }
 

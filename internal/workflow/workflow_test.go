@@ -195,6 +195,18 @@ func TestParseSpecErrors(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"name":"x","slo_ms":0,"functions":[{"name":"a","function":"f"}]}`)); err == nil {
 		t.Fatal("zero SLO accepted")
 	}
+	// An slo_ms whose nanosecond Duration overflows int64 must be
+	// rejected, not wrapped into a tiny or bogus positive SLO.
+	for _, slo := range []string{"18446744073710", "9223372036855", "-10000000000000"} {
+		spec := `{"name":"x","slo_ms":` + slo + `,"functions":[{"name":"a","function":"fe"}]}`
+		if w, err := ParseSpec([]byte(spec)); err == nil {
+			t.Errorf("slo_ms %s accepted as SLO %v", slo, w.SLO())
+		}
+	}
+	w, err := ParseSpec([]byte(`{"name":"x","slo_ms":9223372036854,"functions":[{"name":"a","function":"fe"}]}`))
+	if err != nil || w.SLO() != 9223372036854*time.Millisecond {
+		t.Fatalf("largest representable slo_ms: %v, %v", w, err)
+	}
 }
 
 func TestCatalogWorkflows(t *testing.T) {
