@@ -172,3 +172,43 @@ func TestTriggerGolden(t *testing.T) {
 	b.WriteString(FormatTrigger(runs))
 	checkGolden(t, "golden_trigger.txt", "trigger", b.String())
 }
+
+// TestScheduleGolden locks the schedule-driven grids the same way: the
+// quick-scale replay scenario, and the fleet grid unsharded and sharded
+// on the tiny fleet suite. Each (config, tenant) trace set gets its own
+// hash; the formatted tables carry the regeneration loop's hot-swap
+// instants and floors.
+func TestScheduleGolden(t *testing.T) {
+	var b strings.Builder
+	dump := func(runs []*ReplayRun) {
+		for _, run := range runs {
+			for _, row := range run.Rows {
+				fmt.Fprintf(&b, "run %s/%s %s traces=%d sha=%s\n",
+					run.Scenario, run.Config, row.Tenant, len(run.Traces[row.Tenant]), runHash(run.Traces[row.Tenant], false))
+			}
+		}
+	}
+
+	replayRuns, err := quickSuite(t).ReplayScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump(replayRuns)
+	b.WriteString(FormatReplay(replayRuns))
+
+	fleet := tinyFleetSuite()
+	fleetRuns, err := fleet.FleetScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump(fleetRuns)
+	b.WriteString(FormatReplay(fleetRuns))
+	shardRuns, err := fleet.FleetShardScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump(shardRuns)
+	b.WriteString(FormatFleetShard(shardRuns))
+
+	checkGolden(t, "golden_schedule.txt", "replay/fleet", b.String())
+}
