@@ -75,7 +75,7 @@ type exp struct {
 
 var experiments = map[string]exp{
 	"fig1a": {run: func(s *experiment.Suite) (fmt.Stringer, error) { return s.Fig1a() },
-		desc: "function latency vs CPU allocation (motivation)"},
+		desc: "slack CDF of all vs the top-100 functions in an Azure-like trace (motivation)"},
 	"fig1b": {run: func(s *experiment.Suite) (fmt.Stringer, error) {
 		rows, err := s.Fig1b()
 		if err != nil {
@@ -91,7 +91,7 @@ var experiments = map[string]exp{
 		return wrap(experiment.FormatFig1c(rows)), nil
 	}, desc: "co-location interference slowdowns (motivation)"},
 	"fig2": {run: func(s *experiment.Suite) (fmt.Stringer, error) { return s.Fig2(50) },
-		desc: "per-request remaining-budget dispersion (motivation)"},
+		desc: "early vs late binding per request, CPU normalized by the optimum (motivation)"},
 	"fig4": {run: func(s *experiment.Suite) (fmt.Stringer, error) {
 		panels, err := s.Fig4()
 		if err != nil {
@@ -112,9 +112,9 @@ var experiments = map[string]exp{
 			return nil, err
 		}
 		return wrap(experiment.FormatFig6(rows)), nil
-	}, desc: "SLO sweep: consumption and violations vs objective"},
+	}, desc: "Janus vs Janus+ on IA over SLOs 3-7 s: consumption and synthesis cost"},
 	"fig7": {run: func(s *experiment.Suite) (fmt.Stringer, error) { return s.Fig7() },
-		desc: "head-weight sensitivity of the synthesizer"},
+		desc: "timeout and resilience of the TS function vs allocation, percentile and concurrency"},
 	"fig8": {run: func(s *experiment.Suite) (fmt.Stringer, error) {
 		rows, err := s.Fig8()
 		if err != nil {
@@ -128,7 +128,7 @@ var experiments = map[string]exp{
 			return nil, err
 		}
 		return wrap(experiment.FormatFig9(rows)), nil
-	}, desc: "concurrency (batch) sweep per system"},
+	}, desc: "SLO sweep: consumption normalized by Optimal for ORION, GrandSLAM and Janus"},
 	"sp": {run: func(s *experiment.Suite) (fmt.Stringer, error) {
 		rows, err := s.SPScenario()
 		if err != nil {
@@ -155,18 +155,7 @@ var experiments = map[string]exp{
 		}
 		return wrap(experiment.FormatReplay(runs)), nil
 	}, desc: "non-stationary replay: static pools vs autoscaler vs autoscaler+online-regen",
-		rows: func(s *experiment.Suite) (any, error) {
-			runs, err := s.ReplayScenario()
-			if err != nil {
-				return nil, err
-			}
-			var rows []experiment.ReplayRow
-			for _, run := range runs {
-				rows = append(rows, run.Rows...)
-				rows = append(rows, run.Aggregate)
-			}
-			return rows, nil
-		}},
+		rows: replayRows((*experiment.Suite).ReplayScenario)},
 	"fleet": {run: func(s *experiment.Suite) (fmt.Stringer, error) {
 		runs, err := s.FleetScenario()
 		if err != nil {
@@ -174,18 +163,7 @@ var experiments = map[string]exp{
 		}
 		return wrap(experiment.FormatReplay(runs)), nil
 	}, desc: "fleet-scale replay: the non-stationary grid on 200 nodes, O(100k+) requests",
-		rows: func(s *experiment.Suite) (any, error) {
-			runs, err := s.FleetScenario()
-			if err != nil {
-				return nil, err
-			}
-			var rows []experiment.ReplayRow
-			for _, run := range runs {
-				rows = append(rows, run.Rows...)
-				rows = append(rows, run.Aggregate)
-			}
-			return rows, nil
-		}},
+		rows: replayRows((*experiment.Suite).FleetScenario)},
 	"fleetshard": {run: func(s *experiment.Suite) (fmt.Stringer, error) {
 		runs, err := s.FleetShardScenario()
 		if err != nil {
@@ -193,18 +171,7 @@ var experiments = map[string]exp{
 		}
 		return wrap(experiment.FormatFleetShard(runs)), nil
 	}, desc: "sharded fleet sweep: the fleet stream split over independent cells, deterministically merged",
-		rows: func(s *experiment.Suite) (any, error) {
-			runs, err := s.FleetShardScenario()
-			if err != nil {
-				return nil, err
-			}
-			var rows []experiment.ReplayRow
-			for _, run := range runs {
-				rows = append(rows, run.Rows...)
-				rows = append(rows, run.Aggregate)
-			}
-			return rows, nil
-		}},
+		rows: replayRows((*experiment.Suite).FleetShardScenario)},
 	"trigger": {run: func(s *experiment.Suite) (fmt.Stringer, error) {
 		runs, err := s.TriggerScenario()
 		if err != nil {
@@ -244,9 +211,26 @@ var experiments = map[string]exp{
 	"table1": {run: func(s *experiment.Suite) (fmt.Stringer, error) { return s.Table1() },
 		desc: "headline consumption/latency comparison (Table I)"},
 	"table2": {run: func(s *experiment.Suite) (fmt.Stringer, error) { return s.Table2() },
-		desc: "per-percentile hint usage (Table II)"},
+		desc: "head weight vs head-function allocation and explored percentile (Table II)"},
 	"overhead": {run: func(s *experiment.Suite) (fmt.Stringer, error) { return s.Overhead() },
 		desc: "synthesis and adaptation overhead measurements"},
+}
+
+// replayRows builds the -json row extractor of a schedule grid: each
+// run's per-tenant rows followed by its aggregate row.
+func replayRows(scenario func(*experiment.Suite) ([]*experiment.ReplayRun, error)) func(*experiment.Suite) (any, error) {
+	return func(s *experiment.Suite) (any, error) {
+		runs, err := scenario(s)
+		if err != nil {
+			return nil, err
+		}
+		var rows []experiment.ReplayRow
+		for _, run := range runs {
+			rows = append(rows, run.Rows...)
+			rows = append(rows, run.Aggregate)
+		}
+		return rows, nil
+	}
 }
 
 // order fixes the -experiment all sequence.
@@ -256,11 +240,16 @@ var order = []string{
 }
 
 // listString renders the -list output: one "name  description" line per
-// experiment, in the -experiment all order.
+// experiment, in the -experiment all order, with the descriptions aligned
+// past the longest name.
 func listString() string {
+	width := 0
+	for _, n := range order {
+		width = max(width, len(n))
+	}
 	var b strings.Builder
 	for _, n := range order {
-		fmt.Fprintf(&b, "%-9s %s\n", n, experiments[n].desc)
+		fmt.Fprintf(&b, "%-*s %s\n", width, n, experiments[n].desc)
 	}
 	return b.String()
 }

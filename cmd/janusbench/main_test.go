@@ -67,13 +67,15 @@ func TestResolveParallelism(t *testing.T) {
 }
 
 // TestListOutput pins the -list surface: every registered experiment
-// appears exactly once with a non-empty one-line description.
+// appears exactly once with a non-empty one-line description, and the
+// descriptions share one column however long a name is.
 func TestListOutput(t *testing.T) {
 	out := listString()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != len(experiments) {
 		t.Fatalf("-list prints %d lines for %d experiments:\n%s", len(lines), len(experiments), out)
 	}
+	descCol := strings.Index(lines[0], experiments[order[0]].desc)
 	for i, line := range lines {
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
@@ -86,6 +88,9 @@ func TestListOutput(t *testing.T) {
 		}
 		if e.desc == "" || !strings.Contains(line, e.desc) {
 			t.Fatalf("line %d does not carry %s's description: %q", i, name, line)
+		}
+		if col := strings.Index(line, e.desc); col != descCol {
+			t.Fatalf("line %d starts its description at column %d, want %d: %q", i, col, descCol, line)
 		}
 	}
 	if !strings.Contains(out, "dag") {

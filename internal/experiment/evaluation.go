@@ -199,16 +199,14 @@ type Fig6Row struct {
 // consumption (6a) and hint-synthesis time cost (6b). Synthesis sweeps the
 // budget range up to each SLO, which is why cost grows mildly with the SLO
 // while Janus+'s two-dimensional percentile exploration costs orders of
-// magnitude more. The result is cached: at paper scale the Janus+ sweeps
-// are by far the suite's most expensive computation, and both Fig 6a and
-// Fig 6b consume it.
+// magnitude more. The result is computed once per suite: at paper scale
+// the Janus+ sweeps are by far the suite's most expensive computation,
+// and both Fig 6a and Fig 6b consume it.
 func (s *Suite) Fig6() ([]Fig6Row, error) {
-	s.mu.Lock()
-	cached := s.fig6
-	s.mu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
+	return memo(s, "fig6", s.fig6)
+}
+
+func (s *Suite) fig6() ([]Fig6Row, error) {
 	var out []Fig6Row
 	base := workflow.IntelligentAssistant()
 	set, err := s.Profiles(base, 1)
@@ -266,9 +264,6 @@ func (s *Suite) Fig6() ([]Fig6Row, error) {
 		}
 		out = append(out, row)
 	}
-	s.mu.Lock()
-	s.fig6 = out
-	s.mu.Unlock()
 	return out, nil
 }
 

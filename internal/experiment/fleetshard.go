@@ -137,55 +137,17 @@ func (s *Suite) serveFleetShards(config string) (*ReplayRun, error) {
 	return mergeShardRuns(config, sched, tenants, cellRuns), nil
 }
 
-// runFleetShardOne serves one sharded configuration through the suite's
-// replay-run cache (singleflighted, like runReplayOne).
-func (s *Suite) runFleetShardOne(config string) (*ReplayRun, error) {
-	key := "fleetshard/" + config
-	s.mu.Lock()
-	run, ok := s.replays[key]
-	s.mu.Unlock()
-	if ok {
-		return run, nil
-	}
-	v, err := s.flights.Do("run/"+key, func() (any, error) {
-		s.mu.Lock()
-		run, ok := s.replays[key]
-		s.mu.Unlock()
-		if ok {
-			return run, nil
-		}
-		run, err := s.serveFleetShards(config)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.replays[key] = run
-		s.mu.Unlock()
-		return run, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ReplayRun), nil
-}
-
 // FleetShardScenario serves the fleet-scale schedule sharded across
 // independent cells under every provider configuration (ReplayConfigs
-// order, configurations fanned over the suite's worker pool). Results
-// are deterministic at any parallelism.
+// order, configurations fanned over the suite's worker pool), each once
+// per suite. Results are deterministic at any parallelism.
 func (s *Suite) FleetShardScenario() ([]*ReplayRun, error) {
 	configs := ReplayConfigs()
-	results := make([]*ReplayRun, len(configs))
-	errs := make([]error, len(configs))
-	fanIndexed(len(configs), s.parallelism(), func(i int) {
-		results[i], errs[i] = s.runFleetShardOne(configs[i])
+	return fanOut(s, len(configs), func(i int) (*ReplayRun, error) {
+		return memo(s, "fleetshard/"+configs[i], func() (*ReplayRun, error) {
+			return s.serveFleetShards(configs[i])
+		})
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // FormatFleetShard renders the sharded sweep: the cell layout header,

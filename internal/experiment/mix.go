@@ -135,23 +135,11 @@ func (m mixSpec) key() string {
 }
 
 // runMixedOne serves the full tenant mix under one system on one cluster
-// shape, filling the mixed-run cache. Concurrent callers of the same spec
-// share one serving run (singleflight), mirroring runPointOne.
+// shape, once per spec; concurrent callers of the same spec share one
+// serving run, mirroring runPointOne.
 func (s *Suite) runMixedOne(spec mixSpec) (*MixRun, error) {
 	key := spec.key()
-	s.mu.Lock()
-	run, ok := s.mixed[key]
-	s.mu.Unlock()
-	if ok {
-		return run, nil
-	}
-	v, err := s.flights.Do("run/"+key, func() (any, error) {
-		s.mu.Lock()
-		run, ok := s.mixed[key]
-		s.mu.Unlock()
-		if ok {
-			return run, nil
-		}
+	return memo(s, key, func() (*MixRun, error) {
 		tenants, err := MixTenants()
 		if err != nil {
 			return nil, err
@@ -185,7 +173,7 @@ func (s *Suite) runMixedOne(spec mixSpec) (*MixRun, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: mixed run %s: %w", key, err)
 		}
-		run = &MixRun{
+		run := &MixRun{
 			System:    spec.system,
 			Nodes:     spec.nodes,
 			Placement: spec.placement,
@@ -198,32 +186,21 @@ func (s *Suite) runMixedOne(spec mixSpec) (*MixRun, error) {
 			merged = append(merged, traces...)
 		}
 		run.Aggregate = summarizeMixTraces("all", 0, merged)
-		s.mu.Lock()
-		s.mixed[key] = run
-		s.mu.Unlock()
 		return run, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*MixRun), nil
 }
 
 // runMixedSpecs fans mixed runs out over the suite's worker pool and
 // returns results in input order — the same determinism-preserving shape
 // as Runner.Run, for specs instead of points.
 func (s *Suite) runMixedSpecs(specs []mixSpec) ([]*MixRun, error) {
-	results := make([]*MixRun, len(specs))
-	errs := make([]error, len(specs))
-	fanIndexed(len(specs), s.parallelism(), func(i int) {
-		results[i], errs[i] = s.runMixedOne(specs[i])
-	})
-	for i, err := range errs {
+	return fanOut(s, len(specs), func(i int) (*MixRun, error) {
+		run, err := s.runMixedOne(specs[i])
 		if err != nil {
 			return nil, fmt.Errorf("experiment: mixed run %s: %w", specs[i].key(), err)
 		}
-	}
-	return results, nil
+		return run, nil
+	})
 }
 
 // MixScenario serves the full tenant mix — every MixTenants workflow as

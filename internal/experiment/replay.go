@@ -244,31 +244,25 @@ func summarizeReplayTraces(config, tenant string, slo time.Duration, traces []pl
 	return row
 }
 
-// replayWorkload materializes (and caches) one tenant's request stream
-// from the schedule's arrival instants. Draws do not depend on the
-// provider configuration, so every configuration faces the identical
+// replayWorkload materializes one tenant's request stream from the
+// schedule's arrival instants, once per stream. Draws do not depend on
+// the provider configuration, so every configuration faces the identical
 // sequence of runtime conditions — the paired comparison the scenario's
 // conclusions rely on.
 func (s *Suite) replayWorkload(mt MixTenant, arrivals []time.Duration) ([]*platform.Request, error) {
 	// The key fingerprints the whole arrival stream, not just the
 	// tenant: a future second schedule admitting the same number of
 	// requests must not be served another schedule's baked-in admission
-	// times from the cache.
+	// times.
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, at := range arrivals {
 		binary.LittleEndian.PutUint64(buf[:], uint64(at))
 		h.Write(buf[:])
 	}
-	key := fmt.Sprintf("replay/%s/n%d/a%x", mt.Tenant, len(arrivals), h.Sum64())
-	v, err := s.flights.Do("workload/"+key, func() (any, error) {
-		s.mu.Lock()
-		reqs, ok := s.workloads[key]
-		s.mu.Unlock()
-		if ok {
-			return reqs, nil
-		}
-		reqs, err := platform.GenerateWorkload(platform.WorkloadConfig{
+	key := fmt.Sprintf("replay-workload/%s/n%d/a%x", mt.Tenant, len(arrivals), h.Sum64())
+	return memo(s, key, func() ([]*platform.Request, error) {
+		return platform.GenerateWorkload(platform.WorkloadConfig{
 			Workflow:         mt.Workflow,
 			Functions:        s.functions,
 			Batch:            1,
@@ -278,18 +272,7 @@ func (s *Suite) replayWorkload(mt MixTenant, arrivals []time.Duration) ([]*platf
 			StageCorrelation: StageCorrelation,
 			Seed:             s.cfg.Seed,
 		})
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.workloads[key] = reqs
-		s.mu.Unlock()
-		return reqs, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*platform.Request), nil
 }
 
 // trimToStationaryWindow returns a copy of the bundle whose tables drop
@@ -387,39 +370,6 @@ func replaySpec() scheduleSpec {
 		nodeMillicores: ReplayNodeMillicores,
 		schedule:       (*Suite).ReplaySchedule,
 	}
-}
-
-// runReplayOne serves the full schedule-driven stream under one provider
-// configuration, filling the replay-run cache. Concurrent callers of the
-// same (scenario, configuration) share one serving run (singleflight).
-func (s *Suite) runReplayOne(spec scheduleSpec, config string) (*ReplayRun, error) {
-	key := spec.scenario + "/" + config
-	s.mu.Lock()
-	run, ok := s.replays[key]
-	s.mu.Unlock()
-	if ok {
-		return run, nil
-	}
-	v, err := s.flights.Do("run/"+key, func() (any, error) {
-		s.mu.Lock()
-		run, ok := s.replays[key]
-		s.mu.Unlock()
-		if ok {
-			return run, nil
-		}
-		run, err := s.serveSchedule(spec, config)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.replays[key] = run
-		s.mu.Unlock()
-		return run, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ReplayRun), nil
 }
 
 // serveSchedule executes one provider configuration of one schedule grid
@@ -563,21 +513,16 @@ func (s *Suite) ReplayScenario() ([]*ReplayRun, error) {
 }
 
 // scheduleScenario serves one schedule grid under every provider
-// configuration, fanned over the suite's worker pool.
+// configuration, fanned over the suite's worker pool. Each (scenario,
+// configuration) run is served once per suite.
 func (s *Suite) scheduleScenario(spec scheduleSpec) ([]*ReplayRun, error) {
 	configs := ReplayConfigs()
-	results := make([]*ReplayRun, len(configs))
-	errs := make([]error, len(configs))
-	fanIndexed(len(configs), s.parallelism(), func(i int) {
-		results[i], errs[i] = s.runReplayOne(spec, configs[i])
+	// serveSchedule's errors already name the configuration.
+	return fanOut(s, len(configs), func(i int) (*ReplayRun, error) {
+		return memo(s, "schedule/"+spec.scenario+"/"+configs[i], func() (*ReplayRun, error) {
+			return s.serveSchedule(spec, configs[i])
+		})
 	})
-	for _, err := range errs {
-		if err != nil {
-			// runReplayOne/serveSchedule already name the configuration.
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // ReplayPoint describes one replay scenario run for enumeration surfaces.

@@ -59,9 +59,10 @@ type Progress struct {
 // Runner fans suite points out over a bounded worker pool. Each worker
 // serves its point on a cloned executor (platform.Executor.Clone), so the
 // single-goroutine cluster/simclock invariant holds inside every worker
-// while distinct points run concurrently. Shared suite caches (profiles,
-// deployments, workloads) are filled through a singleflight group: the
-// first worker to need an artifact computes it, the rest wait and share.
+// while distinct points run concurrently. Shared suite artifacts
+// (profiles, deployments, workloads, serving runs) go through the suite's
+// memo: the first worker to need one builds it, the rest wait and share
+// it, and later callers get it without rebuilding.
 //
 // Results are returned in input order regardless of completion order, and
 // every artifact is derived from the suite's seed, so a Runner at any

@@ -4,15 +4,16 @@
 // exposes them on the command line and the repository-root benchmarks run
 // them under `go test -bench`.
 //
-// All drivers hang off a Suite, which caches the expensive shared
-// artifacts — function profiles and Janus deployments — so that sweeps
-// (SLOs, weights, concurrency) reuse them exactly as a real developer
-// would.
+// All drivers hang off a Suite, which remembers the expensive shared
+// artifacts — function profiles, Janus deployments, workloads, serving
+// runs — so that sweeps (SLOs, weights, concurrency) reuse them exactly
+// as a real developer would.
 package experiment
 
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -108,43 +109,42 @@ func QuickSuite() *Suite {
 // NewSuiteWith builds a suite from an explicit config.
 func NewSuiteWith(cfg Config) *Suite {
 	return &Suite{
-		cfg:         cfg,
-		functions:   perfmodel.Catalog(),
-		interf:      interfere.Default(),
-		profiles:    make(map[string]*profile.Set),
-		deployments: make(map[string]*core.Deployment),
-		workloads:   make(map[string][]*platform.Request),
-		runs:        make(map[string]*SystemRun),
-		mixed:       make(map[string]*MixRun),
-		replays:     make(map[string]*ReplayRun),
-		triggerRuns: make(map[string]*TriggerRun),
+		cfg:       cfg,
+		functions: perfmodel.Catalog(),
+		interf:    interfere.Default(),
 	}
 }
 
 // Suite carries shared state across experiment drivers. All methods are
-// safe for concurrent use: caches are filled through a singleflight group
-// so parallel workers needing the same artifact compute it exactly once.
+// safe for concurrent use: artifacts are filled through a memoizing
+// singleflight group, so parallel workers needing the same artifact
+// compute it exactly once.
 type Suite struct {
 	cfg       Config
 	functions map[string]*perfmodel.Function
 	interf    *interfere.Model
 
-	// flights deduplicates concurrent fills of the caches below.
+	// flights remembers every artifact the suite has built (see memo).
 	flights flight.Group
 
-	mu          sync.Mutex
-	parallel    int        // runtime override of cfg.Parallelism (SetParallelism)
-	obsTracer   obs.Tracer // event sink attached to replay serving runs (SetTracer)
-	obsMetrics  *obs.Registry
-	exTemplate  *platform.Executor
-	profiles    map[string]*profile.Set
-	deployments map[string]*core.Deployment
-	workloads   map[string][]*platform.Request
-	runs        map[string]*SystemRun
-	mixed       map[string]*MixRun
-	replays     map[string]*ReplayRun
-	triggerRuns map[string]*TriggerRun
-	fig6        []Fig6Row
+	mu         sync.Mutex
+	parallel   int        // runtime override of cfg.Parallelism (SetParallelism)
+	obsTracer  obs.Tracer // event sink attached to replay serving runs (SetTracer)
+	obsMetrics *obs.Registry
+}
+
+// memo returns the suite's artifact for key, building it with fn on first
+// use. Concurrent callers of one key share a single fn call, and a failed
+// build is not remembered, so the next caller retries. Every key starts
+// with its artifact kind ("profiles/", "point/", ...), so keys of
+// different kinds — and therefore different types — never collide.
+func memo[T any](s *Suite, key string, fn func() (T, error)) (T, error) {
+	v, err := s.flights.Do(key, func() (any, error) { return fn() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
 }
 
 // SetParallelism overrides the suite's point-level parallelism after
@@ -210,32 +210,37 @@ func (s *Suite) parallelism() int {
 	return n
 }
 
-// fanIndexed runs fn(0), ..., fn(n-1) over at most par worker goroutines
-// and waits for all of them — the input-order-preserving fan-out the
-// mixed and replay scenario drivers share (each fn writes its own result
-// slot). Runner.Run keeps its own loop: it adds progress reporting and
-// context cancellation this shape does not need.
-func fanIndexed(n, par int, fn func(i int)) {
-	if par > n {
-		par = n
-	}
+// fanOut runs fn(0), ..., fn(n-1) over at most the suite's parallelism
+// worker goroutines and returns the results in input order, or the
+// lowest-index error, so neither depends on completion order. The
+// scenario drivers share it; Runner.Run keeps its own loop, which adds
+// progress reporting and context cancellation.
+func fanOut[T any](s *Suite, n int, fn func(i int) (T, error)) ([]T, error) {
+	results := make([]T, n)
+	errs := make([]error, n)
 	idx := make(chan int)
-	done := make(chan struct{})
+	var wg sync.WaitGroup
+	par := min(s.parallelism(), n)
 	for w := 0; w < par; w++ {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			for i := range idx {
-				fn(i)
+				results[i], errs[i] = fn(i)
 			}
-			done <- struct{}{}
 		}()
 	}
 	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
-	for w := 0; w < par; w++ {
-		<-done
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
+	return results, nil
 }
 
 // colocationFor returns the co-location mix each workflow's pods see: IA
@@ -256,58 +261,33 @@ func (s *Suite) colocationFor(wf string) *interfere.CountSampler {
 	return cs
 }
 
-// Profiles returns (cached) profiles for a workflow at a batch size
-// through the node-granular profiler: chains run the per-function
-// profiler (raw samples retained for ORION); every other DAG profiles one
+// Profiles returns the profiles for a workflow at a batch size through
+// the node-granular profiler: chains run the per-function profiler (raw
+// samples retained for ORION); every other DAG profiles one
 // max-over-members composite per decision group — fork-join stages and
-// arbitrary-DAG forks alike. Concurrent callers missing the same key
-// share one computation.
+// arbitrary-DAG forks alike. Each (workflow, batch) is profiled once.
 func (s *Suite) Profiles(w *workflow.Workflow, batch int) (*profile.Set, error) {
-	key := fmt.Sprintf("%s/b%d", w.Name(), batch)
-	v, err := s.flights.Do("profiles/"+key, func() (any, error) {
-		s.mu.Lock()
-		set, ok := s.profiles[key]
-		s.mu.Unlock()
-		if ok {
-			return set, nil
-		}
+	return memo(s, fmt.Sprintf("profiles/%s/b%d", w.Name(), batch), func() (*profile.Set, error) {
 		prof, err := profile.NewProfiler(s.functions, s.colocationFor(w.Name()), s.interf, s.cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		prof.SamplesPerConfig = s.cfg.ProfilerSamples
-		set2, err := prof.ProfileWorkflow(w, batch)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.profiles[key] = set2
-		s.mu.Unlock()
-		return set2, nil
+		return prof.ProfileWorkflow(w, batch)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*profile.Set), nil
 }
 
-// Deployment returns a (cached) Janus deployment for a workflow, batch,
-// mode, and weight. Hints tables are keyed by remaining budget, so one
-// deployment serves every SLO in a sweep.
+// Deployment returns the Janus deployment for a workflow, batch, mode,
+// and weight, built once per distinct tuple. Hints tables are keyed by
+// remaining budget, so one deployment serves every SLO in a sweep.
 func (s *Suite) Deployment(w *workflow.Workflow, batch int, mode synth.Mode, weight float64) (*core.Deployment, error) {
-	key := fmt.Sprintf("%s/b%d/%v/w%.2f", w.Name(), batch, mode, weight)
-	v, err := s.flights.Do("deployment/"+key, func() (any, error) {
-		s.mu.Lock()
-		d, ok := s.deployments[key]
-		s.mu.Unlock()
-		if ok {
-			return d, nil
-		}
+	key := fmt.Sprintf("deployment/%s/b%d/%v/w%s", w.Name(), batch, mode, strconv.FormatFloat(weight, 'g', -1, 64))
+	return memo(s, key, func() (*core.Deployment, error) {
 		set, err := s.Profiles(w, batch)
 		if err != nil {
 			return nil, err
 		}
-		d, err = core.DeployProfiled(set, core.Options{
+		return core.DeployProfiled(set, core.Options{
 			Functions:           s.functions,
 			Colocation:          s.colocationFor(w.Name()),
 			Interference:        s.interf,
@@ -318,18 +298,7 @@ func (s *Suite) Deployment(w *workflow.Workflow, batch int, mode synth.Mode, wei
 			BudgetStepMs:        s.cfg.BudgetStepMs,
 			DisableRegeneration: true,
 		})
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.deployments[key] = d
-		s.mu.Unlock()
-		return d, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Deployment), nil
 }
 
 // Workload returns the (cached) request sequence for a workflow and batch
@@ -348,15 +317,8 @@ func (s *Suite) WorkloadAtRate(w *workflow.Workflow, batch int, rate float64) ([
 	if rate <= 0 {
 		rate = s.cfg.ArrivalRatePerSec
 	}
-	key := fmt.Sprintf("%s/b%d/r%g", w.Name(), batch, rate)
-	v, err := s.flights.Do("workload/"+key, func() (any, error) {
-		s.mu.Lock()
-		reqs, ok := s.workloads[key]
-		s.mu.Unlock()
-		if ok {
-			return reqs, nil
-		}
-		reqs, err := platform.GenerateWorkload(platform.WorkloadConfig{
+	return memo(s, fmt.Sprintf("workload/%s/b%d/r%g", w.Name(), batch, rate), func() ([]*platform.Request, error) {
+		return platform.GenerateWorkload(platform.WorkloadConfig{
 			Workflow:          w,
 			Functions:         s.functions,
 			N:                 s.cfg.Requests,
@@ -367,41 +329,21 @@ func (s *Suite) WorkloadAtRate(w *workflow.Workflow, batch int, rate float64) ([
 			StageCorrelation:  StageCorrelation,
 			Seed:              s.cfg.Seed,
 		})
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.workloads[key] = reqs
-		s.mu.Unlock()
-		return reqs, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*platform.Request), nil
 }
 
 // executor returns a serving plane private to the caller: a clone of the
 // suite's template executor, so every worker goroutine drives its own
 // single-goroutine discrete-event run.
 func (s *Suite) executor() (*platform.Executor, error) {
-	s.mu.Lock()
-	tmpl := s.exTemplate
-	s.mu.Unlock()
-	if tmpl == nil {
+	tmpl, err := memo(s, "executor", func() (*platform.Executor, error) {
 		cfg := platform.DefaultExecutorConfig()
 		cfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: 52000, PoolSize: suitePoolSize, IdleMillicores: 100}
 		cfg.Seed = s.cfg.Seed
-		ex, err := platform.NewExecutor(cfg, s.functions)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		if s.exTemplate == nil {
-			s.exTemplate = ex
-		}
-		tmpl = s.exTemplate
-		s.mu.Unlock()
+		return platform.NewExecutor(cfg, s.functions)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tmpl.Clone(), nil
 }
@@ -482,34 +424,22 @@ func (s *Suite) RunPoints(points []Point) ([]*SystemRun, error) {
 	return r.Run(context.Background(), points)
 }
 
-// runPointOne serves one (workflow, batch, system) point, filling the run
-// cache. Concurrent callers of the same point share one serving run. The
-// context is consulted only before joining the shared fill: once a fill is
-// in flight it runs to completion, so a cancelled caller can never poison
-// waiters from a healthy run with its own context error.
+// runPointOne serves one (workflow, batch, system) point once; concurrent
+// callers of the same point share one serving run. The context is
+// consulted only before joining the shared fill: once a fill is in flight
+// it runs to completion, so a cancelled caller can never poison waiters
+// from a healthy run with its own context error.
 func (s *Suite) runPointOne(ctx context.Context, p Point) (*SystemRun, error) {
 	w := p.Workflow
 	rate := p.ArrivalRatePerSec
 	if rate <= 0 {
 		rate = s.cfg.ArrivalRatePerSec
 	}
-	key := fmt.Sprintf("%s/%v/b%d/r%g/%s", w.Name(), w.SLO(), p.Batch, rate, p.System)
-	s.mu.Lock()
-	run, ok := s.runs[key]
-	s.mu.Unlock()
-	if ok {
-		return run, nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	v, err := s.flights.Do("run/"+key, func() (any, error) {
-		s.mu.Lock()
-		run, ok := s.runs[key]
-		s.mu.Unlock()
-		if ok {
-			return run, nil
-		}
+	key := fmt.Sprintf("point/%s/%v/b%d/r%g/%s", w.Name(), w.SLO(), p.Batch, rate, p.System)
+	return memo(s, key, func() (*SystemRun, error) {
 		reqs, err := s.WorkloadAtRate(w, p.Batch, rate)
 		if err != nil {
 			return nil, err
@@ -534,7 +464,7 @@ func (s *Suite) runPointOne(ctx context.Context, p Point) (*SystemRun, error) {
 			return nil, fmt.Errorf("experiment: serving %s on %s: %w", p.System, w.Name(), err)
 		}
 		e2e := platform.E2ESample(traces)
-		run = &SystemRun{
+		return &SystemRun{
 			System:         p.System,
 			Traces:         traces,
 			MeanMillicores: platform.MeanMillicores(traces),
@@ -543,14 +473,6 @@ func (s *Suite) runPointOne(ctx context.Context, p Point) (*SystemRun, error) {
 			ViolationRate:  platform.SLOViolationRate(traces),
 			MissRate:       platform.MissRate(traces),
 			SLO:            w.SLO(),
-		}
-		s.mu.Lock()
-		s.runs[key] = run
-		s.mu.Unlock()
-		return run, nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*SystemRun), nil
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"janus/internal/synth"
 	"janus/internal/workflow"
 )
 
@@ -82,6 +83,74 @@ func TestSystemOrderingMatchesPaper(t *testing.T) {
 		// Janus's hints tables must not be missing all the time.
 		if runs[SysJanus].MissRate > 0.05 {
 			t.Errorf("%s: janus miss rate %.3f", wf.Name(), runs[SysJanus].MissRate)
+		}
+	}
+}
+
+// TestSuiteMemo pins the suite's memo contract the figure drivers rely
+// on: a repeated request returns the identical artifact, and distinct
+// arguments never share one. Weights that agree to two decimals are
+// distinct deployments.
+func TestSuiteMemo(t *testing.T) {
+	s := quickSuite(t)
+	ia := workflow.IntelligentAssistant()
+
+	p1, err := s.Profiles(ia, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := s.Profiles(ia, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Error("repeated Profiles returned a different profile set")
+	}
+
+	d1, err := s.Deployment(ia, 1, synth.ModeJanus, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := s.Deployment(ia, 1, synth.ModeJanus, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1 != d2 {
+		t.Error("repeated Deployment returned a different deployment")
+	}
+	for _, w := range []float64{1.001, 1.004} {
+		d, err := s.Deployment(ia, 1, synth.ModeJanus, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Bundle().Weight; got != w {
+			t.Errorf("Deployment at weight %v returned a bundle synthesized at weight %v", w, got)
+		}
+	}
+
+	w1, err := s.WorkloadAtRate(ia, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := s.WorkloadAtRate(ia, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &w1[0] != &w2[0] {
+		t.Error("repeated WorkloadAtRate returned a different request slice")
+	}
+
+	r1, err := s.ReplayScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s.ReplayScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range r1 {
+		if r1[i] != r2[i] {
+			t.Errorf("repeated ReplayScenario returned a different %s run", r1[i].Config)
 		}
 	}
 }

@@ -249,54 +249,16 @@ func (s *Suite) serveTrigger(config string) (*TriggerRun, error) {
 	return run, nil
 }
 
-// runTriggerOne serves one provider configuration, filling the
-// trigger-run cache; concurrent callers share one run (singleflight).
-func (s *Suite) runTriggerOne(config string) (*TriggerRun, error) {
-	key := "trigger/" + config
-	s.mu.Lock()
-	run, ok := s.triggerRuns[key]
-	s.mu.Unlock()
-	if ok {
-		return run, nil
-	}
-	v, err := s.flights.Do("run/"+key, func() (any, error) {
-		s.mu.Lock()
-		run, ok := s.triggerRuns[key]
-		s.mu.Unlock()
-		if ok {
-			return run, nil
-		}
-		run, err := s.serveTrigger(config)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.triggerRuns[key] = run
-		s.mu.Unlock()
-		return run, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*TriggerRun), nil
-}
-
 // TriggerScenario serves the dynamic stream under both provider
-// configurations (fanned over the suite's worker pool) and returns the
-// runs in TriggerConfigs order.
+// configurations (fanned over the suite's worker pool), each once per
+// suite, and returns the runs in TriggerConfigs order.
 func (s *Suite) TriggerScenario() ([]*TriggerRun, error) {
 	configs := TriggerConfigs()
-	results := make([]*TriggerRun, len(configs))
-	errs := make([]error, len(configs))
-	fanIndexed(len(configs), s.parallelism(), func(i int) {
-		results[i], errs[i] = s.runTriggerOne(configs[i])
+	return fanOut(s, len(configs), func(i int) (*TriggerRun, error) {
+		return memo(s, "trigger/"+configs[i], func() (*TriggerRun, error) {
+			return s.serveTrigger(configs[i])
+		})
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // TriggerPoint describes one trigger scenario run for enumeration

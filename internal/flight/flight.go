@@ -1,18 +1,19 @@
-// Package flight provides call deduplication for concurrent cache fills
-// (a minimal singleflight). The experiment suite's caches — profiles,
-// deployments, workloads, serving runs — are expensive and keyed; when the
-// concurrent runner fans suite points out over a worker pool, several
-// workers can miss the same key at once. A Group guarantees the fill
-// function runs exactly once per key while duplicates block and share the
-// result, so parallel sweeps never duplicate a profile computation and
-// never observe a half-built cache entry.
+// Package flight provides a memoizing singleflight for the experiment
+// suite's artifacts — profiles, deployments, workloads, serving runs.
+// They are expensive and keyed, and when the concurrent runner fans suite
+// points out over a worker pool, several workers can need the same key at
+// once. A Group runs the fill function exactly once per key while
+// duplicates block and share the result, and it keeps each successful
+// result, so later callers get it without recomputing. Parallel sweeps
+// therefore never duplicate a profile computation and never observe a
+// half-built artifact.
 package flight
 
 import "sync"
 
-// Group deduplicates concurrent calls by key. The zero value is ready to
-// use. Callers are expected to keep their own result cache: Group forgets
-// a key as soon as its call completes.
+// Group deduplicates and remembers calls by key. The zero value is ready
+// to use. A successful result is kept for the Group's lifetime; a failed
+// call is forgotten, so the next caller of its key runs fn again.
 type Group struct {
 	mu    sync.Mutex
 	calls map[string]*call
@@ -26,8 +27,9 @@ type call struct {
 	dups int
 }
 
-// pendingDups reports how many callers are sharing the in-flight call for
-// key, 0 if none is active. Tests use it to sequence deterministically.
+// pendingDups reports how many callers have joined the call for key
+// after its owner, 0 if there is none. Tests use it to sequence
+// deterministically.
 func (g *Group) pendingDups(key string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -37,11 +39,10 @@ func (g *Group) pendingDups(key string) int {
 	return 0
 }
 
-// Do invokes fn once per concurrently active key. Callers that arrive
-// while a call for the same key is in flight wait for it and receive the
-// same result. After the call completes the key is forgotten, so a later
-// Do runs fn again — the caller's cache, filled by fn, is what makes
-// subsequent lookups cheap.
+// Do returns the result of fn for key, running fn only if no call for
+// key has succeeded or is in flight. Callers that arrive while the call
+// is in flight wait for it and receive the same result; callers that
+// arrive after it succeeded receive the kept result at once.
 func (g *Group) Do(key string, fn func() (any, error)) (any, error) {
 	g.mu.Lock()
 	if g.calls == nil {
@@ -59,10 +60,13 @@ func (g *Group) Do(key string, fn func() (any, error)) (any, error) {
 	g.mu.Unlock()
 
 	c.val, c.err = fn()
+	if c.err != nil {
+		// Forget the failure before releasing its waiters: they share
+		// this error, and any later caller retries.
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+	}
 	c.wg.Done()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
 	return c.val, c.err
 }

@@ -82,16 +82,20 @@ func TestDoDistinctKeysDoNotBlock(t *testing.T) {
 	wg.Wait()
 }
 
-func TestDoForgetsCompletedKeys(t *testing.T) {
+func TestDoFillsSuccessfulKeyOnce(t *testing.T) {
 	var g Group
 	var fills int
 	for i := 0; i < 3; i++ {
-		if _, err := g.Do("k", func() (any, error) { fills++; return nil, nil }); err != nil {
+		v, err := g.Do("k", func() (any, error) { fills++; return fills, nil })
+		if err != nil {
 			t.Fatal(err)
 		}
+		if v != 1 {
+			t.Fatalf("call %d got %v, want the first fill's 1", i, v)
+		}
 	}
-	if fills != 3 {
-		t.Fatalf("sequential calls filled %d times, want 3 (no memoization)", fills)
+	if fills != 1 {
+		t.Fatalf("sequential calls filled %d times, want 1", fills)
 	}
 }
 
@@ -100,5 +104,17 @@ func TestDoPropagatesError(t *testing.T) {
 	wantErr := fmt.Errorf("boom")
 	if _, err := g.Do("k", func() (any, error) { return nil, wantErr }); err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
+	}
+	// A failed call is not kept: the next caller retries, and its
+	// success is kept.
+	var fills int
+	for i := 0; i < 2; i++ {
+		v, err := g.Do("k", func() (any, error) { fills++; return "v", nil })
+		if err != nil || v != "v" {
+			t.Fatalf("call %d after the failure got (%v, %v), want (v, nil)", i, v, err)
+		}
+	}
+	if fills != 1 {
+		t.Fatalf("calls after the failure filled %d times, want 1", fills)
 	}
 }
