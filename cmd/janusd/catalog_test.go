@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +15,7 @@ import (
 
 	"janus/internal/catalog"
 	"janus/internal/hints"
+	"janus/internal/httpapi"
 )
 
 // writeCatalog writes a one-tenant catalog answering mc millicores and
@@ -96,15 +99,28 @@ func TestLoadCatalogFile(t *testing.T) {
 
 // TestReloadOnSIGHUP drives the reload goroutine with a real SIGHUP: the
 // rewritten file swaps in, a broken file is rejected with the running
-// catalog left serving, and the goroutine exits on context cancel.
+// catalog left serving, each outcome is counted in the server's metrics,
+// and the goroutine exits on context cancel.
 func TestReloadOnSIGHUP(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "catalog.json")
 	writeCatalog(t, path, 1100)
-	reg := catalog.NewRegistry()
+	srv := httpapi.NewServer()
+	reg := srv.Registry()
 	if _, _, err := loadCatalogFile(reg, path); err != nil {
 		t.Fatal(err)
 	}
+	scrapeHas := func(want ...string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/prometheus", nil))
+		for _, w := range want {
+			if !strings.Contains(rec.Body.String(), w+"\n") {
+				t.Fatalf("prometheus output missing %q:\n%s", w, rec.Body.String())
+			}
+		}
+	}
+	scrapeHas("janusd_catalog_generation 1")
 
 	var mu sync.Mutex
 	var logs []string
@@ -118,7 +134,7 @@ func TestReloadOnSIGHUP(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		reloadOnSIGHUP(ctx, reg, path, logf)
+		reloadOnSIGHUP(ctx, srv, path, logf)
 	}()
 	// Give signal.Notify a beat to register before raising.
 	time.Sleep(20 * time.Millisecond)
@@ -129,12 +145,23 @@ func TestReloadOnSIGHUP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitGen := func(want int64) {
+	// waitLog waits for a log line containing want; the reload goroutine
+	// logs only after it has counted the outcome.
+	waitLog := func(want string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for reg.Generation() != want {
+		for {
+			mu.Lock()
+			found := false
+			for _, l := range logs {
+				found = found || strings.Contains(l, want)
+			}
+			mu.Unlock()
+			if found {
+				return
+			}
 			if time.Now().After(deadline) {
-				t.Fatalf("generation stuck at %d, want %d", reg.Generation(), want)
+				t.Fatalf("no log line contains %q", want)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -142,7 +169,8 @@ func TestReloadOnSIGHUP(t *testing.T) {
 
 	writeCatalog(t, path, 1101)
 	raise()
-	waitGen(2)
+	waitLog("swapped in generation 2")
+	scrapeHas(`janusd_catalog_reloads_total{outcome="swapped",source="sighup"} 1`, "janusd_catalog_generation 2")
 	ten, _ := reg.Authenticate("key-acme")
 	a, _ := ten.Adapter("ia")
 	if d, _ := a.Decide(0, 2500*time.Millisecond); d.Millicores != 1101 {
@@ -155,24 +183,9 @@ func TestReloadOnSIGHUP(t *testing.T) {
 		t.Fatal(err)
 	}
 	raise()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		rejected := false
-		for _, l := range logs {
-			if strings.Contains(l, "rejected") {
-				rejected = true
-			}
-		}
-		mu.Unlock()
-		if rejected {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rejected reload never logged")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitLog("rejected")
+	scrapeHas(`janusd_catalog_reloads_total{outcome="rejected",source="sighup"} 1`,
+		`janusd_catalog_reloads_total{outcome="swapped",source="sighup"} 1`, "janusd_catalog_generation 2")
 	if reg.Generation() != 2 {
 		t.Fatalf("broken reload moved the generation to %d", reg.Generation())
 	}

@@ -104,10 +104,10 @@ func loadCatalogFile(reg *catalog.Registry, path string) (int64, []catalog.Chang
 	return reg.Load(f)
 }
 
-// reloadOnSIGHUP re-reads the catalog file on every SIGHUP until ctx
-// ends, logging the swap (or the rejection, with the running catalog
-// left serving).
-func reloadOnSIGHUP(ctx context.Context, reg *catalog.Registry, path string, logf func(string, ...any)) {
+// reloadOnSIGHUP re-reads the catalog file into srv's registry on every
+// SIGHUP until ctx ends, counting the swap (or the rejection, with the
+// running catalog left serving) in srv's metrics and logging it.
+func reloadOnSIGHUP(ctx context.Context, srv *httpapi.Server, path string, logf func(string, ...any)) {
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
@@ -116,7 +116,8 @@ func reloadOnSIGHUP(ctx context.Context, reg *catalog.Registry, path string, log
 		case <-ctx.Done():
 			return
 		case <-hup:
-			gen, changes, err := loadCatalogFile(reg, path)
+			gen, changes, err := loadCatalogFile(srv.Registry(), path)
+			srv.ObserveReload("sighup", err)
 			if err != nil {
 				logf("janusd: SIGHUP reload rejected, catalog unchanged: %v", err)
 				continue
@@ -170,7 +171,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *catalogPath != "" {
-		go reloadOnSIGHUP(ctx, srv.Registry(), *catalogPath, log.Printf)
+		go reloadOnSIGHUP(ctx, srv, *catalogPath, log.Printf)
 	}
 	log.Printf("janusd %s: control plane listening on %s", version, ln.Addr())
 	if err := serve(ctx, server, ln, *drainTimeout); err != nil {

@@ -252,21 +252,12 @@ func Diff(old, new *File) []Change {
 				out = append(out, Change{Tenant: name, Workflow: wf, Kind: WorkflowAdded})
 			case ne == nil:
 				out = append(out, Change{Tenant: name, Workflow: wf, Kind: WorkflowRemoved})
-			case !BundleEqual(oe.Bundle, ne.Bundle):
+			case !oe.Bundle.Equal(ne.Bundle):
 				out = append(out, Change{Tenant: name, Workflow: wf, Kind: BundleChanged})
 			}
 		}
 	}
 	return out
-}
-
-// BundleEqual reports whether two bundles serialize identically — the
-// equality the registry's carry-over logic uses to decide whether a
-// reload must re-epoch an adapter.
-func BundleEqual(a, b *hints.Bundle) bool {
-	da, errA := json.Marshal(a)
-	db, errB := json.Marshal(b)
-	return errA == nil && errB == nil && string(da) == string(db)
 }
 
 func quotaEqual(a, b *Quota) bool {

@@ -11,7 +11,7 @@ import (
 // testBundle builds a minimal valid bundle for workflow wf whose first
 // table answers mc at budgets >= 2000ms — distinct mc values make
 // cross-tenant leaks and stale bundles detectable.
-func testBundle(t *testing.T, wf string, mc int) *hints.Bundle {
+func testBundle(t testing.TB, wf string, mc int) *hints.Bundle {
 	t.Helper()
 	tab, err := hints.Condense(&hints.RawTable{Suffix: 0, Weight: 1, Hints: []hints.Hint{
 		{BudgetMs: 2000, HeadMillicores: mc, HeadPercentile: 99},
@@ -44,7 +44,7 @@ func chainBundle(t *testing.T, wf string, n int) *hints.Bundle {
 	}
 }
 
-func validFile(t *testing.T) *File {
+func validFile(t testing.TB) *File {
 	t.Helper()
 	return &File{
 		Version: 1,

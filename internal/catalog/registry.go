@@ -116,7 +116,7 @@ func (r *Registry) loadLocked(f *File) (int64, []Change, error) {
 				prevAd = prev.adapters[wf]
 			}
 			switch {
-			case prevAd != nil && BundleEqual(prevAd.Bundle(), e.Bundle):
+			case prevAd != nil && prevAd.Bundle().Equal(e.Bundle):
 				// Unchanged: carry the adapter through by pointer — stats,
 				// epoch window, and regeneration state all survive.
 				rt.adapters[wf] = prevAd

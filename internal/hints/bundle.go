@@ -3,7 +3,10 @@ package hints
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"time"
+	"unicode/utf8"
 )
 
 // Bundle is everything the developer submits to the provider's adapter for
@@ -49,6 +52,9 @@ func (b *Bundle) Validate() error {
 	if b.MaxMillicores <= 0 {
 		return fmt.Errorf("hints: bundle needs a positive escalation ceiling")
 	}
+	if err := checkEncodable(b.Workflow, b.Weight); err != nil {
+		return err
+	}
 	if len(b.Tables) == 0 {
 		return fmt.Errorf("hints: bundle has no tables")
 	}
@@ -74,6 +80,9 @@ func (b *Bundle) Validate() error {
 			if shape == "" {
 				return fmt.Errorf("hints: group %d has a variant with an empty shape key", g)
 			}
+			if !utf8.ValidString(shape) {
+				return fmt.Errorf("hints: group %d shape key %q is not valid UTF-8", g, shape)
+			}
 			if t == nil {
 				return fmt.Errorf("hints: group %d shape %q table missing", g, shape)
 			}
@@ -86,6 +95,35 @@ func (b *Bundle) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Equal reports whether b and o encode to the same JSON — the test that
+// decides whether a catalog reload carries a running adapter over —
+// without encoding either. Tables compare as Table.Equal does; nil and
+// empty Tables differ, and nil and empty Shaped agree, since omitempty
+// drops both.
+func (b *Bundle) Equal(o *Bundle) bool {
+	if b == nil || o == nil {
+		return b == o
+	}
+	if b.Workflow != o.Workflow || b.Batch != o.Batch || math.Float64bits(b.Weight) != math.Float64bits(o.Weight) ||
+		b.SLOMs != o.SLOMs || b.MaxMillicores != o.MaxMillicores ||
+		(b.Tables == nil) != (o.Tables == nil) || !slices.EqualFunc(b.Tables, o.Tables, (*Table).Equal) ||
+		len(b.Shaped) != len(o.Shaped) {
+		return false
+	}
+	for g, bv := range b.Shaped {
+		ov, ok := o.Shaped[g]
+		if !ok || (bv == nil) != (ov == nil) || len(bv) != len(ov) {
+			return false
+		}
+		for shape, bt := range bv {
+			if ot, ok := ov[shape]; !ok || !bt.Equal(ot) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ShapedTable returns the variant table for a (group, shape) pair, or

@@ -1,6 +1,7 @@
 package hints
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -44,6 +45,11 @@ func TestBundleValidation(t *testing.T) {
 		{"nil table", func(b *Bundle) { b.Tables[1] = nil }, "missing"},
 		{"suffix mismatch", func(b *Bundle) { b.Tables[1].Suffix = 5 }, "suffix"},
 		{"invalid table", func(b *Bundle) { b.Tables[0].Ranges[0].Millicores = -1 }, "table 0"},
+		{"NaN weight", func(b *Bundle) { b.Weight = math.NaN() }, "non-finite weight"},
+		{"infinite weight", func(b *Bundle) { b.Weight = math.Inf(-1) }, "non-finite weight"},
+		{"infinite table weight", func(b *Bundle) { b.Tables[1].Weight = math.Inf(1) }, "non-finite weight"},
+		{"non-UTF-8 workflow", func(b *Bundle) { b.Workflow = "ia\xff" }, "UTF-8"},
+		{"non-UTF-8 table workflow", func(b *Bundle) { b.Tables[0].Workflow = "\xfe" }, "UTF-8"},
 	}
 	for _, c := range cases {
 		b := validBundle()
@@ -118,6 +124,8 @@ func TestBundleShapedValidation(t *testing.T) {
 		{"nil variant table", func(b *Bundle) { b.Shaped[1]["w=1"] = nil }, "missing"},
 		{"variant suffix mismatch", func(b *Bundle) { b.Shaped[1]["w=1"].Suffix = 0 }, "suffix"},
 		{"invalid variant table", func(b *Bundle) { b.Shaped[1]["w=1"].Ranges[0].Millicores = -1 }, "shape"},
+		{"non-UTF-8 shape key", func(b *Bundle) { b.Shaped[1]["w=\xff"] = b.Shaped[1]["w=1"]; delete(b.Shaped[1], "w=1") }, "UTF-8"},
+		{"NaN variant weight", func(b *Bundle) { b.Shaped[1]["w=1"].Weight = math.NaN() }, "non-finite weight"},
 	}
 	for _, c := range cases {
 		b := shapedBundle()

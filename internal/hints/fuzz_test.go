@@ -2,6 +2,8 @@ package hints
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -41,6 +43,80 @@ func FuzzParseBundle(f *testing.F) {
 		}
 		if !bytes.Equal(out, again) {
 			t.Fatalf("round trip changed the bundle:\n%s\n%s", out, again)
+		}
+	})
+}
+
+// FuzzTableDecode pins Table.UnmarshalJSON to encoding/json: for any
+// bytes, the direct decoder with its fallback and a plain decode of the
+// method-less alias must agree on accept or reject and leave deeply
+// equal tables, nil against empty Ranges included.
+func FuzzTableDecode(f *testing.F) {
+	for _, b := range []*Bundle{validBundle(), shapedBundle()} {
+		b.Tables[0].Workflow = b.Workflow
+		for _, tab := range append(b.Tables, b.Shaped[1]["w=1"]) {
+			for _, marshal := range []func(any) ([]byte, error){
+				json.Marshal,
+				func(v any) ([]byte, error) { return json.MarshalIndent(v, "\t\t", "  ") },
+			} {
+				data, err := marshal(tab)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(data)
+			}
+		}
+	}
+	for _, s := range []string{
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1,"ranges":null}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1,"ranges":[]}`,
+		" \r\n{ \"workflow\" :\t\"ia\" , \"suffix\":0,\"batch\":1,\"weight\":1,\"ranges\" : [ ] }\n",
+		"{\"workflow\":\"ia\",\v\"suffix\":0,\"batch\":1,\"weight\":1,\"ranges\":[]}",
+		"{\"workflow\":\"ia\",\"suffix\":0,\"batch\":1,\"weight\":1,\"ranges\":[]\f}",
+		`{"suffix":0,"workflow":"ia","batch":1,"weight":1,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1,"ranges":[{"end_ms":9,"start_ms":1,"millicores":100,"percentile":99}]}`,
+		`{"Workflow":"ia","Suffix":2,"BATCH":1,"weight":1,"Ranges":[{"Start_ms":1,"end_ms":9,"millicores":100,"percentile":99}]}`,
+		`{"workflow":"ia\né😀","suffix":0,"batch":1,"weight":1,"ranges":[]}`,
+		`{"workflow":"ïå — 工作流","suffix":0,"batch":1,"weight":1,"ranges":[]}`,
+		"{\"workflow\":\"ia\xff\xfe\",\"suffix\":0,\"batch\":1,\"weight\":1,\"ranges\":[]}",
+		"{\"workflow\":\"ia\x01\",\"suffix\":0,\"batch\":1,\"weight\":1,\"ranges\":[]}",
+		`{"workflow":"ia","suffix":-0,"batch":1,"weight":-0,"ranges":[{"start_ms":-0,"end_ms":0,"millicores":1,"percentile":-0}]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1e2,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":-2.5E-3,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1e400,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1.,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":2.5e+,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":-,"ranges":[]}`,
+		`{"workflow":"ia","suffix":1e2,"batch":1,"weight":1,"ranges":[]}`,
+		`{"workflow":"ia","suffix":1.0,"batch":1,"weight":1,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":01,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1,"ranges":[{"start_ms":01,"end_ms":2,"millicores":3,"percentile":4}]}`,
+		`{"workflow":"ia","suffix":0,"batch":9223372036854775807,"weight":1,"ranges":[{"start_ms":-9223372036854775808,"end_ms":1,"millicores":1,"percentile":1}]}`,
+		`{"workflow":"ia","suffix":0,"batch":9223372036854775808,"weight":1,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":-9223372036854775809,"weight":1,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":10000000000000000000,"weight":1,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"suffix":3,"batch":1,"weight":1,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1,"ranges":[{"start_ms":1,"end_ms":2,"millicores":3,"percentile":4},]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1,"ranges":[{"start_ms":1,"end_ms":2,"millicores":3,"percentile":4}]} x`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1,"ranges":nullx}`,
+		`{"workflow":null,"suffix":0,"batch":1,"weight":1,"ranges":[]}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1,"ranges":[],"extra":{"a":[{}]}}`,
+		`{"workflow":"ia","suffix":0,"batch":1,"weight":1}`,
+		`null`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var direct, alias Table
+		errDirect := direct.UnmarshalJSON(data)
+		errAlias := json.Unmarshal(data, (*tableAlias)(&alias))
+		if (errDirect == nil) != (errAlias == nil) {
+			t.Fatalf("direct decode error %v, encoding/json error %v\n%q", errDirect, errAlias, data)
+		}
+		if !reflect.DeepEqual(direct, alias) {
+			t.Fatalf("direct decode %#v, encoding/json %#v\n%q", direct, alias, data)
 		}
 	})
 }

@@ -16,8 +16,11 @@ package hints
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
+	"unicode/utf8"
 )
 
 // Hint is one raw synthesizer output: the optimal plan for one budget.
@@ -182,6 +185,9 @@ func (t *Table) Validate() error {
 	if t.Weight <= 0 {
 		return fmt.Errorf("hints: non-positive weight %v", t.Weight)
 	}
+	if err := checkEncodable(t.Workflow, t.Weight); err != nil {
+		return err
+	}
 	prevEnd := -1
 	for i, r := range t.Ranges {
 		if r.StartMs > r.EndMs {
@@ -196,6 +202,34 @@ func (t *Table) Validate() error {
 		prevEnd = r.EndMs
 	}
 	return nil
+}
+
+// checkEncodable rejects the two values encoding/json cannot write back
+// as they are: a non-finite weight fails to encode at all, and every
+// byte of a name that is not UTF-8 encodes as U+FFFD, so a bundle
+// holding either could be served but never read back or diffed.
+func checkEncodable(name string, weight float64) error {
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return fmt.Errorf("hints: non-finite weight %v", weight)
+	}
+	if !utf8.ValidString(name) {
+		return fmt.Errorf("hints: workflow name %q is not valid UTF-8", name)
+	}
+	return nil
+}
+
+// Equal reports whether t and o encode to the same JSON, comparing
+// fields instead of encodings. Nil and empty Ranges differ (null against
+// []), and weights compare bit for bit, so 0 and -0 differ as their
+// encodings do. For tables that pass Validate, whose weights are finite
+// and names valid UTF-8, the two meanings agree exactly.
+func (t *Table) Equal(o *Table) bool {
+	if t == nil || o == nil {
+		return t == o
+	}
+	return t.Workflow == o.Workflow && t.Suffix == o.Suffix && t.Batch == o.Batch &&
+		math.Float64bits(t.Weight) == math.Float64bits(o.Weight) &&
+		(t.Ranges == nil) == (o.Ranges == nil) && slices.Equal(t.Ranges, o.Ranges)
 }
 
 // CompressionRatio reports 1 - condensed/raw, the paper's Fig 8 metric

@@ -1,6 +1,7 @@
 package hints
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,6 +164,9 @@ func TestTableValidate(t *testing.T) {
 		{Suffix: 0, Weight: 1, Ranges: []Range{{StartMs: 10, EndMs: 5, Millicores: 100}}},
 		{Suffix: 0, Weight: 1, Ranges: []Range{{StartMs: 0, EndMs: 10, Millicores: 100}, {StartMs: 10, EndMs: 20, Millicores: 200}}},
 		{Suffix: 0, Weight: 1, Ranges: []Range{{StartMs: 0, EndMs: 10, Millicores: 0}}},
+		{Suffix: 0, Weight: math.NaN()},
+		{Suffix: 0, Weight: math.Inf(1)},
+		{Suffix: 0, Weight: 1, Workflow: "ia\xff"},
 	}
 	for i, tab := range bad {
 		if err := tab.Validate(); err == nil {

@@ -119,6 +119,27 @@ func (s *Server) observeDecide(outcome, tenant, workflow string, start time.Time
 		Observe(s.now().Sub(start).Microseconds())
 }
 
+// ObserveReload records one catalog reload attempt in
+// janusd_catalog_reloads_total, labelled by source ("http" for PUT
+// /v1/catalog, "sighup" for janusd's signal reload) and outcome
+// ("swapped", or "rejected" when err is non-nil and the running catalog
+// kept serving).
+func (s *Server) ObserveReload(source string, err error) {
+	outcome := "swapped"
+	if err != nil {
+		outcome = "rejected"
+	}
+	s.obs.Counter("janusd_catalog_reloads_total", "source", source, "outcome", outcome).Inc()
+}
+
+// refreshGeneration copies the registry's catalog generation into the
+// janusd_catalog_generation gauge. Both scrape surfaces call it, so the
+// gauge is right whichever path moved the generation: a reload, the boot
+// load or a bundle submission.
+func (s *Server) refreshGeneration() {
+	s.obs.Gauge("janusd_catalog_generation").Set(s.reg.Generation())
+}
+
 // handlePrometheus renders the registry in the Prometheus text
 // exposition format — the scrape surface agreeing, family for family,
 // with the Points section of the /v1/metrics stream (both read the same
@@ -131,6 +152,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	if !s.requireAdmin(w, r) {
 		return
 	}
+	s.refreshGeneration()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	// Write errors mean the scraper hung up mid-body; nothing to do.

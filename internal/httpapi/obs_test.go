@@ -38,6 +38,17 @@ func TestPrometheusEndpoint(t *testing.T) {
 	} {
 		decideDirect(t, h, body)
 	}
+	// One catalog swapped in over PUT, one rejected: the reload counter
+	// and the generation gauge (Deploy made 1, the swap 2).
+	good, err := json.Marshal(twoTenantCatalog(t, 1100, 2200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{string(good), "{not json"} {
+		req := httptest.NewRequest(http.MethodPut, "/v1/catalog", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/prometheus", nil)
 	rec := httptest.NewRecorder()
@@ -59,6 +70,11 @@ func TestPrometheusEndpoint(t *testing.T) {
 		`janusd_build_info{version="v1.2.3"} 1`,
 		`janusd_http_requests_total{path="/v1/decide",status="200"} 2`,
 		`janusd_http_requests_total{path="/v1/decide",status="400"} 1`,
+		"# TYPE janusd_catalog_reloads_total counter",
+		`janusd_catalog_reloads_total{outcome="swapped",source="http"} 1`,
+		`janusd_catalog_reloads_total{outcome="rejected",source="http"} 1`,
+		"# TYPE janusd_catalog_generation gauge",
+		"janusd_catalog_generation 2\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, text)

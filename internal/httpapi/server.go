@@ -226,7 +226,7 @@ func (s *Server) handleBundles(w http.ResponseWriter, r *http.Request) {
 	if !s.requireAdmin(w, r) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 32<<20))
+	body, err := readBody(w, r, 32<<20)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%s", err)
 		return
@@ -351,17 +351,20 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		if !s.requireAdmin(w, r) {
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+		body, err := readBody(w, r, 64<<20)
 		if err != nil {
+			s.ObserveReload("http", err)
 			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%s", err)
 			return
 		}
 		f, err := catalog.Parse(body)
 		if err != nil {
+			s.ObserveReload("http", err)
 			writeError(w, http.StatusBadRequest, CodeInvalidCatalog, "%s", err)
 			return
 		}
 		gen, changes, err := s.reg.Load(f)
+		s.ObserveReload("http", err)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeInvalidCatalog, "%s", err)
 			return
@@ -434,6 +437,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			return
 		default:
 		}
+		s.refreshGeneration()
 		snap := MetricsSnapshot{
 			Generation: s.reg.Generation(),
 			Tenants:    s.reg.MetricsSnapshot(),
@@ -454,6 +458,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		case <-ticker.C:
 		}
 	}
+}
+
+// readBody reads a request body of at most limit bytes. A body that
+// declares its length, as Go clients do for a byte slice, is read into
+// one buffer of exactly that size, where io.ReadAll's step-by-step
+// growth would allocate about five times the size of a catalog. A body
+// shorter than its declared length fails with io.ErrUnexpectedEOF; one
+// with no declared length is read whole.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength < 0 {
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	if r.ContentLength > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	body := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // requireJSON enforces the JSON media type on the mutating endpoints: a
