@@ -166,8 +166,8 @@ func triggerSegments(config string, reqs []*platform.Request, traces []platform.
 	for _, t := range traces {
 		r := reqs[t.RequestID]
 		label := "light"
-		if r.Dyn.Choice["triage"] == 1 {
-			label = fmt.Sprintf("heavy w=%d", r.Dyn.Width["ocr"])
+		if r.Dyn.Choice("triage") == 1 {
+			label = fmt.Sprintf("heavy w=%d", r.Dyn.Width("ocr"))
 		}
 		buckets[label] = append(buckets[label], t)
 	}

@@ -13,7 +13,7 @@ import (
 	"janus/internal/hints"
 )
 
-func bundle(t *testing.T) *hints.Bundle {
+func bundle(t testing.TB) *hints.Bundle {
 	t.Helper()
 	t0, err := hints.Condense(&hints.RawTable{Suffix: 0, Weight: 1, Hints: []hints.Hint{
 		{BudgetMs: 2000, HeadMillicores: 3000, HeadPercentile: 99},
@@ -122,7 +122,9 @@ func TestDecideRejectsNonPositiveBudget(t *testing.T) {
 	}
 	hitsBefore, missesBefore, _ := a.Stats()
 	base := c.base
-	for _, ms := range []int64{0, -5} {
+	// 9300000000000 ms overflows a Duration to a negative budget (an
+	// escalation and a miss); 18446744075711 ms wraps to 2001 ms (a hit).
+	for _, ms := range []int64{0, -5, 9300000000000, 18446744075711} {
 		body := fmt.Sprintf(`{"workflow":"ia","suffix":0,"remaining_ms":%d}`, ms)
 		resp, err := http.Post(base+"/v1/decide", "application/json", strings.NewReader(body))
 		if err != nil {

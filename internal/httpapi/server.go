@@ -52,7 +52,9 @@ type DecideRequest struct {
 	// platform reports budgets at function completion, before the
 	// deadline), and letting it through would count a guaranteed table
 	// miss — polluting the supervisor's miss rate, the very signal the
-	// regeneration loop triggers on.
+	// regeneration loop triggers on. It must also be at most
+	// MaxRemainingMs: a larger budget would overflow the Duration the
+	// adapter decides on and wrap to an arbitrary one.
 	RemainingMs int64 `json:"remaining_ms"`
 	// Shape is the decision group's resolved-shape key for dynamic
 	// workflows ("w=3" when the group's map member resolved to width 3).
@@ -60,6 +62,11 @@ type DecideRequest struct {
 	// unknown keys fall back to it too.
 	Shape string `json:"shape,omitempty"`
 }
+
+// MaxRemainingMs is the largest budget, in milliseconds, a decide
+// request may report: the largest whole-millisecond time.Duration
+// (about 292 years).
+const MaxRemainingMs = math.MaxInt64 / int64(time.Millisecond)
 
 // DecideResponse is the adapter's decision.
 type DecideResponse struct {
@@ -265,11 +272,16 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%s", err)
 		return
 	}
+	// Reject malformed budgets before touching the adapter: they must not
+	// move the supervisor's hit/miss counters.
 	if req.RemainingMs <= 0 {
-		// Reject before touching the adapter: a malformed budget must not
-		// move the supervisor's hit/miss counters.
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			"remaining_ms must be positive, got %d", req.RemainingMs)
+		return
+	}
+	if req.RemainingMs > MaxRemainingMs {
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
+			"remaining_ms %d overflows a duration (at most %d)", req.RemainingMs, MaxRemainingMs)
 		return
 	}
 	t, ok := s.tenant(w, r)

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"janus/internal/obs"
@@ -44,24 +45,37 @@ import (
 type dynPlan struct {
 	// flat maps a step name to its flat node index; base[g] is the
 	// first flat index of group g's members (flat = base[g] + member).
+	// Flat order is topological: a group's predecessors all sit in
+	// earlier groups.
 	flat map[string]int
 	base []int
-	// steps, loc, spec, inDeg are indexed by flat node index.
+	// steps, loc, spec, inDeg, rec are indexed by flat node index.
 	steps []string
 	loc   []dynLoc
 	spec  []workflow.DynamicNode
 	inDeg []int
+	// rec is the index of the node's record in every request's
+	// DynDraws, -1 for an unannotated node; annotated lists the flat
+	// indices of those records in DynamicSteps order.
+	rec       []int
+	annotated []int
 	// succ[flat] lists successor flat indices in edge-declaration
 	// order — the order choice resolutions index.
 	succ [][]int
 	// awaits lists the flat indices of await steps.
 	awaits []int
+	// shapeKeys[w] is the resolved-shape key "w=<w>" of a map width w.
+	shapeKeys []string
+	// live is executions' reusable countdown of potentially-live
+	// incoming edges.
+	live []int
 }
 
 type dynLoc struct{ group, member int }
 
 func newDynPlan(w *workflow.Workflow, p *dagPlan) *dynPlan {
 	dp := &dynPlan{flat: map[string]int{}, base: make([]int, len(p.groups))}
+	maxWidth := 0
 	for g, grp := range p.groups {
 		dp.base[g] = len(dp.steps)
 		for b, n := range grp {
@@ -72,8 +86,12 @@ func newDynPlan(w *workflow.Workflow, p *dagPlan) *dynPlan {
 			d, _ := w.Dynamic(n.Name)
 			dp.spec = append(dp.spec, d)
 			dp.inDeg = append(dp.inDeg, len(w.Predecessors(n.Name)))
+			dp.rec = append(dp.rec, -1)
 			if d.Await {
 				dp.awaits = append(dp.awaits, flat)
+			}
+			if d.Map != nil {
+				maxWidth = max(maxWidth, d.Map.MaxWidth)
 			}
 		}
 	}
@@ -83,98 +101,137 @@ func newDynPlan(w *workflow.Workflow, p *dagPlan) *dynPlan {
 			dp.succ[flat] = append(dp.succ[flat], dp.flat[s])
 		}
 	}
+	for k, step := range w.DynamicSteps() {
+		dp.rec[dp.flat[step]] = k
+		dp.annotated = append(dp.annotated, dp.flat[step])
+	}
+	dp.shapeKeys = make([]string, maxWidth+1)
+	for width := 1; width <= maxWidth; width++ {
+		dp.shapeKeys[width] = "w=" + strconv.Itoa(width)
+	}
+	dp.live = make([]int, len(dp.steps))
 	return dp
 }
 
 func (dp *dynPlan) isAwait(flat int) bool { return dp.spec[flat].Await }
 
 // validateRequest checks that a request of a dynamic workflow carries a
-// complete, in-range pre-sampled resolution (GenerateWorkload's output
-// shape): hand-built requests fail here instead of mid-run.
+// complete, in-range pre-sampled resolution of this workflow's steps
+// (GenerateWorkload's output shape): hand-built or foreign resolutions
+// fail here instead of mid-run. The check is structural — step names,
+// ranges and the flat layout — never the identity of the workflow the
+// resolution was generated for, because callers re-point requests at
+// copies of their workflow (Workflow.WithSLO).
 func (dp *dynPlan) validateRequest(tenant string, r *Request) error {
-	if r.Dyn == nil {
+	d := r.Dyn
+	if d == nil {
 		return fmt.Errorf("platform: tenant %q request %d serves dynamic workflow %s without pre-sampled resolutions (Request.Dyn)",
 			tenant, r.ID, r.Workflow.Name())
 	}
-	for flat, step := range dp.steps {
-		d := dp.spec[flat]
-		if d.Choice != nil {
-			idx, ok := r.Dyn.Choice[step]
-			if !ok || idx < 0 || idx >= len(dp.succ[flat]) {
-				return fmt.Errorf("platform: tenant %q request %d choice step %q resolution %d out of range [0, %d)",
-					tenant, r.ID, step, idx, len(dp.succ[flat]))
-			}
+	if len(d.steps) != len(dp.annotated) {
+		return fmt.Errorf("platform: tenant %q request %d carries %d step resolutions, workflow %s annotates %d steps",
+			tenant, r.ID, len(d.steps), r.Workflow.Name(), len(dp.annotated))
+	}
+	att, draws := 0, 0
+	for k, flat := range dp.annotated {
+		s, spec, step := &d.steps[k], dp.spec[flat], dp.steps[flat]
+		if s.name != step {
+			return fmt.Errorf("platform: tenant %q request %d resolution %d names step %q, workflow %s annotates %q there",
+				tenant, r.ID, k, s.name, r.Workflow.Name(), step)
 		}
-		if d.Map == nil && d.Retry == nil {
-			continue
+		if spec.Choice != nil && (s.choice < 0 || int(s.choice) >= len(dp.succ[flat])) {
+			return fmt.Errorf("platform: tenant %q request %d choice step %q resolution %d out of range [0, %d)",
+				tenant, r.ID, step, s.choice, len(dp.succ[flat]))
 		}
-		width := 1
-		if d.Map != nil {
-			width = r.Dyn.Width[step]
-			if width < 1 || width > d.Map.MaxWidth {
+		choice, width, reps, maxRetries := int(s.choice), 0, 0, 0
+		if spec.Choice == nil {
+			choice = -1
+		}
+		if spec.Map != nil {
+			width, reps = int(s.width), int(s.width)
+			if width < 1 || width > spec.Map.MaxWidth {
 				return fmt.Errorf("platform: tenant %q request %d map step %q width %d outside [1, %d]",
-					tenant, r.ID, step, width, d.Map.MaxWidth)
+					tenant, r.ID, step, width, spec.Map.MaxWidth)
 			}
 		}
-		attempts := r.Dyn.Attempts[step]
-		if len(attempts) != width {
-			return fmt.Errorf("platform: tenant %q request %d step %q carries %d attempt counts for width %d",
-				tenant, r.ID, step, len(attempts), width)
+		if spec.Retry != nil {
+			reps, maxRetries = max(reps, 1), spec.Retry.MaxRetries
 		}
-		maxRetries := 0
-		if d.Retry != nil {
-			maxRetries = d.Retry.MaxRetries
+		if int(s.choice) != choice || int(s.width) != width || int(s.reps) != reps ||
+			int(s.att) != att || int(s.draw) != draws || att+reps > len(d.attempts) {
+			return fmt.Errorf("platform: tenant %q request %d step %q resolution (choice %d, width %d, %d replicas at %d/%d) does not fit the layout (choice %d, width %d, %d replicas at %d/%d of %d attempt counts)",
+				tenant, r.ID, step, s.choice, s.width, s.reps, s.att, s.draw, choice, width, reps, att, draws, len(d.attempts))
 		}
-		draws := r.Dyn.NodeDraws[step]
-		if len(draws) != width {
-			return fmt.Errorf("platform: tenant %q request %d step %q carries %d draw rows for width %d",
-				tenant, r.ID, step, len(draws), width)
-		}
-		for rep, a := range attempts {
+		for rep, a := range d.attempts[att : att+reps] {
 			if a < 0 || a > maxRetries {
 				return fmt.Errorf("platform: tenant %q request %d step %q replica %d plans %d failures, retry bound %d",
 					tenant, r.ID, step, rep, a, maxRetries)
 			}
-			if len(draws[rep]) != a+1 {
-				return fmt.Errorf("platform: tenant %q request %d step %q replica %d carries %d draws for %d attempts",
-					tenant, r.ID, step, rep, len(draws[rep]), a+1)
-			}
+			draws += a + 1
 		}
+		att += reps
+	}
+	if att != len(d.attempts) || draws != len(d.draws) {
+		return fmt.Errorf("platform: tenant %q request %d carries %d attempt counts and %d draws, its steps resolve %d and %d",
+			tenant, r.ID, len(d.attempts), len(d.draws), att, draws)
 	}
 	return nil
 }
 
-// dynReqState is one request's dynamic-shape serving state, indexed by
-// flat node index.
-type dynReqState struct {
-	// dead marks pruned nodes; liveIn counts incoming edges not yet
-	// determined dead (a node dies when it reaches zero).
-	dead   []bool
-	liveIn []int
-	// repsLeft counts a node's outstanding replicas; the node completes
-	// when the last replica's final attempt lands.
-	repsLeft []int
-	// attempt[flat][replica] is the replica's current 0-based attempt.
-	attempt [][]int
-	// armed marks await steps a trigger will fire for; fired latches an
-	// early trigger; waitingTrig marks readiness reached with the
-	// decision deferred to the trigger.
-	armed, fired, waitingTrig []bool
+// executions counts the node executions a validated resolution implies:
+// one per live node, or one per replica attempt of a live map or retry
+// node. It replays the engine's pruning in flat order, which is
+// topological: an edge dies with its source or as an unchosen choice
+// edge, and a node with incoming edges dies when all of them have.
+func (dp *dynPlan) executions(d *DynDraws) int {
+	live := dp.live
+	copy(live, dp.inDeg)
+	n := 0
+	for flat, k := range dp.rec {
+		dead := dp.inDeg[flat] > 0 && live[flat] == 0
+		chosen := -1
+		if k >= 0 {
+			chosen = int(d.steps[k].choice)
+		}
+		switch {
+		case dead:
+		case k >= 0 && d.steps[k].reps > 0:
+			s := &d.steps[k]
+			for _, a := range d.attempts[s.att : s.att+s.reps] {
+				n += a + 1
+			}
+		default:
+			n++
+		}
+		for i, next := range dp.succ[flat] {
+			if dead || chosen >= 0 && i != chosen {
+				live[next]--
+			}
+		}
+	}
+	return n
 }
 
-func newDynReqState(dp *dynPlan) *dynReqState {
-	n := len(dp.steps)
-	d := &dynReqState{
-		dead:        make([]bool, n),
-		liveIn:      make([]int, n),
-		repsLeft:    make([]int, n),
-		attempt:     make([][]int, n),
-		armed:       make([]bool, n),
-		fired:       make([]bool, n),
-		waitingTrig: make([]bool, n),
-	}
-	copy(d.liveIn, dp.inDeg)
-	return d
+// dynReqState is one request's dynamic-shape serving state. prepareRun
+// carves both slices from run-wide arenas.
+type dynReqState struct {
+	// node is indexed by flat node index.
+	node []dynNode
+	// attempt mirrors Request.Dyn's attempt counts: attempt[att+replica]
+	// is the replica's current 0-based attempt.
+	attempt []int
+}
+
+// dynNode is one node's dynamic-shape serving state.
+type dynNode struct {
+	// liveIn counts incoming edges not yet determined dead (the node
+	// dies when it reaches zero); repsLeft counts outstanding replicas
+	// (the node completes when the last replica's final attempt lands).
+	liveIn, repsLeft int32
+	// dead marks a pruned node. armed marks an await step a trigger will
+	// fire for; fired latches an early trigger; waitingTrig marks
+	// readiness reached with the decision deferred to the trigger.
+	dead, armed, fired, waitingTrig bool
 }
 
 // dynReady reports whether a dynamic group's decision runs at its
@@ -187,7 +244,7 @@ func (rs *reqState) dynReady(group int) bool {
 	members := rs.plan.groups[group]
 	anyLive := false
 	for b := range members {
-		if !rs.dyn.dead[dp.base[group]+b] {
+		if !rs.dyn.node[dp.base[group]+b].dead {
 			anyLive = true
 			break
 		}
@@ -197,8 +254,8 @@ func (rs *reqState) dynReady(group int) bool {
 	}
 	if len(members) == 1 {
 		flat := dp.base[group]
-		if dp.spec[flat].Await && !rs.dyn.fired[flat] {
-			rs.dyn.waitingTrig[flat] = true
+		if nd := &rs.dyn.node[flat]; dp.spec[flat].Await && !nd.fired {
+			nd.waitingTrig = true
 			return false
 		}
 	}
@@ -207,20 +264,19 @@ func (rs *reqState) dynReady(group int) bool {
 
 // armReplicas prepares a dynamic member's launch and returns how many
 // replicas to start: 0 for a pruned member, the resolved width for a map
-// member, 1 otherwise. The replica join and per-replica attempt counters
-// start here.
+// member, 1 otherwise. The replica join starts here; the per-replica
+// attempt counters start at zero in the request's overlay.
 func (rs *reqState) armReplicas(group, member int) int {
 	dp := rs.plan.dyn
 	flat := dp.base[group] + member
-	if rs.dyn.dead[flat] {
+	if rs.dyn.node[flat].dead {
 		return 0
 	}
 	width := 1
 	if dp.spec[flat].Map != nil {
-		width = rs.r.Dyn.Width[dp.steps[flat]]
+		width = int(rs.r.Dyn.steps[dp.rec[flat]].width)
 	}
-	rs.dyn.repsLeft[flat] = width
-	rs.dyn.attempt[flat] = make([]int, width)
+	rs.dyn.node[flat].repsLeft = int32(width)
 	return width
 }
 
@@ -232,8 +288,8 @@ func (st *runState) groupShape(rs *reqState, group int) string {
 	dp := rs.plan.dyn
 	for b := range rs.plan.groups[group] {
 		flat := dp.base[group] + b
-		if dp.spec[flat].Map != nil && !rs.dyn.dead[flat] {
-			return fmt.Sprintf("w=%d", rs.r.Dyn.Width[dp.steps[flat]])
+		if dp.spec[flat].Map != nil && !rs.dyn.node[flat].dead {
+			return dp.shapeKeys[rs.r.Dyn.steps[dp.rec[flat]].width]
 		}
 	}
 	return ""
@@ -254,11 +310,12 @@ func (st *runState) allocateDyn(rs *reqState, group int, remaining time.Duration
 // when its last potentially-live edge does, and counts as finished at
 // once (nodeDone propagates the death downstream).
 func (st *runState) edgeDead(rs *reqState, flat int, end time.Duration) {
-	rs.dyn.liveIn[flat]--
-	if rs.dyn.liveIn[flat] > 0 || rs.dyn.dead[flat] {
+	nd := &rs.dyn.node[flat]
+	nd.liveIn--
+	if nd.liveIn > 0 || nd.dead {
 		return
 	}
-	rs.dyn.dead[flat] = true
+	nd.dead = true
 	loc := rs.plan.dyn.loc[flat]
 	st.nodeDone(rs, loc.group, loc.member, end)
 }
@@ -276,10 +333,11 @@ func (st *runState) fireTrigger(rs *reqState, flat int, now time.Duration) {
 		ev.Reason = rs.plan.dyn.steps[flat]
 		st.tracer.Emit(ev)
 	}
-	rs.dyn.fired[flat] = true
-	if rs.dyn.dead[flat] || !rs.dyn.waitingTrig[flat] {
+	nd := &rs.dyn.node[flat]
+	nd.fired = true
+	if nd.dead || !nd.waitingTrig {
 		return
 	}
-	rs.dyn.waitingTrig[flat] = false
+	nd.waitingTrig = false
 	st.launchGroup(rs, rs.plan.dyn.loc[flat].group)
 }

@@ -2,7 +2,9 @@ package platform
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +22,7 @@ import (
 // Decision groups: {ingest} {triage} {caption, detect} {ocr} {gate}
 // {publish} — six groups, with caption and detect sharing one group
 // whose members have split liveness after the choice resolves.
-func trigWorkflow(t *testing.T) *workflow.Workflow {
+func trigWorkflow(t testing.TB) *workflow.Workflow {
 	t.Helper()
 	w, err := workflow.NewDynamic("trig", 1500*time.Millisecond,
 		[]workflow.Node{
@@ -52,7 +54,7 @@ func trigWorkflow(t *testing.T) *workflow.Workflow {
 	return w
 }
 
-func trigWorkload(t *testing.T, w *workflow.Workflow, n int) []*Request {
+func trigWorkload(t testing.TB, w *workflow.Workflow, n int) []*Request {
 	t.Helper()
 	coloc, err := interfere.NewCountSampler([]float64{0.5, 0.35, 0.15})
 	if err != nil {
@@ -94,8 +96,8 @@ func TestDynamicWorkloadResolutions(t *testing.T) {
 		if r.Dyn == nil {
 			t.Fatal("dynamic workflow generated without resolutions")
 		}
-		choice, ok := r.Dyn.Choice["triage"]
-		if !ok || choice < 0 || choice > 1 {
+		choice := r.Dyn.Choice("triage")
+		if choice < 0 || choice > 1 {
 			t.Fatalf("request %d triage choice %d", r.ID, choice)
 		}
 		if choice == 0 {
@@ -103,14 +105,14 @@ func TestDynamicWorkloadResolutions(t *testing.T) {
 		} else {
 			sawHeavy = true
 		}
-		width := r.Dyn.Width["ocr"]
+		width := r.Dyn.Width("ocr")
 		if width < 1 || width > 4 {
 			t.Fatalf("request %d ocr width %d outside [1, 4]", r.ID, width)
 		}
 		if width > 1 {
 			sawWide = true
 		}
-		attempts := r.Dyn.Attempts["ocr"]
+		attempts := r.Dyn.Attempts("ocr")
 		if len(attempts) != width {
 			t.Fatalf("request %d has %d attempt counts for width %d", r.ID, len(attempts), width)
 		}
@@ -121,7 +123,7 @@ func TestDynamicWorkloadResolutions(t *testing.T) {
 			if a > 0 {
 				sawRetry = true
 			}
-			if len(r.Dyn.NodeDraws["ocr"][rep]) != a+1 {
+			if len(r.Dyn.NodeDraws("ocr", rep)) != a+1 {
 				t.Fatalf("request %d replica %d draw count mismatch", r.ID, rep)
 			}
 		}
@@ -171,13 +173,13 @@ func checkDynamicShapes(t *testing.T, e *Executor, wantParks bool) {
 		for _, st := range tr.Stages {
 			byStep[st.Step]++
 		}
-		heavy := r.Dyn.Choice["triage"] == 1
+		heavy := r.Dyn.Choice("triage") == 1
 		if heavy {
 			if byStep["caption"] != 0 || byStep["detect"] != 1 {
 				t.Fatalf("request %d heavy path executed caption=%d detect=%d", tr.RequestID, byStep["caption"], byStep["detect"])
 			}
 			wantOCR := 0
-			for _, a := range r.Dyn.Attempts["ocr"] {
+			for _, a := range r.Dyn.Attempts("ocr") {
 				wantOCR += a + 1
 			}
 			if byStep["ocr"] != wantOCR {
@@ -203,7 +205,7 @@ func checkDynamicShapes(t *testing.T, e *Executor, wantParks bool) {
 		retries := 0
 		if heavy {
 			liveGroups = 6
-			for _, a := range r.Dyn.Attempts["ocr"] {
+			for _, a := range r.Dyn.Attempts("ocr") {
 				retries += a
 			}
 		} else {
@@ -275,8 +277,8 @@ func TestDynamicShapeKeysReachAllocator(t *testing.T) {
 	}
 	widths := map[string]bool{}
 	for _, r := range reqs {
-		if r.Dyn.Choice["triage"] == 1 {
-			widths[fmt.Sprintf("w=%d", r.Dyn.Width["ocr"])] = true
+		if r.Dyn.Choice("triage") == 1 {
+			widths[fmt.Sprintf("w=%d", r.Dyn.Width("ocr"))] = true
 		}
 	}
 	if !reflect.DeepEqual(rec.shapes[3], widths) {
@@ -341,6 +343,7 @@ func TestTriggerValidation(t *testing.T) {
 	}{
 		{"unknown tenant", Trigger{Tenant: "ghost", Request: 0, Step: "gate"}, "unknown tenant"},
 		{"unknown request", Trigger{Request: 99, Step: "gate"}, "unknown request"},
+		{"negative request", Trigger{Request: -1, Step: "gate"}, "unknown request"},
 		{"non-await step", Trigger{Request: 0, Step: "detect"}, "not an await step"},
 		{"negative instant", Trigger{At: -time.Second, Request: 0, Step: "gate"}, "negative instant"},
 	}
@@ -388,6 +391,251 @@ func TestDynamicAlongsideStaticTenant(t *testing.T) {
 	for _, tr := range traces["stat"] {
 		if len(tr.Stages) != 3 {
 			t.Fatalf("static tenant request %d executed %d stages", tr.RequestID, len(tr.Stages))
+		}
+	}
+}
+
+// timedTriggers is the trigger scenario's queue shape on the test
+// workflow, addressed to tenant: every 8th request is started by a
+// trigger 250 ms after its drawn arrival, and every gate is resumed
+// gateDelay after the request's effective admission. round, when
+// positive, truncates every instant to that grid, so triggers of
+// different requests share instants.
+func timedTriggers(reqs []*Request, tenant string, gateDelay, round time.Duration) []Trigger {
+	at := func(d time.Duration) time.Duration {
+		if round > 0 {
+			return d.Truncate(round)
+		}
+		return d
+	}
+	out := make([]Trigger, 0, len(reqs)+len(reqs)/8)
+	for i, r := range reqs {
+		start := r.Arrival
+		if i%8 == 7 {
+			start += 250 * time.Millisecond
+			out = append(out, Trigger{At: at(start), Tenant: tenant, Request: r.ID})
+		}
+		out = append(out, Trigger{At: at(start + gateDelay), Tenant: tenant, Request: r.ID, Step: "gate"})
+	}
+	return out
+}
+
+// TestTriggerQueueOrderIrrelevant pins the armed lane's firing order:
+// triggers fire by instant, same-instant triggers in queue order, so
+// permuting the queue among distinct instants — same-instant triggers
+// kept in their relative order — serves identically. The gates resume on
+// a coarse grid long after readiness, on a cluster small enough to park,
+// so same-instant triggers launch competing work and their order shows
+// in the traces.
+func TestTriggerQueueOrderIrrelevant(t *testing.T) {
+	w := trigWorkflow(t)
+	reqs := trigWorkload(t, w, 160)
+	queue := timedTriggers(reqs, "", 2*time.Second, 500*time.Millisecond)
+	byAt := map[time.Duration][]Trigger{}
+	for _, tr := range queue {
+		byAt[tr.At] = append(byAt[tr.At], tr)
+	}
+	// deal lays each instant's triggers, in the order given by pick, onto
+	// the positions perm gives that instant.
+	deal := func(perm []int, pick func(ts []Trigger, i int) Trigger) []Trigger {
+		next := map[time.Duration]int{}
+		out := make([]Trigger, len(queue))
+		for i, p := range perm {
+			at := queue[p].At
+			out[i] = pick(byAt[at], next[at])
+			next[at]++
+		}
+		return out
+	}
+	inOrder := func(ts []Trigger, i int) Trigger { return ts[i] }
+	cfg := DefaultExecutorConfig()
+	cfg.Cluster.NodeMillicores = 9000
+	e, err := NewExecutor(cfg, perfmodel.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(triggers []Trigger) map[string][]Trace {
+		traces, _, err := e.RunReplay(
+			[]TenantWorkload{{Requests: reqs, Allocator: &shapedFixed{Fixed{System: "fixed", Sizes: trigSizes}}}},
+			ReplayConfig{Interval: 100 * time.Millisecond, Triggers: triggers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traces
+	}
+	want := run(queue)
+	identity := make([]int, len(queue))
+	reversed := make([]int, len(queue))
+	for i := range identity {
+		identity[i], reversed[i] = i, len(queue)-1-i
+	}
+	// Reversing each instant's triggers breaks the tie rule; it must show,
+	// or the permutations below prove nothing.
+	if reflect.DeepEqual(run(deal(identity, func(ts []Trigger, i int) Trigger { return ts[len(ts)-1-i] })), want) {
+		t.Fatal("reordering same-instant triggers left the traces unchanged; the case does not exercise the tie rule")
+	}
+	for name, perm := range map[string][]int{
+		"reversed":  reversed,
+		"shuffled1": rand.New(rand.NewPCG(1, 0)).Perm(len(queue)),
+		"shuffled2": rand.New(rand.NewPCG(2, 0)).Perm(len(queue)),
+	} {
+		if !reflect.DeepEqual(run(deal(perm, inOrder)), want) {
+			t.Fatalf("%s: permuting the trigger queue among distinct instants changed the traces", name)
+		}
+	}
+}
+
+// TestDynamicStagesSizedExactly pins the stage arena's sizing: every
+// trace's Stages is carved at exactly its executed-node count — the
+// resolution's live executions for a dynamic request — so serving never
+// regrows one and no slot is left unused.
+func TestDynamicStagesSizedExactly(t *testing.T) {
+	w := trigWorkflow(t)
+	dynReqs := trigWorkload(t, w, 200)
+	traces, _, err := defaultExecutor(t).RunReplay(
+		[]TenantWorkload{
+			{Tenant: "dyn", Requests: dynReqs, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}},
+			{Tenant: "stat", Requests: iaWorkload(t, 40), Allocator: &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}}},
+		},
+		ReplayConfig{Interval: 100 * time.Millisecond, Triggers: timedTriggers(dynReqs, "dyn", 90*time.Millisecond, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tenant, ts := range traces {
+		for _, tr := range ts {
+			if cap(tr.Stages) != len(tr.Stages) {
+				t.Fatalf("tenant %q request %d: %d stages in a slice of capacity %d", tenant, tr.RequestID, len(tr.Stages), cap(tr.Stages))
+			}
+		}
+	}
+}
+
+// TestDynamicResolutionValidation pins that a resolution which does not
+// fit the served workflow fails the run with an error, never a panic,
+// and that the check is structural: a request re-pointed at a copy of
+// its workflow still serves.
+func TestDynamicResolutionValidation(t *testing.T) {
+	w := trigWorkflow(t)
+	other, err := workflow.NewDynamic("other", time.Second,
+		[]workflow.Node{{Name: "a", Function: "fe"}, {Name: "b", Function: "ico"}},
+		[][2]string{{"a", "b"}},
+		[]workflow.DynamicNode{{Step: "b", Map: &workflow.MapSpec{MaxWidth: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wide is trigWorkflow with ocr's width bound raised from 4 to 8.
+	var spec []workflow.DynamicNode
+	for _, step := range w.DynamicSteps() {
+		d, _ := w.Dynamic(step)
+		if d.Map != nil {
+			d.Map.MaxWidth = 8
+		}
+		spec = append(spec, d)
+	}
+	wide, err := workflow.NewDynamic("trig", w.SLO(), w.TopoOrder(), trigEdges(w), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tooWide *DynDraws
+	for _, r := range trigWorkload(t, wide, 400) {
+		if r.Dyn.Width("ocr") > 4 {
+			tooWide = r.Dyn
+			break
+		}
+	}
+	if tooWide == nil {
+		t.Fatal("no resolution of the wide variant exceeds width 4")
+	}
+	mutated := func(mut func(d *DynDraws)) *DynDraws {
+		d := *trigWorkload(t, w, 3)[1].Dyn
+		d.steps = slices.Clone(d.steps)
+		d.attempts = slices.Clone(d.attempts)
+		mut(&d)
+		return &d
+	}
+	cases := []struct {
+		name string
+		dyn  *DynDraws
+		want string
+	}{
+		{"zero value", &DynDraws{}, "step resolutions"},
+		{"foreign workflow", trigWorkload(t, other, 3)[1].Dyn, "step resolutions"},
+		{"wider than the bound", tooWide, "width"},
+		{"choice out of range", mutated(func(d *DynDraws) { d.steps[0].choice = 2 }), "out of range"},
+		{"renamed step", mutated(func(d *DynDraws) { d.steps[1].name = "detect" }), "names step"},
+		{"retries past the bound", mutated(func(d *DynDraws) { d.attempts[0] = 3 }), "retry bound"},
+		{"missing draw", mutated(func(d *DynDraws) { d.draws = d.draws[:len(d.draws)-1] }), "draws"},
+		{"shifted layout", mutated(func(d *DynDraws) { d.steps[1].att++ }), "layout"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reqs := trigWorkload(t, w, 3)
+			reqs[1].Dyn = tc.dyn
+			_, _, err := defaultExecutor(t).RunReplay(
+				[]TenantWorkload{{Requests: reqs, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}}},
+				ReplayConfig{Interval: 100 * time.Millisecond, Triggers: gateTriggers(reqs, "", time.Millisecond)})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v does not mention %q", err, tc.want)
+			}
+		})
+	}
+	reqs := trigWorkload(t, w, 20)
+	copyW, err := w.WithSLO(2 * w.SLO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reqs {
+		r.Workflow = copyW
+	}
+	if _, _, err := defaultExecutor(t).RunReplay(
+		[]TenantWorkload{{Requests: reqs, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}}},
+		ReplayConfig{Interval: 100 * time.Millisecond, Triggers: gateTriggers(reqs, "", time.Millisecond)}); err != nil {
+		t.Fatalf("requests re-pointed at a copy of their workflow rejected: %v", err)
+	}
+}
+
+// trigEdges lists w's edges in the order its successors declare them.
+func trigEdges(w *workflow.Workflow) [][2]string {
+	var edges [][2]string
+	for _, n := range w.TopoOrder() {
+		for _, s := range w.Successors(n.Name) {
+			edges = append(edges, [2]string{n.Name, s})
+		}
+	}
+	return edges
+}
+
+// shapedFixed is a Fixed allocator on the shape-aware path: the
+// serving plane computes every dynamic decision's shape key for it.
+type shapedFixed struct{ Fixed }
+
+func (s *shapedFixed) AllocateShaped(req *Request, group int, _ string, remaining time.Duration) (int, bool) {
+	return s.Allocate(req, group, remaining)
+}
+
+// BenchmarkDynamicServing times the dynamic serving path end to end:
+// one RunReplay of 5000 requests of the test workflow on 4 nodes, every
+// 8th request admitted by a start trigger, every gate resumed by a
+// trigger, every decision made by a shape-aware fixed allocator. The
+// requests and triggers are built once, outside the timer; every
+// iteration serves them on a fresh run.
+func BenchmarkDynamicServing(b *testing.B) {
+	w := trigWorkflow(b)
+	reqs := trigWorkload(b, w, 5000)
+	triggers := timedTriggers(reqs, "", 120*time.Millisecond, 0)
+	cfg := DefaultExecutorConfig()
+	cfg.Cluster.Nodes = 4
+	e, err := NewExecutor(cfg, perfmodel.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tenants := []TenantWorkload{{Requests: reqs, Allocator: &shapedFixed{Fixed{System: "fixed", Sizes: trigSizes}}}}
+	rcfg := ReplayConfig{Interval: 100 * time.Millisecond, Triggers: triggers}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, _, err := e.RunReplay(tenants, rcfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -80,26 +80,101 @@ type Request struct {
 	Dyn *DynDraws
 }
 
-// DynDraws is a request's pre-sampled dynamic-shape resolution. Maps are
-// keyed by step name; only annotated steps appear.
+// DynDraws is a request's pre-sampled dynamic-shape resolution: one
+// record per annotated step, in Workflow.DynamicSteps order, with every
+// replica's failed-attempt count and every extra execution's draw in two
+// flat slices. GenerateWorkload builds it; callers read it through the
+// accessors, which take a step name. The zero value resolves no step, so
+// serving it for a dynamic workflow fails validation.
 type DynDraws struct {
-	// Choice maps a choice step to the index of its taken successor edge
-	// (in edge-declaration order).
-	Choice map[string]int
-	// Width maps a map step to its resolved fan-out width in
-	// [1, MaxWidth] — drawn "at the fork's readiness instant" in paper
-	// terms; pre-sampling it is observationally identical because the
-	// value is revealed to the allocator only at that instant.
-	Width map[string]int
-	// Attempts maps a map/retry step to the number of failed attempts
-	// preceding each replica's success, indexed by replica (length =
-	// resolved width; 1 for non-map retry steps). Zero for steps without
-	// a retry spec.
-	Attempts map[string][]int
-	// NodeDraws maps a map/retry step to its per-execution draws,
-	// indexed [replica][attempt]. Steps without map/retry specs use the
-	// base Draws[g][b] entry.
-	NodeDraws map[string][][]perfmodel.Draw
+	steps []dynStep
+	// attempts holds, record by record, the failed attempts preceding
+	// each replica's success: a record's replicas are
+	// attempts[att : att+reps].
+	attempts []int
+	// draws holds the draws of every map replica and retry attempt,
+	// record by record, replica by replica, attempt by attempt, starting
+	// at each record's draw offset.
+	draws []perfmodel.Draw
+}
+
+// dynStep is one annotated step's resolution.
+type dynStep struct {
+	name string
+	// choice is a choice step's taken successor edge, in
+	// edge-declaration order; -1 for every other step.
+	choice int32
+	// width is a map step's fan-out width in [1, MaxWidth] — drawn "at
+	// the fork's readiness instant" in paper terms; pre-sampling it is
+	// observationally identical because the value is revealed to the
+	// allocator only at that instant. 0 for every other step.
+	width int32
+	// reps counts the replicas that carry attempt counts and draws: the
+	// width of a map step, 1 for a retry-only step, 0 for choice and
+	// await-only steps, which execute off the base Draws[g][b] entry.
+	reps int32
+	// att and draw are the record's first indexes into attempts and
+	// draws.
+	att, draw int32
+}
+
+func (d *DynDraws) step(name string) *dynStep {
+	for i := range d.steps {
+		if d.steps[i].name == name {
+			return &d.steps[i]
+		}
+	}
+	return nil
+}
+
+// Choice returns the index of a choice step's taken successor edge (in
+// edge-declaration order), or -1 if step is not a resolved choice step.
+func (d *DynDraws) Choice(step string) int {
+	if s := d.step(step); s != nil {
+		return int(s.choice)
+	}
+	return -1
+}
+
+// Width returns a map step's resolved fan-out width in [1, MaxWidth], or
+// 0 if step is not a resolved map step.
+func (d *DynDraws) Width(step string) int {
+	if s := d.step(step); s != nil {
+		return int(s.width)
+	}
+	return 0
+}
+
+// Attempts returns the number of failed attempts preceding each
+// replica's success of a map or retry step, indexed by replica (one
+// entry for a retry-only step, zeros for a map without a retry spec), or
+// nil for any other step. The slice is shared; do not modify it.
+func (d *DynDraws) Attempts(step string) []int {
+	if s := d.step(step); s != nil && s.reps > 0 {
+		return d.attempts[s.att : s.att+s.reps : s.att+s.reps]
+	}
+	return nil
+}
+
+// NodeDraws returns the draws of one replica of a map or retry step,
+// indexed by attempt, or nil when the step has no such replica. The
+// slice is shared; do not modify it.
+func (d *DynDraws) NodeDraws(step string, replica int) []perfmodel.Draw {
+	if s := d.step(step); s != nil && replica >= 0 && replica < int(s.reps) {
+		return d.replicaDraws(s, replica)
+	}
+	return nil
+}
+
+// replicaDraws returns one replica's draws, indexed by attempt: the
+// replica's block follows the blocks of the record's earlier replicas.
+func (d *DynDraws) replicaDraws(s *dynStep, replica int) []perfmodel.Draw {
+	off := int(s.draw)
+	for _, a := range d.attempts[s.att : int(s.att)+replica] {
+		off += a + 1
+	}
+	end := off + d.attempts[int(s.att)+replica] + 1
+	return d.draws[off:end:end]
 }
 
 // Allocator decides the millicore allocation for a request's decision
@@ -298,6 +373,10 @@ func GenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 			fns[s][b] = f
 		}
 	}
+	var sampler *dynSampler
+	if cfg.Workflow.IsDynamic() {
+		sampler = newDynSampler(&cfg, cfg.N)
+	}
 	root := rng.New(cfg.Seed).Split("workload/" + cfg.Workflow.Name())
 	arrivals := root.Split("arrivals")
 	reqs := make([]*Request, cfg.N)
@@ -330,11 +409,11 @@ func GenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 			}
 		}
 		var dyn *DynDraws
-		if cfg.Workflow.IsDynamic() {
+		if sampler != nil {
 			// Dynamic resolutions ride a dedicated child stream, so a
 			// static workflow's draw sequence is untouched and adding an
 			// annotation never perturbs the base draws above.
-			dyn = sampleDynDraws(cfg, stream.Split("dyn"), common, shared)
+			dyn = sampler.sample(&cfg, i, stream.Split("dyn"), common, shared)
 		}
 		reqs[i] = &Request{
 			ID:       i,
@@ -349,68 +428,106 @@ func GenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	return reqs, nil
 }
 
-// sampleDynDraws resolves one request's dynamic shape from its seeded
-// stream: taken branch per choice step, fan-out width per map step,
+// dynSampler is the plan GenerateWorkload resolves every request of a
+// dynamic workflow from, built once per workload: the annotated steps in
+// DynamicSteps order with their specs, choice weights and functions
+// looked up once, the workload's DynDraws and record arenas, and the
+// reusable buffers one request's counts and draws are drawn into before
+// they are copied out at their exact sizes.
+type dynSampler struct {
+	steps    []dynSampleStep
+	dyns     []DynDraws
+	records  []dynStep
+	attempts []int
+	draws    []perfmodel.Draw
+}
+
+type dynSampleStep struct {
+	name string
+	spec workflow.DynamicNode
+	// weights are a choice step's edge weights, uniform when the spec
+	// leaves them nil.
+	weights []float64
+	// decay is a map step's width law, DefaultMapDecay when the spec
+	// leaves it zero.
+	decay float64
+	fn    *perfmodel.Function
+}
+
+func newDynSampler(cfg *WorkloadConfig, n int) *dynSampler {
+	w := cfg.Workflow
+	names := w.DynamicSteps()
+	s := &dynSampler{
+		steps:   make([]dynSampleStep, len(names)),
+		dyns:    make([]DynDraws, n),
+		records: make([]dynStep, n*len(names)),
+	}
+	for i, step := range names {
+		d, _ := w.Dynamic(step)
+		node, _ := w.Node(step)
+		ss := dynSampleStep{name: step, spec: d, fn: cfg.Functions[node.Function]}
+		if d.Choice != nil {
+			ss.weights = d.Choice.Weights
+			if ss.weights == nil {
+				ss.weights = make([]float64, len(w.Successors(step)))
+				for j := range ss.weights {
+					ss.weights[j] = 1
+				}
+			}
+		}
+		if d.Map != nil {
+			ss.decay = d.Map.Decay
+			if ss.decay == 0 {
+				ss.decay = workflow.DefaultMapDecay
+			}
+		}
+		s.steps[i] = ss
+	}
+	return s
+}
+
+// sample resolves request i's dynamic shape from its seeded stream:
+// taken branch per choice step, fan-out width per map step,
 // failed-attempt counts per retry step, and a draw for every extra
 // execution (map replicas and retry attempts) the resolution implies.
-func sampleDynDraws(cfg WorkloadConfig, dynStream, common *rng.Stream, shared bool) *DynDraws {
-	w := cfg.Workflow
-	dyn := &DynDraws{
-		Choice:    map[string]int{},
-		Width:     map[string]int{},
-		Attempts:  map[string][]int{},
-		NodeDraws: map[string][][]perfmodel.Draw{},
+func (s *dynSampler) sample(cfg *WorkloadConfig, i int, dynStream, common *rng.Stream, shared bool) *DynDraws {
+	k := len(s.steps)
+	records := s.records[i*k : (i+1)*k : (i+1)*k]
+	s.attempts, s.draws = s.attempts[:0], s.draws[:0]
+	for j := range s.steps {
+		ss := &s.steps[j]
+		rec := dynStep{name: ss.name, choice: -1, att: int32(len(s.attempts)), draw: int32(len(s.draws))}
+		switch d := ss.spec; {
+		case d.Choice != nil:
+			rec.choice = int32(dynStream.Choice(ss.weights))
+		case d.Map != nil || d.Retry != nil:
+			rec.reps = 1
+			if d.Map != nil {
+				rec.width = int32(dynStream.TruncGeometric(d.Map.MaxWidth, ss.decay))
+				rec.reps = rec.width
+			}
+			for range rec.reps {
+				a := 0
+				for d.Retry != nil && a < d.Retry.MaxRetries && dynStream.Float64() < d.Retry.FailureProb {
+					a++
+				}
+				s.attempts = append(s.attempts, a)
+			}
+			for _, a := range s.attempts[rec.att:] {
+				for range a + 1 {
+					drawStream := dynStream
+					if shared {
+						drawStream = common.Split("replay")
+					}
+					coloc := cfg.Colocation.Sample(drawStream)
+					s.draws = append(s.draws, ss.fn.NewDraw(drawStream, cfg.Batch, coloc, cfg.Interference))
+				}
+			}
+		}
+		records[j] = rec
 	}
-	for _, step := range w.DynamicSteps() {
-		d, _ := w.Dynamic(step)
-		if d.Choice != nil {
-			weights := d.Choice.Weights
-			if weights == nil {
-				weights = make([]float64, len(w.Successors(step)))
-				for i := range weights {
-					weights[i] = 1
-				}
-			}
-			dyn.Choice[step] = dynStream.Choice(weights)
-			continue
-		}
-		if d.Map == nil && d.Retry == nil {
-			continue // await-only steps execute exactly once off the base draw
-		}
-		width := 1
-		if d.Map != nil {
-			decay := d.Map.Decay
-			if decay == 0 {
-				decay = workflow.DefaultMapDecay
-			}
-			width = dynStream.TruncGeometric(d.Map.MaxWidth, decay)
-			dyn.Width[step] = width
-		}
-		attempts := make([]int, width)
-		if d.Retry != nil {
-			for r := range attempts {
-				for attempts[r] < d.Retry.MaxRetries && dynStream.Float64() < d.Retry.FailureProb {
-					attempts[r]++
-				}
-			}
-		}
-		dyn.Attempts[step] = attempts
-		node, _ := w.Node(step)
-		f := cfg.Functions[node.Function]
-		nodeDraws := make([][]perfmodel.Draw, width)
-		for r := range nodeDraws {
-			nodeDraws[r] = make([]perfmodel.Draw, attempts[r]+1)
-			for a := range nodeDraws[r] {
-				drawStream := dynStream
-				if shared {
-					drawStream = common.Split("replay")
-				}
-				coloc := cfg.Colocation.Sample(drawStream)
-				nodeDraws[r][a] = f.NewDraw(drawStream, cfg.Batch, coloc, cfg.Interference)
-			}
-		}
-		dyn.NodeDraws[step] = nodeDraws
-	}
+	dyn := &s.dyns[i]
+	*dyn = DynDraws{steps: records, attempts: slices.Clone(s.attempts), draws: slices.Clone(s.draws)}
 	return dyn
 }
 
@@ -607,6 +724,11 @@ type runState struct {
 	// shared admission callback advances (admitNext).
 	admits   []*reqState
 	admitted int
+	// triggers is the armed external-event queue in firing order;
+	// triggered is the cursor the one shared trigger callback advances
+	// (triggerNext).
+	triggers  []armedTrigger
+	triggered int
 	// free holds the completion records not in flight; each binds its
 	// event callback once, so a completion allocates nothing once the
 	// list has grown to the run's peak in-flight node count.
@@ -697,7 +819,8 @@ func (st *runState) planFor(w *workflow.Workflow) *dagPlan {
 // reqState is one in-flight request: its trace accumulator plus the
 // per-group readiness countdowns. States live in the run's arena; the
 // trace accumulator is a value (copied out on completion) and pending /
-// acc.Stages are arena sub-slices sized exactly by the request's plan, so
+// acc.Stages are arena sub-slices sized exactly by the request's plan
+// (and, for a dynamic request, its resolution's live executions), so
 // serving a request allocates nothing beyond its scheduled events.
 type reqState struct {
 	tn   *tenantRun
@@ -718,9 +841,10 @@ type reqState struct {
 	// its own Arrival instant.
 	external bool
 	// dyn holds the per-request dynamic-shape state (liveness, replica
-	// joins, retry counters, await latches); nil for static plans, so a
-	// static request allocates none of it and the scheduler's dynamic
-	// branches reduce to one nil check each.
+	// joins, retry counters, await latches), carved from the run's
+	// overlay arenas; nil for static plans, so a static request takes
+	// none of it and the scheduler's dynamic branches reduce to one nil
+	// check each.
 	dyn *dynReqState
 }
 
@@ -816,14 +940,16 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	// cached copy — and deploy the union of every tenant's functions
 	// once: tenants running the same function share its warm pool and
 	// co-location census. The same pass sizes the run's arenas: the total
-	// readiness countdowns and executed-node traces across all requests.
+	// readiness countdowns, executed-node traces — every node of a static
+	// request, the live executions its resolution implies for a dynamic
+	// one — and dynamic overlays across all requests.
 	deployed := map[string]bool{}
-	totalPending, totalNodes := 0, 0
+	totalPending, totalStages := 0, 0
+	dynReqs, dynNodes, dynAttempts := 0, 0, 0
 	for _, tw := range tenants {
 		for _, r := range tw.Requests {
 			plan := st.planFor(r.Workflow)
 			totalPending += len(plan.predCount)
-			totalNodes += plan.nodes
 			if len(r.Groups) != len(plan.groups) || len(r.Draws) != len(plan.groups) {
 				return nil, fmt.Errorf("platform: tenant %q request %d carries %d groups / %d draw rows, workflow %s has %d decision groups",
 					tw.Tenant, r.ID, len(r.Groups), len(r.Draws), r.Workflow.Name(), len(plan.groups))
@@ -845,24 +971,33 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 					}
 				}
 			}
-			if plan.dyn != nil {
-				if err := plan.dyn.validateRequest(tw.Tenant, r); err != nil {
-					return nil, err
-				}
+			if plan.dyn == nil {
+				totalStages += plan.nodes
+				continue
 			}
+			if err := plan.dyn.validateRequest(tw.Tenant, r); err != nil {
+				return nil, err
+			}
+			totalStages += plan.dyn.executions(r.Dyn)
+			dynReqs++
+			dynNodes += plan.nodes
+			dynAttempts += len(r.Dyn.attempts)
 		}
 	}
 	// Every request's in-flight state is fully initialized here out of
-	// three arena allocations (states, countdowns, stage traces);
-	// admission merely arms the root groups.
+	// run-wide arenas (states, countdowns, stage traces, and the dynamic
+	// overlays); admission merely arms the root groups.
 	st.reqStates = make([]reqState, total)
 	pendArena := make([]int, totalPending)
-	stageArena := make([]StageTrace, totalNodes)
-	var byTenant map[string]map[int]*reqState
+	stageArena := make([]StageTrace, totalStages)
+	dynArena := make([]dynReqState, dynReqs)
+	nodeArena := make([]dynNode, dynNodes)
+	attemptArena := make([]int, dynAttempts)
+	var byTenant map[string][]*reqState
 	if len(triggers) > 0 {
-		byTenant = make(map[string]map[int]*reqState, len(tenants))
+		byTenant = make(map[string][]*reqState, len(tenants))
 	}
-	ri, po, so := 0, 0, 0
+	ri, po, so, di, no, ao := 0, 0, 0, 0, 0, 0
 	for _, tw := range tenants {
 		tn := &tenantRun{name: tw.Tenant, alloc: tw.Allocator, traces: make([]Trace, len(tw.Requests))}
 		if st.om != nil {
@@ -874,9 +1009,9 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			tn.memoEpoch = m.AllocEpoch()
 		}
 		st.tenants = append(st.tenants, tn)
-		var byID map[int]*reqState
+		var byID []*reqState
 		if byTenant != nil {
-			byID = make(map[int]*reqState, len(tw.Requests))
+			byID = make([]*reqState, len(tw.Requests))
 			byTenant[tw.Tenant] = byID
 		}
 		for _, r := range tw.Requests {
@@ -890,8 +1025,19 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			copy(rs.pending, plan.predCount)
 			rs.remaining = plan.nodes
 			rs.arrival = r.Arrival
-			if plan.dyn != nil {
-				rs.dyn = newDynReqState(plan.dyn)
+			stages := plan.nodes
+			if dp := plan.dyn; dp != nil {
+				stages = dp.executions(r.Dyn)
+				rs.dyn = &dynArena[di]
+				di++
+				rs.dyn.node = nodeArena[no : no+plan.nodes : no+plan.nodes]
+				no += plan.nodes
+				for flat, in := range dp.inDeg {
+					rs.dyn.node[flat].liveIn = int32(in)
+				}
+				na := len(r.Dyn.attempts)
+				rs.dyn.attempt = attemptArena[ao : ao+na : ao+na]
+				ao += na
 			}
 			rs.acc = Trace{
 				RequestID: r.ID,
@@ -899,9 +1045,9 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 				System:    tn.alloc.Name(),
 				Arrival:   r.Arrival,
 				SLO:       r.Workflow.SLO(),
-				Stages:    stageArena[so : so : so+plan.nodes],
+				Stages:    stageArena[so : so : so+stages],
 			}
-			so += plan.nodes
+			so += stages
 			if byID != nil {
 				byID[r.ID] = rs
 			}
@@ -919,7 +1065,7 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			continue
 		}
 		for _, flat := range rs.plan.dyn.awaits {
-			if !rs.dyn.armed[flat] {
+			if !rs.dyn.node[flat].armed {
 				return nil, fmt.Errorf("platform: await step %q of tenant %q request %d has no trigger; awaits resume only through ReplayConfig.Triggers",
 					rs.plan.dyn.steps[flat], rs.tn.name, rs.r.ID)
 			}
@@ -927,17 +1073,24 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	}
 	// Admissions fire by arrival, ties broken by tenant and then input
 	// position, so the interleaving is a pure function of the inputs and
-	// mixed runs replay byte for byte. They are scheduled in exactly that
-	// order, after the triggers, so their events take one contiguous
-	// block of sequence numbers ascending with their instants: they
-	// append to the engine's in-order lane rather than its heap (unless
-	// the triggers already hold later lane entries), and the k-th
-	// admission to fire is the k-th scheduled, which lets one shared
-	// callback admit them all.
+	// mixed runs replay byte for byte; triggers fire by instant, ties
+	// broken by queue position, and a trigger fires before a same-instant
+	// admission. Both queues are scheduled merged in exactly that order,
+	// before anything else, so every preloaded event appends to the
+	// engine's in-order lane rather than its heap, and the k-th admission
+	// (trigger) to fire is the k-th of its kind scheduled, which lets one
+	// shared callback per kind serve them all.
 	st.admits = st.admissionOrder(tenants)
-	admit := st.admitNext
+	admit, fire := st.admitNext, st.triggerNext
+	next := 0
 	for _, rs := range st.admits {
+		for ; next < len(st.triggers) && st.triggers[next].at <= rs.r.Arrival; next++ {
+			st.engine.ScheduleAt(st.triggers[next].at, fire)
+		}
 		st.engine.ScheduleAt(rs.r.Arrival, admit)
+	}
+	for _, tr := range st.triggers[next:] {
+		st.engine.ScheduleAt(tr.at, fire)
 	}
 	return st, nil
 }
@@ -989,13 +1142,22 @@ func (st *runState) admitNext(time.Duration) {
 	st.startRequest(rs)
 }
 
+// armedTrigger is one validated external event: flat names the await
+// step it resumes, or is -1 for a start trigger.
+type armedTrigger struct {
+	at   time.Duration
+	rs   *reqState
+	flat int
+}
+
 // armTriggers validates the external-event queue against the prepared
-// request states and schedules each trigger on the virtual clock. Start
-// triggers take over their request's admission; resume triggers latch
-// into the addressed await step. Trigger events are scheduled in queue
-// order before every admission, so a trigger wins a same-instant tie
-// against an arrival, and runs replay byte for byte.
-func (st *runState) armTriggers(triggers []Trigger, byTenant map[string]map[int]*reqState) error {
+// request states, found per tenant by request ID, and arms it in firing
+// order: stably sorted by instant, so same-instant triggers keep their
+// queue order and runs replay byte for byte. Start triggers take over
+// their request's admission; resume triggers latch into the addressed
+// await step.
+func (st *runState) armTriggers(triggers []Trigger, byTenant map[string][]*reqState) error {
+	st.triggers = make([]armedTrigger, 0, len(triggers))
 	for i, tr := range triggers {
 		if tr.At < 0 {
 			return fmt.Errorf("platform: trigger %d fires at negative instant %v", i, tr.At)
@@ -1004,16 +1166,16 @@ func (st *runState) armTriggers(triggers []Trigger, byTenant map[string]map[int]
 		if !ok {
 			return fmt.Errorf("platform: trigger %d addresses unknown tenant %q", i, tr.Tenant)
 		}
-		rs, ok := byID[tr.Request]
-		if !ok {
+		if tr.Request < 0 || tr.Request >= len(byID) {
 			return fmt.Errorf("platform: trigger %d addresses unknown request %d of tenant %q", i, tr.Request, tr.Tenant)
 		}
+		rs := byID[tr.Request]
 		if tr.Step == "" {
 			if rs.external {
 				return fmt.Errorf("platform: tenant %q request %d has more than one start trigger", tr.Tenant, tr.Request)
 			}
 			rs.external = true
-			st.engine.ScheduleAt(tr.At, func(now time.Duration) { st.startRequestAt(rs, now) })
+			st.triggers = append(st.triggers, armedTrigger{at: tr.At, rs: rs, flat: -1})
 			continue
 		}
 		if rs.plan.dyn == nil {
@@ -1023,10 +1185,27 @@ func (st *runState) armTriggers(triggers []Trigger, byTenant map[string]map[int]
 		if !ok || !rs.plan.dyn.isAwait(flat) {
 			return fmt.Errorf("platform: trigger %d resumes step %q of workflow %s, which is not an await step", i, tr.Step, rs.r.Workflow.Name())
 		}
-		rs.dyn.armed[flat] = true
-		st.engine.ScheduleAt(tr.At, func(now time.Duration) { st.fireTrigger(rs, flat, now) })
+		rs.dyn.node[flat].armed = true
+		st.triggers = append(st.triggers, armedTrigger{at: tr.At, rs: rs, flat: flat})
+	}
+	byAt := func(a, b armedTrigger) int { return cmp.Compare(a.at, b.at) }
+	if !slices.IsSortedFunc(st.triggers, byAt) {
+		slices.SortStableFunc(st.triggers, byAt)
 	}
 	return nil
+}
+
+// triggerNext is the trigger event every armed trigger shares: the
+// cursor names the trigger, because triggers fire in the order
+// prepareRun scheduled them.
+func (st *runState) triggerNext(now time.Duration) {
+	tr := st.triggers[st.triggered]
+	st.triggered++
+	if tr.flat < 0 {
+		st.startRequestAt(tr.rs, now)
+	} else {
+		st.fireTrigger(tr.rs, tr.flat, now)
+	}
 }
 
 // startRequestAt admits a trigger-started request: its SLO clock starts
@@ -1268,10 +1447,10 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 	if rs.dyn != nil {
 		// Map replicas and retry attempts run off their own pre-sampled
 		// draws; other dynamic nodes keep the base draw.
-		flat := rs.plan.dyn.base[group] + member
-		n.attempt = rs.dyn.attempt[flat][replica]
-		if nd, ok := rs.r.Dyn.NodeDraws[rs.plan.dyn.steps[flat]]; ok {
-			draw = nd[replica][n.attempt]
+		if k := rs.plan.dyn.rec[rs.plan.dyn.base[group]+member]; k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
+			s := &rs.r.Dyn.steps[k]
+			n.attempt = rs.dyn.attempt[int(s.att)+replica]
+			draw = rs.r.Dyn.replicaDraws(s, replica)[n.attempt]
 		}
 	}
 	st.launch(n, draw)
@@ -1384,26 +1563,29 @@ func (st *runState) replicaDone(rs *reqState, group, member, replica int, end ti
 	if rs.dyn != nil {
 		dp := rs.plan.dyn
 		flat := dp.base[group] + member
-		step := dp.steps[flat]
-		if a, ok := rs.r.Dyn.Attempts[step]; ok && rs.dyn.attempt[flat][replica] < a[replica] {
-			rs.dyn.attempt[flat][replica]++
-			// The re-attempt is a new readiness instant for this node: a
-			// fresh decision against the SLO budget that remains now. The
-			// group's cone table still applies — the remaining work is the
-			// same cone, just later in its budget.
-			mc, hit := st.decide(rs, group, end)
-			if st.failed != nil {
+		k := dp.rec[flat]
+		if k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
+			if i := int(rs.r.Dyn.steps[k].att) + replica; rs.dyn.attempt[i] < rs.r.Dyn.attempts[i] {
+				rs.dyn.attempt[i]++
+				// The re-attempt is a new readiness instant for this node:
+				// a fresh decision against the SLO budget that remains now.
+				// The group's cone table still applies — the remaining work
+				// is the same cone, just later in its budget.
+				mc, hit := st.decide(rs, group, end)
+				if st.failed != nil {
+					return
+				}
+				st.startNode(rs, group, member, replica, mc, hit, false)
 				return
 			}
-			st.startNode(rs, group, member, replica, mc, hit, false)
-			return
 		}
-		rs.dyn.repsLeft[flat]--
-		if rs.dyn.repsLeft[flat] > 0 {
+		nd := &rs.dyn.node[flat]
+		nd.repsLeft--
+		if nd.repsLeft > 0 {
 			return
 		}
 		if dp.spec[flat].Choice != nil {
-			chosen := rs.r.Dyn.Choice[step]
+			chosen := int(rs.r.Dyn.steps[k].choice)
 			for i, next := range dp.succ[flat] {
 				if i == chosen {
 					continue
@@ -1432,7 +1614,7 @@ func (st *runState) nodeDone(rs *reqState, group, member int, end time.Duration)
 	}
 	if rs.dyn != nil {
 		flat := rs.plan.dyn.base[group] + member
-		if rs.dyn.dead[flat] {
+		if rs.dyn.node[flat].dead {
 			for _, next := range rs.plan.dyn.succ[flat] {
 				st.edgeDead(rs, next, end)
 				if st.failed != nil {
