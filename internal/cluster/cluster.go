@@ -111,9 +111,14 @@ type Pod struct {
 
 	millicores int
 	busy       bool
-	// fnIdx is the dense index Deploy assigned to Function, so the busy
-	// census is integer-indexed rather than keyed by name on the hot path.
+	// fnIdx is the dense index Deploy assigned to Function, so pools,
+	// targets and the busy census are integer-indexed rather than keyed
+	// by name on the hot path.
 	fnIdx int
+	// slot is the pod's position in its node's pod slice, or -1 once the
+	// cluster destroyed it: the O(1) liveness check Resize and destroy
+	// run, and the swap-remove index.
+	slot int
 }
 
 // Millicores reports the pod's current CPU allocation.
@@ -126,7 +131,9 @@ type node struct {
 	id        int
 	capacity  int
 	allocated int
-	pods      map[int]*Pod
+	// pods lists the hosted pods in no particular order; each pod's slot
+	// is its position, so removal is a swap with the last entry.
+	pods []*Pod
 	// busyPods and busyByFn are incrementally maintained censuses: the
 	// node's executing-pod count and its per-function breakdown (indexed
 	// by the dense function index). They make Colocated, NodeColocated,
@@ -141,12 +148,14 @@ type Cluster struct {
 	cfg    Config
 	nodes  []*node
 	nextID int
-	// pools maps function -> idle warm pod IDs (LIFO for cache warmth).
-	pools map[string][]*Pod
-	// targets maps function -> warm-pool target depth. Deploy initializes
-	// every function to Config.PoolSize; SetPoolTarget lets an elastic
-	// controller resize pools per function mid-run.
-	targets map[string]int
+	// pools holds each function's idle warm pods (LIFO for cache
+	// warmth), indexed by the function's dense index.
+	pools [][]*Pod
+	// targets holds each function's warm-pool target depth, indexed by
+	// the dense index. Deploy initializes every function to
+	// Config.PoolSize; SetPoolTarget lets an elastic controller resize
+	// pools per function mid-run.
+	targets []int
 	// grown/shrunk count pool-churn pods: warm pods built by scale-up
 	// (each paying a cold start before it is usable) and idle pods
 	// destroyed by scale-down.
@@ -156,9 +165,11 @@ type Cluster struct {
 	// incrementally at every mutation, so census and placement reads cost
 	// O(1) (O(log nodes) for placement) regardless of fleet size.
 	//
-	// fnIdx assigns each deployed function a dense integer; fnSorted
-	// mirrors pools' keys in sorted order for Functions().
+	// fnIdx assigns each deployed function a dense integer in deployment
+	// order (Index); names inverts it, and fnSorted lists the names in
+	// sorted order for Functions().
 	fnIdx    map[string]int
+	names    []string
 	fnSorted []string
 	// free indexes per-node free millicores for pickNode.
 	free *freeIndex
@@ -181,14 +192,12 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		pools:   make(map[string][]*Pod),
-		targets: make(map[string]int),
-		fnIdx:   make(map[string]int),
-		free:    newFreeIndex(cfg.Nodes),
+		cfg:   cfg,
+		fnIdx: make(map[string]int),
+		free:  newFreeIndex(cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		c.nodes = append(c.nodes, &node{id: i, capacity: cfg.NodeMillicores, pods: make(map[int]*Pod)})
+		c.nodes = append(c.nodes, &node{id: i, capacity: cfg.NodeMillicores})
 		c.free.set(i, cfg.NodeMillicores)
 	}
 	return c, nil
@@ -220,18 +229,21 @@ func (c *Cluster) setBusy(pod *Pod, busy bool) {
 }
 
 // Deploy pre-warms PoolSize pods for the function, spreading them across
-// nodes with the most free capacity first.
+// nodes with the most free capacity first. The function's dense index is
+// the number of functions deployed before it.
 func (c *Cluster) Deploy(function string) error {
 	if function == "" {
 		return fmt.Errorf("cluster: Deploy requires a function name")
 	}
-	if _, ok := c.pools[function]; ok {
+	if _, ok := c.fnIdx[function]; ok {
 		return fmt.Errorf("cluster: %s already deployed", function)
 	}
-	c.pools[function] = nil
-	c.targets[function] = c.cfg.PoolSize
+	fn := len(c.names)
+	c.fnIdx[function] = fn
+	c.names = append(c.names, function)
+	c.pools = append(c.pools, nil)
+	c.targets = append(c.targets, c.cfg.PoolSize)
 	c.gen++ // the function's threshold moves from 0 to the free max
-	c.fnIdx[function] = len(c.fnIdx)
 	c.busyByFn = append(c.busyByFn, 0)
 	for _, n := range c.nodes {
 		n.busyByFn = append(n.busyByFn, 0)
@@ -241,32 +253,54 @@ func (c *Cluster) Deploy(function string) error {
 	copy(c.fnSorted[at+1:], c.fnSorted[at:])
 	c.fnSorted[at] = function
 	for i := 0; i < c.cfg.PoolSize; i++ {
-		pod, err := c.createPod(function, c.cfg.IdleMillicores)
+		pod, err := c.createPod(fn, c.cfg.IdleMillicores)
 		if err != nil {
 			return fmt.Errorf("cluster: pre-warming %s: %w", function, err)
 		}
-		c.pools[function] = append(c.pools[function], pod)
+		c.pools[fn] = append(c.pools[fn], pod)
 	}
 	return nil
 }
 
 // Deployed reports whether the function has a pool.
 func (c *Cluster) Deployed(function string) bool {
-	_, ok := c.pools[function]
+	_, ok := c.fnIdx[function]
 	return ok
 }
 
-func (c *Cluster) createPod(function string, millicores int) (*Pod, error) {
+// Index returns the function's dense index — the key Acquire and
+// AcquireThreshold take, so callers resolve a name once per run instead
+// of once per acquisition — or -1 and false when it is not deployed.
+func (c *Cluster) Index(function string) (int, bool) {
+	fn, ok := c.fnIdx[function]
+	if !ok {
+		return -1, false
+	}
+	return fn, true
+}
+
+func (c *Cluster) createPod(fn, millicores int) (*Pod, error) {
 	n := c.pickNode(millicores)
 	if n == nil {
 		return nil, ErrNoCapacity
 	}
 	c.nextID++
-	pod := &Pod{ID: c.nextID, Function: function, NodeID: n.id, millicores: millicores, fnIdx: c.fnIdx[function]}
-	n.pods[pod.ID] = pod
+	pod := &Pod{ID: c.nextID, Function: c.names[fn], NodeID: n.id, millicores: millicores, fnIdx: fn, slot: len(n.pods)}
+	n.pods = append(n.pods, pod)
 	c.setAllocated(n, millicores)
 	c.totalPods++
 	return pod, nil
+}
+
+// hosts reports whether the pod is one of the cluster's live pods: a pod
+// the cluster destroyed (or another cluster's pod) fails the back-index
+// check.
+func (c *Cluster) hosts(pod *Pod) bool {
+	if pod.NodeID < 0 || pod.NodeID >= len(c.nodes) {
+		return false
+	}
+	pods := c.nodes[pod.NodeID].pods
+	return pod.slot >= 0 && pod.slot < len(pods) && pods[pod.slot] == pod
 }
 
 // pickNode returns the node the configured placement policy selects for a
@@ -287,36 +321,33 @@ func (c *Cluster) pickNode(millicores int) *node {
 	return c.nodes[id]
 }
 
-// Acquire takes a pod for one execution of the function at the given
-// allocation. It returns the pod and whether the start was cold (no warm
-// pod available). Resizing a warm pod is part of acquisition.
-func (c *Cluster) Acquire(function string, millicores int) (*Pod, bool, error) {
+// Acquire takes a pod for one execution of the function with dense index
+// fn (Index) at the given allocation. It returns the pod and whether the
+// start was cold (no warm pod available). Resizing a warm pod is part of
+// acquisition.
+func (c *Cluster) Acquire(fn, millicores int) (*Pod, bool, error) {
+	if fn < 0 || fn >= len(c.pools) {
+		return nil, false, fmt.Errorf("cluster: no function deployed at index %d", fn)
+	}
 	if millicores <= 0 {
-		return nil, false, fmt.Errorf("cluster: Acquire %s with non-positive millicores %d", function, millicores)
+		return nil, false, fmt.Errorf("cluster: Acquire %s with non-positive millicores %d", c.names[fn], millicores)
 	}
-	pool, ok := c.pools[function]
-	if !ok {
-		return nil, false, fmt.Errorf("cluster: %s not deployed", function)
-	}
+	pool := c.pools[fn]
 	if len(pool) > 0 {
 		pod := pool[len(pool)-1]
 		// Peek before popping: when the pod's node cannot grow it to the
-		// requested size, the pop/Resize/push-back cycle nets out to no
-		// state change, so skip it (this is the path every parked
-		// acquisition retries on every release during saturation).
+		// requested size, the pod stays warm and nothing changes (this is
+		// the path every parked acquisition retries on every release
+		// during saturation); otherwise the resize below cannot fail.
 		if n := c.nodes[pod.NodeID]; n.allocated+millicores-pod.millicores > n.capacity {
 			return nil, false, ErrNoCapacity
 		}
-		c.pools[function] = pool[:len(pool)-1]
-		if err := c.Resize(pod, millicores); err != nil {
-			// Undo the pop before reporting: the pod stays warm.
-			c.pools[function] = append(c.pools[function], pod)
-			return nil, false, err
-		}
+		c.pools[fn] = pool[:len(pool)-1]
+		c.resize(pod, millicores)
 		c.setBusy(pod, true)
 		return pod, false, nil
 	}
-	pod, err := c.createPod(function, millicores)
+	pod, err := c.createPod(fn, millicores)
 	if err != nil {
 		return nil, false, err
 	}
@@ -324,19 +355,18 @@ func (c *Cluster) Acquire(function string, millicores int) (*Pod, bool, error) {
 	return pod, true, nil
 }
 
-// AcquireThreshold reports the largest allocation Acquire(function, ·)
-// would currently succeed for — 0 when the function is unknown or nothing
+// AcquireThreshold reports the largest allocation Acquire(fn, ·) would
+// currently succeed for — 0 when no function has index fn or nothing
 // fits. Exact and O(1): a non-empty warm pool serves from its top pod, so
 // the threshold is that pod's node headroom plus the pod's current
 // allocation; an empty pool cold-starts wherever the free-capacity
 // index's maximum allows. The serving plane's parked-acquisition scan
 // uses it to skip certain-failure retries without paying the attempt.
-func (c *Cluster) AcquireThreshold(function string) int {
-	pool, ok := c.pools[function]
-	if !ok {
+func (c *Cluster) AcquireThreshold(fn int) int {
+	if fn < 0 || fn >= len(c.pools) {
 		return 0
 	}
-	if len(pool) > 0 {
+	if pool := c.pools[fn]; len(pool) > 0 {
 		pod := pool[len(pool)-1]
 		n := c.nodes[pod.NodeID]
 		return n.capacity - n.allocated + pod.millicores
@@ -351,19 +381,30 @@ func (c *Cluster) AcquireThreshold(function string) int {
 func (c *Cluster) Gen() uint64 { return c.gen }
 
 // Resize changes a pod's allocation in place (the late-binding primitive:
-// Janus resizes the next function's pod right before it runs).
+// Janus resizes the next function's pod right before it runs). A pod the
+// cluster does not host — one it already destroyed — is an error: its
+// millicores would otherwise be charged to a node that no longer holds
+// it.
 func (c *Cluster) Resize(pod *Pod, millicores int) error {
 	if millicores <= 0 {
 		return fmt.Errorf("cluster: Resize to non-positive millicores %d", millicores)
 	}
+	if !c.hosts(pod) {
+		return fmt.Errorf("cluster: Resize of pod %d, which the cluster does not host", pod.ID)
+	}
 	n := c.nodes[pod.NodeID]
-	delta := millicores - pod.millicores
-	if n.allocated+delta > n.capacity {
+	if n.allocated+millicores-pod.millicores > n.capacity {
 		return ErrNoCapacity
 	}
-	c.setAllocated(n, delta)
-	pod.millicores = millicores
+	c.resize(pod, millicores)
 	return nil
+}
+
+// resize sets a hosted pod's allocation; the caller has checked that the
+// node has room.
+func (c *Cluster) resize(pod *Pod, millicores int) {
+	c.setAllocated(c.nodes[pod.NodeID], millicores-pod.millicores)
+	pod.millicores = millicores
 }
 
 // Release returns a pod to its function's warm pool, shrinking it to the
@@ -375,24 +416,30 @@ func (c *Cluster) Release(pod *Pod) error {
 		return fmt.Errorf("cluster: Release of idle pod %d", pod.ID)
 	}
 	c.setBusy(pod, false)
-	if len(c.pools[pod.Function]) >= c.targets[pod.Function] {
+	fn := pod.fnIdx
+	if len(c.pools[fn]) >= c.targets[fn] {
 		return c.destroy(pod)
 	}
 	if err := c.Resize(pod, max(c.cfg.IdleMillicores, 1)); err != nil {
 		return err
 	}
-	c.pools[pod.Function] = append(c.pools[pod.Function], pod)
+	c.pools[fn] = append(c.pools[fn], pod)
 	return nil
 }
 
 func (c *Cluster) destroy(pod *Pod) error {
-	n := c.nodes[pod.NodeID]
-	if _, ok := n.pods[pod.ID]; !ok {
+	if !c.hosts(pod) {
 		return fmt.Errorf("cluster: destroying unknown pod %d", pod.ID)
 	}
+	n := c.nodes[pod.NodeID]
 	c.setBusy(pod, false)
 	c.setAllocated(n, -pod.millicores)
-	delete(n.pods, pod.ID)
+	last := n.pods[len(n.pods)-1]
+	last.slot = pod.slot
+	n.pods[pod.slot] = last
+	n.pods[len(n.pods)-1] = nil
+	n.pods = n.pods[:len(n.pods)-1]
+	pod.slot = -1
 	c.totalPods--
 	return nil
 }
@@ -461,7 +508,11 @@ func (c *Cluster) BusyPods(function string) int {
 
 // WarmPods reports the number of idle warm pods for the function.
 func (c *Cluster) WarmPods(function string) int {
-	return len(c.pools[function])
+	fn, ok := c.fnIdx[function]
+	if !ok {
+		return 0
+	}
+	return len(c.pools[fn])
 }
 
 // TotalPods reports the number of pods (idle and busy) across all nodes —
@@ -472,10 +523,11 @@ func (c *Cluster) TotalPods() int {
 
 // PoolTarget reports the function's warm-pool target depth.
 func (c *Cluster) PoolTarget(function string) (int, error) {
-	if _, ok := c.pools[function]; !ok {
+	fn, ok := c.fnIdx[function]
+	if !ok {
 		return 0, fmt.Errorf("cluster: %s not deployed", function)
 	}
-	return c.targets[function], nil
+	return c.targets[fn], nil
 }
 
 // SetPoolTarget changes the function's warm-pool target depth — the
@@ -485,13 +537,14 @@ func (c *Cluster) PoolTarget(function string) (int, error) {
 // pod must be built with AddWarmPod after paying a cold start, which is
 // the honest scale-up cost an autoscaler owes.
 func (c *Cluster) SetPoolTarget(function string, target int) error {
-	if _, ok := c.pools[function]; !ok {
+	fn, ok := c.fnIdx[function]
+	if !ok {
 		return fmt.Errorf("cluster: %s not deployed", function)
 	}
 	if target < 0 {
 		return fmt.Errorf("cluster: pool target for %s must be >= 0, got %d", function, target)
 	}
-	c.targets[function] = target
+	c.targets[fn] = target
 	return nil
 }
 
@@ -500,14 +553,15 @@ func (c *Cluster) SetPoolTarget(function string, target int) error {
 // no node has the idle allocation free — the controller's growth simply
 // does not land on a full cluster.
 func (c *Cluster) AddWarmPod(function string) (*Pod, error) {
-	if _, ok := c.pools[function]; !ok {
+	fn, ok := c.fnIdx[function]
+	if !ok {
 		return nil, fmt.Errorf("cluster: %s not deployed", function)
 	}
-	pod, err := c.createPod(function, max(c.cfg.IdleMillicores, 1))
+	pod, err := c.createPod(fn, max(c.cfg.IdleMillicores, 1))
 	if err != nil {
 		return nil, err
 	}
-	c.pools[function] = append(c.pools[function], pod)
+	c.pools[fn] = append(c.pools[fn], pod)
 	c.grown++
 	return pod, nil
 }
@@ -517,15 +571,16 @@ func (c *Cluster) AddWarmPod(function string) (*Pod, error) {
 // shed; busy pods drain naturally — Release trims them against the
 // lowered target.
 func (c *Cluster) RemoveWarmPod(function string) error {
-	pool, ok := c.pools[function]
+	fn, ok := c.fnIdx[function]
 	if !ok {
 		return fmt.Errorf("cluster: %s not deployed", function)
 	}
+	pool := c.pools[fn]
 	if len(pool) == 0 {
 		return fmt.Errorf("cluster: %s has no idle warm pod to remove", function)
 	}
 	pod := pool[len(pool)-1]
-	c.pools[function] = pool[:len(pool)-1]
+	c.pools[fn] = pool[:len(pool)-1]
 	if err := c.destroy(pod); err != nil {
 		return err
 	}

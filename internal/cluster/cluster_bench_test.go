@@ -41,7 +41,7 @@ func benchCluster(b *testing.B, placement Placement, fns, busyPerFn int) (*Clust
 			b.Fatal(err)
 		}
 		for i := 0; i < busyPerFn; i++ {
-			p, _, err := c.Acquire(name, 1000)
+			p, _, err := acquire(c, name, 1000)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -115,10 +115,11 @@ func BenchmarkAcquireRelease(b *testing.B) {
 	if err := c.Deploy("f0"); err != nil {
 		b.Fatal(err)
 	}
+	f0, _ := c.Index("f0")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, _, err := c.Acquire("f0", 1500)
+		p, _, err := c.Acquire(f0, 1500)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,6 +14,14 @@ func mustCluster(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
+// acquire resolves the function's dense index and acquires through it,
+// the way the serving plane does once per run; an undeployed name
+// resolves to -1, which Acquire rejects.
+func acquire(c *Cluster, function string, millicores int) (*Pod, bool, error) {
+	fn, _ := c.Index(function)
+	return c.Acquire(fn, millicores)
+}
+
 func small(t *testing.T) *Cluster {
 	c := mustCluster(t, Config{Nodes: 1, NodeMillicores: 10000, PoolSize: 2, IdleMillicores: 100})
 	if err := c.Deploy("f"); err != nil {
@@ -65,27 +73,27 @@ func TestDeployValidation(t *testing.T) {
 
 func TestAcquireWarmThenCold(t *testing.T) {
 	c := small(t)
-	p1, cold, err := c.Acquire("f", 1000)
+	p1, cold, err := acquire(c, "f", 1000)
 	if err != nil || cold {
 		t.Fatalf("first acquire: cold=%v err=%v, want warm", cold, err)
 	}
 	if p1.Millicores() != 1000 || !p1.Busy() {
 		t.Fatalf("pod state = %d mc busy=%v", p1.Millicores(), p1.Busy())
 	}
-	if _, cold, err = c.Acquire("f", 1000); err != nil || cold {
+	if _, cold, err = acquire(c, "f", 1000); err != nil || cold {
 		t.Fatalf("second acquire should still be warm: cold=%v err=%v", cold, err)
 	}
-	if _, cold, err = c.Acquire("f", 1000); err != nil || !cold {
+	if _, cold, err = acquire(c, "f", 1000); err != nil || !cold {
 		t.Fatalf("third acquire should be cold: cold=%v err=%v", cold, err)
 	}
 }
 
 func TestAcquireErrors(t *testing.T) {
 	c := small(t)
-	if _, _, err := c.Acquire("g", 1000); err == nil {
+	if _, _, err := acquire(c, "g", 1000); err == nil {
 		t.Fatal("acquire of undeployed function accepted")
 	}
-	if _, _, err := c.Acquire("f", 0); err == nil {
+	if _, _, err := acquire(c, "f", 0); err == nil {
 		t.Fatal("acquire with zero millicores accepted")
 	}
 }
@@ -95,10 +103,10 @@ func TestAcquireCapacityExhaustion(t *testing.T) {
 	if err := c.Deploy("f"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Acquire("f", 2000); err != nil {
+	if _, _, err := acquire(c, "f", 2000); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Acquire("f", 2000); err == nil {
+	if _, _, err := acquire(c, "f", 2000); err == nil {
 		t.Fatal("over-capacity acquire accepted")
 	}
 	// A warm pod that cannot be resized stays in the pool.
@@ -106,7 +114,7 @@ func TestAcquireCapacityExhaustion(t *testing.T) {
 	if err := c2.Deploy("g"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c2.Acquire("g", 1000); err == nil {
+	if _, _, err := acquire(c2, "g", 1000); err == nil {
 		t.Fatal("resize beyond node capacity accepted")
 	}
 	if c2.WarmPods("g") != 1 {
@@ -116,7 +124,7 @@ func TestAcquireCapacityExhaustion(t *testing.T) {
 
 func TestReleaseReturnsToPool(t *testing.T) {
 	c := small(t)
-	p, _, err := c.Acquire("f", 3000)
+	p, _, err := acquire(c, "f", 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +148,7 @@ func TestReleaseTrimsBeyondPoolSize(t *testing.T) {
 	// Drain the pool and cold-start one extra.
 	var pods []*Pod
 	for i := 0; i < 3; i++ {
-		p, _, err := c.Acquire("f", 500)
+		p, _, err := acquire(c, "f", 500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +170,7 @@ func TestReleaseTrimsBeyondPoolSize(t *testing.T) {
 
 func TestReleaseIdlePodFails(t *testing.T) {
 	c := small(t)
-	p, _, err := c.Acquire("f", 500)
+	p, _, err := acquire(c, "f", 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +184,7 @@ func TestReleaseIdlePodFails(t *testing.T) {
 
 func TestResizeAccounting(t *testing.T) {
 	c := small(t)
-	p, _, err := c.Acquire("f", 1000)
+	p, _, err := acquire(c, "f", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +216,9 @@ func TestColocatedCountsBusySameFunction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f1, _, _ := c.Acquire("f", 1000)
-	f2, _, _ := c.Acquire("f", 1000)
-	g1, _, _ := c.Acquire("g", 1000)
+	f1, _, _ := acquire(c, "f", 1000)
+	f2, _, _ := acquire(c, "f", 1000)
+	g1, _, _ := acquire(c, "g", 1000)
 	if got := c.Colocated(f1); got != 2 {
 		t.Fatalf("Colocated(f1) = %d, want 2", got)
 	}
@@ -230,11 +238,11 @@ func TestMultiNodeSpreads(t *testing.T) {
 	if err := c.Deploy("f"); err != nil {
 		t.Fatal(err)
 	}
-	p1, cold, err := c.Acquire("f", 3000)
+	p1, cold, err := acquire(c, "f", 3000)
 	if err != nil || !cold {
 		t.Fatalf("expected cold start, got cold=%v err=%v", cold, err)
 	}
-	p2, _, err := c.Acquire("f", 3000)
+	p2, _, err := acquire(c, "f", 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +250,7 @@ func TestMultiNodeSpreads(t *testing.T) {
 		t.Fatal("pods not spread across nodes")
 	}
 	// Combined capacity exists but no single node fits 4000 more.
-	if _, _, err := c.Acquire("f", 4000); err == nil {
+	if _, _, err := acquire(c, "f", 4000); err == nil {
 		t.Fatal("fragmented capacity should not satisfy a 4000mc pod")
 	}
 }
@@ -252,11 +260,11 @@ func TestFirstFitPacksLowNodes(t *testing.T) {
 	if err := c.Deploy("f"); err != nil {
 		t.Fatal(err)
 	}
-	p1, _, err := c.Acquire("f", 2000)
+	p1, _, err := acquire(c, "f", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := c.Acquire("f", 2000)
+	p2, _, err := acquire(c, "f", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +272,7 @@ func TestFirstFitPacksLowNodes(t *testing.T) {
 		t.Fatalf("first-fit should pack node 0, got nodes %d and %d", p1.NodeID, p2.NodeID)
 	}
 	// Node 0 has 1000 free: a 2000mc pod overflows to node 1.
-	p3, _, err := c.Acquire("f", 2000)
+	p3, _, err := acquire(c, "f", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +311,7 @@ func TestNodeOccupancyAccounting(t *testing.T) {
 	if got := c.NodeBusyPods(warm); got != 0 {
 		t.Fatalf("idle pod counted busy: %d", got)
 	}
-	p, _, err := c.Acquire("f", 3000)
+	p, _, err := acquire(c, "f", 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +381,7 @@ func TestSetPoolTargetGovernsReleaseTrimming(t *testing.T) {
 	if err := c.RemoveWarmPod("f"); err == nil {
 		t.Fatal("removed a warm pod from an empty pool")
 	}
-	pod, cold, err := c.Acquire("f", 1000)
+	pod, cold, err := acquire(c, "f", 1000)
 	if err != nil || !cold {
 		t.Fatalf("Acquire after shedding = cold %t, %v", cold, err)
 	}
@@ -390,7 +398,7 @@ func TestSetPoolTargetGovernsReleaseTrimming(t *testing.T) {
 	if err := c.SetPoolTarget("f", 1); err != nil {
 		t.Fatal(err)
 	}
-	pod, _, err = c.Acquire("f", 1000)
+	pod, _, err = acquire(c, "f", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +477,7 @@ func TestTotalPodsCountsIdleAndBusy(t *testing.T) {
 	if got := c.TotalPods(); got != 2 {
 		t.Fatalf("TotalPods = %d, want the 2 pre-warmed", got)
 	}
-	pod, _, err := c.Acquire("f", 1000)
+	pod, _, err := acquire(c, "f", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +501,7 @@ func TestGenTracksThresholdMutations(t *testing.T) {
 	if g1 <= g0 {
 		t.Fatalf("Deploy left Gen at %d; pre-warming moves the threshold from 0", g1)
 	}
-	p, _, err := c.Acquire("f", 2000)
+	p, _, err := acquire(c, "f", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +509,7 @@ func TestGenTracksThresholdMutations(t *testing.T) {
 	if g2 <= g1 {
 		t.Fatalf("successful Acquire left Gen at %d (was %d)", g2, g1)
 	}
-	if _, _, err := c.Acquire("f", 2000); err == nil {
+	if _, _, err := acquire(c, "f", 2000); err == nil {
 		t.Fatal("over-capacity acquire accepted")
 	}
 	if got := c.Gen(); got != g2 {
@@ -512,5 +520,33 @@ func TestGenTracksThresholdMutations(t *testing.T) {
 	}
 	if got := c.Gen(); got <= g2 {
 		t.Fatalf("Release left Gen at %d (was %d)", got, g2)
+	}
+}
+
+// TestResizeRejectsDestroyedPod resizes a pod its release destroyed (pool
+// size 0): the cluster no longer hosts it, so the resize must fail and
+// leave the node's accounting alone instead of charging millicores to a
+// node that holds no pods.
+func TestResizeRejectsDestroyedPod(t *testing.T) {
+	c := mustCluster(t, Config{Nodes: 1, NodeMillicores: 10000, PoolSize: 0, IdleMillicores: 100})
+	if err := c.Deploy("f"); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := acquire(c, "f", 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Release(p); err != nil {
+		t.Fatal(err)
+	}
+	if c.NodePods(0) != 0 {
+		t.Fatalf("release into a zero-target pool left %d pods", c.NodePods(0))
+	}
+	if err := c.Resize(p, 5000); err == nil {
+		t.Fatal("Resize of a destroyed pod accepted")
+	}
+	f, _ := c.Index("f")
+	if got, thr := c.NodeAllocated(0), c.AcquireThreshold(f); got != 0 || thr != 10000 {
+		t.Fatalf("after the rejected resize: allocated %d, threshold %d; want 0 and 10000", got, thr)
 	}
 }

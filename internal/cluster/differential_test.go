@@ -305,7 +305,8 @@ func (d *diffDriver) checkState() {
 				}
 			}
 		}
-		if g := d.got.AcquireThreshold(fn); g != refThr {
+		fi, _ := d.got.Index(fn)
+		if g := d.got.AcquireThreshold(fi); g != refThr {
 			d.fatalf("AcquireThreshold(%s): indexed %d, reference %d", fn, g, refThr)
 		}
 	}
@@ -336,7 +337,7 @@ func (d *diffDriver) op(r *rand.Rand) {
 			return
 		}
 		mc := 100 + r.Intn(40)*100
-		gp, gcold, ge := d.got.Acquire(fn, mc)
+		gp, gcold, ge := acquire(d.got, fn, mc)
 		rp, rcold, re := d.ref.acquire(fn, mc)
 		if !d.checkErrs("Acquire", ge, re) {
 			return

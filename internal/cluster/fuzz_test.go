@@ -16,6 +16,8 @@ import (
 
 // checkClusterInvariants recomputes all incrementally maintained state
 // and compares it with the live counters and the free-capacity index.
+// Pods are recounted from each node's pod slice, whose back-indexes must
+// all point home.
 func checkClusterInvariants(c *Cluster) error {
 	totalPods := 0
 	clusterBusy := make([]int, len(c.busyByFn))
@@ -23,7 +25,10 @@ func checkClusterInvariants(c *Cluster) error {
 		allocated := 0
 		busy := 0
 		busyByFn := make([]int, len(n.busyByFn))
-		for _, p := range n.pods {
+		for i, p := range n.pods {
+			if p.slot != i || p.NodeID != n.id {
+				return fmt.Errorf("node %d: pod %d at position %d has back-index %d on node %d", n.id, p.ID, i, p.slot, p.NodeID)
+			}
 			allocated += p.millicores
 			if p.busy {
 				busy++
@@ -79,10 +84,10 @@ func checkClusterInvariants(c *Cluster) error {
 	for fn, pool := range c.pools {
 		for _, p := range pool {
 			if p.busy {
-				return fmt.Errorf("pool %s holds busy pod %d", fn, p.ID)
+				return fmt.Errorf("pool %s holds busy pod %d", c.names[fn], p.ID)
 			}
-			if _, ok := c.nodes[p.NodeID].pods[p.ID]; !ok {
-				return fmt.Errorf("pool %s holds destroyed pod %d", fn, p.ID)
+			if p.fnIdx != fn || !c.hosts(p) {
+				return fmt.Errorf("pool %s holds destroyed or foreign pod %d", c.names[fn], p.ID)
 			}
 		}
 		thr := 0
@@ -98,7 +103,7 @@ func checkClusterInvariants(c *Cluster) error {
 			}
 		}
 		if got := c.AcquireThreshold(fn); got != thr {
-			return fmt.Errorf("AcquireThreshold(%s) = %d, recount %d", fn, got, thr)
+			return fmt.Errorf("AcquireThreshold(%s) = %d, recount %d", c.names[fn], got, thr)
 		}
 	}
 	return nil
@@ -134,7 +139,9 @@ func FuzzClusterInvariants(f *testing.F) {
 			t.Fatalf("config %+v rejected: %v", cfg, err)
 		}
 		fns := []string{"fa", "fb", "fc"}
-		var busy []*Pod
+		// released keeps every pod Release returned, pooled or destroyed,
+		// so Resize also reaches pods the cluster no longer hosts.
+		var busy, released []*Pod
 		for pos := 1; pos+1 < len(tape); pos += 2 {
 			op, arg := tape[pos], int(tape[pos+1])
 			fn := fns[arg%len(fns)]
@@ -143,7 +150,8 @@ func FuzzClusterInvariants(f *testing.F) {
 				// Deploy; duplicate deploys must error without mutating.
 				_ = c.Deploy(fn)
 			case 1, 2:
-				if pod, _, err := c.Acquire(fn, 100+(arg%32)*100); err == nil {
+				fi, _ := c.Index(fn)
+				if pod, _, err := c.Acquire(fi, 100+(arg%32)*100); err == nil {
 					busy = append(busy, pod)
 				}
 			case 3:
@@ -156,6 +164,7 @@ func FuzzClusterInvariants(f *testing.F) {
 					if err := c.Release(pod); err != nil {
 						t.Fatalf("Release of busy pod %d failed: %v", pod.ID, err)
 					}
+					released = append(released, pod)
 					// Release trims against the target: it never grows a
 					// pool beyond it (a pool already over target — pushed
 					// there by AddWarmPod — must not grow further).
@@ -164,8 +173,17 @@ func FuzzClusterInvariants(f *testing.F) {
 					}
 				}
 			case 4:
-				if len(busy) > 0 {
-					_ = c.Resize(busy[arg%len(busy)], 100+(arg%40)*100)
+				if k := len(busy) + len(released); k > 0 {
+					var pod *Pod
+					if i := arg % k; i < len(busy) {
+						pod = busy[i]
+					} else {
+						pod = released[i-len(busy)]
+					}
+					hosted := c.hosts(pod)
+					if err := c.Resize(pod, 100+(arg%40)*100); err == nil && !hosted {
+						t.Fatalf("Resize of destroyed pod %d accepted", pod.ID)
+					}
 				}
 			case 5:
 				if c.Deployed(fn) {

@@ -38,17 +38,14 @@ import (
 // event interleaving, traces, and metrics replay byte for byte at any
 // driver parallelism, exactly like a static run.
 
-// dynPlan is the per-workflow dynamic overlay of a dagPlan: flat node
-// indexing plus the annotation, successor, and in-degree tables the
-// liveness propagation walks. Derived once per workflow, shared by
-// every request.
+// dynPlan is the per-workflow dynamic overlay of a dagPlan: the
+// annotation, successor, and in-degree tables the liveness propagation
+// walks, indexed by the plan's flat node index (dagPlan.base). Derived
+// once per workflow, shared by every request.
 type dynPlan struct {
-	// flat maps a step name to its flat node index; base[g] is the
-	// first flat index of group g's members (flat = base[g] + member).
-	// Flat order is topological: a group's predecessors all sit in
-	// earlier groups.
+	// flat maps a step name to its flat node index, for triggers that
+	// name their await step.
 	flat map[string]int
-	base []int
 	// steps, loc, spec, inDeg, rec are indexed by flat node index.
 	steps []string
 	loc   []dynLoc
@@ -73,14 +70,12 @@ type dynPlan struct {
 
 type dynLoc struct{ group, member int }
 
-func newDynPlan(w *workflow.Workflow, p *dagPlan) *dynPlan {
-	dp := &dynPlan{flat: map[string]int{}, base: make([]int, len(p.groups))}
+func newDynPlan(w *workflow.Workflow, p *dagPlan, flat map[string]int) *dynPlan {
+	dp := &dynPlan{flat: flat}
 	maxWidth := 0
 	for g, grp := range p.groups {
-		dp.base[g] = len(dp.steps)
 		for b, n := range grp {
 			flat := len(dp.steps)
-			dp.flat[n.Name] = flat
 			dp.steps = append(dp.steps, n.Name)
 			dp.loc = append(dp.loc, dynLoc{group: g, member: b})
 			d, _ := w.Dynamic(n.Name)
@@ -244,7 +239,7 @@ func (rs *reqState) dynReady(group int) bool {
 	members := rs.plan.groups[group]
 	anyLive := false
 	for b := range members {
-		if !rs.dyn.node[dp.base[group]+b].dead {
+		if !rs.dyn.node[rs.plan.base[group]+b].dead {
 			anyLive = true
 			break
 		}
@@ -253,7 +248,7 @@ func (rs *reqState) dynReady(group int) bool {
 		return false
 	}
 	if len(members) == 1 {
-		flat := dp.base[group]
+		flat := rs.plan.base[group]
 		if nd := &rs.dyn.node[flat]; dp.spec[flat].Await && !nd.fired {
 			nd.waitingTrig = true
 			return false
@@ -268,7 +263,7 @@ func (rs *reqState) dynReady(group int) bool {
 // attempt counters start at zero in the request's overlay.
 func (rs *reqState) armReplicas(group, member int) int {
 	dp := rs.plan.dyn
-	flat := dp.base[group] + member
+	flat := rs.plan.base[group] + member
 	if rs.dyn.node[flat].dead {
 		return 0
 	}
@@ -287,7 +282,7 @@ func (rs *reqState) armReplicas(group, member int) int {
 func (st *runState) groupShape(rs *reqState, group int) string {
 	dp := rs.plan.dyn
 	for b := range rs.plan.groups[group] {
-		flat := dp.base[group] + b
+		flat := rs.plan.base[group] + b
 		if dp.spec[flat].Map != nil && !rs.dyn.node[flat].dead {
 			return dp.shapeKeys[rs.r.Dyn.steps[dp.rec[flat]].width]
 		}

@@ -2,8 +2,12 @@ package platform
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"janus/internal/cluster"
+	"janus/internal/perfmodel"
 )
 
 // stepAllocator is a deterministic allocator whose decision is a pure
@@ -65,38 +69,92 @@ var _ Allocator = plainStep{}
 // through the same decision function twice — once with the memo engaged,
 // once with it hidden — and requires byte-identical traces plus identical
 // recorded budgets: the memo may only skip redundant decision
-// computation, never change an observable.
+// computation, never change an observable. Besides the default cluster,
+// two cases reach the edges of a memo row: an overloaded single node,
+// where requests run past their deadline and decide on negative budgets,
+// and an SLO past the row cap, where early decisions fall outside the
+// row and later ones inside it. A third flips the allocator's epoch
+// mid-run, so a memo entry outliving its epoch would diverge.
 func TestMemoizedServingMatchesUnmemoized(t *testing.T) {
-	reqs := iaWorkload(t, 300)
-	memoed := &stepAllocator{}
-	e := defaultExecutor(t)
-	got, err := e.Run(reqs, memoed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := &stepAllocator{}
-	want, err := defaultExecutor(t).Run(iaWorkload(t, 300), plainStep{plain})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memoed.calls >= plain.calls {
-		t.Fatalf("memo never engaged: %d calls memoized vs %d unmemoized", memoed.calls, plain.calls)
-	}
-	if memoed.records != plain.records {
-		t.Fatalf("recorded decisions diverged: %d memoized, %d unmemoized", memoed.records, plain.records)
-	}
-	if !reflect.DeepEqual(memoed.budgets, plain.budgets) {
-		t.Fatal("recorded budget sequences diverged")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("trace counts diverged: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		g.System, w.System = "", ""
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("trace %d diverged:\nmemoized   %+v\nunmemoized %+v", i, g, w)
+	overloaded := func(t *testing.T) *Executor {
+		cfg := DefaultExecutorConfig()
+		cfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: 4000, PoolSize: 1, IdleMillicores: 100}
+		e, err := NewExecutor(cfg, perfmodel.Catalog())
+		if err != nil {
+			t.Fatal(err)
 		}
+		return e
+	}
+	pastCap := func(t *testing.T) []*Request {
+		reqs := iaWorkload(t, 300)
+		w, err := reqs[0].Workflow.WithSLO(memoCapMs*time.Millisecond + 200*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reqs {
+			r.Workflow = w
+		}
+		return reqs
+	}
+	ia300 := func(t *testing.T) []*Request { return iaWorkload(t, 300) }
+	cases := []struct {
+		name     string
+		executor func(*testing.T) *Executor
+		workload func(*testing.T) []*Request
+		// edge, when set, must hold for some recorded budget, so the case
+		// provably reaches the row edge it names.
+		edge func(time.Duration) bool
+		// flipAt, when positive, is the instant the allocator moves to
+		// epoch 1.
+		flipAt time.Duration
+	}{
+		{"default", defaultExecutor, ia300, nil, 0},
+		{"overloaded", overloaded, ia300, func(b time.Duration) bool { return b < 0 }, 0},
+		{"slo past row cap", defaultExecutor, pastCap, func(b time.Duration) bool { return b > memoCapMs*time.Millisecond }, 0},
+		{"epoch flip", defaultExecutor, ia300, nil, 50 * time.Second},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serve := func(alloc Allocator, s *stepAllocator) []Trace {
+				st, err := tc.executor(t).prepareRun([]TenantWorkload{{Requests: tc.workload(t), Allocator: alloc}}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.flipAt > 0 {
+					st.engine.ScheduleAt(tc.flipAt, func(time.Duration) { s.epoch = 1 })
+				}
+				st.engine.Run()
+				traces, err := st.collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return traces[""]
+			}
+			memoed, plain := &stepAllocator{}, &stepAllocator{}
+			got, want := serve(memoed, memoed), serve(plainStep{plain}, plain)
+			if tc.edge != nil && !slices.ContainsFunc(plain.budgets, tc.edge) {
+				t.Fatal("no recorded budget reached the case's memo-row edge")
+			}
+			if memoed.calls >= plain.calls {
+				t.Fatalf("memo never engaged: %d calls memoized vs %d unmemoized", memoed.calls, plain.calls)
+			}
+			if memoed.records != plain.records {
+				t.Fatalf("recorded decisions diverged: %d memoized, %d unmemoized", memoed.records, plain.records)
+			}
+			if !reflect.DeepEqual(memoed.budgets, plain.budgets) {
+				t.Fatal("recorded budget sequences diverged")
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trace counts diverged: %d vs %d", len(got), len(want))
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				g.System, w.System = "", ""
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("trace %d diverged:\nmemoized   %+v\nunmemoized %+v", i, g, w)
+				}
+			}
+		})
 	}
 }
 

@@ -26,25 +26,25 @@ func LatencyBucketsMs() []int64 {
 }
 
 // runObs holds the run-level registry handles: the park-depth gauge and
-// the per-function pool-occupancy gauges the replay control ticks feed.
+// the per-function pool-occupancy gauges the replay control ticks feed,
+// indexed by cluster function index.
 type runObs struct {
 	reg       *obs.Registry
 	parkDepth *obs.Gauge
-	poolBusy  map[string]*obs.Gauge
-	poolWarm  map[string]*obs.Gauge
+	poolBusy  []*obs.Gauge
+	poolWarm  []*obs.Gauge
 }
 
 func newRunObs(reg *obs.Registry) *runObs {
 	return &runObs{
 		reg:       reg,
 		parkDepth: reg.Gauge("janus_park_depth"),
-		poolBusy:  map[string]*obs.Gauge{},
-		poolWarm:  map[string]*obs.Gauge{},
 	}
 }
 
-// tenant registers (or resolves) one tenant's handle set.
-func (ro *runObs) tenant(name string) *tenantObs {
+// tenant registers (or resolves) one tenant's handle set for a run
+// deploying fns functions.
+func (ro *runObs) tenant(name string, fns int) *tenantObs {
 	return &tenantObs{
 		reg:         ro.reg,
 		name:        name,
@@ -54,32 +54,35 @@ func (ro *runObs) tenant(name string) *tenantObs {
 		completions: ro.reg.Counter("janus_requests_completed_total", "tenant", name),
 		sloMisses:   ro.reg.Counter("janus_slo_misses_total", "tenant", name),
 		e2e:         ro.reg.Histogram("janus_e2e_latency_ms", latencyBucketsMs, "tenant", name),
-		nodeLatency: map[string]*obs.Histogram{},
+		nodeLatency: make([]*obs.Histogram, fns),
 	}
 }
 
 // observePools samples the per-function pool occupancy into gauges at a
 // replay control tick (pool occupancy is a control-loop observable; runs
-// without a control loop leave the gauges at zero). Handles register
-// lazily on first sight of a function — one registry round-trip per
-// function per run, then map lookups.
-func (ro *runObs) observePools(stats []ReplayFunctionStats) {
+// without a control loop leave the gauges at zero). stats[i] describes
+// the function with cluster index idx[i]. Handles register lazily on
+// first sight of a function — one registry round-trip per function per
+// run, then slice reads.
+func (ro *runObs) observePools(stats []ReplayFunctionStats, idx []int) {
+	if ro.poolBusy == nil {
+		ro.poolBusy = make([]*obs.Gauge, len(stats))
+		ro.poolWarm = make([]*obs.Gauge, len(stats))
+	}
 	for i := range stats {
-		fs := &stats[i]
-		busy := ro.poolBusy[fs.Function]
-		if busy == nil {
-			busy = ro.reg.Gauge("janus_pool_busy", "function", fs.Function)
-			ro.poolBusy[fs.Function] = busy
-			ro.poolWarm[fs.Function] = ro.reg.Gauge("janus_pool_warm", "function", fs.Function)
+		fs, fn := &stats[i], idx[i]
+		if ro.poolBusy[fn] == nil {
+			ro.poolBusy[fn] = ro.reg.Gauge("janus_pool_busy", "function", fs.Function)
+			ro.poolWarm[fn] = ro.reg.Gauge("janus_pool_warm", "function", fs.Function)
 		}
-		busy.Set(int64(fs.Busy))
-		ro.poolWarm[fs.Function].Set(int64(fs.Warm))
+		ro.poolBusy[fn].Set(int64(fs.Busy))
+		ro.poolWarm[fn].Set(int64(fs.Warm))
 	}
 }
 
 // tenantObs is one tenant's pre-registered handle set, resolved once in
-// prepareRun so the serving path pays plain integer ops (plus one map
-// lookup for the per-function histogram).
+// prepareRun so the serving path pays plain integer ops; the
+// per-function histograms are indexed by cluster function index.
 type tenantObs struct {
 	reg         *obs.Registry
 	name        string
@@ -89,7 +92,7 @@ type tenantObs struct {
 	completions *obs.Counter
 	sloMisses   *obs.Counter
 	e2e         *obs.Histogram
-	nodeLatency map[string]*obs.Histogram
+	nodeLatency []*obs.Histogram
 }
 
 // decision counts one allocation decision; a hints-table miss is the
@@ -102,11 +105,12 @@ func (t *tenantObs) decision(hit bool) {
 }
 
 // observeNode records one executed node's latency into the tenant's
-// per-function histogram, registering the handle on first use.
-func (t *tenantObs) observeNode(fn string, latency time.Duration) {
+// histogram for its function (cluster index fn, named name), registering
+// the handle on first use.
+func (t *tenantObs) observeNode(fn int, name string, latency time.Duration) {
 	h := t.nodeLatency[fn]
 	if h == nil {
-		h = t.reg.Histogram("janus_node_latency_ms", latencyBucketsMs, "function", fn, "tenant", t.name)
+		h = t.reg.Histogram("janus_node_latency_ms", latencyBucketsMs, "function", name, "tenant", t.name)
 		t.nodeLatency[fn] = h
 	}
 	h.Observe(latency.Milliseconds())
@@ -122,7 +126,7 @@ func reqEvent(rs *reqState, at time.Duration, kind obs.Kind) obs.Event {
 // the tenant's completion metrics — finishRequest's observability half.
 // Callers guard with `st.tracer != nil || rs.tn.om != nil`.
 func (st *runState) observeComplete(rs *reqState, end time.Duration) {
-	e2e, slo := rs.acc.E2E, rs.acc.SLO
+	e2e, slo := rs.tr.E2E, rs.tr.SLO
 	if st.tracer != nil {
 		ev := reqEvent(rs, end, obs.KindComplete)
 		ev.Value = int64(e2e)

@@ -1,9 +1,6 @@
 package platform
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkParkWake measures the indexed wake cycle at fleet depth: a
 // park queue thousands deep across several functions with mixed
@@ -27,13 +24,9 @@ func BenchmarkParkWake(b *testing.B) {
 	const fns = 8
 	const depth = 4096
 	var px parkIndex
-	px.init()
-	for s := 0; s < fns; s++ {
-		px.slotOf(fmt.Sprintf("f%d", s))
-	}
+	px.init(fns)
 	for i := 0; i < depth; i++ {
-		slot := i % fns
-		px.park(slot, parkedNode{group: int32(i), mc: int32(100 * (1 + (i*7)%40)), fn: px.fns[slot]})
+		px.park(i%fns, parkedNode{group: int32(i), mc: int32(100 * (1 + (i*7)%40))})
 	}
 	thr := &benchThresholds{thr: make([]int, fns)}
 	woken := make([]parkedNode, 0, depth)

@@ -143,14 +143,17 @@ func (r *refPark) wake() (woken []int32, attempts int) {
 
 // idxPark drives the real parkIndex through the same oracles, mirroring
 // runState.wake's cursor loop (take, then restore on a failed acquire).
+// slots numbers functions in first-park order, as the reference does, so
+// both sides ask the threshold oracle about the same slots.
 type idxPark struct {
 	world *parkWorld
 	px    parkIndex
+	slots map[string]int
 }
 
-func newIdxPark(world *parkWorld) *idxPark {
-	p := &idxPark{world: world}
-	p.px.init()
+func newIdxPark(world *parkWorld, fns int) *idxPark {
+	p := &idxPark{world: world, slots: make(map[string]int)}
+	p.px.init(fns)
 	return p
 }
 
@@ -163,8 +166,13 @@ func (p *idxPark) threshold(slot int) int {
 }
 
 func (p *idxPark) park(fn string, id int32, mc int32) {
+	s, ok := p.slots[fn]
+	if !ok {
+		s = len(p.slots)
+		p.slots[fn] = s
+	}
 	// group carries the entry id: the index never interprets it.
-	p.px.park(p.px.slotOf(fn), parkedNode{group: id, mc: mc, fn: fn})
+	p.px.park(s, parkedNode{group: id, mc: mc})
 }
 
 func (p *idxPark) wake() (woken []int32, attempts int) {
@@ -288,7 +296,7 @@ func parkDiff(t *testing.T, seed int64, steps int) {
 	refWorld := &parkWorld{seed: uint64(seed) * 0x9e3779b97f4a7c15, maxThr: 2000}
 	idxWorld := &parkWorld{seed: refWorld.seed, maxThr: refWorld.maxThr}
 	ref := newRefPark(refWorld)
-	idx := newIdxPark(idxWorld)
+	idx := newIdxPark(idxWorld, len(fns))
 	r := rand.New(rand.NewSource(seed))
 	nextID := int32(0)
 	for step := 0; step < steps; step++ {

@@ -35,7 +35,7 @@ func FuzzParkIndex(f *testing.F) {
 		refWorld := &parkWorld{seed: mix64(uint64(tape[0]) + 1), maxThr: 2000}
 		idxWorld := &parkWorld{seed: refWorld.seed, maxThr: refWorld.maxThr}
 		ref := newRefPark(refWorld)
-		idx := newIdxPark(idxWorld)
+		idx := newIdxPark(idxWorld, len(fns))
 		nextID := int32(0)
 		for pos := 1; pos+1 < len(tape); pos += 2 {
 			op, arg := tape[pos], tape[pos+1]

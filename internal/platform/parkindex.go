@@ -19,9 +19,10 @@ import "math"
 const parkSentinel = int32(math.MaxInt32)
 
 // parkThresholds supplies the per-slot acquire threshold a wake step
-// gates on. The serving plane's runState implements it with a cache
-// invalidated by the cluster's mutation generation; the differential
-// and fuzz harnesses implement it with a model.
+// gates on. A slot is a function's cluster index. The serving plane's
+// runState implements it with a cache invalidated by the cluster's
+// mutation generation; the differential and fuzz harnesses implement it
+// with a model.
 type parkThresholds interface {
 	threshold(slot int) int
 }
@@ -205,12 +206,10 @@ func (q *parkQueue) grow() {
 }
 
 // parkIndex is the run-wide park structure: one parkQueue per function
-// (dense slots assigned on first park), a global arrival sequence that
+// (slot = the function's cluster index), a global arrival sequence that
 // totally orders parks across functions, and the live count the
 // starvation report uses.
 type parkIndex struct {
-	slots  map[string]int32
-	fns    []string
 	queues []parkQueue
 	// seq is the next global arrival sequence; entries parked at or
 	// after a scan's start (seq >= the scan's limit snapshot) are
@@ -219,20 +218,9 @@ type parkIndex struct {
 	live int
 }
 
-func (px *parkIndex) init() {
-	px.slots = make(map[string]int32)
-}
-
-// slotOf returns fn's dense slot, assigning one on first park.
-func (px *parkIndex) slotOf(fn string) int {
-	if s, ok := px.slots[fn]; ok {
-		return int(s)
-	}
-	s := len(px.queues)
-	px.slots[fn] = int32(s)
-	px.fns = append(px.fns, fn)
-	px.queues = append(px.queues, parkQueue{})
-	return s
+// init sizes the index at one empty queue per function.
+func (px *parkIndex) init(fns int) {
+	px.queues = make([]parkQueue, fns)
 }
 
 // park enqueues a fresh park at the global tail of its function's

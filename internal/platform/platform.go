@@ -40,6 +40,7 @@ package platform
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -648,31 +649,41 @@ type MemoizableAllocator interface {
 	RecordCached(group int, remaining time.Duration, epoch int64, hit bool)
 }
 
-// memoKey buckets allocation decisions: workflow and group identify the
-// hints table, budgetMs the millisecond bucket Lookup floors to.
-type memoKey struct {
-	wf       *workflow.Workflow
-	group    int
-	budgetMs int64
-}
+// memoCapMs caps a memo row: a row covers the millisecond budgets
+// [0, min(SLO, memoCapMs)], so a huge spec SLO costs at most 2^16+1
+// entries per decision group rather than gigabytes. Budgets past the cap
+// go to the allocator, like negative ones.
+const memoCapMs = 1 << 16
 
-type memoVal struct {
-	mc  int
-	hit bool
+// memoEntry is one memoized decision in a dense memo row: the allocation,
+// negated for a hints-table miss (decide accepts only (0, MaxInt32], so
+// the sign is free and int32 holds every accepted value), and the
+// tenant's memo generation when it was stored. An entry whose gen is not
+// the current generation is empty.
+type memoEntry struct {
+	gen uint32
+	mc  int32
 }
 
 // tenantRun is one tenant's in-flight serving state.
 type tenantRun struct {
-	name   string
-	alloc  Allocator
+	name  string
+	alloc Allocator
+	// traces holds one trace per request, indexed by request ID; each
+	// request accumulates into its slot in place.
 	traces []Trace
 	done   int
-	// memoable/memo/memoEpoch cache decisions of a MemoizableAllocator;
-	// memo is nil for allocators without the contract. Single-goroutine,
-	// like everything reached from the event loop.
+	// memoable/memo cache decisions of a MemoizableAllocator; memo is nil
+	// for allocators without the contract. memo[plan.memoBase+group] is
+	// the dense row of one (plan, group), indexed by the millisecond
+	// budget and allocated at the group's first memoized decision.
+	// memoGen stamps the entries stored in the allocator's current epoch
+	// memoEpoch, so moving to a new epoch empties every row at once.
+	// Single-goroutine, like everything reached from the event loop.
 	memoable  MemoizableAllocator
-	memo      map[memoKey]memoVal
+	memo      [][]memoEntry
 	memoEpoch int64
+	memoGen   uint32
 	// om holds the tenant's pre-registered metric handles; nil when no
 	// registry is attached (obs.go).
 	om *tenantObs
@@ -685,15 +696,21 @@ type runState struct {
 	tenants []*tenantRun
 	stream  *rng.Stream
 	// plans caches the readiness structure per workflow: requests of one
-	// workload share one plan.
-	plans map[*workflow.Workflow]*dagPlan
+	// workload share one plan. memoRows counts the decision groups of
+	// every plan, the length of a tenant's memo.
+	plans    map[*workflow.Workflow]*dagPlan
+	memoRows int
+	// fns counts the functions the run deployed: the length of every
+	// array keyed by cluster function index.
+	fns int
 	// done counts requests whose last node finished, across all tenants;
 	// RunMixed compares it to the merged request count so starved requests
 	// surface as an error instead of draining out as zero-value traces.
 	done  int
 	total int
 	// park holds node acquisitions blocked on pod capacity, bucketed
-	// per function under min-millicore segment trees (parkindex.go).
+	// per function — one queue per cluster function index — under
+	// min-millicore segment trees (parkindex.go).
 	// Capacity freed by any release can unblock any tenant's waiter (a
 	// node hosts pods of every function), so the global arrival
 	// sequence totally orders parks across functions — which is exactly
@@ -702,9 +719,10 @@ type runState struct {
 	// instead of copying the queue: at fleet scale it used to run
 	// thousands deep through a burst, an O(parked) scan per release.
 	park parkIndex
-	// thr caches per-slot acquire thresholds so a wake gates functions
-	// on flat-array integer compares instead of recomputing per probe.
-	// thrGen[slot] == cluster.Gen() marks thr[slot] as current: the
+	// thr caches per-function acquire thresholds, indexed by the
+	// cluster's function index, so a wake gates functions on flat-array
+	// integer compares instead of recomputing per probe.
+	// thrGen[fn] == cluster.Gen() marks thr[fn] as current: the
 	// cluster bumps its generation on every mutation that can move any
 	// threshold (and on nothing else — a failed Acquire mutates
 	// nothing), so an unchanged generation proves the cache exact.
@@ -750,83 +768,152 @@ type runState struct {
 // for static workflows. The park index stores these records in
 // per-function arrays at fleet depth, so the layout is deliberately
 // narrow: int32 covers every field's range (group/member/slot are
-// dense small indexes, replica < MaxMapWidth, millicores < 2^31) and
-// keeps the record at 48 bytes — smaller than the pre-dynamic
-// int-field layout even with the replica field added.
+// dense small indexes, replica < MaxMapWidth, and decide rejects
+// allocations past MaxInt32) and keeps the record at 32 bytes.
 type parkedNode struct {
 	rs      *reqState
-	fn      string
 	group   int32
 	member  int32
 	replica int32
 	mc      int32
-	slot    int32 // dense function index for wake's threshold cache
+	slot    int32 // the cluster function index: park queue and threshold slot
 	hit     bool
 }
 
 // dagPlan is the precomputed readiness structure of one workflow DAG: how
 // many predecessor nodes gate each decision group and which groups each
-// node's completion advances. It is derived once per workflow and shared
-// by every request (and tenant) serving it.
+// node's completion advances. It is derived once per workflow per run,
+// bound to the run's cluster and function catalog, and shared by every
+// request (and tenant) serving it.
 type dagPlan struct {
 	groups [][]workflow.Node
 	// predCount[g] is the number of distinct predecessor nodes of group g;
 	// the group becomes ready when that many completions have arrived.
 	predCount []int
-	// dependents maps a step name to the groups (ascending) whose
-	// predecessor set contains it.
-	dependents map[string][]int
+	// base[g] is the flat index of group g's first member: nodes are
+	// numbered group by group, flat = base[g] + member. Flat order is
+	// topological: a group's predecessors all sit in earlier groups.
+	base []int
+	// node holds each node's serving data by flat index.
+	node []planNode
 	// nodes is the total node count; a request completes when that many
 	// nodes have finished (dead nodes — pruned by an upstream choice —
 	// count as finished at the instant their death is determined).
 	nodes int
+	// memoBase is the index of the plan's group 0 in a tenant's memo;
+	// memoMs is the largest millisecond budget its memo rows cover.
+	memoBase int
+	memoMs   int
 	// dyn is the dynamic-shape overlay (liveness edges, annotations,
 	// choice targets); nil for static workflows, whose requests never
 	// consult it.
 	dyn *dynPlan
 }
 
+// planNode is one node's serving data, filled once per run so a launch
+// or completion reads flat arrays instead of keying maps by name.
+type planNode struct {
+	// fn is the node's function index in the run's cluster: its warm
+	// pool, park queue, threshold slot and window counters.
+	fn int
+	// model is the node's latency model from the executor's catalog.
+	model *perfmodel.Function
+	// deps lists the groups (ascending) whose predecessor set contains
+	// the node; every node's list is a sub-slice of one per-plan array.
+	deps []int
+}
+
 func newDAGPlan(w *workflow.Workflow) *dagPlan {
 	decision := w.DecisionGroups()
 	p := &dagPlan{
-		groups:     make([][]workflow.Node, len(decision)),
-		predCount:  make([]int, len(decision)),
-		dependents: make(map[string][]int),
+		groups:    make([][]workflow.Node, len(decision)),
+		predCount: make([]int, len(decision)),
+		base:      make([]int, len(decision)),
+		memoMs:    int(min(w.SLO()/time.Millisecond, memoCapMs)),
 	}
+	flat := make(map[string]int)
+	preds := 0
 	for g, grp := range decision {
 		p.groups[g] = grp.Nodes
 		p.predCount[g] = len(grp.Preds)
-		p.nodes += len(grp.Nodes)
+		p.base[g] = p.nodes
+		for _, n := range grp.Nodes {
+			flat[n.Name] = p.nodes
+			p.nodes++
+		}
+		preds += len(grp.Preds)
+	}
+	// Carve each node's dependents from one array: count them per node,
+	// then append groups in ascending order into exact-capacity windows.
+	p.node = make([]planNode, p.nodes)
+	off := make([]int, p.nodes+1)
+	for _, grp := range decision {
 		for _, pred := range grp.Preds {
-			p.dependents[pred] = append(p.dependents[pred], g)
+			off[flat[pred]+1]++
+		}
+	}
+	deps := make([]int, preds)
+	for f := range p.node {
+		off[f+1] += off[f]
+		p.node[f].deps = deps[off[f]:off[f]:off[f+1]]
+	}
+	for g, grp := range decision {
+		for _, pred := range grp.Preds {
+			nd := &p.node[flat[pred]]
+			nd.deps = append(nd.deps, g)
 		}
 	}
 	if w.IsDynamic() {
-		p.dyn = newDynPlan(w, p)
+		p.dyn = newDynPlan(w, p, flat)
 	}
 	return p
 }
 
-func (st *runState) planFor(w *workflow.Workflow) *dagPlan {
-	p, ok := st.plans[w]
-	if !ok {
-		p = newDAGPlan(w)
-		st.plans[w] = p
+// planFor returns the plan of r's workflow, building it at the
+// workflow's first request: every node is bound to its latency model and
+// cluster function index, deploying functions in first-use order — the
+// union of every tenant's functions deployed once, so tenants running
+// the same function share its warm pool and co-location census.
+func (st *runState) planFor(tenant string, r *Request) (*dagPlan, error) {
+	if p, ok := st.plans[r.Workflow]; ok {
+		return p, nil
 	}
-	return p
+	p := newDAGPlan(r.Workflow)
+	for g, group := range p.groups {
+		for b, n := range group {
+			model, ok := st.ex.fns[n.Function]
+			if !ok {
+				return nil, fmt.Errorf("platform: tenant %q request %d references unknown function %q", tenant, r.ID, n.Function)
+			}
+			fn, ok := st.cluster.Index(n.Function)
+			if !ok {
+				if err := st.cluster.Deploy(n.Function); err != nil {
+					return nil, err
+				}
+				fn, _ = st.cluster.Index(n.Function)
+			}
+			nd := &p.node[p.base[g]+b]
+			nd.fn, nd.model = fn, model
+			st.fns = max(st.fns, fn+1)
+		}
+	}
+	p.memoBase = st.memoRows
+	st.memoRows += len(p.groups)
+	st.plans[r.Workflow] = p
+	return p, nil
 }
 
-// reqState is one in-flight request: its trace accumulator plus the
-// per-group readiness countdowns. States live in the run's arena; the
-// trace accumulator is a value (copied out on completion) and pending /
-// acc.Stages are arena sub-slices sized exactly by the request's plan
-// (and, for a dynamic request, its resolution's live executions), so
-// serving a request allocates nothing beyond its scheduled events.
+// reqState is one in-flight request: its trace plus the per-group
+// readiness countdowns. States live in the run's arena; the trace is the
+// request's slot in its tenant's traces, accumulated in place, and
+// pending / tr.Stages are arena sub-slices sized exactly by the request's
+// plan (and, for a dynamic request, its resolution's live executions),
+// so serving a request allocates nothing beyond its scheduled events.
 type reqState struct {
 	tn   *tenantRun
 	r    *Request
 	plan *dagPlan
-	acc  Trace
+	tr   *Trace
 	// pending[g] counts the group's unfinished predecessor nodes; the
 	// group starts when it reaches zero. A dead node (pruned by an
 	// upstream choice) counts as finished the instant its death is
@@ -934,21 +1021,21 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	if e.cfg.Metrics != nil {
 		st.om = newRunObs(e.cfg.Metrics)
 	}
-	st.park.init()
 	// Validate every request against the plan the engine will actually
 	// execute — the workflow-derived decision groups, not the request's
-	// cached copy — and deploy the union of every tenant's functions
-	// once: tenants running the same function share its warm pool and
-	// co-location census. The same pass sizes the run's arenas: the total
+	// cached copy — building and binding each workflow's plan at its first
+	// request (planFor). The same pass sizes the run's arenas: the total
 	// readiness countdowns, executed-node traces — every node of a static
 	// request, the live executions its resolution implies for a dynamic
 	// one — and dynamic overlays across all requests.
-	deployed := map[string]bool{}
 	totalPending, totalStages := 0, 0
 	dynReqs, dynNodes, dynAttempts := 0, 0, 0
 	for _, tw := range tenants {
 		for _, r := range tw.Requests {
-			plan := st.planFor(r.Workflow)
+			plan, err := st.planFor(tw.Tenant, r)
+			if err != nil {
+				return nil, err
+			}
 			totalPending += len(plan.predCount)
 			if len(r.Groups) != len(plan.groups) || len(r.Draws) != len(plan.groups) {
 				return nil, fmt.Errorf("platform: tenant %q request %d carries %d groups / %d draw rows, workflow %s has %d decision groups",
@@ -958,17 +1045,6 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 				if len(r.Groups[g]) != len(group) || len(r.Draws[g]) != len(group) {
 					return nil, fmt.Errorf("platform: tenant %q request %d group %d carries %d members / %d draws, workflow %s has %d",
 						tw.Tenant, r.ID, g, len(r.Groups[g]), len(r.Draws[g]), r.Workflow.Name(), len(group))
-				}
-				for _, n := range group {
-					if _, ok := e.fns[n.Function]; !ok {
-						return nil, fmt.Errorf("platform: tenant %q request %d references unknown function %q", tw.Tenant, r.ID, n.Function)
-					}
-					if !deployed[n.Function] {
-						if err := cl.Deploy(n.Function); err != nil {
-							return nil, err
-						}
-						deployed[n.Function] = true
-					}
 				}
 			}
 			if plan.dyn == nil {
@@ -984,6 +1060,8 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			dynAttempts += len(r.Dyn.attempts)
 		}
 	}
+	st.park.init(st.fns)
+	st.thr, st.thrGen = make([]int, st.fns), make([]uint64, st.fns)
 	// Every request's in-flight state is fully initialized here out of
 	// run-wide arenas (states, countdowns, stage traces, and the dynamic
 	// overlays); admission merely arms the root groups.
@@ -1001,12 +1079,13 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	for _, tw := range tenants {
 		tn := &tenantRun{name: tw.Tenant, alloc: tw.Allocator, traces: make([]Trace, len(tw.Requests))}
 		if st.om != nil {
-			tn.om = st.om.tenant(tw.Tenant)
+			tn.om = st.om.tenant(tw.Tenant, st.fns)
 		}
 		if m, ok := tw.Allocator.(MemoizableAllocator); ok {
 			tn.memoable = m
-			tn.memo = make(map[memoKey]memoVal)
+			tn.memo = make([][]memoEntry, st.memoRows)
 			tn.memoEpoch = m.AllocEpoch()
+			tn.memoGen = 1 // zero-valued entries are empty
 		}
 		st.tenants = append(st.tenants, tn)
 		var byID []*reqState
@@ -1015,7 +1094,7 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			byTenant[tw.Tenant] = byID
 		}
 		for _, r := range tw.Requests {
-			plan := st.planFor(r.Workflow)
+			plan := st.plans[r.Workflow]
 			rs := &st.reqStates[ri]
 			ri++
 			rs.tn, rs.r, rs.plan = tn, r, plan
@@ -1039,7 +1118,8 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 				rs.dyn.attempt = attemptArena[ao : ao+na : ao+na]
 				ao += na
 			}
-			rs.acc = Trace{
+			rs.tr = &tn.traces[r.ID]
+			*rs.tr = Trace{
 				RequestID: r.ID,
 				Tenant:    tn.name,
 				System:    tn.alloc.Name(),
@@ -1212,7 +1292,7 @@ func (st *runState) triggerNext(now time.Duration) {
 // at the fire instant, not the (unused) Arrival it was generated with.
 func (st *runState) startRequestAt(rs *reqState, now time.Duration) {
 	rs.arrival = now
-	rs.acc.Arrival = now
+	rs.tr.Arrival = now
 	if st.tracer != nil {
 		ev := reqEvent(rs, now, obs.KindTrigger)
 		ev.Reason = "start"
@@ -1312,7 +1392,8 @@ func (st *runState) launchGroup(rs *reqState, group int) {
 // splits it over the cone's critical path, so no further scaling is
 // applied at decision time. Static decisions go through the tenant's
 // memo; dynamic ones reveal the group's resolved shape instead
-// (allocateDyn). A non-positive allocation fails the run.
+// (allocateDyn). An allocation outside (0, MaxInt32] fails the run: the
+// park record and the memo hold allocations in 32 bits.
 func (st *runState) decide(rs *reqState, group int, now time.Duration) (int, bool) {
 	remaining := rs.r.Workflow.SLO() - (now - rs.arrival)
 	var mc int
@@ -1322,13 +1403,13 @@ func (st *runState) decide(rs *reqState, group int, now time.Duration) (int, boo
 	} else {
 		mc, hit = st.allocateDyn(rs, group, remaining)
 	}
-	if mc <= 0 {
-		st.fail(fmt.Errorf("platform: allocator %s returned non-positive allocation %d", rs.tn.alloc.Name(), mc))
+	if mc <= 0 || mc > math.MaxInt32 {
+		st.fail(fmt.Errorf("platform: allocator %s returned allocation %d outside (0, %d]", rs.tn.alloc.Name(), mc, math.MaxInt32))
 		return 0, false
 	}
-	rs.acc.Decisions++
+	rs.tr.Decisions++
 	if !hit {
-		rs.acc.Misses++
+		rs.tr.Misses++
 	}
 	if st.tracer != nil {
 		ev := reqEvent(rs, now, obs.KindDecision)
@@ -1351,25 +1432,43 @@ func (st *runState) decide(rs *reqState, group int, now time.Duration) (int, boo
 // allocator declared itself memoizable. Cache hits replay the allocator's
 // recording side effects through RecordCached with the true remaining
 // budget, so stats, epoch windows, and regeneration instants match the
-// unmemoized run exactly; the memo is cleared whenever the allocator's
-// epoch moves (a hot-swapped bundle decides differently).
+// unmemoized run exactly; the memo empties whenever the allocator's
+// epoch moves (a hot-swapped bundle decides differently). Budgets outside
+// the group's row — negative ones, and any past the row's cap — go
+// straight to the allocator, which is always what the memo stands in for.
 func (st *runState) allocate(rs *reqState, group int, remaining time.Duration) (int, bool) {
 	tn := rs.tn
 	if tn.memo == nil {
 		return tn.alloc.Allocate(rs.r, group, remaining)
 	}
-	ep := tn.memoable.AllocEpoch()
-	if ep != tn.memoEpoch {
-		clear(tn.memo)
+	if ep := tn.memoable.AllocEpoch(); ep != tn.memoEpoch {
 		tn.memoEpoch = ep
+		tn.memoGen++ // a run would need 2^32 epochs to wrap
 	}
-	k := memoKey{wf: rs.r.Workflow, group: group, budgetMs: int64(remaining / time.Millisecond)}
-	if v, ok := tn.memo[k]; ok {
-		tn.memoable.RecordCached(group, remaining, ep, v.hit)
-		return v.mc, v.hit
+	ms := int(remaining / time.Millisecond)
+	if remaining < 0 || ms > rs.plan.memoMs {
+		return tn.alloc.Allocate(rs.r, group, remaining)
 	}
+	row := tn.memo[rs.plan.memoBase+group]
+	if row == nil {
+		row = make([]memoEntry, rs.plan.memoMs+1)
+		tn.memo[rs.plan.memoBase+group] = row
+	}
+	if e := row[ms]; e.gen == tn.memoGen {
+		mc, hit := int(e.mc), e.mc > 0
+		if !hit {
+			mc = -mc
+		}
+		tn.memoable.RecordCached(group, remaining, tn.memoEpoch, hit)
+		return mc, hit
+	}
+	// An allocation outside (0, MaxInt32] does not fit the entry, but
+	// decide fails the run on it before any later decision could read it.
 	mc, hit := tn.alloc.Allocate(rs.r, group, remaining)
-	tn.memo[k] = memoVal{mc: mc, hit: hit}
+	row[ms] = memoEntry{gen: tn.memoGen, mc: int32(mc)}
+	if !hit {
+		row[ms].mc = -row[ms].mc
+	}
 	return mc, hit
 }
 
@@ -1382,7 +1481,7 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 	if st.failed != nil {
 		return
 	}
-	fn := rs.plan.groups[group][member].Function
+	fn := rs.plan.node[rs.plan.base[group]+member].fn
 	pod, cold, err := st.cluster.Acquire(fn, mc)
 	if err != nil {
 		// No capacity right now: park the continuation until a release.
@@ -1396,15 +1495,15 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 			}
 			return
 		}
-		rs.acc.Parked++
+		rs.tr.Parked++
 		if st.window != nil {
 			st.window.queued[fn]++
 		}
-		st.park.park(st.slotOf(fn), parkedNode{rs: rs, group: int32(group), member: int32(member), replica: int32(replica), mc: int32(mc), hit: hit, fn: fn})
+		st.park.park(fn, parkedNode{rs: rs, group: int32(group), member: int32(member), replica: int32(replica), mc: int32(mc), hit: hit})
 		if st.tracer != nil {
 			ev := reqEvent(rs, st.engine.Now(), obs.KindPark)
 			ev.Group, ev.Member, ev.Replica = group, member, replica
-			ev.Function = fn
+			ev.Function = rs.plan.groups[group][member].Function
 			ev.Value = int64(mc)
 			st.tracer.Emit(ev)
 		}
@@ -1429,7 +1528,7 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 		now := st.engine.Now()
 		ev := reqEvent(rs, now, obs.KindAcquire)
 		ev.Group, ev.Member, ev.Replica = group, member, replica
-		ev.Function = fn
+		ev.Function = pod.Function
 		ev.Value = int64(pod.Millicores())
 		ev.Aux = int64(pod.NodeID)
 		ev.Flag = cold
@@ -1437,7 +1536,7 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 		if cold {
 			cs := reqEvent(rs, now, obs.KindColdStart)
 			cs.Group, cs.Member, cs.Replica = group, member, replica
-			cs.Function = fn
+			cs.Function = pod.Function
 			cs.Value = int64(st.ex.cfg.ColdStartup)
 			st.tracer.Emit(cs)
 		}
@@ -1447,7 +1546,7 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 	if rs.dyn != nil {
 		// Map replicas and retry attempts run off their own pre-sampled
 		// draws; other dynamic nodes keep the base draw.
-		if k := rs.plan.dyn.rec[rs.plan.dyn.base[group]+member]; k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
+		if k := rs.plan.dyn.rec[rs.plan.base[group]+member]; k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
 			s := &rs.r.Dyn.steps[k]
 			n.attempt = rs.dyn.attempt[int(s.att)+replica]
 			draw = rs.r.Dyn.replicaDraws(s, replica)[n.attempt]
@@ -1480,7 +1579,7 @@ type completion struct {
 // interference, startup, latency — and schedules its completion on a
 // record from the run's free list.
 func (st *runState) launch(n nodeRun, draw perfmodel.Draw) {
-	fn := st.ex.fns[n.rs.plan.groups[n.group][n.member].Function]
+	fn := n.rs.plan.node[n.rs.plan.base[n.group]+n.member].model
 	if st.ex.cfg.LiveInterference {
 		census := st.cluster.Colocated(n.pod)
 		draw.Slowdown = st.ex.cfg.Interference.Sample(fn.Dimension(), census, st.stream)
@@ -1518,7 +1617,7 @@ func (c *completion) done(end time.Duration) {
 	rs := n.rs
 	node := rs.plan.groups[n.group][n.member]
 	mc := n.pod.Millicores()
-	rs.acc.Stages = append(rs.acc.Stages, StageTrace{
+	rs.tr.Stages = append(rs.tr.Stages, StageTrace{
 		Function:   node.Function,
 		Step:       node.Name,
 		Stage:      n.group,
@@ -1534,7 +1633,7 @@ func (c *completion) done(end time.Duration) {
 		Cold:       n.cold,
 		Hit:        n.hit,
 	})
-	rs.acc.TotalMillicores += mc
+	rs.tr.TotalMillicores += mc
 	if st.tracer != nil {
 		ev := reqEvent(rs, end, obs.KindRelease)
 		ev.Group, ev.Member, ev.Replica = n.group, n.member, n.replica
@@ -1544,7 +1643,7 @@ func (c *completion) done(end time.Duration) {
 		st.tracer.Emit(ev)
 	}
 	if rs.tn.om != nil {
-		rs.tn.om.observeNode(node.Function, n.latency)
+		rs.tn.om.observeNode(rs.plan.node[rs.plan.base[n.group]+n.member].fn, node.Function, n.latency)
 	}
 	if err := st.cluster.Release(n.pod); err != nil {
 		st.fail(err)
@@ -1562,7 +1661,7 @@ func (c *completion) done(end time.Duration) {
 func (st *runState) replicaDone(rs *reqState, group, member, replica int, end time.Duration) {
 	if rs.dyn != nil {
 		dp := rs.plan.dyn
-		flat := dp.base[group] + member
+		flat := rs.plan.base[group] + member
 		k := dp.rec[flat]
 		if k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
 			if i := int(rs.r.Dyn.steps[k].att) + replica; rs.dyn.attempt[i] < rs.r.Dyn.attempts[i] {
@@ -1612,18 +1711,16 @@ func (st *runState) nodeDone(rs *reqState, group, member int, end time.Duration)
 		st.finishRequest(rs, end)
 		return
 	}
-	if rs.dyn != nil {
-		flat := rs.plan.dyn.base[group] + member
-		if rs.dyn.node[flat].dead {
-			for _, next := range rs.plan.dyn.succ[flat] {
-				st.edgeDead(rs, next, end)
-				if st.failed != nil {
-					return
-				}
+	flat := rs.plan.base[group] + member
+	if rs.dyn != nil && rs.dyn.node[flat].dead {
+		for _, next := range rs.plan.dyn.succ[flat] {
+			st.edgeDead(rs, next, end)
+			if st.failed != nil {
+				return
 			}
 		}
 	}
-	for _, dg := range rs.plan.dependents[rs.plan.groups[group][member].Name] {
+	for _, dg := range rs.plan.node[flat].deps {
 		rs.pending[dg]--
 		if rs.pending[dg] == 0 {
 			st.startGroup(rs, dg)
@@ -1634,11 +1731,10 @@ func (st *runState) nodeDone(rs *reqState, group, member int, end time.Duration)
 	}
 }
 
-// finishRequest records a request's trace once its last node finished.
+// finishRequest completes a request's trace once its last node finished.
 func (st *runState) finishRequest(rs *reqState, end time.Duration) {
-	rs.acc.Done = end
-	rs.acc.E2E = end - rs.arrival
-	rs.tn.traces[rs.r.ID] = rs.acc
+	rs.tr.Done = end
+	rs.tr.E2E = end - rs.arrival
 	rs.tn.done++
 	st.done++
 	if st.tracer != nil || rs.tn.om != nil {
@@ -1646,27 +1742,16 @@ func (st *runState) finishRequest(rs *reqState, end time.Duration) {
 	}
 }
 
-// slotOf returns fn's dense park slot, assigning one on first park and
-// growing the threshold cache in lockstep with the index's queues.
-func (st *runState) slotOf(fn string) int {
-	s := st.park.slotOf(fn)
-	for len(st.thr) < len(st.park.queues) {
-		st.thr = append(st.thr, 0)
-		st.thrGen = append(st.thrGen, 0)
+// threshold reports function fn's current acquire threshold,
+// recomputing only when the cluster's mutation generation has moved since
+// the cached read. Generations start at 1 (Deploy bumps), so the zero
+// cache is always stale.
+func (st *runState) threshold(fn int) int {
+	if g := st.cluster.Gen(); st.thrGen[fn] != g {
+		st.thr[fn] = st.cluster.AcquireThreshold(fn)
+		st.thrGen[fn] = g
 	}
-	return s
-}
-
-// threshold reports slot's current acquire threshold, recomputing only
-// when the cluster's mutation generation has moved since the cached
-// read. Generations start at 1 (Deploy bumps), so the zero cache is
-// always stale.
-func (st *runState) threshold(slot int) int {
-	if g := st.cluster.Gen(); st.thrGen[slot] != g {
-		st.thr[slot] = st.cluster.AcquireThreshold(st.park.fns[slot])
-		st.thrGen[slot] = g
-	}
-	return st.thr[slot]
+	return st.thr[fn]
 }
 
 // wake re-admits parked acquisitions in FIFO order; those that still
@@ -1706,7 +1791,7 @@ func (st *runState) wake() {
 		if st.tracer != nil {
 			ev := reqEvent(p.rs, st.engine.Now(), obs.KindWake)
 			ev.Group, ev.Member, ev.Replica = int(p.group), int(p.member), int(p.replica)
-			ev.Function = p.fn
+			ev.Function = p.rs.plan.groups[p.group][p.member].Function
 			ev.Value = int64(p.mc)
 			st.tracer.Emit(ev)
 		}

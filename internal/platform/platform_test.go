@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -313,6 +314,22 @@ func TestNonPositiveAllocationFailsRun(t *testing.T) {
 	e := defaultExecutor(t)
 	if _, err := e.Run(iaWorkload(t, 3), badAllocator{}); err == nil {
 		t.Fatal("allocator returning 0 millicores should fail the run")
+	}
+}
+
+// TestAllocationPastInt32FailsRun sizes one tenant's groups above
+// MaxInt32 millicores next to a tenant that fills the node, so the
+// oversized acquisitions park. A park record holds 32 bits, and a wake
+// would retry at the value's low bits (1000 mc here): decide must fail
+// the run instead, naming the allocator.
+func TestAllocationPastInt32FailsRun(t *testing.T) {
+	huge := 1<<32 + 1000
+	_, err := defaultExecutor(t).RunMixed([]TenantWorkload{
+		{Tenant: "a", Requests: iaWorkload(t, 50), Allocator: &Fixed{System: "fills", Sizes: []int{20000, 20000, 20000}}},
+		{Tenant: "b", Requests: iaWorkload(t, 5), Allocator: &Fixed{System: "huge", Sizes: []int{huge, huge, huge}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "huge") {
+		t.Fatalf("allocation of %d mc: err = %v, want a run failure naming allocator huge", huge, err)
 	}
 }
 
@@ -816,7 +833,7 @@ func TestSeriesParallelColdStartsAndParkingDeterministic(t *testing.T) {
 // functions: pre fans out to detect and classify, detect additionally
 // feeds ocr, and fuse joins all three (in-degree 3). Decision groups:
 // [pre] [detect, classify] [ocr] [fuse].
-func crossDAG(t *testing.T) *workflow.Workflow {
+func crossDAG(t testing.TB) *workflow.Workflow {
 	t.Helper()
 	nodes := []workflow.Node{
 		{Name: "pre", Function: "fe"},

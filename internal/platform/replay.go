@@ -100,22 +100,36 @@ type ReplayMetrics struct {
 }
 
 // replayWindow accumulates per-function observations between control
-// ticks. queued is a live gauge (incremented when an acquisition parks,
-// decremented when it finally lands); cold and acquires are window
-// counters reset at each tick.
+// ticks, indexed by cluster function index. queued is a live gauge
+// (incremented when an acquisition parks, decremented when it finally
+// lands); cold and acquires are window counters reset at each tick.
 type replayWindow struct {
-	queued   map[string]int
-	cold     map[string]int
-	acquires map[string]int
-	// fns and stats are the snapshot's reusable buffers: the deployed
-	// function set is fixed once serving starts, so each control tick
-	// refills the same slice instead of rebuilding it.
+	queued   []int
+	cold     []int
+	acquires []int
+	// fns lists the deployed functions sorted by name and idx their
+	// cluster indexes; stats is the snapshot's reusable buffer. The
+	// deployed function set is fixed once serving starts, so each
+	// control tick refills the same slice instead of rebuilding it.
 	fns   []string
+	idx   []int
 	stats []ReplayFunctionStats
 }
 
-func newReplayWindow() *replayWindow {
-	return &replayWindow{queued: map[string]int{}, cold: map[string]int{}, acquires: map[string]int{}}
+func newReplayWindow(cl *cluster.Cluster) *replayWindow {
+	fns := cl.Functions()
+	w := &replayWindow{
+		queued:   make([]int, len(fns)),
+		cold:     make([]int, len(fns)),
+		acquires: make([]int, len(fns)),
+		fns:      fns,
+		idx:      make([]int, len(fns)),
+		stats:    make([]ReplayFunctionStats, len(fns)),
+	}
+	for i, fn := range fns {
+		w.idx[i], _ = cl.Index(fn)
+	}
+	return w
 }
 
 func (w *replayWindow) reset() {
@@ -127,20 +141,17 @@ func (w *replayWindow) reset() {
 // function name so controllers see a deterministic order. The returned
 // slice is reused by the next tick; controllers must not retain it.
 func (w *replayWindow) snapshot(cl *cluster.Cluster) []ReplayFunctionStats {
-	if w.fns == nil {
-		w.fns = cl.Functions()
-		w.stats = make([]ReplayFunctionStats, len(w.fns))
-	}
 	for i, fn := range w.fns {
 		target, _ := cl.PoolTarget(fn)
+		x := w.idx[i]
 		w.stats[i] = ReplayFunctionStats{
 			Function:   fn,
 			Busy:       cl.BusyPods(fn),
 			Warm:       cl.WarmPods(fn),
 			Target:     target,
-			Queued:     w.queued[fn],
-			ColdStarts: w.cold[fn],
-			Acquires:   w.acquires[fn],
+			Queued:     w.queued[x],
+			ColdStarts: w.cold[x],
+			Acquires:   w.acquires[x],
 		}
 	}
 	return w.stats
@@ -166,11 +177,11 @@ func (e *Executor) RunReplay(tenants []TenantWorkload, cfg ReplayConfig) (map[st
 	if err != nil {
 		return nil, nil, err
 	}
-	st.window = newReplayWindow()
+	st.window = newReplayWindow(st.cluster)
 	metrics := &ReplayMetrics{}
-	// inflight counts scale-up pods being built per function, so a slow
-	// cold start is not double-ordered by the next tick.
-	inflight := map[string]int{}
+	// inflight counts scale-up pods being built per function (by cluster
+	// index), so a slow cold start is not double-ordered by the next tick.
+	inflight := make([]int, st.fns)
 	var tick func(now time.Duration)
 	tick = func(now time.Duration) {
 		if st.failed != nil {
@@ -184,12 +195,12 @@ func (e *Executor) RunReplay(tenants []TenantWorkload, cfg ReplayConfig) (map[st
 		metrics.PodSeconds += float64(pods) * cfg.Interval.Seconds()
 		stats := st.window.snapshot(st.cluster)
 		if st.om != nil {
-			st.om.observePools(stats)
+			st.om.observePools(stats, st.window.idx)
 		}
 		shedAny := false
 		if cfg.Controller != nil {
 			targets := cfg.Controller.Targets(now, stats)
-			for _, fs := range stats {
+			for i, fs := range stats {
 				tgt, ok := targets[fs.Function]
 				if !ok || tgt < 0 || tgt == fs.Target {
 					continue
@@ -203,7 +214,7 @@ func (e *Executor) RunReplay(tenants []TenantWorkload, cfg ReplayConfig) (map[st
 						Function: fs.Function, Value: int64(tgt), Aux: int64(fs.Target)})
 				}
 				if tgt > fs.Target {
-					st.orderWarmPods(fs.Function, tgt, inflight)
+					st.orderWarmPods(fs.Function, st.window.idx[i], tgt, inflight)
 				} else {
 					shed := false
 					for st.cluster.WarmPods(fs.Function) > tgt {
@@ -268,13 +279,13 @@ func (e *Executor) RunReplay(tenants []TenantWorkload, cfg ReplayConfig) (map[st
 // steady (re-ordering idle pods against a full cluster would spend the
 // capacity the running work is queued on): the pool refills through
 // Release as busy pods return, and the next target movement re-orders
-// whatever deficit remains.
-func (st *runState) orderWarmPods(fn string, target int, inflight map[string]int) {
-	deficit := target - st.cluster.WarmPods(fn) - inflight[fn]
+// whatever deficit remains. idx is fn's cluster index.
+func (st *runState) orderWarmPods(fn string, idx, target int, inflight []int) {
+	deficit := target - st.cluster.WarmPods(fn) - inflight[idx]
 	for i := 0; i < deficit; i++ {
-		inflight[fn]++
+		inflight[idx]++
 		st.engine.Schedule(st.ex.cfg.ColdStartup, func(time.Duration) {
-			inflight[fn]--
+			inflight[idx]--
 			if st.failed != nil {
 				return
 			}

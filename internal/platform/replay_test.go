@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"janus/internal/cluster"
 	"janus/internal/interfere"
 	"janus/internal/perfmodel"
 	"janus/internal/workflow"
@@ -259,5 +260,65 @@ func TestRunReplayStarvationErrors(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("starved replay hung instead of erroring")
+	}
+}
+
+// demandController retargets every pool at each tick to half its busy
+// pods plus its parked acquisitions, clamped to [1, 8], so targets move
+// both ways and pods are built and shed through the run.
+type demandController struct{}
+
+func (demandController) Name() string { return "demand" }
+
+func (demandController) Targets(_ time.Duration, stats []ReplayFunctionStats) map[string]int {
+	out := make(map[string]int, len(stats))
+	for _, fs := range stats {
+		out[fs.Function] = min(max(fs.Busy/2+fs.Queued, 1), 8)
+	}
+	return out
+}
+
+// BenchmarkReplayServing times the static replay path end to end: one
+// RunReplay of 3000 requests — 1000 each of ia, va and the cross-edge
+// DAG, one tenant per workflow — on 8 nodes under demandController,
+// every decision made by a memoizable stepAllocator, so the decision
+// memo, the replay window and the pool controller all run. The requests
+// are built once, outside the timer; every iteration serves them on a
+// fresh run with fresh allocators.
+func BenchmarkReplayServing(b *testing.B) {
+	coloc, err := interfere.NewCountSampler([]float64{0.5, 0.35, 0.15})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := []string{"ia", "va", "dag"}
+	workflows := []*workflow.Workflow{workflow.IntelligentAssistant(), workflow.VideoAnalyze(), crossDAG(b)}
+	reqs := make([][]*Request, len(workflows))
+	for i, w := range workflows {
+		reqs[i], err = GenerateWorkload(WorkloadConfig{
+			Workflow: w, Functions: perfmodel.Catalog(), N: 1000, Batch: 1,
+			ArrivalRatePerSec: 8, Colocation: coloc, Interference: interfere.Default(),
+			StageCorrelation: 0.5, Seed: uint64(i + 1),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := DefaultExecutorConfig()
+	cfg.Cluster = cluster.Config{Nodes: 8, NodeMillicores: 8000, PoolSize: 2, IdleMillicores: 100}
+	e, err := NewExecutor(cfg, perfmodel.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rcfg := ReplayConfig{Interval: 100 * time.Millisecond, Controller: demandController{}}
+	tenants := make([]TenantWorkload, len(names))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i, name := range names {
+			tenants[i] = TenantWorkload{Tenant: name, Requests: reqs[i], Allocator: &stepAllocator{}}
+		}
+		if _, _, err := e.RunReplay(tenants, rcfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
