@@ -89,6 +89,22 @@ func serve(ctx context.Context, server *http.Server, ln net.Listener, drain time
 	return nil
 }
 
+// newHTTPServer returns janusd's http.Server for h. Its timeouts are
+// sized for the largest request, a 64 MiB PUT /v1/catalog: ReadTimeout
+// lets its body arrive at about 0.5 MiB/s, and WriteTimeout, which runs
+// from the end of the request header to the end of the response, adds
+// the parse, the swap and the answer to that. A /v1/metrics stream
+// outlives WriteTimeout by pushing its write deadline past each frame.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       2 * time.Minute,
+		WriteTimeout:      3 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // loadCatalogFile reads, parses, validates, and atomically installs the
 // catalog at path. The registry is untouched on any error — the reload
 // contract SIGHUP relies on.
@@ -160,10 +176,7 @@ func main() {
 		snap := srv.Registry().Snapshot()
 		log.Printf("janusd: catalog generation %d loaded from %s (%d tenants)", gen, *catalogPath, len(snap.Tenants))
 	}
-	server := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	server := newHTTPServer(srv.Handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)

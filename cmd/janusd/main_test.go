@@ -13,23 +13,23 @@ import (
 	"janus/internal/httpapi"
 )
 
-// startServe runs serve() on an ephemeral port and returns the base URL,
-// the cancel that simulates SIGINT/SIGTERM, and the serve result channel.
-func startServe(t *testing.T, handler http.Handler, drain time.Duration) (string, context.CancelFunc, chan error) {
+// startServe runs serve() with server on an ephemeral port and returns
+// the base URL, the cancel that simulates SIGINT/SIGTERM, and the serve
+// result channel.
+func startServe(t *testing.T, server *http.Server, drain time.Duration) (string, context.CancelFunc, chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	server := &http.Server{Handler: handler}
 	done := make(chan error, 1)
 	go func() { done <- serve(ctx, server, ln, drain) }()
 	return "http://" + ln.Addr().String(), cancel, done
 }
 
 func TestServeServesUntilSignal(t *testing.T) {
-	url, cancel, done := startServe(t, httpapi.NewServer().Handler(), 5*time.Second)
+	url, cancel, done := startServe(t, newHTTPServer(httpapi.NewServer().Handler()), 5*time.Second)
 	defer cancel()
 	resp, err := http.Get(url + "/v1/healthz")
 	if err != nil {
@@ -66,7 +66,7 @@ func TestServeDrainsInFlightRequest(t *testing.T) {
 		<-release
 		fmt.Fprint(w, "drained")
 	})
-	url, cancel, done := startServe(t, mux, 5*time.Second)
+	url, cancel, done := startServe(t, newHTTPServer(mux), 5*time.Second)
 	defer cancel()
 
 	type result struct {
@@ -124,7 +124,7 @@ func TestServeDrainTimeoutGivesUp(t *testing.T) {
 		close(entered)
 		<-release
 	})
-	url, cancel, done := startServe(t, mux, 50*time.Millisecond)
+	url, cancel, done := startServe(t, newHTTPServer(mux), 50*time.Millisecond)
 	defer cancel()
 	go func() {
 		resp, err := http.Get(url + "/wedge")
@@ -144,5 +144,41 @@ func TestServeDrainTimeoutGivesUp(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("serve did not give up at the drain timeout")
+	}
+}
+
+// TestMetricsStreamOutlivesWriteTimeout serves janusd's http.Server over
+// a real listener with its WriteTimeout cut to 200 ms and reads a
+// /v1/metrics stream of ten frames 50 ms apart: every frame arrives,
+// because the stream pushes its write deadline past each one. Without
+// that push the server cuts the stream after its third frame.
+func TestMetricsStreamOutlivesWriteTimeout(t *testing.T) {
+	server := newHTTPServer(httpapi.NewServer().Handler())
+	if server.ReadHeaderTimeout <= 0 || server.ReadTimeout <= 0 || server.WriteTimeout <= 0 || server.IdleTimeout <= 0 {
+		t.Fatalf("janusd's server leaves a timeout unset: %+v", server)
+	}
+	server.WriteTimeout = 200 * time.Millisecond
+	url, cancel, done := startServe(t, server, 5*time.Second)
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	start := time.Now()
+	resp, err := http.Get(url + "/v1/metrics?n=10&interval_ms=50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("stream cut after %v: %v", time.Since(start), err)
+	}
+	if frames := strings.Count(string(body), "\n"); frames != 10 {
+		t.Fatalf("stream delivered %d frames, want 10", frames)
+	}
+	if took := time.Since(start); took <= server.WriteTimeout {
+		t.Fatalf("stream took %v, no longer than the %v WriteTimeout it must outlive", took, server.WriteTimeout)
 	}
 }

@@ -79,14 +79,14 @@ type Entry struct {
 // spec has been checked, so a caller that swaps it in cannot discover an
 // invalid entry later.
 func Parse(data []byte) (*File, error) {
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("catalog: invalid JSON: %w", err)
+	f, err := decode(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	return &f, nil
+	return f, nil
 }
 
 // Validate checks the whole catalog: tenant and workflow naming, API-key

@@ -3,6 +3,8 @@ package catalog
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,10 +14,12 @@ import (
 
 // FuzzParseCatalog feeds arbitrary bytes through the reload path janusd
 // runs on PUT /v1/catalog and SIGHUP: Parse, then Registry.Load, then
-// one decide. Parse must never panic. A catalog it accepts must load,
-// answer the decide from its first tenant's first workflow, and marshal,
-// parse back and marshal to identical bytes: what janusd serves is what
-// GET /v1/catalog returns.
+// one decide. Parse must never panic, and its decode — the direct pass
+// with its fallback — must agree with json.Unmarshal into a File on
+// accept or reject and leave a deeply equal File. A catalog Parse
+// accepts must load, answer the decide from its first tenant's first
+// workflow, and marshal, parse back and marshal to identical bytes: what
+// janusd serves is what GET /v1/catalog returns.
 func FuzzParseCatalog(f *testing.F) {
 	plain := validFile(f)
 	indented, err := plain.Marshal()
@@ -57,7 +61,64 @@ func FuzzParseCatalog(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	// A valid compact catalog, and edits of it that each change one thing
+	// the direct pass must either decode as encoding/json does or leave
+	// to it.
+	const tab0 = `{"workflow":"","suffix":0,"batch":0,"weight":1,"ranges":[{"start_ms":2000,"end_ms":2000,"millicores":1100,"percentile":99}]}`
+	const tab1 = `{"workflow":"","suffix":1,"batch":0,"weight":1,"ranges":null}`
+	const shapedMember = `"shaped":{"1":{"w=2":{"workflow":"","suffix":1,"batch":0,"weight":1,"ranges":[]}}}`
+	const bundle = `{"workflow":"w","batch":1,"weight":1,"slo_ms":3000,"max_millicores":3000,"tables":[` + tab0 + `,` + tab1 + `],` + shapedMember + `}`
+	const tenant = `{"api_key":"k","quota":{"rate_per_sec":5,"burst":2},"workflows":{"w":{"bundle":` + bundle + `}}}`
+	base := `{"version":1,"admin_key":"adm","tenants":{"a":` + tenant + `}}`
+	for _, s := range []string{
+		base,
+		" \n" + base + "\r\n\t",
+		base + " x",
+		base + "{}",
+		strings.Replace(base, `"version":1,"admin_key":"adm",`, `"admin_key":"adm","version":1,`, 1),
+		strings.Replace(base, `"version":1`, `"Version":1`, 1),
+		strings.Replace(base, `"api_key":"k"`, `"API_KEY":"k"`, 1),
+		strings.Replace(base, `"version":1`, `"version":1,"version":2`, 1),
+		strings.Replace(base, `"version":1`, `"version":1,"extra":[{"a":null},"\u0041"]`, 1),
+		strings.Replace(base, `"batch":1,"weight":1,`, `"batch":1,"weight":1,"note":"x",`, 1),
+		strings.Replace(base, `"tenants":{"a":`+tenant, `"tenants":{"a":`+tenant+`,"a":`+strings.Replace(tenant, `"k"`, `"k2"`, 1), 1),
+		strings.Replace(base, `"w":{"bundle"`, `"w":{"bundle":`+bundle+`},"w":{"bundle"`, 1),
+		strings.Replace(base, shapedMember, `"shaped":{"1":{"w=2":`+tab1+`},"01":{"w=3":`+tab1+`},"+1":{"w=4":`+tab1+`}}`, 1),
+		strings.Replace(base, shapedMember, `"shaped":{"01":{"w=2":`+tab1+`}}`, 1),
+		strings.Replace(base, shapedMember, `"shaped":{"-0":{"w=2":`+tab0+`}}`, 1),
+		strings.Replace(base, shapedMember, `"shaped":{"1":{"w=2":`+tab1+`,"w=2":`+tab1+`}}`, 1),
+		strings.Replace(base, shapedMember, `"shaped":{"1":null}`, 1),
+		strings.Replace(base, shapedMember, `"shaped":null`, 1),
+		strings.Replace(base, `"quota":{"rate_per_sec":5,"burst":2}`, `"quota":null`, 1),
+		strings.Replace(base, `"quota":{"rate_per_sec":5,"burst":2}`, `"quota":{"burst":2,"rate_per_sec":5}`, 1),
+		strings.Replace(base, `"quota":{"rate_per_sec":5,"burst":2}`, `"quota":{"rate_per_sec":5},"quota":{"burst":2}`, 1),
+		strings.Replace(base, `{"bundle":`+bundle+`}`, `{"bundle":null}`, 1),
+		strings.Replace(base, `"tables":[`+tab0+`,`+tab1+`]`, `"tables":null`, 1),
+		strings.Replace(base, `"tables":[`+tab0+`,`+tab1+`]`, `"tables":[`+tab0+`,null]`, 1),
+		strings.Replace(base, `"tables":[`+tab0, `"tables":[`+tab0+`],"tables":[`+tab0, 1),
+		strings.Replace(base, `"ranges":null`, `"ranges":[]`, 1),
+		strings.Replace(base, `"percentile":99}]`, `"percentile":99},{"start_ms":2001,"end_ms":2002,"millicores":900}]`, 1),
+		strings.Replace(base, `"tenants":{"a":`, `"tenants":{"a\u0062":`, 1),
+		strings.Replace(base, `"tenants":{"a":`, "\"tenants\":{\"a\xff\":", 1),
+		strings.Replace(base, `"api_key":"k"`, "\"api_key\":\"k\x01\"", 1),
+		strings.Replace(base, `"tenants":{"a":`, `"tenants":{"ä — 工作流":`, 1),
+		strings.Replace(base, `"w":{"bundle"`, `"w":{"workflow":{"name":"w","slo_ms":3000,"functions":[{"name":"a","function":"a"},{"name":"b","function":"b"}],"edges":[["a","b"]]},"bundle"`, 1),
+		strings.Replace(base, `"w":{"bundle"`, `"w":{"workflow":null,"bundle"`, 1),
+		strings.Replace(base, `"slo_ms":3000`, `"slo_ms":3e3`, 1),
+		strings.Replace(base, `"rate_per_sec":5`, `"rate_per_sec":5e-1`, 1),
+	} {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var want File
+		errJSON := json.Unmarshal(data, &want)
+		got, err := decode(data)
+		if (err == nil) != (errJSON == nil) {
+			t.Fatalf("decode error %v, encoding/json error %v\n%q", err, errJSON, data)
+		}
+		if err == nil && !reflect.DeepEqual(*got, want) {
+			t.Fatalf("decode and encoding/json disagree on\n%q", data)
+		}
 		cf, err := Parse(data)
 		if err != nil {
 			return

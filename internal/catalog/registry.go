@@ -8,6 +8,7 @@ import (
 
 	"janus/internal/adapter"
 	"janus/internal/hints"
+	"janus/internal/obs"
 )
 
 // Registry is the runtime half of the control plane: the currently
@@ -43,15 +44,29 @@ type state struct {
 	open    *RuntimeTenant // the tenant with no api_key, if any
 }
 
-// RuntimeTenant is one tenant's live serving state: its adapters and its
-// admission bucket. Instances are shared across registry generations
+// RuntimeTenant is one tenant's live serving state: its deployments and
+// its admission bucket. Instances are shared across registry generations
 // when carry-over applies, never mutated structurally after build.
 type RuntimeTenant struct {
-	name     string
-	quota    *Quota
-	bucket   *bucket // nil means unlimited
-	adapters map[string]*adapter.Adapter
+	name        string
+	quota       *Quota
+	bucket      *bucket // nil means unlimited
+	deployments map[string]*Deployment
 }
+
+// Deployment is one (tenant, workflow) pair's live adapter and the
+// decide counters a server keeps for the pair. A reload that keeps the
+// pair keeps its Deployment, so the counters travel with the adapter
+// and are resolved once, on the pair's first hit and first miss, rather
+// than on every decide or every reload.
+type Deployment struct {
+	adapter *adapter.Adapter
+	// Hits and Misses are the pair's decide counters.
+	Hits, Misses obs.CounterSlot
+}
+
+// Adapter returns the pair's live adapter.
+func (d *Deployment) Adapter() *adapter.Adapter { return d.adapter }
 
 // NewRegistry builds an empty registry; opts apply to every adapter it
 // creates. An empty registry authenticates nobody and serves nothing
@@ -98,9 +113,9 @@ func (r *Registry) loadLocked(f *File) (int64, []Change, error) {
 		spec := f.Tenants[name]
 		prev := cur.tenants[name]
 		rt := &RuntimeTenant{
-			name:     name,
-			quota:    spec.Quota,
-			adapters: make(map[string]*adapter.Adapter, len(spec.Workflows)),
+			name:        name,
+			quota:       spec.Quota,
+			deployments: make(map[string]*Deployment, len(spec.Workflows)),
 		}
 		if spec.Quota != nil {
 			if prev != nil && prev.bucket != nil && quotaEqual(prev.quota, spec.Quota) {
@@ -111,30 +126,31 @@ func (r *Registry) loadLocked(f *File) (int64, []Change, error) {
 		}
 		for _, wf := range sortedKeys(spec.Workflows) {
 			e := spec.Workflows[wf]
-			var prevAd *adapter.Adapter
+			var prevDep *Deployment
 			if prev != nil {
-				prevAd = prev.adapters[wf]
+				prevDep = prev.deployments[wf]
 			}
 			switch {
-			case prevAd != nil && prevAd.Bundle().Equal(e.Bundle):
-				// Unchanged: carry the adapter through by pointer — stats,
-				// epoch window, and regeneration state all survive.
-				rt.adapters[wf] = prevAd
-			case prevAd != nil:
+			case prevDep != nil && prevDep.adapter.Bundle().Equal(e.Bundle):
+				// Unchanged: carry the deployment through by pointer —
+				// stats, epoch window, regeneration state and decide
+				// counters all survive.
+				rt.deployments[wf] = prevDep
+			case prevDep != nil:
 				// Changed bundle on a surviving pair: the adapter's own
 				// atomic Replace — cumulative stats kept, epoch reset.
-				if err := prevAd.Replace(e.Bundle); err != nil {
+				if err := prevDep.adapter.Replace(e.Bundle); err != nil {
 					// Unreachable: Validate accepted this bundle.
 					return 0, nil, err
 				}
-				rt.adapters[wf] = prevAd
+				rt.deployments[wf] = prevDep
 			default:
 				a, err := adapter.New(e.Bundle, r.opts...)
 				if err != nil {
 					// Unreachable for the same reason.
 					return 0, nil, err
 				}
-				rt.adapters[wf] = a
+				rt.deployments[wf] = &Deployment{adapter: a}
 			}
 		}
 		next.tenants[name] = rt
@@ -227,12 +243,21 @@ func (t *RuntimeTenant) Name() string { return t.name }
 
 // Adapter returns the tenant's live adapter for a workflow.
 func (t *RuntimeTenant) Adapter(wf string) (*adapter.Adapter, bool) {
-	a, ok := t.adapters[wf]
-	return a, ok
+	d, ok := t.deployments[wf]
+	if !ok {
+		return nil, false
+	}
+	return d.adapter, true
+}
+
+// Deployment returns the tenant's deployment of a workflow.
+func (t *RuntimeTenant) Deployment(wf string) (*Deployment, bool) {
+	d, ok := t.deployments[wf]
+	return d, ok
 }
 
 // Workflows returns the tenant's workflow names, sorted.
-func (t *RuntimeTenant) Workflows() []string { return sortedKeys(t.adapters) }
+func (t *RuntimeTenant) Workflows() []string { return sortedKeys(t.deployments) }
 
 // Admit spends one admission token. When the tenant's quota is
 // exhausted it reports false with the wait until a token refills — the
@@ -270,9 +295,9 @@ func (r *Registry) MetricsSnapshot() []Metrics {
 	out := make([]Metrics, 0, len(s.tenants))
 	for _, name := range sortedKeys(s.tenants) {
 		t := s.tenants[name]
-		m := Metrics{Tenant: name, Workflows: make([]WorkflowMetrics, 0, len(t.adapters))}
-		for _, wf := range sortedKeys(t.adapters) {
-			a := t.adapters[wf]
+		m := Metrics{Tenant: name, Workflows: make([]WorkflowMetrics, 0, len(t.deployments))}
+		for _, wf := range sortedKeys(t.deployments) {
+			a := t.deployments[wf].adapter
 			hits, misses, rate := a.Stats()
 			eh, em, er := a.EpochStats()
 			m.Workflows = append(m.Workflows, WorkflowMetrics{

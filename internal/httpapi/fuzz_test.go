@@ -14,7 +14,9 @@ import (
 
 // FuzzDecideBody posts arbitrary bytes to POST /v1/decide as the one
 // keyed tenant of a catalog serving bundle(t) plus a "w=2" variant of
-// its first table. No body may panic the handler. A body that decodes
+// its first table. No body may panic the handler. Wherever the direct
+// decode accepts a body, json.Decoder must decode it to the same
+// request, bytes after the first value included. A body that decodes
 // to the deployed workflow, a valid suffix and a remaining_ms in
 // (0, MaxRemainingMs] answers 200 with its table's Lookup, or the
 // escalation on a miss, and counts exactly that hit or miss; every
@@ -61,6 +63,16 @@ func FuzzDecideBody(f *testing.F) {
 		`{"workflow":"ia","suffix":0,"remaining_ms":18446744075711}`,
 		`{"workflow":"ia","suffix":0,"remaining_ms":1.5}`,
 		`{"Workflow":"ia","SUFFIX":0,"remaining_ms":2500} trailing`,
+		`{"workflow":"ia","suffix":0,"remaining_ms":2001}trailing`,
+		" \t{\"workflow\":\"ia\",\"suffix\":0,\"remaining_ms\":1300,\"shape\":\"w=2\"}\n{\"x\":",
+		"{\"workflow\":\"ia\",\"suffix\":0,\"remaining_ms\":2001}\x00\xff",
+		`{"workflow":"ia","suffix":0,"remaining_ms":2001,"workflow":"va"}`,
+		`{"suffix":0,"workflow":"ia","remaining_ms":2001}`,
+		`{"workflow":"i\u0061","suffix":0,"remaining_ms":2001}`,
+		`{"workflow":"ia","suffix":0,"remaining_ms":2001,"extra":[1,{}]}`,
+		`{"workflow":"ia","suffix":0,"remaining_ms":2001,"shape":null}`,
+		`{"workflow":"ia","suffix":-0,"remaining_ms":2001}`,
+		`{}`,
 		`null`,
 		`[]`,
 		`{"workflow":"ia"`,
@@ -80,9 +92,13 @@ func FuzzDecideBody(f *testing.F) {
 		h.ServeHTTP(rec, req)
 		gotHits, gotMisses, _ := a.Stats()
 
-		// The oracle decodes the body exactly as the handler does.
+		// The oracle decodes the body as json.Decoder does.
 		var dr DecideRequest
-		valid := json.NewDecoder(bytes.NewReader(body)).Decode(&dr) == nil &&
+		decErr := json.NewDecoder(bytes.NewReader(body)).Decode(&dr)
+		if direct, ok := decodeDirect(body); ok && (decErr != nil || direct != dr) {
+			t.Fatalf("direct decode %+v, json.Decoder %+v (%v)\n%q", direct, dr, decErr, body)
+		}
+		valid := decErr == nil &&
 			dr.Workflow == "ia" && dr.Suffix >= 0 && dr.Suffix < len(b.Tables) &&
 			dr.RemainingMs > 0 && dr.RemainingMs <= MaxRemainingMs
 		if !valid {

@@ -3,7 +3,10 @@ package httpapi
 import (
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"time"
 
@@ -40,20 +43,38 @@ func (s *Server) SetVersion(v string) {
 // serving.
 func (s *Server) SetAccessLog(w io.Writer) { s.accessLog = w }
 
-// routeLabel bounds the path label's cardinality to the known routes, so
-// a scanner probing random URLs cannot grow the registry without bound.
-func routeLabel(p string) string {
-	switch p {
-	case "/v1/healthz", "/v1/bundles", "/v1/decide", "/v1/stats",
-		"/v1/catalog", "/v1/metrics", "/v1/prometheus":
-		return p
+// routes are the path label's values: the known routes, then "other",
+// so a scanner probing random URLs cannot grow the registry without
+// bound.
+var routes = [...]string{"/v1/healthz", "/v1/bundles", "/v1/decide", "/v1/stats",
+	"/v1/catalog", "/v1/metrics", "/v1/prometheus", "other"}
+
+// statuses are the codes the handlers answer with, each a column of the
+// request-counter table; a code outside it is counted by label.
+var statuses = [...]int{200, 400, 401, 404, 405, 415, 429, 500}
+
+// requestCounter returns the janusd_http_requests_total counter for a
+// request path and status, resolving a table cell on its first request
+// so that no series appears before its first count.
+func (s *Server) requestCounter(path string, status int) *obs.Counter {
+	route := slices.Index(routes[:len(routes)-1], path)
+	if route < 0 {
+		route = len(routes) - 1
 	}
-	return "other"
+	resolve := func() *obs.Counter {
+		return s.obs.Counter("janusd_http_requests_total", "path", routes[route], "status", strconv.Itoa(status))
+	}
+	col := slices.Index(statuses[:], status)
+	if col < 0 {
+		return resolve()
+	}
+	return s.requests[route][col].Get(resolve)
 }
 
 // statusRecorder captures the response status and byte count for the
-// instrumentation middleware. Flush passes through so the /v1/metrics
-// stream keeps its per-frame flushing behind the wrapper.
+// instrumentation middleware. Unwrap lets http.ResponseController reach
+// the connection behind it, so the /v1/metrics stream can flush each
+// frame and push its write deadline.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -76,47 +97,56 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
-// instrument wraps the route mux with the request counter and the
-// optional access log.
+// instrument wraps the route mux with the request counter, the optional
+// access log and panic recovery. A handler panic is logged with its
+// stack and counted in janusd_panics_total; if nothing was written yet
+// the request answers 500 with the error envelope, and otherwise the
+// response is aborted, so a client never mistakes a cut-off body for a
+// whole one. http.ErrAbortHandler, a handler's deliberate abort, passes
+// through to net/http untouched.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := s.now()
 		rec := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r)
-		status := rec.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		s.obs.Counter("janusd_http_requests_total",
-			"path", routeLabel(r.URL.Path), "status", strconv.Itoa(status)).Inc()
-		if s.accessLog != nil {
-			tenant := ""
-			if t, ok := s.reg.Authenticate(apiKey(r)); ok {
-				tenant = t.Name()
+		defer func() {
+			v := recover()
+			if v == http.ErrAbortHandler {
+				panic(v)
 			}
-			fmt.Fprintf(s.accessLog, "%s method=%s path=%s tenant=%s status=%d dur=%s bytes=%d\n",
-				start.UTC().Format(time.RFC3339Nano), r.Method, r.URL.Path, tenant,
-				status, s.now().Sub(start).Round(time.Microsecond), rec.bytes)
-		}
+			if v != nil {
+				s.panics.Inc()
+				log.Printf("httpapi: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+				if rec.status != 0 {
+					// The response is under way: count it, then abort it.
+					s.finish(r, rec, start)
+					panic(http.ErrAbortHandler)
+				}
+				writeError(rec, http.StatusInternalServerError, CodeInternal, "internal error")
+			}
+			s.finish(r, rec, start)
+		}()
+		next.ServeHTTP(rec, r)
 	})
 }
 
-// observeDecide records one decide call's outcome and latency. outcome
-// is one of invalid, unauthorized, quota, not_found, error, hit, miss;
-// tenant and workflow stay empty until resolved against the catalog
-// (workflow in particular is request-controlled, so only deployed names
-// become label values).
-func (s *Server) observeDecide(outcome, tenant, workflow string, start time.Time) {
-	s.obs.Counter("janusd_decisions_total",
-		"outcome", outcome, "tenant", tenant, "workflow", workflow).Inc()
-	s.obs.Histogram("janusd_decide_latency_us", decideLatencyBucketsUs).
-		Observe(s.now().Sub(start).Microseconds())
+// finish counts a request and writes its access-log line.
+func (s *Server) finish(r *http.Request, rec *statusRecorder, start time.Time) {
+	status := rec.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	s.requestCounter(r.URL.Path, status).Inc()
+	if s.accessLog != nil {
+		tenant := ""
+		if t, ok := s.reg.Authenticate(apiKey(r)); ok {
+			tenant = t.Name()
+		}
+		fmt.Fprintf(s.accessLog, "%s method=%s path=%s tenant=%s status=%d dur=%s bytes=%d\n",
+			start.UTC().Format(time.RFC3339Nano), r.Method, r.URL.Path, tenant,
+			status, s.now().Sub(start).Round(time.Microsecond), rec.bytes)
+	}
 }
 
 // ObserveReload records one catalog reload attempt in

@@ -30,11 +30,14 @@ func TestPrometheusEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	// One hit, one miss, one rejected budget — three decide outcomes.
+	// One hit, one miss, one rejected budget and one suffix the adapter
+	// rejects: an adapter error after authentication counts as invalid
+	// under its tenant and workflow.
 	for _, body := range []string{
 		`{"workflow":"ia","suffix":0,"remaining_ms":2001}`,
 		`{"workflow":"ia","suffix":0,"remaining_ms":100}`,
 		`{"workflow":"ia","suffix":0,"remaining_ms":-1}`,
+		`{"workflow":"ia","suffix":5,"remaining_ms":2001}`,
 	} {
 		decideDirect(t, h, body)
 	}
@@ -65,11 +68,13 @@ func TestPrometheusEndpoint(t *testing.T) {
 		`janusd_decisions_total{outcome="hit",tenant="default",workflow="ia"} 1`,
 		`janusd_decisions_total{outcome="miss",tenant="default",workflow="ia"} 1`,
 		`janusd_decisions_total{outcome="invalid",tenant="",workflow=""} 1`,
+		`janusd_decisions_total{outcome="invalid",tenant="default",workflow="ia"} 1`,
 		"# TYPE janusd_decide_latency_us histogram",
-		"janusd_decide_latency_us_count 3",
+		"janusd_decide_latency_us_count 4",
 		`janusd_build_info{version="v1.2.3"} 1`,
 		`janusd_http_requests_total{path="/v1/decide",status="200"} 2`,
-		`janusd_http_requests_total{path="/v1/decide",status="400"} 1`,
+		`janusd_http_requests_total{path="/v1/decide",status="400"} 2`,
+		"janusd_panics_total 0\n",
 		"# TYPE janusd_catalog_reloads_total counter",
 		`janusd_catalog_reloads_total{outcome="swapped",source="http"} 1`,
 		`janusd_catalog_reloads_total{outcome="rejected",source="http"} 1`,

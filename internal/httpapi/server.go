@@ -14,6 +14,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"janus/internal/adapter"
 	"janus/internal/catalog"
 	"janus/internal/hints"
+	"janus/internal/jsonscan"
 	"janus/internal/obs"
 )
 
@@ -39,6 +41,7 @@ const (
 	CodeNotFound         = "not_found"
 	CodeQuotaExceeded    = "quota_exceeded"
 	CodeInvalidCatalog   = "invalid_catalog"
+	CodeInternal         = "internal"
 )
 
 // DecideRequest is the body of POST /v1/decide.
@@ -121,6 +124,13 @@ type Server struct {
 	// counters and decide-latency histograms, scraped at /v1/prometheus
 	// and embedded in /v1/metrics frames.
 	obs *obs.Registry
+	// decideLatency and panics are resolved once, in NewServer; the
+	// request counters once per (route, status) cell, on the cell's
+	// first request; the hit and miss counters once per deployed pair,
+	// beside its adapter. A served decide looks none of them up.
+	decideLatency *obs.Histogram
+	panics        *obs.Counter
+	requests      [len(routes)][len(statuses)]obs.CounterSlot
 	// version is the build stamp reported by /v1/healthz (SetVersion).
 	version string
 	// accessLog, when set, receives one structured line per request
@@ -132,11 +142,14 @@ type Server struct {
 // adapter it creates. Until a catalog with API keys is loaded the server
 // runs open: anonymous requests resolve to the open ("default") tenant.
 func NewServer(opts ...adapter.Option) *Server {
+	metrics := obs.NewRegistry()
 	return &Server{
 		reg:                catalog.NewRegistry(opts...),
 		now:                time.Now,
 		metricsMinInterval: 10 * time.Millisecond,
-		obs:                obs.NewRegistry(),
+		obs:                metrics,
+		decideLatency:      metrics.Histogram("janusd_decide_latency_us", decideLatencyBucketsUs),
+		panics:             metrics.Counter("janusd_panics_total"),
 		version:            "dev",
 	}
 }
@@ -161,7 +174,7 @@ func (s *Server) Adapter(workflow string) (*adapter.Adapter, bool) {
 }
 
 // Handler returns the HTTP routes, wrapped in the instrumentation
-// middleware (request counters, optional access log).
+// middleware (request counters, optional access log, panic recovery).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
@@ -265,36 +278,46 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// The decision audit: every decide call lands in the registry with
 	// its outcome, resolved tenant/workflow, and wall latency.
 	start := s.now()
-	outcome, tenantName, workflowName := "invalid", "", ""
-	defer func() { s.observeDecide(outcome, tenantName, workflowName, start) }()
-	var req DecideRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	s.decide(w, r).Inc()
+	s.decideLatency.Observe(s.now().Sub(start).Microseconds())
+}
+
+// decide answers one decide and returns the janusd_decisions_total
+// counter its outcome counts in: hit or miss under the tenant and the
+// deployed workflow; invalid for a body that does not decode or a
+// budget out of range, with empty labels, and for a request the adapter
+// rejects (a suffix outside the bundle), under the tenant and workflow;
+// unauthorized with empty labels; quota and not_found under the tenant
+// alone. Only deployed names become label values: the raw request
+// string is caller-controlled and would grow the registry without
+// bound. A served decide's counter was resolved beside its adapter; the
+// error outcomes resolve theirs by label.
+func (s *Server) decide(w http.ResponseWriter, r *http.Request) *obs.Counter {
+	req, err := decodeDecide(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%s", err)
-		return
+		return s.decisions("invalid", "", "")
 	}
 	// Reject malformed budgets before touching the adapter: they must not
 	// move the supervisor's hit/miss counters.
 	if req.RemainingMs <= 0 {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			"remaining_ms must be positive, got %d", req.RemainingMs)
-		return
+		return s.decisions("invalid", "", "")
 	}
 	if req.RemainingMs > MaxRemainingMs {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			"remaining_ms %d overflows a duration (at most %d)", req.RemainingMs, MaxRemainingMs)
-		return
+		return s.decisions("invalid", "", "")
 	}
 	t, ok := s.tenant(w, r)
 	if !ok {
-		outcome = "unauthorized"
-		return
+		return s.decisions("unauthorized", "", "")
 	}
-	tenantName = t.Name()
 	// Admission control: the tenant's token bucket, after authentication
 	// (anonymous traffic cannot drain a keyed tenant's quota) and after
 	// request validation (malformed requests don't spend tokens).
 	if admitted, retryAfter := t.Admit(s.now()); !admitted {
-		outcome = "quota"
 		secs := int(math.Ceil(retryAfter.Seconds()))
 		if secs < 1 {
 			secs = 1
@@ -302,28 +325,109 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
 			"tenant %q decide quota exhausted; retry in %ds", t.Name(), secs)
-		return
+		return s.decisions("quota", t.Name(), "")
 	}
-	a, ok := t.Adapter(req.Workflow)
+	dep, ok := t.Deployment(req.Workflow)
 	if !ok {
-		outcome = "not_found"
 		writeError(w, http.StatusNotFound, CodeNotFound,
 			"workflow %q not deployed for tenant %q", req.Workflow, t.Name())
-		return
+		return s.decisions("not_found", t.Name(), "")
 	}
-	// Only deployed names become label values; the raw request string is
-	// caller-controlled and would grow the registry without bound.
-	workflowName = req.Workflow
-	d, err := a.DecideShaped(req.Suffix, req.Shape, time.Duration(req.RemainingMs)*time.Millisecond)
+	d, err := dep.Adapter().DecideShaped(req.Suffix, req.Shape, time.Duration(req.RemainingMs)*time.Millisecond)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%s", err)
-		return
+		return s.decisions("invalid", t.Name(), req.Workflow)
 	}
-	outcome = "miss"
+	writeDecide(w, DecideResponse{Millicores: d.Millicores, Hit: d.Hit, Percentile: d.Percentile})
+	slot, outcome := &dep.Misses, "miss"
 	if d.Hit {
-		outcome = "hit"
+		slot, outcome = &dep.Hits, "hit"
 	}
-	writeJSON(w, http.StatusOK, DecideResponse{Millicores: d.Millicores, Hit: d.Hit, Percentile: d.Percentile})
+	return slot.Get(func() *obs.Counter { return s.decisions(outcome, t.Name(), req.Workflow) })
+}
+
+// decisions resolves the janusd_decisions_total counter of one outcome
+// and label set.
+func (s *Server) decisions(outcome, tenant, workflow string) *obs.Counter {
+	return s.obs.Counter("janusd_decisions_total", "outcome", outcome, "tenant", tenant, "workflow", workflow)
+}
+
+// maxDecideBody is the decide route's body limit, and maxDirectDecide
+// the largest declared body the direct decode reads whole; a decide
+// body is well under a hundred bytes.
+const (
+	maxDecideBody   = 1 << 20
+	maxDirectDecide = 4 << 10
+)
+
+// decodeDecide reads and decodes a decide body. A body whose declared
+// length is at most maxDirectDecide is read whole, and a DecideRequest
+// in json.Marshal's form at its head is decoded directly. Everything
+// else goes to json.Decoder over the same bytes under the route's
+// limit, so what is accepted and what it decodes to are json.Decoder's,
+// which decodes the first JSON value and ignores what follows it.
+func decodeDecide(w http.ResponseWriter, r *http.Request) (DecideRequest, error) {
+	var head []byte
+	if n := r.ContentLength; n > 0 && n <= maxDirectDecide {
+		head = make([]byte, n)
+		// A read error leaves head short; the fallback below reads the
+		// body on and meets the error again if it needs the bytes.
+		k, _ := io.ReadFull(r.Body, head)
+		head = head[:k]
+		if req, ok := decodeDirect(head); ok {
+			return req, nil
+		}
+	}
+	// A variable of its own: the decoder's &req moves it to the heap.
+	var req DecideRequest
+	body := io.MultiReader(bytes.NewReader(head), http.MaxBytesReader(w, r.Body, maxDecideBody-int64(len(head))))
+	err := json.NewDecoder(body).Decode(&req)
+	return req, err
+}
+
+var decideFields = []string{"workflow", "suffix", "remaining_ms", "shape"}
+
+// decodeDirect decodes a DecideRequest in json.Marshal's form from the
+// head of data, ignoring what follows it as json.Decoder does, and
+// reports whether it did.
+func decodeDirect(data []byte) (DecideRequest, bool) {
+	s := jsonscan.New(data)
+	var req DecideRequest
+	s.Fields(decideFields, func(i int) {
+		switch i {
+		case 0:
+			req.Workflow = s.Str()
+		case 1:
+			req.Suffix = s.Int()
+		case 2:
+			req.RemainingMs = int64(s.Int())
+		case 3:
+			req.Shape = s.Str()
+		}
+	})
+	return req, s.OK()
+}
+
+// writeDecide writes a decision exactly as writeJSON would, appending
+// the body json.Encoder writes into one buffer.
+func writeDecide(w http.ResponseWriter, d DecideResponse) {
+	var buf [96]byte
+	b := appendDecideResponse(buf[:0], d)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // as in writeJSON: the header is out, nothing to report to
+}
+
+// appendDecideResponse appends d as json.Encoder encodes it: compact,
+// members in field order, then a newline.
+func appendDecideResponse(b []byte, d DecideResponse) []byte {
+	b = append(b, `{"millicores":`...)
+	b = strconv.AppendInt(b, int64(d.Millicores), 10)
+	b = append(b, `,"hit":`...)
+	b = strconv.AppendBool(b, d.Hit)
+	b = append(b, `,"percentile":`...)
+	b = strconv.AppendInt(b, int64(d.Percentile), 10)
+	return append(b, "}\n"...)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -394,6 +498,9 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// metricsFrameTimeout bounds the write of one /v1/metrics frame.
+const metricsFrameTimeout = 10 * time.Second
+
 // handleMetrics streams supervisor snapshots as NDJSON: one
 // MetricsSnapshot per line every interval_ms (default 1000, floored at
 // the server minimum) until the client disconnects or n frames have
@@ -431,7 +538,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -455,12 +562,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Tenants:    s.reg.MetricsSnapshot(),
 			Points:     s.obs.Snapshot(),
 		}
+		// The server's WriteTimeout runs from the request's arrival, so
+		// a stream longer than it would be cut; push the deadline past
+		// each frame instead. A writer without deadlines, such as a
+		// test recorder, streams without one.
+		_ = rc.SetWriteDeadline(time.Now().Add(metricsFrameTimeout))
 		if err := enc.Encode(snap); err != nil {
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		_ = rc.Flush() // a writer that cannot flush delivers the frames when the stream ends
 		if frames > 0 && sent+1 >= frames {
 			return
 		}
@@ -498,6 +608,9 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 // confusing parse error. Media-type parameters (charset) are accepted.
 func requireJSON(w http.ResponseWriter, r *http.Request) bool {
 	ct := r.Header.Get("Content-Type")
+	if ct == "application/json" {
+		return true
+	}
 	mt, _, err := mime.ParseMediaType(ct)
 	if err != nil || mt != "application/json" {
 		writeError(w, http.StatusUnsupportedMediaType, CodeUnsupportedMedia,

@@ -111,6 +111,23 @@ func (h *Histogram) Count() int64 { return h.total.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
+// CounterSlot holds a counter resolved on its first use, for a hot path
+// that must not look its counter up per call and must not register the
+// series before its first count. Racing first uses may each resolve;
+// resolve must return the same handle each time, as Registry.Counter
+// does.
+type CounterSlot struct{ c atomic.Pointer[Counter] }
+
+// Get returns the slot's counter, calling resolve for it on first use.
+func (s *CounterSlot) Get(resolve func() *Counter) *Counter {
+	if c := s.c.Load(); c != nil {
+		return c
+	}
+	c := resolve()
+	s.c.Store(c)
+	return c
+}
+
 // Counter returns (registering on first use) the counter for name and
 // label pairs ("k1", "v1", "k2", "v2", ...).
 func (r *Registry) Counter(name string, kv ...string) *Counter {

@@ -117,6 +117,14 @@ curl -fsS -H 'X-API-Key: admin-secret' "$base/v1/prometheus" >"$workdir/prom.txt
 grep -q '# TYPE janusd_decisions_total counter' "$workdir/prom.txt" || fail "prometheus lacks the decisions counter"
 grep -Eq 'janusd_decisions_total\{outcome="(hit|miss)",tenant="acme",workflow="ia"\}' "$workdir/prom.txt" || fail "prometheus lacks acme's decide counter"
 grep -q 'janusd_build_info{version="e2e-smoke"} 1' "$workdir/prom.txt" || fail "prometheus lacks the build-info gauge"
+# The request counters are a fixed route x status table resolved on
+# first use: each decide status above must read its exact count.
+for want in 'janusd_http_requests_total{path="/v1/decide",status="401"} 1' \
+  'janusd_http_requests_total{path="/v1/decide",status="404"} 1' 'janusd_panics_total 0'; do
+  grep -qxF "$want" "$workdir/prom.txt" || fail "prometheus lacks '$want'"
+done
+n429=$(sed -n 's|^janusd_http_requests_total{path="/v1/decide",status="429"} ||p' "$workdir/prom.txt")
+[[ -n "$n429" && "$n429" -ge 1 ]] || fail "prometheus counts no decide 429"
 "$bin/janusctl" metrics -server "$base" -key admin-secret -prom | grep -q 'janusd_http_requests_total' \
   || fail "janusctl metrics -prom lacks the http counter"
 [[ $(curl -s -o /dev/null -w '%{http_code}' -H 'X-API-Key: acme-key' "$base/v1/prometheus") == 401 ]] \
