@@ -85,12 +85,15 @@ func TestLoadCatalogFile(t *testing.T) {
 	if _, _, err := loadCatalogFile(reg, corrupt); err == nil || !strings.Contains(err.Error(), "corrupt.json") {
 		t.Fatalf("corrupt file error = %v", err)
 	}
-	// And a structurally-valid but invalid catalog.
+	// And a structurally-valid but invalid catalog, which Load rejects
+	// under the same path prefix the decode errors carry.
 	if err := os.WriteFile(corrupt, []byte(`{"version":1,"tenants":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := loadCatalogFile(reg, corrupt); err == nil {
 		t.Fatal("invalid catalog loaded")
+	} else if want := "catalog " + corrupt + ": catalog: no tenants declared"; err.Error() != want {
+		t.Fatalf("invalid catalog error = %q, want %q", err, want)
 	}
 	if reg.Generation() != 1 {
 		t.Fatalf("failed loads moved the generation to %d", reg.Generation())

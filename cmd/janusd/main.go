@@ -105,19 +105,23 @@ func newHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
-// loadCatalogFile reads, parses, validates, and atomically installs the
-// catalog at path. The registry is untouched on any error — the reload
-// contract SIGHUP relies on.
+// loadCatalogFile reads, decodes, validates, and atomically installs the
+// catalog at path; Load does the validating, once. The registry is
+// untouched on any error — the reload contract SIGHUP relies on.
 func loadCatalogFile(reg *catalog.Registry, path string) (int64, []catalog.Change, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, nil, fmt.Errorf("catalog %s: %w", path, err)
 	}
-	f, err := catalog.Parse(data)
+	f, err := catalog.Decode(data)
 	if err != nil {
 		return 0, nil, fmt.Errorf("catalog %s: %w", path, err)
 	}
-	return reg.Load(f)
+	gen, changes, err := reg.Load(f)
+	if err != nil {
+		return 0, nil, fmt.Errorf("catalog %s: %w", path, err)
+	}
+	return gen, changes, nil
 }
 
 // reloadOnSIGHUP re-reads the catalog file into srv's registry on every

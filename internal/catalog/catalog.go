@@ -79,7 +79,7 @@ type Entry struct {
 // spec has been checked, so a caller that swaps it in cannot discover an
 // invalid entry later.
 func Parse(data []byte) (*File, error) {
-	f, err := decode(data)
+	f, err := Decode(data)
 	if err != nil {
 		return nil, err
 	}

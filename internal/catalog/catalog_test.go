@@ -178,6 +178,27 @@ func TestParseRejectsBadJSON(t *testing.T) {
 	}
 }
 
+// TestDecodeLeavesValidationToLoad checks the split the reload paths
+// rely on: Decode accepts a well-formed but invalid catalog, Parse and
+// Registry.Load reject it with the same error, and the registry keeps
+// its generation.
+func TestDecodeLeavesValidationToLoad(t *testing.T) {
+	data := []byte(`{"version":1,"tenants":{}}`)
+	f, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode rejected a well-formed catalog: %v", err)
+	}
+	_, errParse := Parse(data)
+	reg := NewRegistry()
+	_, _, errLoad := reg.Load(f)
+	if errParse == nil || errLoad == nil || errParse.Error() != errLoad.Error() {
+		t.Fatalf("Parse error %v, Load error %v: want one validation error", errParse, errLoad)
+	}
+	if reg.Generation() != 0 {
+		t.Fatalf("a rejected load moved the generation to %d", reg.Generation())
+	}
+}
+
 func TestDiff(t *testing.T) {
 	old := validFile(t)
 	next := validFile(t)

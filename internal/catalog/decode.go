@@ -8,15 +8,17 @@ import (
 	"janus/internal/jsonscan"
 )
 
-// decode decodes a catalog file. A file in encoding/json's own form —
-// compact or indented, members in struct order and each at most once,
-// no escaped strings, no declared workflow spec — is decoded in one
-// pass, which is what every catalog json.Marshal or File.Marshal
-// writes. Map keys decode as encoding/json decodes them, a repeated one
-// keeping its last value. Every other input goes to json.Unmarshal
-// unchanged, so what is accepted and what it decodes to are
-// encoding/json's.
-func decode(data []byte) (*File, error) {
+// Decode decodes a catalog file without validating it, for a caller
+// that hands the file straight to Registry.Load, which validates every
+// catalog it installs; Parse is Decode followed by Validate. A file in
+// encoding/json's own form — compact or indented, members in struct
+// order and each at most once, no escaped strings, no declared workflow
+// spec — is decoded in one pass, which is what every catalog
+// json.Marshal or File.Marshal writes. Map keys decode as encoding/json
+// decodes them, a repeated one keeping its last value. Every other input
+// goes to json.Unmarshal unchanged, so what is accepted and what it
+// decodes to are encoding/json's.
+func Decode(data []byte) (*File, error) {
 	s := jsonscan.New(data)
 	f := new(File)
 	f.decodeFrom(s)

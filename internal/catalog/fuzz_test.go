@@ -112,7 +112,7 @@ func FuzzParseCatalog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want File
 		errJSON := json.Unmarshal(data, &want)
-		got, err := decode(data)
+		got, err := Decode(data)
 		if (err == nil) != (errJSON == nil) {
 			t.Fatalf("decode error %v, encoding/json error %v\n%q", err, errJSON, data)
 		}

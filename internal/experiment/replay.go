@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -322,10 +323,6 @@ func (s *Suite) replayAdapter(mt MixTenant) (*adapter.Adapter, error) {
 // the run-private adapter. tr, when non-nil, receives the loop's
 // decision-audit events (detection and hot-swap).
 func (s *Suite) replayRegenFor(mt MixTenant, a *adapter.Adapter, tr obs.Tracer) (*autoscale.Regen, error) {
-	set, err := s.Profiles(mt.Workflow, 1)
-	if err != nil {
-		return nil, err
-	}
 	return autoscale.NewRegen(autoscale.RegenConfig{
 		Adapter:      a,
 		Latency:      replayRegenLatency,
@@ -333,22 +330,40 @@ func (s *Suite) replayRegenFor(mt MixTenant, a *adapter.Adapter, tr obs.Tracer) 
 		Tenant:       mt.Tenant,
 		Tracer:       tr,
 		Synthesize: func(floorMs int) (*hints.Bundle, error) {
-			sy, err := synth.New(synth.Config{
-				Profiles:      set,
-				Weight:        replayRegenWeight,
-				Mode:          synth.ModeJanus,
-				BudgetStepMs:  s.cfg.BudgetStepMs,
-				BudgetFloorMs: floorMs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := sy.GenerateBundle()
-			if err != nil {
-				return nil, err
-			}
-			return res.Bundle, nil
+			return s.resynthesize(mt.Workflow, floorMs)
 		},
+	})
+}
+
+// resynthesize is the regeneration loop's developer half: the bundle
+// synthesized from a workflow's cached profiles at the regeneration
+// weight, its sweep extended down to floorMs. It is a pure function of
+// (workflow, weight, floor), so it is built once per tuple and shared by
+// every cell and configuration that regenerates at that floor; nothing
+// it is handed to — the adapter's Replace, the decide path — mutates a
+// bundle.
+func (s *Suite) resynthesize(w *workflow.Workflow, floorMs int) (*hints.Bundle, error) {
+	key := fmt.Sprintf("resynth/%s/%s/%d", w.Name(), strconv.FormatFloat(replayRegenWeight, 'g', -1, 64), floorMs)
+	return memo(s, key, func() (*hints.Bundle, error) {
+		set, err := s.Profiles(w, 1)
+		if err != nil {
+			return nil, err
+		}
+		sy, err := synth.New(synth.Config{
+			Profiles:      set,
+			Weight:        replayRegenWeight,
+			Mode:          synth.ModeJanus,
+			BudgetStepMs:  s.cfg.BudgetStepMs,
+			BudgetFloorMs: floorMs,
+		})
+		if err != nil {
+			return nil, err
+		}
+		res, err := sy.GenerateBundle()
+		if err != nil {
+			return nil, err
+		}
+		return res.Bundle, nil
 	})
 }
 

@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"janus/internal/hints"
 	"janus/internal/synth"
 	"janus/internal/workflow"
 )
@@ -125,6 +127,32 @@ func TestSuiteMemo(t *testing.T) {
 		}
 		if got := d.Bundle().Weight; got != w {
 			t.Errorf("Deployment at weight %v returned a bundle synthesized at weight %v", w, got)
+		}
+	}
+
+	// One re-synthesized bundle per (workflow, floor): the regeneration
+	// loop shares it across cells and configurations.
+	va := workflow.VideoAnalyze()
+	bundles := map[string]*hints.Bundle{}
+	for _, w := range []*workflow.Workflow{ia, va} {
+		for _, floor := range []int{300, 400} {
+			b1, err := s.resynthesize(w, floor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b2, err := s.resynthesize(w, floor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b1 != b2 {
+				t.Errorf("repeated resynthesize(%s, %d) returned a different bundle", w.Name(), floor)
+			}
+			for key, b := range bundles {
+				if b == b1 {
+					t.Errorf("resynthesize(%s, %d) returned the bundle of %s", w.Name(), floor, key)
+				}
+			}
+			bundles[fmt.Sprintf("%s/%d", w.Name(), floor)] = b1
 		}
 	}
 

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"time"
 	"unicode/utf8"
+
+	"janus/internal/jsonscan"
 )
 
 // Bundle is everything the developer submits to the provider's adapter for
@@ -159,14 +161,23 @@ func (b *Bundle) Marshal() ([]byte, error) {
 	return json.Marshal(b)
 }
 
-// ParseBundle decodes and validates a submitted bundle.
+// ParseBundle decodes and validates a submitted bundle. A bundle in
+// encoding/json's own form (what Marshal writes, compact or indented) is
+// decoded in one pass; every other input goes to json.Unmarshal
+// unchanged, so what is accepted and what it decodes to are
+// encoding/json's.
 func ParseBundle(data []byte) (*Bundle, error) {
-	var b Bundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("hints: invalid bundle JSON: %w", err)
+	s := jsonscan.New(data)
+	b := new(Bundle)
+	b.DecodeFrom(s)
+	if !s.End() {
+		b = new(Bundle)
+		if err := json.Unmarshal(data, b); err != nil {
+			return nil, fmt.Errorf("hints: invalid bundle JSON: %w", err)
+		}
 	}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	return &b, nil
+	return b, nil
 }

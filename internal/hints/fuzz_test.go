@@ -3,15 +3,18 @@ package hints
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
 
 // FuzzParseBundle feeds arbitrary bytes to ParseBundle, the decoder every
-// submitted bundle (janusctl, janusd's catalog files and PUT /v1/catalog)
-// goes through. It must never panic, and a bundle it accepts must marshal
-// and parse back to the identical JSON: what the adapter serves is
-// exactly what the developer can read back.
+// submitted bundle (POST /v1/bundles, janusctl, janus.ParseBundle) goes
+// through. It must never panic; it must agree with json.Unmarshal plus
+// Validate, the decode it short-cuts, on accept or reject, on the error
+// text, and on a deeply equal bundle; and a bundle it accepts must
+// marshal and parse back to the identical JSON: what the adapter serves
+// is exactly what the developer can read back.
 func FuzzParseBundle(f *testing.F) {
 	for _, b := range []*Bundle{validBundle(), shapedBundle()} {
 		data, err := b.Marshal()
@@ -19,6 +22,31 @@ func FuzzParseBundle(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		indented, err := json.MarshalIndent(b, "", "\t")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(indented)
+	}
+	for _, s := range []string{
+		// Members out of struct order, escaped strings and nulls: all
+		// valid JSON outside the direct form, so encoding/json decodes them.
+		`{"batch":1,"workflow":"w","weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":[]}]}`,
+		`{"workflow":"w","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"weight":1,"suffix":0,"ranges":[{"end_ms":9,"start_ms":1,"millicores":100,"percentile":99}]}]}`,
+		`{"workflow":"\u0069a","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"workflow":"i\ta","suffix":0,"weight":1,"ranges":[]}]}`,
+		`{"workflow":"w","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":[]}],"shaped":{"0":{"w\u003d2":{"suffix":0,"weight":1,"ranges":[]}}}}`,
+		`{"workflow":null,"batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":[]}]}`,
+		`{"workflow":"w","batch":null,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":null,"ranges":null}],"shaped":null}`,
+		`{"workflow":"w","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":null}`,
+		`{"workflow":"w","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":[]}],"shaped":{"0":null}}`,
+		`{"workflow":"w","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":[]}],"shaped":{"0":{"w=1":null}}}`,
+		`{"workflow":"w","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":[]}],"shaped":{"00":{"w=1":{"suffix":0,"weight":1,"ranges":[]}},"0":{"w=2":{"suffix":0,"weight":1,"ranges":[]}}}}`,
+		`{"workflow":"w","workflow":"x","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":[]}]}`,
+		` {"workflow":"w","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":[]}]} x`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(s))
 	}
 	f.Add([]byte(`{"workflow":"w","batch":1,"weight":1,"slo_ms":100,"max_millicores":100,"tables":[{"suffix":0,"weight":1,"ranges":null}]}`))
 	f.Add([]byte(`{"workflow":"w","batch":1,"weight":0.5,"slo_ms":9,"max_millicores":7,"tables":[{"suffix":0,"weight":2,"ranges":[]}],"shaped":{"0":{"w=2":{"suffix":0,"weight":1,"ranges":[{"start_ms":5,"end_ms":5,"millicores":1,"percentile":0}]}}}}`))
@@ -26,8 +54,21 @@ func FuzzParseBundle(f *testing.F) {
 	f.Add([]byte(`{"tables":[null],"shaped":{"-1":{}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := ParseBundle(data)
+		var want Bundle
+		errWant := json.Unmarshal(data, &want)
+		if errWant != nil {
+			errWant = fmt.Errorf("hints: invalid bundle JSON: %w", errWant)
+		} else {
+			errWant = want.Validate()
+		}
+		if (err == nil) != (errWant == nil) || err != nil && err.Error() != errWant.Error() {
+			t.Fatalf("ParseBundle error %v, json.Unmarshal and Validate %v\n%q", err, errWant, data)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(*b, want) {
+			t.Fatalf("ParseBundle decoded %#v, json.Unmarshal %#v\n%q", *b, want, data)
 		}
 		out, err := b.Marshal()
 		if err != nil {

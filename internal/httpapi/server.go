@@ -473,7 +473,9 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%s", err)
 			return
 		}
-		f, err := catalog.Parse(body)
+		// Load validates the catalog before it swaps anything in, so
+		// the body is decoded without a second validation pass.
+		f, err := catalog.Decode(body)
 		if err != nil {
 			s.ObserveReload("http", err)
 			writeError(w, http.StatusBadRequest, CodeInvalidCatalog, "%s", err)

@@ -42,8 +42,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"time"
 
+	"janus/internal/chunk"
 	"janus/internal/cluster"
 	"janus/internal/interfere"
 	"janus/internal/obs"
@@ -324,10 +326,25 @@ type WorkloadConfig struct {
 	Seed uint64
 }
 
+// workloadGrain is the fewest requests a generation chunk fills: a
+// workload of fewer than two grains is drawn on the calling goroutine.
+const workloadGrain = 256
+
 // GenerateWorkload materializes the request sequence with pre-sampled
 // draws — one per node of every decision group, so forks face
 // independently drawn runtime conditions across their members.
+//
+// Every request draws from its own req/<i> stream, so the requests are
+// drawn in contiguous chunks on up to GOMAXPROCS workers, each carving
+// its requests, draws and dynamic resolutions from arenas of its own;
+// the output is the same at any worker count.
 func GenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
+	return generateWorkload(cfg, 0)
+}
+
+// generateWorkload is GenerateWorkload on at most workers goroutines
+// (GOMAXPROCS when workers <= 0); only tests pass another count.
+func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 	if cfg.Workflow == nil {
 		return nil, fmt.Errorf("platform: workload needs a workflow")
 	}
@@ -360,9 +377,9 @@ func GenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	if cfg.StageCorrelation < 0 || cfg.StageCorrelation > 1 {
 		return nil, fmt.Errorf("platform: StageCorrelation %v outside [0, 1]", cfg.StageCorrelation)
 	}
-	fns := make([][]*perfmodel.Function, len(stages))
+	g := &generator{cfg: &cfg, stages: stages, fns: make([][]*perfmodel.Function, len(stages))}
 	for s, stage := range stages {
-		fns[s] = make([]*perfmodel.Function, len(stage))
+		g.fns[s] = make([]*perfmodel.Function, len(stage))
 		for b, n := range stage {
 			f, ok := cfg.Functions[n.Function]
 			if !ok {
@@ -371,76 +388,122 @@ func GenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 			if !f.SupportsBatch(cfg.Batch) {
 				return nil, fmt.Errorf("platform: function %s does not support batch size %d", n.Function, cfg.Batch)
 			}
-			fns[s][b] = f
+			g.fns[s][b] = f
 		}
+		g.nodes += len(stage)
 	}
-	var sampler *dynSampler
 	if cfg.Workflow.IsDynamic() {
-		sampler = newDynSampler(&cfg, cfg.N)
+		g.dyn = newDynSampler(&cfg)
 	}
-	root := rng.New(cfg.Seed).Split("workload/" + cfg.Workflow.Name())
-	arrivals := root.Split("arrivals")
+	g.root = rng.New(cfg.Seed).Split("workload/" + cfg.Workflow.Name())
+	g.arrivals = arrivalInstants(&cfg, g.root)
 	reqs := make([]*Request, cfg.N)
+	chunk.Run(cfg.N, workloadGrain, workers, func(lo, hi int) { g.fill(reqs, lo, hi) })
+	return reqs, nil
+}
+
+// arrivalInstants returns every request's admission instant: the
+// explicit schedule as given, or the Poisson or closed-loop stream. The
+// Poisson gaps come from the workload's arrivals stream, which no
+// request's draws touch, so drawing them all first changes nothing.
+func arrivalInstants(cfg *WorkloadConfig, root *rng.Stream) []time.Duration {
+	if len(cfg.Arrivals) > 0 {
+		return cfg.Arrivals
+	}
+	out := make([]time.Duration, cfg.N)
+	gaps := root.Split("arrivals")
 	at := time.Duration(0)
-	for i := 0; i < cfg.N; i++ {
-		switch {
-		case len(cfg.Arrivals) > 0:
-			at = cfg.Arrivals[i]
-		case cfg.ArrivalRatePerSec > 0:
-			gap := arrivals.Exp(cfg.ArrivalRatePerSec)
-			at += time.Duration(gap * float64(time.Second))
-		default:
+	for i := range out {
+		if cfg.ArrivalRatePerSec > 0 {
+			at += time.Duration(gaps.Exp(cfg.ArrivalRatePerSec) * float64(time.Second))
+		} else {
 			at += 5 * time.Millisecond
 		}
-		stream := root.Split(fmt.Sprintf("req/%d", i))
-		shared := stream.Float64() < cfg.StageCorrelation
-		common := stream.Split("common")
-		draws := make([][]perfmodel.Draw, len(stages))
-		for s := range stages {
-			draws[s] = make([]perfmodel.Draw, len(stages[s]))
-			for b, f := range fns[s] {
-				drawStream := stream
-				if shared {
-					// Every draw replays an identical stream: comonotonic
-					// inputs, contention, and jitter along the workflow.
-					drawStream = common.Split("replay")
-				}
-				coloc := cfg.Colocation.Sample(drawStream)
-				draws[s][b] = f.NewDraw(drawStream, cfg.Batch, coloc, cfg.Interference)
+		out[i] = at
+	}
+	return out
+}
+
+// generator is one workload's generation plan, read by every worker
+// filling a chunk of it.
+type generator struct {
+	cfg    *WorkloadConfig
+	stages [][]workflow.Node
+	fns    [][]*perfmodel.Function
+	// nodes counts a request's base draws, one per workflow node.
+	nodes    int
+	arrivals []time.Duration
+	root     *rng.Stream
+	dyn      *dynSampler
+}
+
+// chunkStreams are one worker's streams, reseeded for each request and
+// each coupled draw rather than allocated.
+type chunkStreams struct {
+	req, common, replay, dyn rng.Stream
+}
+
+// fill draws requests [lo, hi) into reqs. Their Requests, group slices
+// and draws are carved from arenas allocated once per chunk, each slice
+// at exact capacity, so an append to one request's slice never reaches
+// another's.
+func (g *generator) fill(reqs []*Request, lo, hi int) {
+	cfg := g.cfg
+	n := hi - lo
+	rs := make([]Request, n)
+	groups := make([][]perfmodel.Draw, n*len(g.stages))
+	draws := make([]perfmodel.Draw, n*g.nodes)
+	st := new(chunkStreams)
+	var dc *dynChunk
+	if g.dyn != nil {
+		dc = g.dyn.newChunk(n)
+	}
+	var label [32]byte
+	for i := lo; i < hi; i++ {
+		g.root.SplitInto(&st.req, string(strconv.AppendInt(append(label[:0], "req/"...), int64(i), 10)))
+		shared := st.req.Float64() < cfg.StageCorrelation
+		st.req.SplitInto(&st.common, "common")
+		r := &rs[i-lo]
+		r.Draws, groups = groups[:len(g.stages):len(g.stages)], groups[len(g.stages):]
+		for s, fns := range g.fns {
+			r.Draws[s], draws = draws[:len(fns):len(fns)], draws[len(fns):]
+			for b, f := range fns {
+				r.Draws[s][b] = g.draw(f, &st.req, st, shared)
 			}
 		}
-		var dyn *DynDraws
-		if sampler != nil {
+		if dc != nil {
 			// Dynamic resolutions ride a dedicated child stream, so a
 			// static workflow's draw sequence is untouched and adding an
 			// annotation never perturbs the base draws above.
-			dyn = sampler.sample(&cfg, i, stream.Split("dyn"), common, shared)
+			st.req.SplitInto(&st.dyn, "dyn")
+			r.Dyn = dc.sample(g, i-lo, st, shared)
 		}
-		reqs[i] = &Request{
-			ID:       i,
-			Workflow: cfg.Workflow,
-			Groups:   stages,
-			Draws:    draws,
-			Arrival:  at,
-			Batch:    cfg.Batch,
-			Dyn:      dyn,
-		}
+		r.ID, r.Workflow, r.Groups, r.Arrival, r.Batch = i, cfg.Workflow, g.stages, g.arrivals[i], cfg.Batch
+		reqs[i] = r
 	}
-	return reqs, nil
+}
+
+// draw samples one execution from stream or, when the request's stages
+// are coupled, from a fresh replay of its common stream: every coupled
+// draw replays an identical stream, so inputs, contention and jitter are
+// comonotonic along the workflow.
+func (g *generator) draw(f *perfmodel.Function, stream *rng.Stream, st *chunkStreams, shared bool) perfmodel.Draw {
+	if shared {
+		st.common.SplitInto(&st.replay, "replay")
+		stream = &st.replay
+	}
+	coloc := g.cfg.Colocation.Sample(stream)
+	return f.NewDraw(stream, g.cfg.Batch, coloc, g.cfg.Interference)
 }
 
 // dynSampler is the plan GenerateWorkload resolves every request of a
 // dynamic workflow from, built once per workload: the annotated steps in
 // DynamicSteps order with their specs, choice weights and functions
-// looked up once, the workload's DynDraws and record arenas, and the
-// reusable buffers one request's counts and draws are drawn into before
-// they are copied out at their exact sizes.
+// looked up once, and the most attempt counts and draws one request can
+// resolve to, which size a chunk's buffers.
 type dynSampler struct {
-	steps    []dynSampleStep
-	dyns     []DynDraws
-	records  []dynStep
-	attempts []int
-	draws    []perfmodel.Draw
+	steps                 []dynSampleStep
+	maxAttempts, maxDraws int
 }
 
 type dynSampleStep struct {
@@ -455,14 +518,10 @@ type dynSampleStep struct {
 	fn    *perfmodel.Function
 }
 
-func newDynSampler(cfg *WorkloadConfig, n int) *dynSampler {
+func newDynSampler(cfg *WorkloadConfig) *dynSampler {
 	w := cfg.Workflow
 	names := w.DynamicSteps()
-	s := &dynSampler{
-		steps:   make([]dynSampleStep, len(names)),
-		dyns:    make([]DynDraws, n),
-		records: make([]dynStep, n*len(names)),
-	}
+	s := &dynSampler{steps: make([]dynSampleStep, len(names))}
 	for i, step := range names {
 		d, _ := w.Dynamic(step)
 		node, _ := w.Node(step)
@@ -476,6 +535,17 @@ func newDynSampler(cfg *WorkloadConfig, n int) *dynSampler {
 				}
 			}
 		}
+		if d.Map != nil || d.Retry != nil {
+			reps, tries := 1, 1
+			if d.Map != nil {
+				reps = d.Map.MaxWidth
+			}
+			if d.Retry != nil {
+				tries += d.Retry.MaxRetries
+			}
+			s.maxAttempts += reps
+			s.maxDraws += reps * tries
+		}
 		if d.Map != nil {
 			ss.decay = d.Map.Decay
 			if ss.decay == 0 {
@@ -487,17 +557,40 @@ func newDynSampler(cfg *WorkloadConfig, n int) *dynSampler {
 	return s
 }
 
-// sample resolves request i's dynamic shape from its seeded stream:
+// dynChunk is one chunk's DynDraws arenas: every request's DynDraws and
+// records carved from slices of the chunk's length, and its counts and
+// draws drawn into reusable buffers, then copied out at exact size into
+// block arenas.
+type dynChunk struct {
+	dyns      []DynDraws
+	records   []dynStep
+	attempts  []int
+	draws     []perfmodel.Draw
+	attArena  arena[int]
+	drawArena arena[perfmodel.Draw]
+}
+
+func (s *dynSampler) newChunk(n int) *dynChunk {
+	return &dynChunk{
+		dyns:     make([]DynDraws, n),
+		records:  make([]dynStep, n*len(s.steps)),
+		attempts: make([]int, 0, s.maxAttempts),
+		draws:    make([]perfmodel.Draw, 0, s.maxDraws),
+	}
+}
+
+// sample resolves the chunk's request j from its dyn stream (st.dyn):
 // taken branch per choice step, fan-out width per map step,
 // failed-attempt counts per retry step, and a draw for every extra
 // execution (map replicas and retry attempts) the resolution implies.
-func (s *dynSampler) sample(cfg *WorkloadConfig, i int, dynStream, common *rng.Stream, shared bool) *DynDraws {
-	k := len(s.steps)
-	records := s.records[i*k : (i+1)*k : (i+1)*k]
-	s.attempts, s.draws = s.attempts[:0], s.draws[:0]
-	for j := range s.steps {
-		ss := &s.steps[j]
-		rec := dynStep{name: ss.name, choice: -1, att: int32(len(s.attempts)), draw: int32(len(s.draws))}
+func (c *dynChunk) sample(g *generator, j int, st *chunkStreams, shared bool) *DynDraws {
+	dynStream := &st.dyn
+	k := len(g.dyn.steps)
+	records := c.records[j*k : (j+1)*k : (j+1)*k]
+	c.attempts, c.draws = c.attempts[:0], c.draws[:0]
+	for i := range g.dyn.steps {
+		ss := &g.dyn.steps[i]
+		rec := dynStep{name: ss.name, choice: -1, att: int32(len(c.attempts)), draw: int32(len(c.draws))}
 		switch d := ss.spec; {
 		case d.Choice != nil:
 			rec.choice = int32(dynStream.Choice(ss.weights))
@@ -512,24 +605,58 @@ func (s *dynSampler) sample(cfg *WorkloadConfig, i int, dynStream, common *rng.S
 				for d.Retry != nil && a < d.Retry.MaxRetries && dynStream.Float64() < d.Retry.FailureProb {
 					a++
 				}
-				s.attempts = append(s.attempts, a)
+				c.attempts = append(c.attempts, a)
 			}
-			for _, a := range s.attempts[rec.att:] {
+			for _, a := range c.attempts[rec.att:] {
 				for range a + 1 {
-					drawStream := dynStream
-					if shared {
-						drawStream = common.Split("replay")
-					}
-					coloc := cfg.Colocation.Sample(drawStream)
-					s.draws = append(s.draws, ss.fn.NewDraw(drawStream, cfg.Batch, coloc, cfg.Interference))
+					c.draws = append(c.draws, g.draw(ss.fn, dynStream, st, shared))
 				}
 			}
 		}
-		records[j] = rec
+		records[i] = rec
 	}
-	dyn := &s.dyns[i]
-	*dyn = DynDraws{steps: records, attempts: slices.Clone(s.attempts), draws: slices.Clone(s.draws)}
+	left := len(c.dyns) - j
+	dyn := &c.dyns[j]
+	*dyn = DynDraws{
+		steps:    records,
+		attempts: c.attArena.clone(c.attempts, j, left),
+		draws:    c.drawArena.clone(c.draws, j, left),
+	}
 	return dyn
+}
+
+// arenaWarmup is how many requests a chunk's first arena block is sized
+// for; later blocks are sized from the average those requests used.
+const arenaWarmup = 32
+
+// arena hands out exact-capacity copies carved from shared blocks, so a
+// chunk's requests share a few allocations instead of two each. A block
+// that runs short is replaced by one sized for the chunk's remaining
+// requests at the average per request so far, plus an eighth.
+type arena[T any] struct {
+	block []T
+	used  int
+}
+
+// clone copies src into the arena for the chunk's request done, with
+// left requests to go counting this one. An empty src stays nil.
+func (a *arena[T]) clone(src []T, done, left int) []T {
+	n := len(src)
+	if n == 0 {
+		return nil
+	}
+	if len(a.block) < n {
+		size := n * min(left, arenaWarmup)
+		if done >= arenaWarmup {
+			size = a.used * left / done * 9 / 8
+		}
+		a.block = make([]T, max(size, n))
+	}
+	out := a.block[:n:n]
+	a.block = a.block[n:]
+	a.used += n
+	copy(out, src)
+	return out
 }
 
 // ExecutorConfig sizes the serving plane.

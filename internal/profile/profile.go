@@ -18,8 +18,10 @@ package profile
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
+	"janus/internal/chunk"
 	"janus/internal/interfere"
 	"janus/internal/perfmodel"
 	"janus/internal/rng"
@@ -410,6 +412,11 @@ type Profiler struct {
 	Interference *interfere.Model
 	// Seed roots the profiling streams.
 	Seed uint64
+
+	// workers bounds the goroutines a profile's grid levels are spread
+	// over: GOMAXPROCS when zero. Every level draws from its own stream,
+	// so only tests set it, and the profiles never depend on it.
+	workers int
 }
 
 // NewProfiler builds a profiler with validated configuration.
@@ -462,9 +469,8 @@ func (p *Profiler) ProfileFunction(name string, batch int) (*FunctionProfile, er
 	for i := range fp.LatencyMs {
 		fp.LatencyMs[i] = make([]int, len(levels))
 	}
-	for ki, k := range levels {
-		stream := rng.New(p.Seed).Split(fmt.Sprintf("profile/%s/b%d/k%d", name, batch, k))
-		sample := &stats.Sample{}
+	p.eachLevel(fmt.Sprintf("profile/%s/b%d", name, batch), func(ki, k int, stream *rng.Stream) {
+		sample := stats.NewSample(make([]float64, 0, p.SamplesPerConfig))
 		for i := 0; i < p.SamplesPerConfig; i++ {
 			coloc := p.Colocation.Sample(stream)
 			draw := fn.NewDraw(stream, batch, coloc, p.Interference)
@@ -477,7 +483,7 @@ func (p *Profiler) ProfileFunction(name string, batch int) (*FunctionProfile, er
 			ms := sample.Percentile(float64(pct))
 			fp.LatencyMs[pi][ki] = int(ms) + 1
 		}
-	}
+	})
 	if err := fp.init(); err != nil {
 		return nil, err
 	}
@@ -504,6 +510,23 @@ func enforceMonotone(fp *FunctionProfile) {
 			}
 		}
 	}
+}
+
+// eachLevel calls level(ki, k, stream) for every grid level k at index
+// ki, with stream seeded for that level alone (prefix + "/k<k>" split
+// from the profiler's seed). Contiguous runs of levels are spread over
+// the profiler's workers, each reseeding one stream of its own; since a
+// level's draws depend on its label alone, so does the profile.
+func (p *Profiler) eachLevel(prefix string, level func(ki, k int, stream *rng.Stream)) {
+	root := rng.New(p.Seed)
+	levels := p.Grid.Levels()
+	chunk.Run(len(levels), 1, p.workers, func(lo, hi int) {
+		stream := new(rng.Stream)
+		for ki := lo; ki < hi; ki++ {
+			root.SplitInto(stream, prefix+"/k"+strconv.Itoa(levels[ki]))
+			level(ki, levels[ki], stream)
+		}
+	})
 }
 
 // ProfileWorkflow profiles every decision group of a workflow DAG. Chains
@@ -623,11 +646,10 @@ func (p *Profiler) ProfileGroupMap(g workflow.Group, mapStep string, maxWidth, b
 			lat[v][pi] = make([]int, len(levels))
 		}
 	}
-	samples := make([]*stats.Sample, maxWidth)
-	for ki, k := range levels {
-		stream := rng.New(p.Seed).Split(fmt.Sprintf("mapshape/%s/%s/b%d/k%d", name, mapStep, batch, k))
+	p.eachLevel(fmt.Sprintf("mapshape/%s/%s/b%d", name, mapStep, batch), func(ki, k int, stream *rng.Stream) {
+		samples := make([]*stats.Sample, maxWidth)
 		for v := range samples {
-			samples[v] = &stats.Sample{}
+			samples[v] = stats.NewSample(make([]float64, 0, p.SamplesPerConfig))
 		}
 		for i := 0; i < p.SamplesPerConfig; i++ {
 			var worst time.Duration
@@ -652,7 +674,7 @@ func (p *Profiler) ProfileGroupMap(g workflow.Group, mapStep string, maxWidth, b
 				lat[v][pi][ki] = int(samples[v].Percentile(float64(pct))) + 1
 			}
 		}
-	}
+	})
 	out := make([]*FunctionProfile, maxWidth)
 	for v := 0; v < maxWidth; v++ {
 		fp, err := NewFunctionProfile(fmt.Sprintf("%s@w=%d", name, v+1), batch, p.Grid, p.Percentiles, lat[v])
@@ -707,9 +729,8 @@ func (p *Profiler) ProfileGroup(g workflow.Group, batch int) (*FunctionProfile, 
 	for i := range lat {
 		lat[i] = make([]int, len(levels))
 	}
-	for ki, k := range levels {
-		stream := rng.New(p.Seed).Split(fmt.Sprintf("parallel/%s/b%d/k%d", name, batch, k))
-		sample := &stats.Sample{}
+	p.eachLevel(fmt.Sprintf("parallel/%s/b%d", name, batch), func(ki, k int, stream *rng.Stream) {
+		sample := stats.NewSample(make([]float64, 0, p.SamplesPerConfig))
 		for i := 0; i < p.SamplesPerConfig; i++ {
 			var worst time.Duration
 			for _, fn := range fns {
@@ -724,7 +745,7 @@ func (p *Profiler) ProfileGroup(g workflow.Group, batch int) (*FunctionProfile, 
 		for pi, pct := range p.Percentiles {
 			lat[pi][ki] = int(sample.Percentile(float64(pct))) + 1
 		}
-	}
+	})
 	fp, err := NewFunctionProfile(name, batch, p.Grid, p.Percentiles, lat)
 	if err != nil {
 		return nil, err

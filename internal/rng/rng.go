@@ -8,34 +8,76 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 )
 
 // Stream is a deterministic random stream. Create one with New and derive
-// independent children with Split.
+// independent children with Split, or reseed a stream the caller owns
+// with SplitInto.
+//
+// A Stream is one allocation: it holds its PCG state and the rand.Rand
+// drawing from it, and that rand.Rand points back into the same struct.
+// A copy would keep drawing from the original's state, so a Stream is
+// only ever handled by pointer; go vet's copylocks check rejects a copy.
 type Stream struct {
-	r    *rand.Rand
+	_    noCopy
+	pcg  rand.PCG
+	r    rand.Rand
 	seed uint64
 }
 
+// noCopy makes go vet's copylocks check flag a Stream copied by value.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // New returns a Stream seeded with seed.
 func New(seed uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), seed: seed}
+	s := new(Stream)
+	s.reseed(seed)
+	return s
+}
+
+// reseed restarts s as New(seed) would start it.
+func (s *Stream) reseed(seed uint64) {
+	s.seed = seed
+	s.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
+	s.r = *rand.New(&s.pcg)
 }
 
 // Split derives an independent child stream from a label. The same
 // (seed, label) pair always yields the same child.
 func (s *Stream) Split(label string) *Stream {
-	h := fnv.New64a()
-	var buf [8]byte
+	return New(splitSeed(s.seed, label))
+}
+
+// SplitInto reseeds dst as the child Split(label) would return, so a hot
+// loop can reuse one stream it owns instead of allocating a child per
+// label. dst may be a zero Stream; s is only read, so goroutines may
+// split one shared parent into streams of their own.
+func (s *Stream) SplitInto(dst *Stream, label string) {
+	dst.reseed(splitSeed(s.seed, label))
+}
+
+// splitSeed is the 64-bit FNV-1a hash (hash/fnv's New64a) of seed's
+// eight little-endian bytes followed by label.
+func splitSeed(seed uint64, label string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(s.seed >> (8 * i))
+		h ^= seed >> (8 * i) & 0xff
+		h *= prime64
 	}
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	return New(h.Sum64())
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= prime64
+	}
+	return h
 }
 
 // Seed reports the seed this stream was created with.

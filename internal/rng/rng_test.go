@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -199,4 +202,105 @@ func TestTruncGeometricPanicsOnBadMax(t *testing.T) {
 		}
 	}()
 	New(1).TruncGeometric(0, 0.5)
+}
+
+// refSplit is Split as it was before a Stream held its own generator:
+// hash/fnv's FNV-1a over the parent seed's little-endian bytes and the
+// label, and a freshly allocated PCG behind a freshly allocated
+// rand.Rand. It is the oracle that Split and SplitInto must reproduce
+// draw for draw.
+func refSplit(seed uint64, label string) *Stream {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := 0; i < 8; i++ {
+		buf[i] = byte(seed >> (8 * i))
+	}
+	h.Write(buf[:])
+	h.Write([]byte(label))
+	child := h.Sum64()
+	ref := &Stream{seed: child}
+	ref.r = *rand.New(rand.NewPCG(child, child^0x9e3779b97f4a7c15))
+	return ref
+}
+
+// drawAll runs every Stream method a few times and records what each
+// returns, so two streams compare over the whole API.
+func drawAll(s *Stream) []float64 {
+	var out []float64
+	add := func(v ...float64) { out = append(out, v...) }
+	for range 3 {
+		add(s.Float64(), float64(s.IntN(1000)), s.Uniform(2, 5), s.NormFloat64(),
+			s.Normal(3, 2), s.LogNormal(0, 0.5), s.LogNormalClipped(0, 0.8, 0.7, 1.6),
+			s.Exp(2.5), s.Pareto(1, 1.5), float64(s.Poisson(3)), float64(s.Poisson(100)),
+			float64(s.TruncGeometric(8, 0.6)), float64(s.Choice([]float64{0.5, 0.35, 0.15})))
+		for _, v := range s.Perm(6) {
+			add(float64(v))
+		}
+		xs := []float64{0, 1, 2, 3, 4, 5, 6}
+		s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		add(xs...)
+	}
+	return append(out, float64(s.Seed()))
+}
+
+// TestSplitMatchesReference pins Split and SplitInto to the reference
+// split over many seeds and labels: the same child seed, and the same
+// first outputs from every method. SplitInto is checked into one reused
+// stream, a fresh zero stream, and its own parent.
+func TestSplitMatchesReference(t *testing.T) {
+	labels := []string{"", "a", "arrivals", "common", "replay", "dyn", "req/0", "req/99999",
+		"workload/trigger-ml", "profile/icl/b1/k1000", "mapshape/par(2)+icl+ico/ocr/b4/k3000", "ünïcode ✓"}
+	reused := new(Stream)
+	for seed := uint64(0); seed < 200; seed++ {
+		parents := []uint64{seed, seed * 0x9e3779b97f4a7c15, ^seed}
+		for _, ps := range parents {
+			parent := New(ps)
+			for _, label := range labels {
+				want := drawAll(refSplit(ps, label))
+				if got := drawAll(parent.Split(label)); !slices.Equal(got, want) {
+					t.Fatalf("seed %#x label %q: Split draws %v, reference %v", ps, label, got, want)
+				}
+				parent.SplitInto(reused, label)
+				if got := drawAll(reused); !slices.Equal(got, want) {
+					t.Fatalf("seed %#x label %q: SplitInto a reused stream draws %v, reference %v", ps, label, got, want)
+				}
+				var zero Stream
+				parent.SplitInto(&zero, label)
+				if got := drawAll(&zero); !slices.Equal(got, want) {
+					t.Fatalf("seed %#x label %q: SplitInto a zero stream draws %v, reference %v", ps, label, got, want)
+				}
+				self := New(ps)
+				self.SplitInto(self, label)
+				if got := drawAll(self); !slices.Equal(got, want) {
+					t.Fatalf("seed %#x label %q: SplitInto its own parent draws %v, reference %v", ps, label, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitIntoLeavesParent checks that splitting reads the parent
+// without consuming it.
+func TestSplitIntoLeavesParent(t *testing.T) {
+	a, b := New(9), New(9)
+	var child Stream
+	a.SplitInto(&child, "x")
+	a.Split("y")
+	if got, want := drawAll(a), drawAll(b); !slices.Equal(got, want) {
+		t.Fatalf("parent draws %v after splitting, %v untouched", got, want)
+	}
+}
+
+// TestStreamAllocations pins a stream at one allocation and a reseed at
+// none.
+func TestStreamAllocations(t *testing.T) {
+	parent := New(3)
+	if n := testing.AllocsPerRun(100, func() { parent.Split("req/12345") }); n != 1 {
+		t.Errorf("Split allocates %v times, want 1", n)
+	}
+	dst := new(Stream)
+	label := []byte("req/12345")
+	if n := testing.AllocsPerRun(100, func() { parent.SplitInto(dst, string(label)) }); n != 0 {
+		t.Errorf("SplitInto allocates %v times, want 0", n)
+	}
 }

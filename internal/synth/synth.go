@@ -38,9 +38,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
+	"janus/internal/chunk"
 	"janus/internal/hints"
 	"janus/internal/profile"
 )
@@ -485,36 +485,14 @@ func (s *Synthesizer) generateTable(prog *coneProgram, suffix int) (*hints.RawTa
 	// positive grid level) and are dropped below.
 	out := make([]hints.Hint, count)
 	layers := len(prog.profiles)
-	var wg sync.WaitGroup
-	workers := s.cfg.Parallelism
-	if workers > count {
-		workers = count
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (count + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > count {
-			hi = count
+	chunk.Run(count, 1, s.cfg.Parallelism, func(lo, hi int) {
+		arena := make([]int, (hi-lo)*layers)
+		for i := lo; i < hi; i++ {
+			plan := arena[:layers:layers]
+			arena = arena[layers:]
+			prog.generateOne(first+i*step, &out[i], plan)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			arena := make([]int, (hi-lo)*layers)
-			for i := lo; i < hi; i++ {
-				plan := arena[:layers:layers]
-				arena = arena[layers:]
-				prog.generateOne(first+i*step, &out[i], plan)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	kept := out[:0]
 	for _, h := range out {
 		if h.HeadMillicores > 0 {
