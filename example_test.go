@@ -16,12 +16,9 @@ func ExampleNewChain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	chain, err := w.Chain()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, node := range chain {
-		fmt.Println(node.Function)
+	// A chain's decision groups are its steps, one node each, in order.
+	for _, g := range w.DecisionGroups() {
+		fmt.Println(g.Nodes[0].Function)
 	}
 	fmt.Println("SLO:", w.SLO())
 	// Output:

@@ -232,12 +232,6 @@ func (r *Registry) Authenticate(key string) (*RuntimeTenant, bool) {
 	return t, ok
 }
 
-// TenantByName resolves a tenant by name (metrics, tests).
-func (r *Registry) TenantByName(name string) (*RuntimeTenant, bool) {
-	t, ok := r.state.Load().tenants[name]
-	return t, ok
-}
-
 // Name reports the tenant's name.
 func (t *RuntimeTenant) Name() string { return t.name }
 

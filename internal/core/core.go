@@ -52,8 +52,6 @@ type Options struct {
 	// DisableRegeneration turns off the asynchronous reprofiling loop;
 	// controlled experiments need bundles to stay fixed for a whole run.
 	DisableRegeneration bool
-	// Parallelism bounds synthesis workers.
-	Parallelism int
 }
 
 // Deployment is a workflow deployed under Janus: its profiles, synthesized
@@ -100,18 +98,7 @@ func DeployProfiled(set *profile.Set, opts Options) (*Deployment, error) {
 	if opts.Batch != set.Batch {
 		return nil, fmt.Errorf("core: options batch %d does not match profiled batch %d", opts.Batch, set.Batch)
 	}
-	s, err := synth.New(synth.Config{
-		Profiles:         set,
-		Weight:           opts.Weight,
-		Mode:             opts.Mode,
-		BudgetStepMs:     opts.BudgetStepMs,
-		BudgetOverrideMs: opts.BudgetOverrideMs,
-		Parallelism:      opts.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.GenerateBundle()
+	res, err := synthesize(set, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -135,6 +122,21 @@ func DeployProfiled(set *profile.Set, opts Options) (*Deployment, error) {
 	}
 	d.Adapter = a
 	return d, nil
+}
+
+// synthesize runs hints synthesis over set with the options' knobs.
+func synthesize(set *profile.Set, opts Options) (*synth.Result, error) {
+	s, err := synth.New(synth.Config{
+		Profiles:         set,
+		Weight:           opts.Weight,
+		Mode:             opts.Mode,
+		BudgetStepMs:     opts.BudgetStepMs,
+		BudgetOverrideMs: opts.BudgetOverrideMs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.GenerateBundle()
 }
 
 func newProfiler(opts Options) (*profile.Profiler, error) {
@@ -172,18 +174,7 @@ func (d *Deployment) regenerate() {
 	if err != nil {
 		return
 	}
-	s, err := synth.New(synth.Config{
-		Profiles:         set,
-		Weight:           opts.Weight,
-		Mode:             opts.Mode,
-		BudgetStepMs:     opts.BudgetStepMs,
-		BudgetOverrideMs: opts.BudgetOverrideMs,
-		Parallelism:      opts.Parallelism,
-	})
-	if err != nil {
-		return
-	}
-	res, err := s.GenerateBundle()
+	res, err := synthesize(set, opts)
 	if err != nil {
 		return
 	}

@@ -75,11 +75,6 @@ type Config struct {
 	Requests int
 	// ArrivalRatePerSec is the Poisson workload rate.
 	ArrivalRatePerSec float64
-	// Parallelism bounds how many suite points run concurrently (the
-	// Runner's worker pool); <= 0 means GOMAXPROCS. Results are identical
-	// at every setting — points are independent by construction — so this
-	// trades only wall-clock time, never fidelity.
-	Parallelism int
 }
 
 // NewSuite returns a paper-scale suite: 1000 requests per point, 2000
@@ -128,7 +123,7 @@ type Suite struct {
 	flights flight.Group
 
 	mu         sync.Mutex
-	parallel   int        // runtime override of cfg.Parallelism (SetParallelism)
+	parallel   int        // point-level parallelism (SetParallelism)
 	obsTracer  obs.Tracer // event sink attached to replay serving runs (SetTracer)
 	obsMetrics *obs.Registry
 }
@@ -147,9 +142,11 @@ func memo[T any](s *Suite, key string, fn func() (T, error)) (T, error) {
 	return v.(T), nil
 }
 
-// SetParallelism overrides the suite's point-level parallelism after
-// construction (cmd/janusbench's -parallelism flag lands here); n <= 0
-// restores the default (GOMAXPROCS).
+// SetParallelism bounds how many suite points run concurrently (the
+// Runner's worker pool; cmd/janusbench's -parallelism flag lands here);
+// n <= 0 restores the default (GOMAXPROCS). Results are identical at
+// every setting — points are independent by construction — so this
+// trades only wall-clock time, never fidelity.
 func (s *Suite) SetParallelism(n int) {
 	s.mu.Lock()
 	s.parallel = n
@@ -201,9 +198,6 @@ func (s *Suite) parallelism() int {
 	s.mu.Lock()
 	n := s.parallel
 	s.mu.Unlock()
-	if n <= 0 {
-		n = s.cfg.Parallelism
-	}
 	if n <= 0 {
 		n = defaultParallelism()
 	}

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"janus/internal/obs"
@@ -102,7 +101,7 @@ func newDynPlan(w *workflow.Workflow, p *dagPlan, flat map[string]int) *dynPlan 
 	}
 	dp.shapeKeys = make([]string, maxWidth+1)
 	for width := 1; width <= maxWidth; width++ {
-		dp.shapeKeys[width] = "w=" + strconv.Itoa(width)
+		dp.shapeKeys[width] = workflow.ShapeKey(width)
 	}
 	dp.live = make([]int, len(dp.steps))
 	return dp

@@ -14,8 +14,9 @@ import (
 // drawn in chunks: one request at a time on the calling goroutine, every
 // child stream a fresh Split, every label a fmt.Sprintf, every request's
 // draws and dynamic resolution allocated on their own. It is kept,
-// unchanged but for its names, as the oracle the chunked generator must
-// reproduce exactly at any worker count.
+// unchanged but for its names and the Request.Groups copy it no longer
+// fills, as the oracle the chunked generator must reproduce exactly at any
+// worker count.
 func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	if cfg.Workflow == nil {
 		return nil, fmt.Errorf("platform: workload needs a workflow")
@@ -108,7 +109,6 @@ func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 		reqs[i] = &Request{
 			ID:       i,
 			Workflow: cfg.Workflow,
-			Groups:   stages,
 			Draws:    draws,
 			Arrival:  at,
 			Batch:    cfg.Batch,

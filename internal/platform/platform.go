@@ -61,13 +61,8 @@ type Request struct {
 	ID int
 	// Workflow is the application being served.
 	Workflow *workflow.Workflow
-	// Groups caches the workflow's decision-group partition in group
-	// order: Groups[g] lists the member nodes that become ready together
-	// and share one allocation decision. Chains have one node per group;
-	// series-parallel workflows have one group per fork-join stage.
-	Groups [][]workflow.Node
 	// Draws holds one pre-sampled draw per node, Draws[g][b] matching
-	// Groups[g][b].
+	// member b of the workflow's decision group g.
 	Draws [][]perfmodel.Draw
 	// Arrival is the request's admission time.
 	Arrival time.Duration
@@ -348,10 +343,6 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 	if cfg.Workflow == nil {
 		return nil, fmt.Errorf("platform: workload needs a workflow")
 	}
-	var stages [][]workflow.Node
-	for _, g := range cfg.Workflow.DecisionGroups() {
-		stages = append(stages, g.Nodes)
-	}
 	if len(cfg.Arrivals) > 0 {
 		if cfg.N != 0 && cfg.N != len(cfg.Arrivals) {
 			return nil, fmt.Errorf("platform: N %d does not match %d explicit arrivals", cfg.N, len(cfg.Arrivals))
@@ -377,10 +368,11 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 	if cfg.StageCorrelation < 0 || cfg.StageCorrelation > 1 {
 		return nil, fmt.Errorf("platform: StageCorrelation %v outside [0, 1]", cfg.StageCorrelation)
 	}
-	g := &generator{cfg: &cfg, stages: stages, fns: make([][]*perfmodel.Function, len(stages))}
-	for s, stage := range stages {
-		g.fns[s] = make([]*perfmodel.Function, len(stage))
-		for b, n := range stage {
+	groups := cfg.Workflow.DecisionGroups()
+	g := &generator{cfg: &cfg, fns: make([][]*perfmodel.Function, len(groups))}
+	for s, group := range groups {
+		g.fns[s] = make([]*perfmodel.Function, len(group.Nodes))
+		for b, n := range group.Nodes {
 			f, ok := cfg.Functions[n.Function]
 			if !ok {
 				return nil, fmt.Errorf("platform: workflow %s references unknown function %q", cfg.Workflow.Name(), n.Function)
@@ -390,7 +382,7 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 			}
 			g.fns[s][b] = f
 		}
-		g.nodes += len(stage)
+		g.nodes += len(group.Nodes)
 	}
 	if cfg.Workflow.IsDynamic() {
 		g.dyn = newDynSampler(&cfg)
@@ -427,9 +419,9 @@ func arrivalInstants(cfg *WorkloadConfig, root *rng.Stream) []time.Duration {
 // generator is one workload's generation plan, read by every worker
 // filling a chunk of it.
 type generator struct {
-	cfg    *WorkloadConfig
-	stages [][]workflow.Node
-	fns    [][]*perfmodel.Function
+	cfg *WorkloadConfig
+	// fns are the functions of every decision group's members.
+	fns [][]*perfmodel.Function
 	// nodes counts a request's base draws, one per workflow node.
 	nodes    int
 	arrivals []time.Duration
@@ -451,7 +443,7 @@ func (g *generator) fill(reqs []*Request, lo, hi int) {
 	cfg := g.cfg
 	n := hi - lo
 	rs := make([]Request, n)
-	groups := make([][]perfmodel.Draw, n*len(g.stages))
+	groups := make([][]perfmodel.Draw, n*len(g.fns))
 	draws := make([]perfmodel.Draw, n*g.nodes)
 	st := new(chunkStreams)
 	var dc *dynChunk
@@ -464,7 +456,7 @@ func (g *generator) fill(reqs []*Request, lo, hi int) {
 		shared := st.req.Float64() < cfg.StageCorrelation
 		st.req.SplitInto(&st.common, "common")
 		r := &rs[i-lo]
-		r.Draws, groups = groups[:len(g.stages):len(g.stages)], groups[len(g.stages):]
+		r.Draws, groups = groups[:len(g.fns):len(g.fns)], groups[len(g.fns):]
 		for s, fns := range g.fns {
 			r.Draws[s], draws = draws[:len(fns):len(fns)], draws[len(fns):]
 			for b, f := range fns {
@@ -478,7 +470,7 @@ func (g *generator) fill(reqs []*Request, lo, hi int) {
 			st.req.SplitInto(&st.dyn, "dyn")
 			r.Dyn = dc.sample(g, i-lo, st, shared)
 		}
-		r.ID, r.Workflow, r.Groups, r.Arrival, r.Batch = i, cfg.Workflow, g.stages, g.arrivals[i], cfg.Batch
+		r.ID, r.Workflow, r.Arrival, r.Batch = i, cfg.Workflow, g.arrivals[i], cfg.Batch
 		reqs[i] = r
 	}
 }
@@ -1148,13 +1140,13 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	if e.cfg.Metrics != nil {
 		st.om = newRunObs(e.cfg.Metrics)
 	}
-	// Validate every request against the plan the engine will actually
-	// execute — the workflow-derived decision groups, not the request's
-	// cached copy — building and binding each workflow's plan at its first
-	// request (planFor). The same pass sizes the run's arenas: the total
-	// readiness countdowns, executed-node traces — every node of a static
-	// request, the live executions its resolution implies for a dynamic
-	// one — and dynamic overlays across all requests.
+	// Validate every request's draws against the plan the engine will
+	// actually execute — the workflow's decision groups — building and
+	// binding each workflow's plan at its first request (planFor). The
+	// same pass sizes the run's arenas: the total readiness countdowns,
+	// executed-node traces — every node of a static request, the live
+	// executions its resolution implies for a dynamic one — and dynamic
+	// overlays across all requests.
 	totalPending, totalStages := 0, 0
 	dynReqs, dynNodes, dynAttempts := 0, 0, 0
 	for _, tw := range tenants {
@@ -1164,14 +1156,14 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 				return nil, err
 			}
 			totalPending += len(plan.predCount)
-			if len(r.Groups) != len(plan.groups) || len(r.Draws) != len(plan.groups) {
-				return nil, fmt.Errorf("platform: tenant %q request %d carries %d groups / %d draw rows, workflow %s has %d decision groups",
-					tw.Tenant, r.ID, len(r.Groups), len(r.Draws), r.Workflow.Name(), len(plan.groups))
+			if len(r.Draws) != len(plan.groups) {
+				return nil, fmt.Errorf("platform: tenant %q request %d carries %d draw rows, workflow %s has %d decision groups",
+					tw.Tenant, r.ID, len(r.Draws), r.Workflow.Name(), len(plan.groups))
 			}
 			for g, group := range plan.groups {
-				if len(r.Groups[g]) != len(group) || len(r.Draws[g]) != len(group) {
-					return nil, fmt.Errorf("platform: tenant %q request %d group %d carries %d members / %d draws, workflow %s has %d",
-						tw.Tenant, r.ID, g, len(r.Groups[g]), len(r.Draws[g]), r.Workflow.Name(), len(group))
+				if len(r.Draws[g]) != len(group) {
+					return nil, fmt.Errorf("platform: tenant %q request %d group %d carries %d draws, workflow %s has %d members",
+						tw.Tenant, r.ID, g, len(r.Draws[g]), r.Workflow.Name(), len(group))
 				}
 			}
 			if plan.dyn == nil {

@@ -36,8 +36,8 @@ func TestGenerateWorkloadShape(t *testing.T) {
 		if r.ID != i {
 			t.Fatalf("request %d has ID %d", i, r.ID)
 		}
-		if len(r.Draws) != 3 || len(r.Groups) != 3 {
-			t.Fatalf("request %d has %d draws / %d stages", i, len(r.Draws), len(r.Groups))
+		if groups := r.Workflow.DecisionGroups(); len(r.Draws) != 3 || len(groups) != 3 {
+			t.Fatalf("request %d has %d draws / %d stages", i, len(r.Draws), len(groups))
 		}
 		if r.Arrival <= prev {
 			t.Fatalf("arrivals not strictly increasing at %d", i)
@@ -303,6 +303,30 @@ func TestExecutorValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsDrawsOfAnotherShape re-points chain requests at
+// workflows of another decision-group shape: the run fails on the draw
+// rows or a group's draw count instead of serving draws that do not match
+// the groups.
+func TestRunRejectsDrawsOfAnotherShape(t *testing.T) {
+	e := defaultExecutor(t)
+	for _, c := range []struct {
+		w    *workflow.Workflow
+		want string
+	}{
+		{workflow.VideoAnalyzeSP(), "carries 3 draw rows, workflow va-sp has 2 decision groups"},
+		{diamondSP(t), "group 1 carries 1 draws, workflow diamond has 2 members"},
+	} {
+		reqs := iaWorkload(t, 2)
+		for _, r := range reqs {
+			r.Workflow = c.w
+		}
+		_, err := e.Run(reqs, &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.w.Name(), err, c.want)
+		}
+	}
+}
+
 type badAllocator struct{}
 
 func (badAllocator) Name() string { return "bad" }
@@ -405,11 +429,12 @@ func spWorkload(t *testing.T, w *workflow.Workflow, n int) []*Request {
 func TestGenerateWorkloadSeriesParallel(t *testing.T) {
 	reqs := spWorkload(t, diamondSP(t), 20)
 	for i, r := range reqs {
-		if len(r.Groups) != 3 || len(r.Draws) != 3 {
-			t.Fatalf("request %d: %d stages / %d draw stages", i, len(r.Groups), len(r.Draws))
+		groups := r.Workflow.DecisionGroups()
+		if len(groups) != 3 || len(r.Draws) != 3 {
+			t.Fatalf("request %d: %d stages / %d draw stages", i, len(groups), len(r.Draws))
 		}
-		if len(r.Groups[1]) != 2 || len(r.Draws[1]) != 2 {
-			t.Fatalf("request %d: fan-out stage has %d branches / %d draws", i, len(r.Groups[1]), len(r.Draws[1]))
+		if len(groups[1].Nodes) != 2 || len(r.Draws[1]) != 2 {
+			t.Fatalf("request %d: fan-out stage has %d branches / %d draws", i, len(groups[1].Nodes), len(r.Draws[1]))
 		}
 	}
 }

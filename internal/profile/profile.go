@@ -260,10 +260,10 @@ type Set struct {
 	Workflow *workflow.Workflow
 	// Batch is the concurrency level.
 	Batch int
-	// Profiles holds one profile per decision group, in group order. For a
-	// dynamic workflow, a group containing a map member carries the
-	// max-width composite here — the conservative base every unresolved
-	// future composites through.
+	// Profiles holds one profile per decision group: Profiles[i] covers
+	// Workflow.DecisionGroups()[i]. For a dynamic workflow, a group
+	// containing a map member carries the max-width composite here — the
+	// conservative base every unresolved future composites through.
 	Profiles []*FunctionProfile
 	// Shaped holds the width-variant composites of a dynamic workflow's
 	// map groups: Shaped[g][shape] is group g's composite when its map
@@ -272,10 +272,6 @@ type Set struct {
 	// static workflows.
 	Shaped map[int]map[string]*FunctionProfile
 }
-
-// Groups returns the workflow's decision groups; Profiles[i] covers
-// Groups()[i].
-func (s *Set) Groups() []workflow.Group { return s.Workflow.DecisionGroups() }
 
 // At returns the group-i profile.
 func (s *Set) At(i int) *FunctionProfile { return s.Profiles[i] }
@@ -595,7 +591,7 @@ func (p *Profiler) profileDynamic(set *Set, w *workflow.Workflow, batch int) (*S
 		}
 		shapes := make(map[string]*FunctionProfile, maxWidth)
 		for v := 1; v <= maxWidth; v++ {
-			shapes[fmt.Sprintf("w=%d", v)] = variants[v-1]
+			shapes[workflow.ShapeKey(v)] = variants[v-1]
 		}
 		set.Shaped[i] = shapes
 	}

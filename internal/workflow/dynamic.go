@@ -2,7 +2,7 @@ package workflow
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"time"
 )
 
@@ -219,6 +219,12 @@ func NewDynamic(name string, slo time.Duration, nodes []Node, edges [][2]string,
 		}
 	}
 	w.dyn = dyn
+	w.dynSteps = make([]string, 0, len(dyn))
+	for _, idx := range w.order {
+		if _, ok := dyn[w.nodes[idx].Name]; ok {
+			w.dynSteps = append(w.dynSteps, w.nodes[idx].Name)
+		}
+	}
 	return w, nil
 }
 
@@ -234,22 +240,15 @@ func (w *Workflow) Dynamic(step string) (DynamicNode, bool) {
 	return d.clone(), true
 }
 
-// DynamicSteps returns the annotated step names in topological order.
-func (w *Workflow) DynamicSteps() []string {
-	if len(w.dyn) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(w.dyn))
-	for step := range w.dyn {
-		out = append(out, step)
-	}
-	topoPos := make(map[string]int, len(w.nodes))
-	for pos, idx := range w.order {
-		topoPos[w.nodes[idx].Name] = pos
-	}
-	sort.Slice(out, func(i, j int) bool { return topoPos[out[i]] < topoPos[out[j]] })
-	return out
-}
+// DynamicSteps returns the annotated step names in topological order, nil
+// for a static workflow. NewDynamic computes the order once; the slice is
+// shared, and the caller must not mutate it.
+func (w *Workflow) DynamicSteps() []string { return w.dynSteps }
+
+// ShapeKey names the resolved shape of a map group whose map member runs
+// at the given width: the key of its shape-variant profile and hints
+// table.
+func ShapeKey(width int) string { return "w=" + strconv.Itoa(width) }
 
 // MapWidth reports the declared maximum fan-out width of a step: the
 // MapSpec bound for map steps, 1 otherwise. Profiling and synthesis use

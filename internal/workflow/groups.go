@@ -1,6 +1,10 @@
 package workflow
 
-import "sort"
+import (
+	"encoding/binary"
+	"slices"
+	"sync"
+)
 
 // Group is one decision group of the node-granular serving engine: a
 // maximal set of nodes sharing an identical predecessor set. Such nodes
@@ -17,80 +21,61 @@ type Group struct {
 	Preds []string
 }
 
-// DecisionGroups partitions the workflow's nodes into decision groups,
-// ordered by the earliest topological position of their members (members
+// DecisionGroups returns the workflow's decision groups, ordered by the
+// topological position of each group's first-declared member (members
 // keep declaration order). The partition is a pure function of the DAG:
 // every root shares the empty predecessor set, so group 0 is the root
-// group, and for series-parallel workflows the groups reproduce the
-// SeriesParallel stage decomposition exactly.
-func (w *Workflow) DecisionGroups() []Group {
-	topoPos := make(map[string]int, len(w.nodes))
-	for pos, idx := range w.order {
-		topoPos[w.nodes[idx].Name] = pos
+// group, and for series-parallel workflows the groups are the fork-join
+// stages. New computes it once; the slice and its groups are shared, and
+// the caller must not mutate them.
+func (w *Workflow) DecisionGroups() []Group { return w.groups }
+
+// partition computes the decision groups and each node's group index.
+func (w *Workflow) partition() {
+	pos := make([]int, len(w.nodes)) // node index -> topological position
+	for p, idx := range w.order {
+		pos[idx] = p
 	}
-	// Key groups by a canonical predecessor-set signature.
-	type bucket struct {
-		nodes []Node
-		preds []string
-	}
-	buckets := make(map[string]*bucket)
+	byPos := func(a, b string) int { return pos[w.index[a]] - pos[w.index[b]] }
+	// Key groups by their predecessors' topological positions; a lookup
+	// through string(key) does not allocate.
+	ids := make(map[string]int)
+	var key []byte
 	for _, n := range w.nodes { // declaration order keeps members ordered
-		preds := append([]string(nil), w.pred[n.Name]...)
-		sort.Slice(preds, func(i, j int) bool { return topoPos[preds[i]] < topoPos[preds[j]] })
-		sig := ""
+		preds := slices.Clip(slices.Clone(w.pred[n.Name]))
+		slices.SortFunc(preds, byPos)
+		key = key[:0]
 		for _, p := range preds {
-			sig += p + "\x00"
+			key = binary.AppendUvarint(key, uint64(pos[w.index[p]]))
 		}
-		b, ok := buckets[sig]
+		g, ok := ids[string(key)]
 		if !ok {
-			b = &bucket{preds: preds}
-			buckets[sig] = b
+			g = len(w.groups)
+			ids[string(key)] = g
+			w.groups = append(w.groups, Group{Preds: preds})
 		}
-		b.nodes = append(b.nodes, n)
+		w.groups[g].Nodes = append(w.groups[g].Nodes, n)
 	}
-	out := make([]Group, 0, len(buckets))
-	for _, b := range buckets {
-		out = append(out, Group{Nodes: b.nodes, Preds: b.preds})
+	// Order the groups by their first member's topological position.
+	slices.SortFunc(w.groups, func(a, b Group) int { return byPos(a.Nodes[0].Name, b.Nodes[0].Name) })
+	w.groups = slices.Clip(w.groups)
+	w.groupOf = make([]int, len(w.nodes))
+	for g := range w.groups {
+		w.groups[g].Nodes = slices.Clip(w.groups[g].Nodes)
+		for _, n := range w.groups[g].Nodes {
+			w.groupOf[w.index[n.Name]] = g
+		}
 	}
-	// Order by the first member's topological position: group members
-	// share a predecessor set, so Kahn's queue keeps them contiguous and
-	// any member's position induces the same group order.
-	sort.Slice(out, func(i, j int) bool {
-		return topoPos[out[i].Nodes[0].Name] < topoPos[out[j].Nodes[0].Name]
-	})
-	return out
+	w.cones = new(coneSet)
 }
 
-// groupOf maps every step name to its index in groups.
-func groupOf(groups []Group) map[string]int {
-	idx := make(map[string]int)
-	for g, grp := range groups {
-		for _, n := range grp.Nodes {
-			idx[n.Name] = g
-		}
-	}
-	return idx
-}
-
-// groupSucc builds the successor relation over group indices: g -> h when
-// an edge leads from a member of g to a member of h.
-func (w *Workflow) groupSucc(groups []Group) [][]int {
-	idx := groupOf(groups)
-	succ := make([][]int, len(groups))
-	for g, grp := range groups {
-		seen := map[int]bool{}
-		for _, n := range grp.Nodes {
-			for _, next := range w.succ[n.Name] {
-				h := idx[next]
-				if h != g && !seen[h] {
-					seen[h] = true
-					succ[g] = append(succ[g], h)
-				}
-			}
-		}
-		sort.Ints(succ[g])
-	}
-	return succ
+// coneSet holds every group's layered descendant cone, built at the first
+// GroupConeLayers call: a chain's cones total quadratic size (161 MB for
+// 2000 nodes), and validation paths (catalog loads, profile sets) build
+// workflows without reading a cone.
+type coneSet struct {
+	once   sync.Once
+	layers [][][]int
 }
 
 // GroupConeLayers returns the descendant cone of decision group g — g
@@ -102,41 +87,58 @@ func (w *Workflow) groupSucc(groups []Group) [][]int {
 // max-over-paths latency, which is the conservative shape Algorithm 1's
 // budget split needs. For a chain or series-parallel workflow the cone of
 // group g is exactly the stage suffix starting at g, one group per layer.
+// Every cone is computed once per workflow; the layers are shared, and
+// the caller must not mutate them.
 func (w *Workflow) GroupConeLayers(g int) [][]int {
-	groups := w.DecisionGroups()
-	if g < 0 || g >= len(groups) {
+	if g < 0 || g >= len(w.groups) {
 		return nil
 	}
-	succ := w.groupSucc(groups)
-	// Group indices are topologically ordered (a group's earliest member
-	// sits after all its predecessors), so one ascending pass computes
-	// longest-path depths over the cone.
-	depth := map[int]int{g: 0}
-	for cur := g; cur < len(groups); cur++ {
-		d, ok := depth[cur]
-		if !ok {
-			continue // not in g's cone
-		}
-		for _, next := range succ[cur] {
-			if cand, seen := depth[next]; !seen || d+1 > cand {
-				depth[next] = d + 1
+	w.cones.once.Do(w.layerCones)
+	return w.cones.layers[g]
+}
+
+// layerCones computes every group's layered descendant cone.
+func (w *Workflow) layerCones() {
+	ng := len(w.groups)
+	// succ[g] lists the groups an edge leads to from a member of g.
+	succ := make([][]int, ng)
+	for g, grp := range w.groups {
+		for _, n := range grp.Nodes {
+			for _, next := range w.succ[n.Name] {
+				if h := w.groupOf[w.index[next]]; !slices.Contains(succ[g], h) {
+					succ[g] = append(succ[g], h)
+				}
 			}
 		}
 	}
-	maxDepth := 0
-	for _, d := range depth {
-		if d > maxDepth {
-			maxDepth = d
+	// Group indices are topologically ordered (a group's first member
+	// sits after all its predecessors), so a group's longest-path depth
+	// from g is final when an ascending pass reaches it, and the pass
+	// fills every layer in ascending group order.
+	depth := make([]int, ng)
+	w.cones.layers = make([][][]int, ng)
+	for g := range w.groups {
+		for h := g; h < ng; h++ {
+			depth[h] = -1
 		}
-	}
-	layers := make([][]int, maxDepth+1)
-	for idx := range groups {
-		if d, ok := depth[idx]; ok {
-			layers[d] = append(layers[d], idx)
+		depth[g] = 0
+		var cone [][]int
+		for h := g; h < ng; h++ {
+			d := depth[h]
+			if d < 0 {
+				continue // not in g's cone
+			}
+			if d == len(cone) {
+				cone = append(cone, nil)
+			}
+			cone[d] = append(cone[d], h)
+			for _, next := range succ[h] {
+				depth[next] = max(depth[next], d+1)
+			}
 		}
+		for d := range cone {
+			cone[d] = slices.Clip(cone[d])
+		}
+		w.cones.layers[g] = slices.Clip(cone)
 	}
-	for _, layer := range layers {
-		sort.Ints(layer)
-	}
-	return layers
 }

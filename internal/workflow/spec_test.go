@@ -99,9 +99,10 @@ func TestBuildRejectsInvalidDynamic(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec: ParseSpec never panics, and every spec it accepts —
+// FuzzParseSpec: ParseSpec never panics, every spec it accepts —
 // dynamic kinds included — marshals to JSON that parses again and
-// re-marshals byte for byte.
+// re-marshals byte for byte, and its stored partition, cones and shape
+// predicates equal the per-call reference computations.
 func FuzzParseSpec(f *testing.F) {
 	nodes, edges := dynNodes()
 	dyn, err := NewDynamic("trig", time.Second, nodes, edges, []DynamicNode{
@@ -125,6 +126,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkPartition(t, w)
 		first, err := json.Marshal(w)
 		if err != nil {
 			t.Fatalf("accepted spec does not marshal: %v", err)

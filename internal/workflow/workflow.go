@@ -5,8 +5,8 @@
 // Video Analyze) are three-function chains; serving, profiling, and hints
 // synthesis all operate on arbitrary DAGs through the decision-group view
 // (DecisionGroups, GroupConeLayers), of which chains and series-parallel
-// fork-joins are special cases. Chain extraction and suffix views remain
-// first-class for the paper's original workloads.
+// fork-joins are special cases. The partition is computed once per
+// workflow and shared, read-only, by every caller.
 package workflow
 
 import (
@@ -32,11 +32,20 @@ type Workflow struct {
 	succ  map[string][]string
 	pred  map[string][]string
 	order []int // topological order over node indices
+	// groups is the decision-group partition and groupOf each node
+	// index's group, both computed by New (groups.go); cones holds every
+	// group's layered descendant cone. A WithSLO copy shares all three.
+	groups  []Group
+	groupOf []int
+	cones   *coneSet
 	// dyn holds dynamic node annotations keyed by step name; nil for
 	// static workflows (see dynamic.go). The skeleton above is always a
 	// validated static DAG — dynamic behavior only projects it down per
 	// request at serving time.
 	dyn map[string]DynamicNode
+	// dynSteps lists the annotated step names in topological order,
+	// computed by NewDynamic.
+	dynSteps []string
 }
 
 // New builds and validates a workflow. Edges are (from, to) pairs over step
@@ -113,6 +122,7 @@ func New(name string, slo time.Duration, nodes []Node, edges [][2]string) (*Work
 		return nil, err
 	}
 	w.order = order
+	w.partition()
 	return w, nil
 }
 
@@ -255,112 +265,34 @@ func (w *Workflow) TopoOrder() []Node {
 	return out
 }
 
-// IsChain reports whether the workflow is a simple linear chain.
-func (w *Workflow) IsChain() bool {
-	starts := 0
-	for _, n := range w.nodes {
-		if len(w.pred[n.Name]) == 0 {
-			starts++
-		}
-		if len(w.pred[n.Name]) > 1 || len(w.succ[n.Name]) > 1 {
+// IsSeriesParallel reports whether the workflow decomposes into fork-join
+// stages: every decision group after the first joins exactly the whole
+// group before it, so the groups are the stages. Chains included — every
+// chain is a one-branch-per-stage series-parallel workflow.
+func (w *Workflow) IsSeriesParallel() bool {
+	for g := 1; g < len(w.groups); g++ {
+		preds := w.groups[g].Preds
+		if len(preds) != len(w.groups[g-1].Nodes) {
 			return false
 		}
-	}
-	return starts == 1
-}
-
-// Chain returns the nodes in execution order if the workflow is a chain.
-// Janus's synthesizer requires chain-shaped (sub-)workflows; callers should
-// surface this error to the developer at deployment time.
-func (w *Workflow) Chain() ([]Node, error) {
-	if !w.IsChain() {
-		return nil, fmt.Errorf("workflow %s: not a chain", w.name)
-	}
-	return w.TopoOrder(), nil
-}
-
-// IsSeriesParallel reports whether the workflow decomposes into fork-join
-// stages (chains included — every chain is a one-branch-per-stage
-// series-parallel workflow).
-func (w *Workflow) IsSeriesParallel() bool {
-	_, err := w.SeriesParallel()
-	return err == nil
-}
-
-// SeriesParallel returns the workflow's fork-join stage decomposition:
-// stages execute in order and the nodes within a stage run as concurrent
-// branches, joining before the next stage. The decomposition exists when
-// the DAG is a sequence of full bipartite joins — every node's predecessor
-// set is exactly the whole previous stage. Chains decompose into
-// single-branch stages; more general DAGs (a branch spanning two steps, a
-// partial join) are rejected. Branch order within a stage follows node
-// declaration order, so the decomposition is deterministic.
-func (w *Workflow) SeriesParallel() ([][]Node, error) {
-	// Depth = longest path from a root, computed over the topological
-	// order; nodes at equal depth are candidate branches of one stage.
-	depth := make(map[string]int, len(w.nodes))
-	maxDepth := 0
-	for _, idx := range w.order {
-		n := w.nodes[idx]
-		d := 0
-		for _, p := range w.pred[n.Name] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[n.Name] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	stages := make([][]Node, maxDepth+1)
-	for _, n := range w.nodes { // declaration order within a stage
-		stages[depth[n.Name]] = append(stages[depth[n.Name]], n)
-	}
-	// Validate the full-join property: each node depends on exactly the
-	// whole previous stage (and roots only live in stage 0).
-	for d, stage := range stages {
-		for _, n := range stage {
-			preds := w.pred[n.Name]
-			if d == 0 {
-				if len(preds) != 0 {
-					return nil, fmt.Errorf("workflow %s: not series-parallel (node %q at stage 0 has predecessors)", w.name, n.Name)
-				}
-				continue
-			}
-			if len(preds) != len(stages[d-1]) {
-				return nil, fmt.Errorf("workflow %s: not series-parallel (node %q joins %d of stage %d's %d branches)",
-					w.name, n.Name, len(preds), d-1, len(stages[d-1]))
-			}
-			prev := make(map[string]bool, len(stages[d-1]))
-			for _, p := range stages[d-1] {
-				prev[p.Name] = true
-			}
-			for _, p := range preds {
-				if !prev[p] {
-					return nil, fmt.Errorf("workflow %s: not series-parallel (edge %q -> %q skips a stage)", w.name, p, n.Name)
-				}
+		for _, p := range preds {
+			if w.groupOf[w.index[p]] != g-1 {
+				return false
 			}
 		}
 	}
-	return stages, nil
+	return true
 }
 
-// Suffix returns the sub-workflow nodes from stage i onward (the remaining
-// work after i functions have finished), for a chain-shaped workflow.
-func (w *Workflow) Suffix(i int) ([]Node, error) {
-	chain, err := w.Chain()
-	if err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= len(chain) {
-		return nil, fmt.Errorf("workflow %s: suffix %d out of range [0, %d)", w.name, i, len(chain))
-	}
-	return chain[i:], nil
+// IsChain reports whether the workflow is a simple linear chain: a
+// series-parallel workflow with one node per group.
+func (w *Workflow) IsChain() bool {
+	return len(w.groups) == len(w.nodes) && w.IsSeriesParallel()
 }
 
 // WithSLO returns a copy of the workflow with a different SLO. Hints tables
-// are synthesized per-SLO, so SLO sweeps re-derive workflows this way.
+// are synthesized per-SLO, so SLO sweeps re-derive workflows this way. The
+// copy shares the original's decision groups, cones and dynamic steps.
 func (w *Workflow) WithSLO(slo time.Duration) (*Workflow, error) {
 	if slo <= 0 {
 		return nil, fmt.Errorf("workflow %s: SLO must be positive, got %v", w.name, slo)

@@ -54,12 +54,9 @@ func TestChainShape(t *testing.T) {
 	if !w.IsChain() {
 		t.Fatal("chain not recognized")
 	}
-	chain, err := w.Chain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chain) != 3 || chain[0].Name != "a" || chain[2].Name != "c" {
-		t.Fatalf("chain order = %v", chain)
+	groups := w.DecisionGroups()
+	if len(groups) != 3 || groups[0].Nodes[0].Name != "a" || groups[2].Nodes[0].Name != "c" {
+		t.Fatalf("chain groups = %+v", groups)
 	}
 }
 
@@ -72,8 +69,9 @@ func TestNonChainShapes(t *testing.T) {
 	if fanOut.IsChain() {
 		t.Fatal("fan-out recognized as chain")
 	}
-	if _, err := fanOut.Chain(); err == nil {
-		t.Fatal("Chain() on fan-out should fail")
+	// A fan-out is series-parallel, but its second group has two nodes.
+	if groups := fanOut.DecisionGroups(); !fanOut.IsSeriesParallel() || len(groups) != 2 || len(groups[1].Nodes) != 2 {
+		t.Fatalf("fan-out groups = %+v", groups)
 	}
 	// Two parallel two-node chains: connected per node, but two starts.
 	four := append(append([]Node(nil), nodes[:2]...), Node{Name: "x", Function: "f"}, Node{Name: "y", Function: "f"})
@@ -100,23 +98,6 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 		if pos[e[0]] >= pos[e[1]] {
 			t.Fatalf("edge %v violated in topo order", e)
 		}
-	}
-}
-
-func TestSuffix(t *testing.T) {
-	w := mustChain(t)
-	s1, err := w.Suffix(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s1) != 2 || s1[0].Name != "b" {
-		t.Fatalf("Suffix(1) = %v", s1)
-	}
-	if _, err := w.Suffix(3); err == nil {
-		t.Fatal("Suffix(3) out of range should fail")
-	}
-	if _, err := w.Suffix(-1); err == nil {
-		t.Fatal("Suffix(-1) should fail")
 	}
 }
 
@@ -179,12 +160,12 @@ func TestSpecRoundTrip(t *testing.T) {
 	if back.Name() != "ia" || back.SLO() != 3*time.Second || back.Len() != 3 {
 		t.Fatalf("round trip lost data: %s %v %d", back.Name(), back.SLO(), back.Len())
 	}
-	chain, err := back.Chain()
-	if err != nil {
-		t.Fatal(err)
+	if !back.IsChain() {
+		t.Fatal("round trip lost the chain shape")
 	}
-	if chain[0].Function != "od" || chain[1].Function != "qa" || chain[2].Function != "ts" {
-		t.Fatalf("round trip chain = %v", chain)
+	groups := back.DecisionGroups()
+	if groups[0].Nodes[0].Function != "od" || groups[1].Nodes[0].Function != "qa" || groups[2].Nodes[0].Function != "ts" {
+		t.Fatalf("round trip chain = %+v", groups)
 	}
 }
 
@@ -227,9 +208,9 @@ func TestCatalogWorkflows(t *testing.T) {
 	if sp.Name() != "va-sp" || sp.SLO() != 1100*time.Millisecond {
 		t.Errorf("VA-SP = %s at %v, want va-sp at 1.1s", sp.Name(), sp.SLO())
 	}
-	stages, err := sp.SeriesParallel()
-	if err != nil || sp.IsChain() || len(stages) != 2 || len(stages[0]) != 1 || len(stages[1]) != 2 {
-		t.Errorf("VA-SP is not fe -> (icl || ico): %v, %v", stages, err)
+	groups := sp.DecisionGroups()
+	if !sp.IsSeriesParallel() || sp.IsChain() || len(groups) != 2 || len(groups[0].Nodes) != 1 || len(groups[1].Nodes) != 2 {
+		t.Errorf("VA-SP is not fe -> (icl || ico): %+v", groups)
 	}
 }
 
@@ -247,15 +228,15 @@ func TestNewSeriesParallelShape(t *testing.T) {
 	if w.IsChain() {
 		t.Fatal("fan-out workflow reported as chain")
 	}
-	stages, err := w.SeriesParallel()
-	if err != nil {
-		t.Fatal(err)
+	if !w.IsSeriesParallel() {
+		t.Fatal("fork-join workflow not series-parallel")
 	}
-	if len(stages) != 3 || len(stages[0]) != 1 || len(stages[1]) != 2 || len(stages[2]) != 1 {
-		t.Fatalf("decomposition shape %v", stages)
+	groups := w.DecisionGroups()
+	if len(groups) != 3 || len(groups[0].Nodes) != 1 || len(groups[1].Nodes) != 2 || len(groups[2].Nodes) != 1 {
+		t.Fatalf("decomposition shape %+v", groups)
 	}
-	if stages[1][0].Function != "qa" || stages[1][1].Function != "ts" {
-		t.Fatalf("stage 1 branch order %v", stages[1])
+	if groups[1].Nodes[0].Function != "qa" || groups[1].Nodes[1].Function != "ts" {
+		t.Fatalf("stage 1 branch order %+v", groups[1].Nodes)
 	}
 	// Full bipartite join: ico depends on both branches.
 	if got := w.Predecessors("ico"); len(got) != 2 {
@@ -268,14 +249,14 @@ func TestNewSeriesParallelDuplicateFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages, err := w.SeriesParallel()
-	if err != nil {
-		t.Fatal(err)
+	if !w.IsSeriesParallel() {
+		t.Fatal("fork-join workflow not series-parallel")
 	}
-	if len(stages[1]) != 2 || stages[1][0].Function != "icl" || stages[1][1].Function != "icl" {
-		t.Fatalf("duplicate-function stage %v", stages[1])
+	stage := w.DecisionGroups()[1].Nodes
+	if len(stage) != 2 || stage[0].Function != "icl" || stage[1].Function != "icl" {
+		t.Fatalf("duplicate-function stage %v", stage)
 	}
-	if stages[1][0].Name == stages[1][1].Name {
+	if stage[0].Name == stage[1].Name {
 		t.Fatal("duplicate branches share a step name")
 	}
 }
@@ -293,16 +274,13 @@ func TestNewSeriesParallelValidation(t *testing.T) {
 }
 
 func TestSeriesParallelOfChain(t *testing.T) {
-	stages, err := IntelligentAssistant().SeriesParallel()
-	if err != nil {
-		t.Fatal(err)
+	groups := IntelligentAssistant().DecisionGroups()
+	if len(groups) != 3 {
+		t.Fatalf("%d stages", len(groups))
 	}
-	if len(stages) != 3 {
-		t.Fatalf("%d stages", len(stages))
-	}
-	for i, st := range stages {
-		if len(st) != 1 {
-			t.Fatalf("chain stage %d has %d branches", i, len(st))
+	for i, g := range groups {
+		if len(g.Nodes) != 1 {
+			t.Fatalf("chain stage %d has %d branches", i, len(g.Nodes))
 		}
 	}
 	if !IntelligentAssistant().IsSeriesParallel() {
@@ -318,7 +296,7 @@ func TestSeriesParallelRejectsGeneralDAGs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := partial.SeriesParallel(); err == nil {
+	if partial.IsSeriesParallel() {
 		t.Error("partial join accepted")
 	}
 	// Stage-skipping edge: a -> c alongside a -> b -> c.
@@ -328,12 +306,8 @@ func TestSeriesParallelRejectsGeneralDAGs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := skip.SeriesParallel(); err == nil {
+	if skip.IsSeriesParallel() {
 		t.Error("stage-skipping edge accepted")
-	}
-	// Two roots at different effective depths joined later.
-	if partial.IsSeriesParallel() {
-		t.Error("IsSeriesParallel true for partial join")
 	}
 }
 
