@@ -212,3 +212,54 @@ func TestScheduleGolden(t *testing.T) {
 
 	checkGolden(t, "golden_schedule.txt", "replay/fleet", b.String())
 }
+
+// TestDAGMixGolden locks the formatted rows no other golden covers: the
+// arbitrary-DAG scenario (decisions per request, cold starts, parks), the
+// tenant-mix placement comparison and the node-count scale-out sweep,
+// all on the quick suite. Each run's hash pins the traces the rows are
+// reduced from, so a row that drifts without its traces drifting points
+// at the reduction, not the engine.
+func TestDAGMixGolden(t *testing.T) {
+	s := quickSuite(t)
+	var b strings.Builder
+
+	dag, err := DAGWorkflow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := s.RunPoint(dag, 1, DAGSystems())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range DAGSystems() {
+		fmt.Fprintf(&b, "run %s %s sha=%s\n", dag.Name(), sys, runHash(runs[sys].Traces, false))
+	}
+	rows, err := s.DAGScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(FormatDAGScenario(rows))
+
+	dumpMix := func(runs []*MixRun) {
+		for _, run := range runs {
+			for _, row := range run.Tenants {
+				fmt.Fprintf(&b, "run mix/%s/n%d/%s %s sha=%s\n",
+					run.System, run.Nodes, run.Placement, row.Tenant, runHash(run.Traces[row.Tenant], false))
+			}
+		}
+	}
+	placement, err := s.MixPlacement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumpMix(placement)
+	b.WriteString(FormatMixPlacement(placement))
+	scaleOut, err := s.MixScaleOut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumpMix(scaleOut)
+	b.WriteString(FormatMixScaleOut(scaleOut))
+
+	checkGolden(t, "golden_dag_mix.txt", "DAG/mix", b.String())
+}
