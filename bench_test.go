@@ -20,7 +20,6 @@
 package janus_test
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -293,8 +292,8 @@ func BenchmarkTable2WeightImpact(b *testing.B) {
 // benchmarkEvaluationGrid serves the paper's full §V grid (4 panels × 7
 // systems) from a cold cache: profiling, synthesis, and 28 discrete-event
 // serving runs. The sequential and parallel variants do identical work —
-// the runner guarantees identical results — so their ratio is the
-// concurrent engine's wall-clock speedup.
+// RunPoints guarantees identical results at every parallelism — so their
+// ratio is the concurrent engine's wall-clock speedup.
 func benchmarkEvaluationGrid(b *testing.B, parallelism int) {
 	points, err := janus.EvaluationPoints()
 	if err != nil {
@@ -303,8 +302,8 @@ func benchmarkEvaluationGrid(b *testing.B, parallelism int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := janus.NewQuickExperimentSuite()
-		r := &janus.ExperimentRunner{Suite: s, Parallelism: parallelism}
-		if _, err := r.Run(context.Background(), points); err != nil {
+		s.SetParallelism(parallelism)
+		if _, err := s.RunPoints(points); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -127,7 +127,7 @@ func TestTargetsCooldownRestartsOnGrowth(t *testing.T) {
 
 // regenBundle builds a minimal valid bundle whose suffix-0 table covers
 // budgets [fromMs, 5000].
-func regenBundle(t *testing.T, fromMs int) *hints.Bundle {
+func regenBundle(t testing.TB, fromMs int) *hints.Bundle {
 	t.Helper()
 	tab, err := hints.Condense(&hints.RawTable{Suffix: 0, Weight: 1, Hints: []hints.Hint{
 		{BudgetMs: fromMs, HeadMillicores: 3000, HeadPercentile: 99},

@@ -60,8 +60,11 @@ type Deployment struct {
 	Workflow *workflow.Workflow
 	Batch    int
 	Profiles *profile.Set
-	Result   *synth.Result
-	Adapter  *adapter.Adapter
+	// Result is the deploy-time synthesis. A regeneration swaps a fresh
+	// bundle into Adapter without touching it; Bundle returns the one
+	// being served.
+	Result  *synth.Result
+	Adapter *adapter.Adapter
 
 	opts Options
 }
@@ -150,8 +153,9 @@ func newProfiler(opts Options) (*profile.Profiler, error) {
 	return prof, nil
 }
 
-// Bundle returns the deployed hints bundle.
-func (d *Deployment) Bundle() *hints.Bundle { return d.Result.Bundle }
+// Bundle returns the hints bundle the adapter serves now: the deploy-time
+// synthesis until a regeneration swaps a fresh one in.
+func (d *Deployment) Bundle() *hints.Bundle { return d.Adapter.Bundle() }
 
 // Allocator returns a platform allocator serving this deployment under the
 // given display name.

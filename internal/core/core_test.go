@@ -109,7 +109,12 @@ func TestRegenerationSwapsBundle(t *testing.T) {
 	// Regeneration runs asynchronously; poll for the swap.
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if d.Adapter.Bundle() != before {
+		if now := d.Adapter.Bundle(); now != before {
+			// A caller shipping the deployment's bundle ships the one
+			// the adapter serves, not the deploy-time synthesis.
+			if got := d.Bundle(); got != now {
+				t.Fatalf("Bundle() = %p after the swap, adapter serves %p", got, now)
+			}
 			return
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"janus/internal/platform"
 	"janus/internal/workflow"
 )
 
@@ -64,19 +63,6 @@ func DAGSystems() []string {
 	return []string{SysOptimal, SysJanus, SysJanusPlus, SysJanusMinus, SysGrandSLAMP, SysGrandSLAM}
 }
 
-// DAGPoints enumerates the scenario grid as runner points.
-func DAGPoints() ([]Point, error) {
-	w, err := DAGWorkflow()
-	if err != nil {
-		return nil, err
-	}
-	var out []Point
-	for _, sys := range DAGSystems() {
-		out = append(out, Point{Workflow: w, Batch: 1, System: sys})
-	}
-	return out, nil
-}
-
 // DAGRow is one system's summary in the arbitrary-DAG scenario. The JSON
 // field names follow the janusbench -json schema (snake_case, durations
 // as nanosecond integers — see experiment.ReplayRow).
@@ -114,29 +100,17 @@ func (s *Suite) DAGScenario() ([]DAGRow, error) {
 	var out []DAGRow
 	for _, sys := range DAGSystems() {
 		r := runs[sys]
-		e2e := platform.E2ESample(r.Traces)
-		row := DAGRow{
+		out = append(out, DAGRow{
 			System:         sys,
-			P50:            e2e.PercentileDuration(50),
-			P99:            e2e.PercentileDuration(99),
+			P50:            r.P50E2E,
+			P99:            r.P99E2E,
 			ViolationRate:  r.ViolationRate,
 			MeanMillicores: r.MeanMillicores,
 			MissRate:       r.MissRate,
-		}
-		decisions := 0
-		for i := range r.Traces {
-			decisions += r.Traces[i].Decisions
-			row.Parked += r.Traces[i].Parked
-			for _, st := range r.Traces[i].Stages {
-				if st.Cold {
-					row.ColdStarts++
-				}
-			}
-		}
-		if len(r.Traces) > 0 {
-			row.Decisions = float64(decisions) / float64(len(r.Traces))
-		}
-		out = append(out, row)
+			Decisions:      r.Decisions,
+			ColdStarts:     r.ColdStarts,
+			Parked:         r.Parked,
+		})
 	}
 	return out, nil
 }

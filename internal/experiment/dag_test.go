@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"testing"
 )
 
@@ -85,25 +84,28 @@ func TestDAGScenarioServesEverySystem(t *testing.T) {
 	}
 }
 
-// TestDAGDeterministicAcrossParallelism extends the runner's byte-identity
+// TestDAGDeterministicAcrossParallelism extends RunPoints' byte-identity
 // requirement to the arbitrary-DAG grid: readiness scheduling, the shared
 // fork decision, the cross path, and the in-degree-3 join must replay
 // identically at parallelism 1 and 8.
 func TestDAGDeterministicAcrossParallelism(t *testing.T) {
-	points := func(t *testing.T) []Point {
-		p, err := DAGPoints()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	r1 := &Runner{Suite: QuickSuite(), Parallelism: 1}
-	seqRuns, err := r1.Run(context.Background(), points(t))
+	w, err := DAGWorkflow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rN := &Runner{Suite: QuickSuite(), Parallelism: 8}
-	parRuns, err := rN.Run(context.Background(), points(t))
+	var points []Point
+	for _, sys := range DAGSystems() {
+		points = append(points, Point{Workflow: w, Batch: 1, System: sys})
+	}
+	sequential := QuickSuite()
+	sequential.SetParallelism(1)
+	seqRuns, err := sequential.RunPoints(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	concurrent := QuickSuite()
+	concurrent.SetParallelism(8)
+	parRuns, err := concurrent.RunPoints(points)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,12 +73,3 @@ func fleetSpec() scheduleSpec {
 func (s *Suite) FleetScenario() ([]*ReplayRun, error) {
 	return s.scheduleScenario(fleetSpec())
 }
-
-// FleetPoints enumerates the fleet scenario grid for -list-style surfaces.
-func FleetPoints() []ReplayPoint {
-	pts := ReplayPoints()
-	for i := range pts {
-		pts[i].Description = pts[i].Description + " at fleet scale"
-	}
-	return pts
-}

@@ -122,15 +122,3 @@ func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("fleet run diverged (lengths %d vs %d)", len(seq), len(par))
 	}
 }
-
-func TestFleetPointsDescribeFleetScale(t *testing.T) {
-	pts := FleetPoints()
-	if len(pts) != len(ReplayPoints()) {
-		t.Fatalf("FleetPoints has %d entries, want %d", len(pts), len(ReplayPoints()))
-	}
-	for _, p := range pts {
-		if !strings.Contains(p.Description, "fleet scale") {
-			t.Fatalf("point %q does not mention fleet scale: %q", p.Config, p.Description)
-		}
-	}
-}

@@ -96,16 +96,7 @@ func mergeShardRuns(config string, sched *replay.Schedule, tenants []MixTenant, 
 			}
 		}
 	}
-	var merged []platform.Trace
-	for _, mt := range tenants {
-		ts := run.Traces[mt.Tenant]
-		if len(ts) == 0 {
-			continue
-		}
-		run.Rows = append(run.Rows, summarizeReplayTraces(config, mt.Tenant, mt.Workflow.SLO(), ts))
-		merged = append(merged, ts...)
-	}
-	run.Aggregate = summarizeReplayTraces(config, "all", 0, merged)
+	run.summarize(tenants)
 	return run
 }
 

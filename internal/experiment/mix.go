@@ -98,29 +98,20 @@ type MixRun struct {
 	Traces map[string][]platform.Trace
 }
 
-// summarizeMixTraces reduces one tenant's (or the merged) trace slice to a
-// row. Violation is per-trace against its own SLO, so the aggregate row is
-// meaningful even though tenants' objectives differ.
-func summarizeMixTraces(tenant string, slo time.Duration, traces []platform.Trace) MixTenantRow {
-	e2e := platform.E2ESample(traces)
-	row := MixTenantRow{
+// mixRow reduces one tenant's (or the merged) trace slice to a row.
+func mixRow(tenant string, slo time.Duration, traces []platform.Trace) MixTenantRow {
+	sum := summarize(traces)
+	return MixTenantRow{
 		Tenant:         tenant,
 		SLO:            slo,
-		P50:            e2e.PercentileDuration(50),
-		P99:            e2e.PercentileDuration(99),
-		ViolationRate:  platform.SLOViolationRate(traces),
-		MeanMillicores: platform.MeanMillicores(traces),
-		MissRate:       platform.MissRate(traces),
+		P50:            sum.P50,
+		P99:            sum.P99,
+		ViolationRate:  sum.ViolationRate,
+		MeanMillicores: sum.MeanMillicores,
+		MissRate:       sum.MissRate,
+		ColdStarts:     sum.ColdStarts,
+		Parked:         sum.Parked,
 	}
-	for i := range traces {
-		row.Parked += traces[i].Parked
-		for _, st := range traces[i].Stages {
-			if st.Cold {
-				row.ColdStarts++
-			}
-		}
-	}
-	return row
 }
 
 // mixSpec identifies one mixed run.
@@ -156,16 +147,7 @@ func (s *Suite) runMixedOne(spec mixSpec) (*MixRun, error) {
 			}
 			workloads[i] = platform.TenantWorkload{Tenant: mt.Tenant, Requests: reqs, Allocator: alloc}
 		}
-		cfg := platform.DefaultExecutorConfig()
-		cfg.Cluster = cluster.Config{
-			Nodes:          spec.nodes,
-			NodeMillicores: MixNodeMillicores,
-			PoolSize:       suitePoolSize,
-			IdleMillicores: 100,
-			Placement:      spec.placement,
-		}
-		cfg.Seed = s.cfg.Seed
-		ex, err := platform.NewExecutor(cfg, s.functions)
+		ex, err := platform.NewExecutor(s.executorConfig(spec.nodes, MixNodeMillicores, suitePoolSize, spec.placement), s.functions)
 		if err != nil {
 			return nil, err
 		}
@@ -182,17 +164,17 @@ func (s *Suite) runMixedOne(spec mixSpec) (*MixRun, error) {
 		var merged []platform.Trace
 		for _, mt := range tenants {
 			traces := byTenant[mt.Tenant]
-			run.Tenants = append(run.Tenants, summarizeMixTraces(mt.Tenant, mt.Workflow.SLO(), traces))
+			run.Tenants = append(run.Tenants, mixRow(mt.Tenant, mt.Workflow.SLO(), traces))
 			merged = append(merged, traces...)
 		}
-		run.Aggregate = summarizeMixTraces("all", 0, merged)
+		run.Aggregate = mixRow("all", 0, merged)
 		return run, nil
 	})
 }
 
 // runMixedSpecs fans mixed runs out over the suite's worker pool and
-// returns results in input order — the same determinism-preserving shape
-// as Runner.Run, for specs instead of points.
+// returns results in input order — RunPoints' determinism-preserving
+// shape, for specs instead of points.
 func (s *Suite) runMixedSpecs(specs []mixSpec) ([]*MixRun, error) {
 	return fanOut(s, len(specs), func(i int) (*MixRun, error) {
 		run, err := s.runMixedOne(specs[i])

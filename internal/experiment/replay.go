@@ -219,30 +219,39 @@ type ReplayRun struct {
 	Traces map[string][]platform.Trace
 }
 
-// summarizeReplayTraces reduces one tenant's (or the merged) trace slice
-// to a row.
-func summarizeReplayTraces(config, tenant string, slo time.Duration, traces []platform.Trace) ReplayRow {
-	e2e := platform.E2ESample(traces)
-	row := ReplayRow{
+// replayRow reduces one tenant's (or the merged) trace slice to a row.
+func replayRow(config, tenant string, slo time.Duration, traces []platform.Trace) ReplayRow {
+	sum := summarize(traces)
+	return ReplayRow{
 		Config:         config,
 		Tenant:         tenant,
 		SLO:            slo,
 		Requests:       len(traces),
-		P50:            e2e.PercentileDuration(50),
-		P99:            e2e.PercentileDuration(99),
-		SLOAttainment:  1 - platform.SLOViolationRate(traces),
-		MeanMillicores: platform.MeanMillicores(traces),
-		MissRate:       platform.MissRate(traces),
+		P50:            sum.P50,
+		P99:            sum.P99,
+		SLOAttainment:  1 - sum.ViolationRate,
+		MeanMillicores: sum.MeanMillicores,
+		MissRate:       sum.MissRate,
+		ColdStarts:     sum.ColdStarts,
+		Parked:         sum.Parked,
 	}
-	for i := range traces {
-		row.Parked += traces[i].Parked
-		for _, st := range traces[i].Stages {
-			if st.Cold {
-				row.ColdStarts++
-			}
+}
+
+// summarize fills the run's rows from its traces: one per tenant, in
+// tenants order, and the aggregate over their merged traces. A tenant
+// absent from the run (a thin shard carries no tail-tenant requests)
+// gets no row.
+func (r *ReplayRun) summarize(tenants []MixTenant) {
+	var merged []platform.Trace
+	for _, mt := range tenants {
+		ts := r.Traces[mt.Tenant]
+		if len(ts) == 0 {
+			continue
 		}
+		r.Rows = append(r.Rows, replayRow(r.Config, mt.Tenant, mt.Workflow.SLO(), ts))
+		merged = append(merged, ts...)
 	}
-	return row
+	r.Aggregate = replayRow(r.Config, "all", 0, merged)
 }
 
 // replayWorkload materializes one tenant's request stream from the
@@ -448,15 +457,7 @@ func (s *Suite) serveStream(spec scheduleSpec, config string, tenants []MixTenan
 			Allocator: &adapter.Allocator{Adapter: a, System: SysJanus},
 		})
 	}
-	cfg := platform.DefaultExecutorConfig()
-	cfg.Cluster = cluster.Config{
-		Nodes:          spec.nodes,
-		NodeMillicores: spec.nodeMillicores,
-		PoolSize:       replayPoolSize,
-		IdleMillicores: 100,
-		Placement:      cluster.PlacementSpread,
-	}
-	cfg.Seed = s.cfg.Seed
+	cfg := s.executorConfig(spec.nodes, spec.nodeMillicores, replayPoolSize, cluster.PlacementSpread)
 	cfg.Tracer = tr
 	cfg.Metrics = s.metrics()
 	ex, err := platform.NewExecutor(cfg, s.functions)
@@ -504,19 +505,10 @@ func (s *Suite) serveStream(spec scheduleSpec, config string, tenants []MixTenan
 		Swaps:          make(map[string][]autoscale.Swap),
 		Traces:         traces,
 	}
-	var merged []platform.Trace
-	for _, mt := range tenants {
-		ts, ok := traces[mt.Tenant]
-		if !ok {
-			continue // tenant absent from this stream (thin shard)
-		}
-		run.Rows = append(run.Rows, summarizeReplayTraces(config, mt.Tenant, mt.Workflow.SLO(), ts))
-		merged = append(merged, ts...)
-		if r, ok := regens[mt.Tenant]; ok {
-			run.Swaps[mt.Tenant] = r.Swaps()
-		}
+	for tenant, r := range regens {
+		run.Swaps[tenant] = r.Swaps()
 	}
-	run.Aggregate = summarizeReplayTraces(config, "all", 0, merged)
+	run.summarize(tenants)
 	return run, nil
 }
 
@@ -538,23 +530,6 @@ func (s *Suite) scheduleScenario(spec scheduleSpec) ([]*ReplayRun, error) {
 			return s.serveSchedule(spec, configs[i])
 		})
 	})
-}
-
-// ReplayPoint describes one replay scenario run for enumeration surfaces.
-type ReplayPoint struct {
-	// Config is the provider configuration (see ReplayConfigs).
-	Config string
-	// Description is the one-line summary -list-style surfaces print.
-	Description string
-}
-
-// ReplayPoints enumerates the replay scenario grid.
-func ReplayPoints() []ReplayPoint {
-	return []ReplayPoint{
-		{Config: ReplayStatic, Description: "statically sized warm pools (paper's 3 pods/function)"},
-		{Config: ReplayAutoscale, Description: "elastic warm-pool autoscaler"},
-		{Config: ReplayAutoscaleRegen, Description: "autoscaler + online hint regeneration (bilateral loop closed)"},
-	}
 }
 
 // FormatReplay renders the scenario: the schedule, per-tenant and

@@ -86,22 +86,6 @@ func TestTrimToStationaryWindow(t *testing.T) {
 	}
 }
 
-func TestReplayPointsAndConfigs(t *testing.T) {
-	pts := ReplayPoints()
-	cfgs := ReplayConfigs()
-	if len(pts) != len(cfgs) {
-		t.Fatalf("%d points for %d configs", len(pts), len(cfgs))
-	}
-	for i, p := range pts {
-		if p.Config != cfgs[i] {
-			t.Fatalf("point %d is %q, want %q", i, p.Config, cfgs[i])
-		}
-		if p.Description == "" {
-			t.Fatalf("point %s lacks a description", p.Config)
-		}
-	}
-}
-
 func TestReplayScenarioShape(t *testing.T) {
 	s := quickSuite(t)
 	runs, err := s.ReplayScenario()

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -29,7 +27,7 @@ func dumpRuns(runs []*SystemRun) string {
 	return b.String()
 }
 
-// TestRunnerDeterministicAcrossParallelism is the tentpole's acceptance
+// TestRunnerDeterministicAcrossParallelism is RunPoints' acceptance
 // test: a fresh QuickSuite serving the same points at parallelism 1 and at
 // parallelism 8 must produce byte-identical results — the pre-sampled
 // request randomness makes every point independent, so concurrency can
@@ -38,26 +36,28 @@ func dumpRuns(runs []*SystemRun) string {
 // arrival-rate sweep), so SP branch fan-out, joins, and capacity parking
 // are all under the byte-identity requirement.
 func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
-	points := func() []Point {
-		var out []Point
-		for _, sys := range AllSystems() {
-			out = append(out, Point{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: sys})
+	var points []Point
+	for _, sys := range AllSystems() {
+		points = append(points, Point{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: sys})
+	}
+	sp := SPWorkflow()
+	for _, sys := range SPSystems() {
+		points = append(points, Point{Workflow: sp, Batch: 1, System: sys})
+	}
+	for _, rate := range SPArrivalRates() {
+		for _, sys := range spSweepSystems() {
+			points = append(points, Point{Workflow: sp, Batch: 1, System: sys, ArrivalRatePerSec: rate})
 		}
-		sp, err := SPPoints()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(out, sp...)
 	}
 	sequential := QuickSuite()
-	r1 := &Runner{Suite: sequential, Parallelism: 1}
-	seqRuns, err := r1.Run(context.Background(), points())
+	sequential.SetParallelism(1)
+	seqRuns, err := sequential.RunPoints(points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	concurrent := QuickSuite()
-	rN := &Runner{Suite: concurrent, Parallelism: 8}
-	parRuns, err := rN.Run(context.Background(), points())
+	concurrent.SetParallelism(8)
+	parRuns, err := concurrent.RunPoints(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,14 @@ func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
 
 func TestRunnerResultsInInputOrder(t *testing.T) {
 	s := quickSuite(t)
+	s.SetParallelism(3)
+	t.Cleanup(func() { s.SetParallelism(0) })
 	points := []Point{
 		{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: SysGrandSLAM},
 		{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: SysOptimal},
 		{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: SysJanus},
 	}
-	r := &Runner{Suite: s, Parallelism: 3}
-	runs, err := r.Run(context.Background(), points)
+	runs, err := s.RunPoints(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,54 +94,9 @@ func TestRunnerResultsInInputOrder(t *testing.T) {
 	}
 }
 
-func TestRunnerProgress(t *testing.T) {
-	s := quickSuite(t)
-	var events []Progress
-	r := &Runner{
-		Suite:       s,
-		Parallelism: 4,
-		OnProgress:  func(p Progress) { events = append(events, p) },
-	}
-	points := make([]Point, 0, len(AllSystems()))
-	for _, sys := range AllSystems() {
-		points = append(points, Point{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: sys})
-	}
-	if _, err := r.Run(context.Background(), points); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(points) {
-		t.Fatalf("%d progress events, want %d", len(events), len(points))
-	}
-	for i, ev := range events {
-		if ev.Done != i+1 || ev.Total != len(points) {
-			t.Fatalf("event %d: Done=%d Total=%d", i, ev.Done, ev.Total)
-		}
-		if ev.Err != nil || ev.Run == nil {
-			t.Fatalf("event %d: err=%v run=%v", i, ev.Err, ev.Run)
-		}
-	}
-}
-
-func TestRunnerCancellation(t *testing.T) {
-	s := quickSuite(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := &Runner{Suite: s, Parallelism: 2}
-	// Uncached points: a cancelled context must stop the run before any
-	// serving work happens.
-	_, err := r.Run(ctx, []Point{
-		{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: "nonexistent-a"},
-		{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: "nonexistent-b"},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestRunnerUnknownSystemFails(t *testing.T) {
 	s := quickSuite(t)
-	r := &Runner{Suite: s}
-	_, err := r.Run(context.Background(), []Point{
+	_, err := s.RunPoints([]Point{
 		{Workflow: workflow.IntelligentAssistant(), Batch: 1, System: "no-such-system"},
 	})
 	if err == nil || !strings.Contains(err.Error(), "no-such-system") {
@@ -150,17 +106,13 @@ func TestRunnerUnknownSystemFails(t *testing.T) {
 
 func TestRunnerValidation(t *testing.T) {
 	s := quickSuite(t)
-	r := &Runner{Suite: s}
-	if _, err := r.Run(context.Background(), []Point{{Batch: 1, System: SysJanus}}); err == nil {
+	if _, err := s.RunPoints([]Point{{Batch: 1, System: SysJanus}}); err == nil {
 		t.Error("nil workflow accepted")
 	}
-	if _, err := r.Run(context.Background(), []Point{{Workflow: workflow.IntelligentAssistant(), System: SysJanus}}); err == nil {
+	if _, err := s.RunPoints([]Point{{Workflow: workflow.IntelligentAssistant(), System: SysJanus}}); err == nil {
 		t.Error("batch 0 accepted")
 	}
-	if _, err := (&Runner{}).Run(context.Background(), nil); err == nil {
-		t.Error("nil suite accepted")
-	}
-	runs, err := r.Run(context.Background(), nil)
+	runs, err := s.RunPoints(nil)
 	if err != nil || runs != nil {
 		t.Errorf("empty point set: (%v, %v)", runs, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"janus/internal/platform"
 	"janus/internal/workflow"
 )
 
@@ -37,22 +36,6 @@ func SPArrivalRates() []float64 { return []float64{1, 2, 4, 8} }
 // floor.
 func spSweepSystems() []string { return []string{SysOptimal, SysJanus, SysGrandSLAMP} }
 
-// SPPoints enumerates the series-parallel scenario grid — every scenario
-// system at the default rate plus the arrival sweep — as runner points.
-func SPPoints() ([]Point, error) {
-	w := SPWorkflow()
-	var out []Point
-	for _, sys := range SPSystems() {
-		out = append(out, Point{Workflow: w, Batch: 1, System: sys})
-	}
-	for _, rate := range SPArrivalRates() {
-		for _, sys := range spSweepSystems() {
-			out = append(out, Point{Workflow: w, Batch: 1, System: sys, ArrivalRatePerSec: rate})
-		}
-	}
-	return out, nil
-}
-
 // SPRow is one system's summary in the series-parallel scenario.
 type SPRow struct {
 	System         string
@@ -79,24 +62,16 @@ func (s *Suite) SPScenario() ([]SPRow, error) {
 	var out []SPRow
 	for _, sys := range SPSystems() {
 		r := runs[sys]
-		e2e := platform.E2ESample(r.Traces)
-		row := SPRow{
+		out = append(out, SPRow{
 			System:         sys,
-			P50:            e2e.PercentileDuration(50),
-			P99:            e2e.PercentileDuration(99),
+			P50:            r.P50E2E,
+			P99:            r.P99E2E,
 			ViolationRate:  r.ViolationRate,
 			MeanMillicores: r.MeanMillicores,
 			MissRate:       r.MissRate,
-		}
-		for i := range r.Traces {
-			row.Parked += r.Traces[i].Parked
-			for _, st := range r.Traces[i].Stages {
-				if st.Cold {
-					row.ColdStarts++
-				}
-			}
-		}
-		out = append(out, row)
+			ColdStarts:     r.ColdStarts,
+			Parked:         r.Parked,
+		})
 	}
 	return out, nil
 }
@@ -144,18 +119,14 @@ func (s *Suite) SPArrivalSweep() ([]SPArrivalRow, error) {
 	}
 	out := make([]SPArrivalRow, len(points))
 	for i, run := range runs {
-		e2e := platform.E2ESample(run.Traces)
-		row := SPArrivalRow{
+		out[i] = SPArrivalRow{
 			RatePerSec:     points[i].ArrivalRatePerSec,
 			System:         points[i].System,
-			P99:            e2e.PercentileDuration(99),
+			P99:            run.P99E2E,
 			ViolationRate:  run.ViolationRate,
 			MeanMillicores: run.MeanMillicores,
+			Parked:         run.Parked,
 		}
-		for j := range run.Traces {
-			row.Parked += run.Traces[j].Parked
-		}
-		out[i] = row
 	}
 	return out, nil
 }

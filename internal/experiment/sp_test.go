@@ -67,27 +67,6 @@ func TestSPArrivalSweepMonotonePressure(t *testing.T) {
 	}
 }
 
-func TestSPPointsGrid(t *testing.T) {
-	points, err := SPPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(SPSystems()) + len(SPArrivalRates())*len(spSweepSystems())
-	if len(points) != want {
-		t.Fatalf("%d points, want %d", len(points), want)
-	}
-	seen := map[string]bool{}
-	for _, p := range points {
-		if seen[p.String()] {
-			t.Fatalf("duplicate point %s", p)
-		}
-		seen[p.String()] = true
-		if !p.Workflow.IsSeriesParallel() || p.Workflow.IsChain() {
-			t.Fatalf("point %s is not a fork-join workflow", p)
-		}
-	}
-}
-
 // TestSeriesParallelEndToEnd deploys a diamond fork-join DAG under Janus
 // and serves it on the default cluster substrate: the SLO must hold and
 // runtime adaptation must beat early binding — the cheapest fixed plan

@@ -11,7 +11,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -142,11 +141,11 @@ func memo[T any](s *Suite, key string, fn func() (T, error)) (T, error) {
 	return v.(T), nil
 }
 
-// SetParallelism bounds how many suite points run concurrently (the
-// Runner's worker pool; cmd/janusbench's -parallelism flag lands here);
-// n <= 0 restores the default (GOMAXPROCS). Results are identical at
-// every setting — points are independent by construction — so this
-// trades only wall-clock time, never fidelity.
+// SetParallelism bounds how many suite points and scenario runs execute
+// concurrently (fanOut's worker pool; cmd/janusbench's -parallelism flag
+// lands here); n <= 0 restores the default (GOMAXPROCS). Results are
+// identical at every setting — points are independent by construction —
+// so this trades only wall-clock time, never fidelity.
 func (s *Suite) SetParallelism(n int) {
 	s.mu.Lock()
 	s.parallel = n
@@ -206,9 +205,10 @@ func (s *Suite) parallelism() int {
 
 // fanOut runs fn(0), ..., fn(n-1) over at most the suite's parallelism
 // worker goroutines and returns the results in input order, or the
-// lowest-index error, so neither depends on completion order. The
-// scenario drivers share it; Runner.Run keeps its own loop, which adds
-// progress reporting and context cancellation.
+// lowest-index error, so neither depends on completion order. It is the
+// suite's one worker pool: RunPoints and every scenario driver fan out
+// through it, and shared artifacts go through the suite's memo, so the
+// first worker to need one builds it and the rest wait and share it.
 func fanOut[T any](s *Suite, n int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
@@ -326,20 +326,24 @@ func (s *Suite) WorkloadAtRate(w *workflow.Workflow, batch int, rate float64) ([
 	})
 }
 
-// executor returns a serving plane private to the caller: a clone of the
-// suite's template executor, so every worker goroutine drives its own
-// single-goroutine discrete-event run.
+// executorConfig is the serving plane every suite run builds on: the
+// default startup and decision costs over nodes nodes of nodeMc
+// millicores each, pool warm pods per function, and the given placement.
+func (s *Suite) executorConfig(nodes, nodeMc, pool int, placement cluster.Placement) platform.ExecutorConfig {
+	cfg := platform.DefaultExecutorConfig()
+	cfg.Cluster = cluster.Config{Nodes: nodes, NodeMillicores: nodeMc, PoolSize: pool, IdleMillicores: 100, Placement: placement}
+	cfg.Seed = s.cfg.Seed
+	return cfg
+}
+
+// executor returns the serving plane of single-workflow points: one
+// 52-core node, the paper's platform server. Every worker shares it —
+// each Run builds its own cluster and event engine, so concurrent Runs
+// on one Executor are safe.
 func (s *Suite) executor() (*platform.Executor, error) {
-	tmpl, err := memo(s, "executor", func() (*platform.Executor, error) {
-		cfg := platform.DefaultExecutorConfig()
-		cfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: 52000, PoolSize: suitePoolSize, IdleMillicores: 100}
-		cfg.Seed = s.cfg.Seed
-		return platform.NewExecutor(cfg, s.functions)
+	return memo(s, "executor", func() (*platform.Executor, error) {
+		return platform.NewExecutor(s.executorConfig(1, 52000, suitePoolSize, cluster.PlacementSpread), s.functions)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return tmpl.Clone(), nil
 }
 
 // allocator materializes a serving system for (workflow, batch, slo).
@@ -388,6 +392,53 @@ type SystemRun struct {
 	ViolationRate  float64
 	MissRate       float64
 	SLO            time.Duration
+	// Decisions is the mean allocation decisions per request; ColdStarts
+	// and Parked total the substrate events across the run.
+	Decisions  float64
+	ColdStarts int
+	Parked     int
+}
+
+// summary is one trace set's reduction — the numbers every scenario row
+// reports.
+type summary struct {
+	P50, P99       time.Duration
+	ViolationRate  float64
+	MeanMillicores float64
+	MissRate       float64
+	// Decisions is the mean allocation decisions per request.
+	Decisions  float64
+	ColdStarts int
+	Parked     int
+}
+
+// summarize is the suite's one trace reduction: it feeds SystemRun,
+// MixTenantRow and ReplayRow. Violation is per trace against its own
+// SLO, so a merged set of tenants with different objectives still
+// reduces meaningfully.
+func summarize(traces []platform.Trace) summary {
+	e2e := platform.E2ESample(traces)
+	sum := summary{
+		P50:            e2e.PercentileDuration(50),
+		P99:            e2e.PercentileDuration(99),
+		ViolationRate:  platform.SLOViolationRate(traces),
+		MeanMillicores: platform.MeanMillicores(traces),
+		MissRate:       platform.MissRate(traces),
+	}
+	decisions := 0
+	for i := range traces {
+		decisions += traces[i].Decisions
+		sum.Parked += traces[i].Parked
+		for _, st := range traces[i].Stages {
+			if st.Cold {
+				sum.ColdStarts++
+			}
+		}
+	}
+	if len(traces) > 0 {
+		sum.Decisions = float64(decisions) / float64(len(traces))
+	}
+	return sum
 }
 
 // RunPoint serves the workload under each system and summarizes. Results
@@ -409,28 +460,39 @@ func (s *Suite) RunPoint(w *workflow.Workflow, batch int, systems []string) (map
 	return out, nil
 }
 
-// RunPoints serves the points concurrently (bounded by the suite's
-// parallelism) and returns results in input order. It is the cache- and
-// determinism-preserving fan-out primitive every figure driver sits on;
-// use a Runner directly for progress reporting or cancellation.
+// RunPoints serves the points over the suite's worker pool and returns
+// results in input order, so a run at any parallelism is byte-identical
+// to the sequential one — the paired-comparison property the paper's
+// normalized numbers rely on. Every figure driver sits on it. On failure
+// it reports the lowest-index failing point.
 func (s *Suite) RunPoints(points []Point) ([]*SystemRun, error) {
-	r := &Runner{Suite: s}
-	return r.Run(context.Background(), points)
+	for i, p := range points {
+		if p.Workflow == nil {
+			return nil, fmt.Errorf("experiment: point %d has no workflow", i)
+		}
+		if p.Batch <= 0 {
+			return nil, fmt.Errorf("experiment: point %d (%s) has batch %d", i, p, p.Batch)
+		}
+	}
+	if len(points) == 0 {
+		return nil, nil
+	}
+	return fanOut(s, len(points), func(i int) (*SystemRun, error) {
+		run, err := s.runPointOne(points[i])
+		if err != nil {
+			return nil, fmt.Errorf("experiment: point %s: %w", points[i], err)
+		}
+		return run, nil
+	})
 }
 
 // runPointOne serves one (workflow, batch, system) point once; concurrent
-// callers of the same point share one serving run. The context is
-// consulted only before joining the shared fill: once a fill is in flight
-// it runs to completion, so a cancelled caller can never poison waiters
-// from a healthy run with its own context error.
-func (s *Suite) runPointOne(ctx context.Context, p Point) (*SystemRun, error) {
+// callers of the same point share one serving run.
+func (s *Suite) runPointOne(p Point) (*SystemRun, error) {
 	w := p.Workflow
 	rate := p.ArrivalRatePerSec
 	if rate <= 0 {
 		rate = s.cfg.ArrivalRatePerSec
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	key := fmt.Sprintf("point/%s/%v/b%d/r%g/%s", w.Name(), w.SLO(), p.Batch, rate, p.System)
 	return memo(s, key, func() (*SystemRun, error) {
@@ -457,16 +519,19 @@ func (s *Suite) runPointOne(ctx context.Context, p Point) (*SystemRun, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: serving %s on %s: %w", p.System, w.Name(), err)
 		}
-		e2e := platform.E2ESample(traces)
+		sum := summarize(traces)
 		return &SystemRun{
 			System:         p.System,
 			Traces:         traces,
-			MeanMillicores: platform.MeanMillicores(traces),
-			P50E2E:         e2e.PercentileDuration(50),
-			P99E2E:         e2e.PercentileDuration(99),
-			ViolationRate:  platform.SLOViolationRate(traces),
-			MissRate:       platform.MissRate(traces),
+			MeanMillicores: sum.MeanMillicores,
+			P50E2E:         sum.P50,
+			P99E2E:         sum.P99,
+			ViolationRate:  sum.ViolationRate,
+			MissRate:       sum.MissRate,
 			SLO:            w.SLO(),
+			Decisions:      sum.Decisions,
+			ColdStarts:     sum.ColdStarts,
+			Parked:         sum.Parked,
 		}, nil
 	})
 }

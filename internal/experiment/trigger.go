@@ -177,7 +177,7 @@ func triggerSegments(config string, reqs []*platform.Request, traces []platform.
 		if len(ts) == 0 {
 			continue
 		}
-		rows = append(rows, summarizeReplayTraces(config, label, TriggerSLO, ts))
+		rows = append(rows, replayRow(config, label, TriggerSLO, ts))
 	}
 	return rows
 }
@@ -206,16 +206,7 @@ func (s *Suite) serveTrigger(config string) (*TriggerRun, error) {
 		return nil, err
 	}
 	alloc := &adapter.Allocator{Adapter: a, System: config, ShapeBlind: config == TriggerWorstCase}
-	cfg := platform.DefaultExecutorConfig()
-	cfg.Cluster = cluster.Config{
-		Nodes:          MixDefaultNodes,
-		NodeMillicores: ReplayNodeMillicores,
-		PoolSize:       replayPoolSize,
-		IdleMillicores: 100,
-		Placement:      cluster.PlacementSpread,
-	}
-	cfg.Seed = s.cfg.Seed
-	ex, err := platform.NewExecutor(cfg, s.functions)
+	ex, err := platform.NewExecutor(s.executorConfig(MixDefaultNodes, ReplayNodeMillicores, replayPoolSize, cluster.PlacementSpread), s.functions)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +233,7 @@ func (s *Suite) serveTrigger(config string) (*TriggerRun, error) {
 		NodeMillicores: ReplayNodeMillicores,
 		TimerStarted:   len(reqs) / triggerTimerEvery,
 		Rows:           triggerSegments(config, reqs, ts),
-		Aggregate:      summarizeReplayTraces(config, "all", TriggerSLO, ts),
+		Aggregate:      replayRow(config, "all", TriggerSLO, ts),
 		Metrics:        *metrics,
 		Traces:         ts,
 	}
@@ -259,21 +250,6 @@ func (s *Suite) TriggerScenario() ([]*TriggerRun, error) {
 			return s.serveTrigger(configs[i])
 		})
 	})
-}
-
-// TriggerPoint describes one trigger scenario run for enumeration
-// surfaces.
-type TriggerPoint struct {
-	Config      string
-	Description string
-}
-
-// TriggerPoints enumerates the trigger scenario grid.
-func TriggerPoints() []TriggerPoint {
-	return []TriggerPoint{
-		{Config: TriggerWorstCase, Description: "static worst-case planning (resolved shape withheld)"},
-		{Config: TriggerShapeAware, Description: "online shape-aware planning (width-variant hint tables)"},
-	}
 }
 
 // FormatTrigger renders the scenario: per-shape-segment and aggregate

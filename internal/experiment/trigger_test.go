@@ -144,21 +144,3 @@ func TestTriggerDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("trigger scenario diverges across parallelism:\n--- parallelism 1 ---\n%s\n--- parallelism 8 ---\n%s", seq, par)
 	}
 }
-
-// TestTriggerPointsMatchConfigs keeps the enumeration surface in sync
-// with the runnable grid.
-func TestTriggerPointsMatchConfigs(t *testing.T) {
-	pts := TriggerPoints()
-	cfgs := TriggerConfigs()
-	if len(pts) != len(cfgs) {
-		t.Fatalf("%d points, %d configs", len(pts), len(cfgs))
-	}
-	for i, p := range pts {
-		if p.Config != cfgs[i] {
-			t.Errorf("point %d is %q, config %q", i, p.Config, cfgs[i])
-		}
-		if p.Description == "" {
-			t.Errorf("point %q has no description", p.Config)
-		}
-	}
-}

@@ -1,8 +1,7 @@
 // Package flight provides a memoizing singleflight for the experiment
 // suite's artifacts — profiles, deployments, workloads, serving runs.
-// They are expensive and keyed, and when the concurrent runner fans suite
-// points out over a worker pool, several workers can need the same key at
-// once. A Group runs the fill function exactly once per key while
+// They are expensive and keyed, and when the suite fans points out over
+// its worker pool, several workers can need the same key at once. A Group runs the fill function exactly once per key while
 // duplicates block and share the result, and it keeps each successful
 // result, so later callers get it without recomputing. Parallel sweeps
 // therefore never duplicate a profile computation and never observe a

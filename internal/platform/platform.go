@@ -698,7 +698,11 @@ func DefaultExecutorConfig() ExecutorConfig {
 	}
 }
 
-// Executor serves workloads over a fresh simulated cluster per Run.
+// Executor serves workloads over a fresh simulated cluster per Run. It
+// holds no per-run state — each Run builds its own cluster and event
+// engine, each strictly single-goroutine — so concurrent Runs on one
+// Executor are safe. The function catalog is shared: Function models are
+// immutable after construction.
 type Executor struct {
 	cfg ExecutorConfig
 	fns map[string]*perfmodel.Function
@@ -716,18 +720,6 @@ func NewExecutor(cfg ExecutorConfig, fns map[string]*perfmodel.Function) (*Execu
 		return nil, fmt.Errorf("platform: executor needs a function catalog")
 	}
 	return &Executor{cfg: cfg, fns: fns}, nil
-}
-
-// Clone returns an executor with the same configuration and function
-// catalog for a concurrent driver to hand each worker goroutine. Today an
-// Executor holds no per-run state — Run builds a fresh cluster and event
-// engine per call, each strictly single-goroutine (Cluster documents the
-// invariant) — so concurrent Runs on one Executor are already safe; Clone
-// makes per-worker ownership explicit and keeps callers correct if the
-// executor ever grows run-spanning state (pools, metrics). The catalog is
-// shared: Function models are immutable after construction.
-func (e *Executor) Clone() *Executor {
-	return &Executor{cfg: e.cfg, fns: e.fns}
 }
 
 // TenantWorkload is one tenant's contribution to a mixed run: a request

@@ -167,25 +167,24 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestCloneRunsIndependently(t *testing.T) {
+// TestConcurrentRunsShareExecutor pins that an Executor holds no per-run
+// state: concurrent Runs on one shared executor must each reproduce the
+// sequential result exactly (and stay clean under -race).
+func TestConcurrentRunsShareExecutor(t *testing.T) {
 	e := defaultExecutor(t)
 	want, err := e.Run(iaWorkload(t, 30), &Fixed{System: "fixed", Sizes: []int{1500, 1500, 1500}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Concurrent runs on per-goroutine clones must each reproduce the
-	// sequential result exactly: no shared executor state.
 	const workers = 4
 	var wg sync.WaitGroup
 	got := make([][]Trace, workers)
 	errs := make([]error, workers)
 	for i := 0; i < workers; i++ {
-		i := i
-		clone := e.Clone()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = clone.Run(iaWorkload2(30), &Fixed{System: "fixed", Sizes: []int{1500, 1500, 1500}})
+			got[i], errs[i] = e.Run(iaWorkload2(30), &Fixed{System: "fixed", Sizes: []int{1500, 1500, 1500}})
 		}()
 	}
 	wg.Wait()
@@ -195,7 +194,7 @@ func TestCloneRunsIndependently(t *testing.T) {
 		}
 		for j := range want {
 			if got[i][j].E2E != want[j].E2E || got[i][j].TotalMillicores != want[j].TotalMillicores {
-				t.Fatalf("clone %d diverged from the sequential run at trace %d", i, j)
+				t.Fatalf("concurrent run %d diverged from the sequential run at trace %d", i, j)
 			}
 		}
 	}

@@ -433,17 +433,13 @@ func MLInferenceDAG() *Workflow {
 // (ExperimentSuite.DAGScenario; janusbench -experiment dag).
 type DAGRow = experiment.DAGRow
 
-// DAGExperimentPoints enumerates the arbitrary-DAG scenario grid — the
-// six-node ML-inference DAG under every applicable system — as runner
-// points.
-func DAGExperimentPoints() ([]ExperimentPoint, error) { return experiment.DAGPoints() }
-
 // Experiments.
 
 // ExperimentSuite reproduces the paper's tables and figures. Suite points
 // — (system, workflow, batch) serving runs — fan out over a bounded worker
-// pool (see ExperimentRunner); results are identical at every parallelism
-// because requests carry pre-sampled runtime conditions.
+// pool (ExperimentSuite.RunPoints, bounded by SetParallelism); results are
+// identical at every parallelism because requests carry pre-sampled
+// runtime conditions.
 type ExperimentSuite = experiment.Suite
 
 // ExperimentConfig scales an ExperimentSuite.
@@ -460,22 +456,9 @@ func NewQuickExperimentSuite() *ExperimentSuite { return experiment.QuickSuite()
 // one workload (workflow at an SLO, batch size).
 type ExperimentPoint = experiment.Point
 
-// ExperimentProgress reports one completed suite point.
-type ExperimentProgress = experiment.Progress
-
-// ExperimentRunner fans suite points out over a bounded worker pool with
-// per-worker cloned executors, deterministic input-order results, progress
-// reporting, and context cancellation.
-type ExperimentRunner = experiment.Runner
-
 // EvaluationPoints enumerates the paper's full §V serving grid (every
-// evaluation panel crossed with every system) as runner points.
+// evaluation panel crossed with every system) as suite points.
 func EvaluationPoints() ([]ExperimentPoint, error) { return experiment.EvaluationPoints() }
-
-// SPExperimentPoints enumerates the series-parallel scenario grid — the
-// fork-join Video Analyze workload under every scenario system plus the
-// arrival-rate sweep — as runner points.
-func SPExperimentPoints() ([]ExperimentPoint, error) { return experiment.SPPoints() }
 
 // Multi-tenant experiments: the IA chain, VA chain, and series-parallel
 // Video Analyze served as one merged arrival stream on a shared
@@ -626,13 +609,6 @@ type ReplayRow = experiment.ReplayRow
 // and the hint-bundle hot-swap record.
 type ReplayRun = experiment.ReplayRun
 
-// ReplayExperimentPoint describes one replay scenario configuration.
-type ReplayExperimentPoint = experiment.ReplayPoint
-
-// ReplayExperimentPoints enumerates the replay scenario grid: static
-// pools, the elastic autoscaler, and autoscaler + online regeneration.
-func ReplayExperimentPoints() []ReplayExperimentPoint { return experiment.ReplayPoints() }
-
 // Fleet-scale replay (ExperimentSuite.FleetScenario; janusbench
 // -experiment fleet): the replay scenario's non-stationary shape at
 // hundreds of nodes and hundreds of thousands of requests in one
@@ -645,10 +621,6 @@ const (
 	FleetNodes          = experiment.FleetNodes
 	FleetNodeMillicores = experiment.FleetNodeMillicores
 )
-
-// FleetExperimentPoints enumerates the fleet scenario grid — the replay
-// provider configurations at fleet scale.
-func FleetExperimentPoints() []ReplayExperimentPoint { return experiment.FleetPoints() }
 
 // Dynamic trigger-based orchestration: workflows whose shape resolves at
 // run time. The static DAG stays the skeleton; dynamic annotations mark
@@ -722,13 +694,6 @@ func TriggerExperimentWorkflow() *Workflow {
 // TriggerRun is one trigger serving run: the dynamic stream under one
 // provider configuration, with per-shape-segment rows.
 type TriggerRun = experiment.TriggerRun
-
-// TriggerExperimentPoint describes one trigger scenario configuration.
-type TriggerExperimentPoint = experiment.TriggerPoint
-
-// TriggerExperimentPoints enumerates the trigger scenario grid: static
-// worst-case planning and online shape-aware planning.
-func TriggerExperimentPoints() []TriggerExperimentPoint { return experiment.TriggerPoints() }
 
 // FormatTriggerRuns renders the trigger scenario's comparison table.
 func FormatTriggerRuns(runs []*TriggerRun) string { return experiment.FormatTrigger(runs) }
