@@ -33,9 +33,9 @@ func BenchmarkRegenTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := time.Duration(i) * time.Second
+	var now time.Duration
+	for b.Loop() {
+		now += time.Second
 		for j := 0; j < minDecisions; j++ {
 			if _, err := a.Decide(0, 400*time.Millisecond); err != nil {
 				b.Fatal(err)
@@ -43,7 +43,7 @@ func BenchmarkRegenTick(b *testing.B) {
 		}
 		acts := r.Tick(now)
 		if len(acts) != 1 {
-			b.Fatalf("op %d: tick returned %d actions, want the swap", i, len(acts))
+			b.Fatalf("tick at %v returned %d actions, want the swap", now, len(acts))
 		}
 		acts[0].Do(now + acts[0].Delay)
 	}
