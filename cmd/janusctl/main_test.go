@@ -10,7 +10,10 @@ import (
 
 	"janus/internal/hints"
 	"janus/internal/httpapi"
+	"janus/internal/interfere"
+	"janus/internal/perfmodel"
 	"janus/internal/profile"
+	"janus/internal/synth"
 )
 
 // TestPipelineEndToEnd drives the developer-side offline pipeline exactly
@@ -85,28 +88,72 @@ func TestPipelineEndToEnd(t *testing.T) {
 }
 
 // TestPipelineWorkflowFile covers the custom-workflow path: profile a
-// JSON spec instead of a built-in chain.
+// JSON spec instead of a built-in chain, a static one and a dynamic one
+// with a map step, and synthesize the profile file. The bundle must equal
+// the one synthesized from the same profiles in memory, shape-variant
+// tables included.
 func TestPipelineWorkflowFile(t *testing.T) {
-	dir := t.TempDir()
-	spec := filepath.Join(dir, "wf.json")
-	out := filepath.Join(dir, "profiles.json")
-	specJSON := `{"name":"custom","slo_ms":2000,"functions":[{"name":"a","function":"od"},{"name":"b","function":"qa"}],"edges":[["a","b"]]}`
-	if err := os.WriteFile(spec, []byte(specJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdProfile([]string{"-workflow-file", spec, "-samples", "150", "-o", out}); err != nil {
-		t.Fatalf("profile custom workflow: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := profile.ParseSet(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Workflow.Name() != "custom" || set.Len() != 2 {
-		t.Fatalf("profiled %s with %d groups", set.Workflow.Name(), set.Len())
+	for _, tc := range []struct {
+		spec   string
+		groups int
+	}{
+		{`{"name":"custom","slo_ms":2000,"functions":[{"name":"a","function":"od"},{"name":"b","function":"qa"}],"edges":[["a","b"]]}`, 2},
+		{`{"name":"mapped","slo_ms":3000,"functions":[{"name":"a","function":"od"},{"name":"b","function":"ts"},{"name":"c","function":"qa"}],` +
+			`"edges":[["a","b"],["b","c"]],"dynamic":[{"step":"b","map":{"max_width":3}}]}`, 3},
+	} {
+		dir := t.TempDir()
+		spec := filepath.Join(dir, "wf.json")
+		out := filepath.Join(dir, "profiles.json")
+		bundle := filepath.Join(dir, "bundle.json")
+		if err := os.WriteFile(spec, []byte(tc.spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdProfile([]string{"-workflow-file", spec, "-samples", "150", "-o", out}); err != nil {
+			t.Fatalf("profile custom workflow: %v", err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := profile.ParseSet(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := set.Workflow
+		if set.Len() != tc.groups || w.IsDynamic() != (len(set.Shaped) > 0) {
+			t.Fatalf("profiled %s with %d groups and %d shaped", w.Name(), set.Len(), len(set.Shaped))
+		}
+		if err := cmdSynthesize([]string{"-profiles", out, "-step-ms", "20", "-o", bundle}); err != nil {
+			t.Fatalf("synthesize %s: %v", w.Name(), err)
+		}
+		got, err := loadBundle(bundle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coloc, err := interfere.NewCountSampler([]float64{0.5, 0.35, 0.15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := profile.NewProfiler(perfmodel.Catalog(), coloc, interfere.Default(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof.SamplesPerConfig = 150
+		mem, err := prof.ProfileWorkflow(w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sy, err := synth.New(synth.Config{Profiles: mem, Weight: 1, Mode: synth.ModeJanus, BudgetStepMs: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sy.GenerateBundle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Bundle.Shaped) != len(mem.Shaped) || !got.Equal(want.Bundle) {
+			t.Fatalf("%s: bundle from the profile file differs from the in-memory synthesis", w.Name())
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func BenchmarkProfileGroup(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := p.ProfileGroup(fork, 1); err != nil {
+		if _, err := p.profileGroup(fork, 1, 1, 1, "parallel", false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -113,47 +113,8 @@ func TestProfileDynamicShapedVariants(t *testing.T) {
 	}
 }
 
-func TestConeProfilesShapedSwapsHeadOnly(t *testing.T) {
-	w := dynWorkflow(t)
-	set, err := dynProfiler(t).ProfileWorkflow(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	og := mapGroup(t, w, "ocr")
-	base, err := set.ConeProfiles(og)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shaped, err := set.ConeProfilesShaped(og, "w=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shaped[0] != set.Shaped[og]["w=2"] {
-		t.Fatal("cone head not swapped for the shape variant")
-	}
-	for i := 1; i < len(base); i++ {
-		if shaped[i].LMs(99, shaped[i].Grid.Min) != base[i].LMs(99, base[i].Grid.Min) {
-			t.Fatalf("downstream layer %d changed under shaping", i)
-		}
-	}
-	// Unknown shapes and shapeless groups fall back to the base cone.
-	fallback, err := set.ConeProfilesShaped(og, "w=99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fallback[0] != base[0] {
-		t.Fatal("unknown shape did not fall back to the base head")
-	}
-	// The fallback path must not have aliased the base cone's backing
-	// array: a later shaped call cannot corrupt an earlier base result.
-	if base[0] != set.At(og) {
-		t.Fatal("ConeProfilesShaped mutated a previously returned base cone")
-	}
-}
-
-// TestProfileStaticSetHasNoShapes pins that the static path is untouched:
-// no Shaped map, and the profiles come from the exact same code as before
-// dynamic orchestration existed.
+// TestProfileStaticSetHasNoShapes pins that a static workflow's set
+// carries no Shaped map.
 func TestProfileStaticSetHasNoShapes(t *testing.T) {
 	nodes := []workflow.Node{
 		{Name: "a", Function: "fe"},
@@ -172,12 +133,5 @@ func TestProfileStaticSetHasNoShapes(t *testing.T) {
 	}
 	if set.Shaped != nil {
 		t.Fatalf("static workflow produced shaped profiles: %v", set.Shaped)
-	}
-	cone, err := set.ConeProfilesShaped(0, "w=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cone[0] != set.At(0) {
-		t.Fatal("static cone perturbed by a shape key")
 	}
 }

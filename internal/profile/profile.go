@@ -17,7 +17,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -68,26 +67,10 @@ func (g Grid) Index(k int) (int, bool) {
 	return (k - g.Min) / g.Step, true
 }
 
-// Snap rounds an arbitrary allocation up to the nearest grid level,
-// clamping to the grid bounds.
-func (g Grid) Snap(k int) int {
-	if k <= g.Min {
-		return g.Min
-	}
-	if k >= g.Max {
-		return g.Max
-	}
-	over := (k - g.Min) % g.Step
-	if over == 0 {
-		return k
-	}
-	return k + g.Step - over
-}
-
 // DefaultPercentiles returns the paper's profiling percentiles: 1% to 99%
 // with a step of 5%, with the P99 anchor (1, 5, 10, ..., 95, 99).
 func DefaultPercentiles() []int {
-	out := []int{1}
+	out := append(make([]int, 0, 21), 1)
 	for p := 5; p <= 95; p += 5 {
 		out = append(out, p)
 	}
@@ -194,12 +177,6 @@ func NewFunctionProfile(function string, batch int, grid Grid, percentiles []int
 	return fp, nil
 }
 
-// HasPercentile reports whether p is on the profile's percentile grid.
-func (fp *FunctionProfile) HasPercentile(p int) bool {
-	_, ok := fp.row(p)
-	return ok
-}
-
 // LMs returns L(p, k) in milliseconds. Both p and k must be on-grid.
 func (fp *FunctionProfile) LMs(p, k int) int {
 	pi, ok := fp.row(p)
@@ -241,8 +218,9 @@ func (fp *FunctionProfile) MinCoresWithin(p int, budget time.Duration) (int, boo
 	return 0, false
 }
 
-// Sample returns the raw latency sample at allocation k, or nil if the
-// profile was deserialized without samples.
+// Sample returns the raw latency sample at allocation k, or nil when the
+// profile keeps none: only a static chain's function profiles do, and
+// never once deserialized.
 func (fp *FunctionProfile) Sample(k int) *stats.Sample {
 	ki, ok := fp.Grid.Index(k)
 	if !ok || fp.samples == nil {
@@ -268,8 +246,8 @@ type Set struct {
 	// Shaped holds the width-variant composites of a dynamic workflow's
 	// map groups: Shaped[g][shape] is group g's composite when its map
 	// member resolved to the width the shape key names ("w=3"). The
-	// variant at the map's maximum width is Profiles[g] itself. Nil for
-	// static workflows.
+	// variant at the map's maximum width is Profiles[g] itself (an equal
+	// copy in a parsed set). Nil for static workflows.
 	Shaped map[int]map[string]*FunctionProfile
 }
 
@@ -309,24 +287,6 @@ func (s *Set) ConeProfiles(from int) ([]*FunctionProfile, error) {
 		out = append(out, max)
 	}
 	return out, nil
-}
-
-// ConeProfilesShaped is ConeProfiles with the cone head swapped for the
-// group's shape variant: element 0 becomes Shaped[from][shape], and every
-// downstream layer keeps its conservative base composite — futures not
-// yet resolved at the decision instant stay worst-case. An unknown shape
-// (or a static workflow) returns the base cone unchanged.
-func (s *Set) ConeProfilesShaped(from int, shape string) ([]*FunctionProfile, error) {
-	seq, err := s.ConeProfiles(from)
-	if err != nil {
-		return nil, err
-	}
-	variant, ok := s.Shaped[from][shape]
-	if !ok {
-		return seq, nil
-	}
-	seq[0] = variant
-	return seq, nil
 }
 
 // BudgetRangeMs returns the paper's Eq. 3 exploration bounds for the
@@ -393,16 +353,13 @@ func maxProfiles(fps []*FunctionProfile) (*FunctionProfile, error) {
 // models under the contention mix the platform will produce at serving
 // time. This is the developer-side offline component: in the paper it runs
 // the real functions on the developer's cluster; here it samples the
-// calibrated models.
+// calibrated models. Every profile spans DefaultGrid at
+// DefaultPercentiles.
 type Profiler struct {
 	// Functions resolves function names.
 	Functions map[string]*perfmodel.Function
 	// SamplesPerConfig is the number of invocations per (k, batch) cell.
 	SamplesPerConfig int
-	// Grid is the allocation grid.
-	Grid Grid
-	// Percentiles is the percentile grid (must include 99).
-	Percentiles []int
 	// Colocation and Interference reproduce serving-time contention.
 	Colocation   *interfere.CountSampler
 	Interference *interfere.Model
@@ -423,68 +380,192 @@ func NewProfiler(fns map[string]*perfmodel.Function, coloc *interfere.CountSampl
 	if coloc == nil {
 		return nil, fmt.Errorf("profile: profiler needs a co-location sampler")
 	}
-	p := &Profiler{
+	return &Profiler{
 		Functions:        fns,
 		SamplesPerConfig: 2000,
-		Grid:             DefaultGrid(),
-		Percentiles:      DefaultPercentiles(),
 		Colocation:       coloc,
 		Interference:     im,
 		Seed:             seed,
-	}
-	if err := p.Grid.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validatePercentiles(p.Percentiles); err != nil {
-		return nil, err
-	}
-	return p, nil
+	}, nil
 }
 
-// ProfileFunction measures one function at one batch size across the grid.
-func (p *Profiler) ProfileFunction(name string, batch int) (*FunctionProfile, error) {
-	fn, ok := p.Functions[name]
-	if !ok {
-		return nil, fmt.Errorf("profile: unknown function %q", name)
+// ProfileWorkflow profiles every decision group of a workflow DAG with one
+// profileGroup pass each. The passes differ only in their stream label
+// and in whether they keep raw samples:
+//
+//   - a static chain's groups are its functions, drawn under "profile/"
+//     with their raw samples kept, so the ORION baseline stays available;
+//   - a group whose map member resolves to up to W > 1 replicas is drawn
+//     under "mapshape/" into W width variants: the widest is the group's
+//     conservative base profile, every unresolved future composites
+//     through it, and all W go to Set.Shaped under their shape keys
+//     (choice and await annotations need no variants: an unchosen
+//     branch's groups simply never decide);
+//   - every other group is drawn under "parallel/" as the max-over-members
+//     composite its implicit join observes.
+func (p *Profiler) ProfileWorkflow(w *workflow.Workflow, batch int) (*Set, error) {
+	if w == nil {
+		return nil, fmt.Errorf("profile: nil workflow")
 	}
-	if !fn.SupportsBatch(batch) {
-		return nil, fmt.Errorf("profile: function %s does not support batch %d", name, batch)
+	chain := !w.IsDynamic() && w.IsChain()
+	set := &Set{Workflow: w, Batch: batch}
+	for i, g := range w.DecisionGroups() {
+		rep, width := groupMap(w, g)
+		kind := "mapshape"
+		if width == 1 {
+			kind = "parallel"
+			if chain {
+				kind = "profile"
+			}
+		}
+		variants, err := p.profileGroup(g, rep, width, batch, kind, chain)
+		if err != nil {
+			if chain {
+				// A chain's group is one function, which the error names.
+				return nil, err
+			}
+			return nil, fmt.Errorf("profile: group %d: %w", i, err)
+		}
+		set.Profiles = append(set.Profiles, variants[width-1])
+		if width == 1 {
+			continue
+		}
+		if set.Shaped == nil {
+			set.Shaped = map[int]map[string]*FunctionProfile{}
+		}
+		shapes := make(map[string]*FunctionProfile, width)
+		for v, fp := range variants {
+			shapes[workflow.ShapeKey(v+1)] = fp
+		}
+		set.Shaped[i] = shapes
+	}
+	return set, nil
+}
+
+// groupMap returns which member of group g repeats in its profiling pass,
+// and how often: the group's map member (the workflow allows at most one
+// per group) at the map's maximum width, or, without one or when it
+// resolves to a single replica, its last member once.
+func groupMap(w *workflow.Workflow, g workflow.Group) (rep, width int) {
+	rep, width = len(g.Nodes)-1, 1
+	for j, n := range g.Nodes {
+		if d, ok := w.Dynamic(n.Name); ok && d.Map != nil {
+			rep, width = j, d.Map.MaxWidth
+		}
+	}
+	if width == 1 {
+		rep = len(g.Nodes) - 1
+	}
+	return rep, width
+}
+
+// profileGroup measures one decision group at one batch size across the
+// grid in a single Monte-Carlo pass. Per allocation k, each draw runs
+// every member once at k, except member rep, which then runs width times;
+// variant v is the running max after replica v+1, so variant 0 of a group
+// drawn at width 1 is its join latency, and the variants of a map are
+// monotone in width by construction (a prefix max can only grow). Level k
+// draws from the stream kind/<name>[/<map step>]/b<batch>/k<k>, split
+// from the profiler's seed, so a profile depends on its label alone and
+// never on how the levels are spread over workers. With keep, each
+// variant retains its raw sample per level for distribution-aware
+// consumers. The returned slice holds widths 1..width in order.
+func (p *Profiler) profileGroup(g workflow.Group, rep, width, batch int, kind string, keep bool) ([]*FunctionProfile, error) {
+	if len(g.Nodes) == 0 {
+		return nil, fmt.Errorf("profile: empty decision group")
 	}
 	if p.SamplesPerConfig < 100 {
 		return nil, fmt.Errorf("profile: need at least 100 samples per config, have %d", p.SamplesPerConfig)
 	}
-	levels := p.Grid.Levels()
-	fp := &FunctionProfile{
-		Function:    name,
-		Batch:       batch,
-		Grid:        p.Grid,
-		Percentiles: append([]int(nil), p.Percentiles...),
-		LatencyMs:   make([][]int, len(p.Percentiles)),
-		samples:     make([]*stats.Sample, len(levels)),
-	}
-	for i := range fp.LatencyMs {
-		fp.LatencyMs[i] = make([]int, len(levels))
-	}
-	p.eachLevel(fmt.Sprintf("profile/%s/b%d", name, batch), func(ki, k int, stream *rng.Stream) {
-		sample := stats.NewSample(make([]float64, 0, p.SamplesPerConfig))
-		for i := 0; i < p.SamplesPerConfig; i++ {
-			coloc := p.Colocation.Sample(stream)
-			draw := fn.NewDraw(stream, batch, coloc, p.Interference)
-			sample.AddDuration(fn.Latency(draw, k))
+	var repFn *perfmodel.Function
+	others := make([]*perfmodel.Function, 0, len(g.Nodes)-1)
+	for j, n := range g.Nodes {
+		fn, ok := p.Functions[n.Function]
+		if !ok {
+			return nil, fmt.Errorf("profile: unknown function %q", n.Function)
 		}
-		fp.samples[ki] = sample
-		for pi, pct := range p.Percentiles {
-			// Round latencies up: the synthesizer must never be optimistic
-			// about how fast a function runs.
-			ms := sample.Percentile(float64(pct))
-			fp.LatencyMs[pi][ki] = int(ms) + 1
+		if !fn.SupportsBatch(batch) {
+			return nil, fmt.Errorf("profile: function %s does not support batch %d", n.Function, batch)
+		}
+		if j == rep {
+			repFn = fn
+		} else {
+			others = append(others, fn)
+		}
+	}
+	name := GroupProfileName(g.Nodes)
+	label := kind + "/" + name
+	if width > 1 {
+		label += "/" + g.Nodes[rep].Name
+	}
+	label += "/b" + strconv.Itoa(batch) + "/k"
+	grid, pcts := DefaultGrid(), DefaultPercentiles()
+	levels := grid.Levels()
+	n := p.SamplesPerConfig
+	// lat[v][pi][ki] is variant v's L(pcts[pi], levels[ki]); samples[ki*width+v]
+	// is variant v's raw sample at level ki.
+	lat := make([][][]int, width)
+	for v := range lat {
+		lat[v] = make([][]int, len(pcts))
+		for pi := range lat[v] {
+			lat[v][pi] = make([]int, len(levels))
+		}
+	}
+	samples := make([]stats.Sample, len(levels)*width)
+	root := rng.New(p.Seed)
+	chunk.Run(len(levels), 1, p.workers, func(lo, hi int) {
+		stream := new(rng.Stream)
+		for ki := lo; ki < hi; ki++ {
+			k := levels[ki]
+			root.SplitInto(stream, label+strconv.Itoa(k))
+			level := samples[ki*width : (ki+1)*width]
+			xs := make([]float64, width*n)
+			for v := range level {
+				level[v] = *stats.NewSample(xs[v*n : v*n : (v+1)*n])
+			}
+			for range n {
+				var worst time.Duration
+				for _, fn := range others {
+					coloc := p.Colocation.Sample(stream)
+					d := fn.NewDraw(stream, batch, coloc, p.Interference)
+					worst = max(worst, fn.Latency(d, k))
+				}
+				for v := range level {
+					coloc := p.Colocation.Sample(stream)
+					d := repFn.NewDraw(stream, batch, coloc, p.Interference)
+					worst = max(worst, repFn.Latency(d, k))
+					level[v].AddDuration(worst)
+				}
+			}
+			for v := range level {
+				for pi, pct := range pcts {
+					// Round latencies up: the synthesizer must never be
+					// optimistic about how fast a function runs.
+					lat[v][pi][ki] = int(level[v].Percentile(float64(pct))) + 1
+				}
+			}
 		}
 	})
-	if err := fp.init(); err != nil {
-		return nil, err
+	out := make([]*FunctionProfile, width)
+	for v := range out {
+		vname := name
+		if width > 1 {
+			vname += "@" + workflow.ShapeKey(v+1)
+		}
+		fp, err := NewFunctionProfile(vname, batch, grid, pcts, lat[v])
+		if err != nil {
+			return nil, err
+		}
+		enforceMonotone(fp)
+		if keep {
+			fp.samples = make([]*stats.Sample, len(levels))
+			for ki := range levels {
+				fp.samples[ki] = &samples[ki*width+v]
+			}
+		}
+		out[v] = fp
 	}
-	enforceMonotone(fp)
-	return fp, nil
+	return out, nil
 }
 
 // enforceMonotone irons out sampling noise so that L is non-increasing in k
@@ -508,181 +589,6 @@ func enforceMonotone(fp *FunctionProfile) {
 	}
 }
 
-// eachLevel calls level(ki, k, stream) for every grid level k at index
-// ki, with stream seeded for that level alone (prefix + "/k<k>" split
-// from the profiler's seed). Contiguous runs of levels are spread over
-// the profiler's workers, each reseeding one stream of its own; since a
-// level's draws depend on its label alone, so does the profile.
-func (p *Profiler) eachLevel(prefix string, level func(ki, k int, stream *rng.Stream)) {
-	root := rng.New(p.Seed)
-	levels := p.Grid.Levels()
-	chunk.Run(len(levels), 1, p.workers, func(lo, hi int) {
-		stream := new(rng.Stream)
-		for ki := lo; ki < hi; ki++ {
-			root.SplitInto(stream, prefix+"/k"+strconv.Itoa(levels[ki]))
-			level(ki, levels[ki], stream)
-		}
-	})
-}
-
-// ProfileWorkflow profiles every decision group of a workflow DAG. Chains
-// run the per-function profiler (raw samples retained, so the ORION
-// baseline stays available); any other DAG profiles each group as a
-// max-over-members Monte-Carlo composite — the latency its implicit join
-// observes — exactly as the series-parallel reduction always has.
-func (p *Profiler) ProfileWorkflow(w *workflow.Workflow, batch int) (*Set, error) {
-	if w == nil {
-		return nil, fmt.Errorf("profile: nil workflow")
-	}
-	set := &Set{Workflow: w, Batch: batch}
-	if w.IsDynamic() {
-		return p.profileDynamic(set, w, batch)
-	}
-	if w.IsChain() {
-		for _, n := range w.TopoOrder() {
-			fp, err := p.ProfileFunction(n.Function, batch)
-			if err != nil {
-				return nil, err
-			}
-			set.Profiles = append(set.Profiles, fp)
-		}
-		return set, nil
-	}
-	for i, g := range w.DecisionGroups() {
-		fp, err := p.ProfileGroup(g, batch)
-		if err != nil {
-			return nil, fmt.Errorf("profile: group %d: %w", i, err)
-		}
-		set.Profiles = append(set.Profiles, fp)
-	}
-	return set, nil
-}
-
-// profileDynamic profiles a dynamic workflow's groups: each resolvable
-// shape of a map group gets its own width-variant composite (the base is
-// the max-width variant, conservative), and every other group profiles
-// exactly as a static group does. Choice and await annotations need no
-// variants: an unchosen branch's groups simply never decide, and choice
-// branch-specificity is already inherent in the per-group descendant
-// cones.
-func (p *Profiler) profileDynamic(set *Set, w *workflow.Workflow, batch int) (*Set, error) {
-	for i, g := range w.DecisionGroups() {
-		mapStep, maxWidth := "", 1
-		for _, n := range g.Nodes {
-			if d, ok := w.Dynamic(n.Name); ok && d.Map != nil {
-				mapStep, maxWidth = n.Name, d.Map.MaxWidth
-			}
-		}
-		if maxWidth <= 1 {
-			fp, err := p.ProfileGroup(g, batch)
-			if err != nil {
-				return nil, fmt.Errorf("profile: group %d: %w", i, err)
-			}
-			set.Profiles = append(set.Profiles, fp)
-			continue
-		}
-		variants, err := p.ProfileGroupMap(g, mapStep, maxWidth, batch)
-		if err != nil {
-			return nil, fmt.Errorf("profile: group %d: %w", i, err)
-		}
-		set.Profiles = append(set.Profiles, variants[maxWidth-1])
-		if set.Shaped == nil {
-			set.Shaped = map[int]map[string]*FunctionProfile{}
-		}
-		shapes := make(map[string]*FunctionProfile, maxWidth)
-		for v := 1; v <= maxWidth; v++ {
-			shapes[workflow.ShapeKey(v)] = variants[v-1]
-		}
-		set.Shaped[i] = shapes
-	}
-	return set, nil
-}
-
-// ProfileGroupMap measures one decision group's composite latency for
-// every resolvable width of its map member in a single Monte-Carlo pass:
-// each sample draws the non-map members once, then draws maxWidth i.i.d.
-// replicas of the map member and records the running (prefix) max after
-// each one. Variant v is therefore the group's join latency when the map
-// resolved to v replicas, the variants are monotone in width by
-// construction (a prefix max can only grow), and the max-width variant is
-// the conservative base profile a shape-blind planner uses. The returned
-// slice holds widths 1..maxWidth in order.
-func (p *Profiler) ProfileGroupMap(g workflow.Group, mapStep string, maxWidth, batch int) ([]*FunctionProfile, error) {
-	if maxWidth < 1 {
-		return nil, fmt.Errorf("profile: map width %d invalid", maxWidth)
-	}
-	if p.SamplesPerConfig < 100 {
-		return nil, fmt.Errorf("profile: need at least 100 samples per config, have %d", p.SamplesPerConfig)
-	}
-	var mapFn *perfmodel.Function
-	others := make([]*perfmodel.Function, 0, len(g.Nodes))
-	for _, n := range g.Nodes {
-		fn, ok := p.Functions[n.Function]
-		if !ok {
-			return nil, fmt.Errorf("profile: unknown function %q", n.Function)
-		}
-		if !fn.SupportsBatch(batch) {
-			return nil, fmt.Errorf("profile: function %s does not support batch %d", n.Function, batch)
-		}
-		if n.Name == mapStep {
-			mapFn = fn
-			continue
-		}
-		others = append(others, fn)
-	}
-	if mapFn == nil {
-		return nil, fmt.Errorf("profile: map step %q not in group", mapStep)
-	}
-	name := GroupProfileName(g.Nodes)
-	levels := p.Grid.Levels()
-	lat := make([][][]int, maxWidth)
-	for v := range lat {
-		lat[v] = make([][]int, len(p.Percentiles))
-		for pi := range lat[v] {
-			lat[v][pi] = make([]int, len(levels))
-		}
-	}
-	p.eachLevel(fmt.Sprintf("mapshape/%s/%s/b%d", name, mapStep, batch), func(ki, k int, stream *rng.Stream) {
-		samples := make([]*stats.Sample, maxWidth)
-		for v := range samples {
-			samples[v] = stats.NewSample(make([]float64, 0, p.SamplesPerConfig))
-		}
-		for i := 0; i < p.SamplesPerConfig; i++ {
-			var worst time.Duration
-			for _, fn := range others {
-				coloc := p.Colocation.Sample(stream)
-				d := fn.NewDraw(stream, batch, coloc, p.Interference)
-				if l := fn.Latency(d, k); l > worst {
-					worst = l
-				}
-			}
-			for v := 0; v < maxWidth; v++ {
-				coloc := p.Colocation.Sample(stream)
-				d := mapFn.NewDraw(stream, batch, coloc, p.Interference)
-				if l := mapFn.Latency(d, k); l > worst {
-					worst = l
-				}
-				samples[v].AddDuration(worst)
-			}
-		}
-		for v := 0; v < maxWidth; v++ {
-			for pi, pct := range p.Percentiles {
-				lat[v][pi][ki] = int(samples[v].Percentile(float64(pct))) + 1
-			}
-		}
-	})
-	out := make([]*FunctionProfile, maxWidth)
-	for v := 0; v < maxWidth; v++ {
-		fp, err := NewFunctionProfile(fmt.Sprintf("%s@w=%d", name, v+1), batch, p.Grid, p.Percentiles, lat[v])
-		if err != nil {
-			return nil, err
-		}
-		enforceMonotone(fp)
-		out[v] = fp
-	}
-	return out, nil
-}
-
 // GroupProfileName is the composite profile name of a decision group: the
 // function name for a single member, "par(N)+f1+...+fN" for a fork.
 func GroupProfileName(nodes []workflow.Node) string {
@@ -694,66 +600,4 @@ func GroupProfileName(nodes []workflow.Node) string {
 		name += "+" + n.Function
 	}
 	return name
-}
-
-// ProfileGroup measures one decision group's composite latency at one
-// batch size: per allocation k, every member runs at k and the group's
-// implicit join completes at the slowest member. The profiling stream is
-// keyed under "parallel/" — the series-parallel reduction's namespace —
-// so fork-join workflows profile identically through either entry point.
-func (p *Profiler) ProfileGroup(g workflow.Group, batch int) (*FunctionProfile, error) {
-	if len(g.Nodes) == 0 {
-		return nil, fmt.Errorf("profile: empty decision group")
-	}
-	if p.SamplesPerConfig < 100 {
-		return nil, fmt.Errorf("profile: need at least 100 samples per config, have %d", p.SamplesPerConfig)
-	}
-	fns := make([]*perfmodel.Function, len(g.Nodes))
-	for i, n := range g.Nodes {
-		fn, ok := p.Functions[n.Function]
-		if !ok {
-			return nil, fmt.Errorf("profile: unknown function %q", n.Function)
-		}
-		if !fn.SupportsBatch(batch) {
-			return nil, fmt.Errorf("profile: function %s does not support batch %d", n.Function, batch)
-		}
-		fns[i] = fn
-	}
-	name := GroupProfileName(g.Nodes)
-	levels := p.Grid.Levels()
-	lat := make([][]int, len(p.Percentiles))
-	for i := range lat {
-		lat[i] = make([]int, len(levels))
-	}
-	p.eachLevel(fmt.Sprintf("parallel/%s/b%d", name, batch), func(ki, k int, stream *rng.Stream) {
-		sample := stats.NewSample(make([]float64, 0, p.SamplesPerConfig))
-		for i := 0; i < p.SamplesPerConfig; i++ {
-			var worst time.Duration
-			for _, fn := range fns {
-				coloc := p.Colocation.Sample(stream)
-				d := fn.NewDraw(stream, batch, coloc, p.Interference)
-				if l := fn.Latency(d, k); l > worst {
-					worst = l
-				}
-			}
-			sample.AddDuration(worst)
-		}
-		for pi, pct := range p.Percentiles {
-			lat[pi][ki] = int(sample.Percentile(float64(pct))) + 1
-		}
-	})
-	fp, err := NewFunctionProfile(name, batch, p.Grid, p.Percentiles, lat)
-	if err != nil {
-		return nil, err
-	}
-	enforceMonotone(fp)
-	return fp, nil
-}
-
-// SortedPercentiles returns a copy of ps sorted ascending (helper for
-// consumers assembling custom grids).
-func SortedPercentiles(ps []int) []int {
-	out := append([]int(nil), ps...)
-	sort.Ints(out)
-	return out
 }

@@ -3,6 +3,8 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +27,17 @@ func testProfiler(t *testing.T) *Profiler {
 	return p
 }
 
+// profileFunction profiles one function the way a static chain's groups
+// are profiled: under its "profile/" stream, raw samples kept.
+func profileFunction(p *Profiler, name string, batch int) (*FunctionProfile, error) {
+	g := workflow.Group{Nodes: []workflow.Node{{Name: name, Function: name}}}
+	fps, err := p.profileGroup(g, 0, 1, batch, "profile", true)
+	if err != nil {
+		return nil, err
+	}
+	return fps[0], nil
+}
+
 func TestGridBasics(t *testing.T) {
 	g := DefaultGrid()
 	if err := g.Validate(); err != nil {
@@ -45,16 +58,6 @@ func TestGridBasics(t *testing.T) {
 	}
 	if _, ok := g.Index(900); ok {
 		t.Fatal("below-grid index accepted")
-	}
-}
-
-func TestGridSnap(t *testing.T) {
-	g := DefaultGrid()
-	cases := [][2]int{{500, 1000}, {1000, 1000}, {1001, 1100}, {1399, 1400}, {2950, 3000}, {9000, 3000}}
-	for _, c := range cases {
-		if got := g.Snap(c[0]); got != c[1] {
-			t.Errorf("Snap(%d) = %d, want %d", c[0], got, c[1])
-		}
 	}
 }
 
@@ -107,7 +110,7 @@ func TestValidatePercentiles(t *testing.T) {
 
 func TestProfileFunctionShape(t *testing.T) {
 	p := testProfiler(t)
-	fp, err := p.ProfileFunction("od", 1)
+	fp, err := profileFunction(p, "od", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestProfileFunctionShape(t *testing.T) {
 
 func TestTimeoutProperties(t *testing.T) {
 	p := testProfiler(t)
-	fp, err := p.ProfileFunction("ts", 1)
+	fp, err := profileFunction(p, "ts", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +167,8 @@ func TestTimeoutProperties(t *testing.T) {
 
 // TestPercentileLookupOffGrid pins the percentile lookup's edges: every
 // profiled percentile resolves to its own row, and any other value —
-// unprofiled, or outside [1, 99] — is absent for HasPercentile and panics
-// in LMs with the profile's name, as does an off-grid allocation.
+// unprofiled, or outside [1, 99] — has no row and panics in LMs with the
+// profile's name, as does an off-grid allocation.
 func TestPercentileLookupOffGrid(t *testing.T) {
 	grid := Grid{Min: 1000, Max: 1200, Step: 100}
 	fp, err := NewFunctionProfile("f", 1, grid, []int{1, 50, 99}, [][]int{{10, 9, 8}, {20, 19, 18}, {30, 29, 28}})
@@ -173,8 +176,8 @@ func TestPercentileLookupOffGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pi, p := range fp.Percentiles {
-		if !fp.HasPercentile(p) {
-			t.Errorf("HasPercentile(%d) = false for a profiled percentile", p)
+		if row, ok := fp.row(p); !ok || row != pi {
+			t.Errorf("row(%d) = %d, %v for a profiled percentile", p, row, ok)
 		}
 		if got, want := fp.LMs(p, 1100), fp.LatencyMs[pi][1]; got != want {
 			t.Errorf("LMs(%d, 1100) = %d, want %d", p, got, want)
@@ -191,8 +194,8 @@ func TestPercentileLookupOffGrid(t *testing.T) {
 		call()
 	}
 	for _, p := range []int{-1, 0, 2, 49, 98, 100, 255, 1 << 20} {
-		if fp.HasPercentile(p) {
-			t.Errorf("HasPercentile(%d) = true off the grid", p)
+		if _, ok := fp.row(p); ok {
+			t.Errorf("row(%d) found off the grid", p)
 		}
 		panicsWith(fmt.Sprintf("profile: f: percentile %d not profiled", p), func() { fp.LMs(p, 1000) })
 	}
@@ -201,7 +204,7 @@ func TestPercentileLookupOffGrid(t *testing.T) {
 
 func TestResilienceProperties(t *testing.T) {
 	p := testProfiler(t)
-	fp, err := p.ProfileFunction("ts", 1)
+	fp, err := profileFunction(p, "ts", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +231,11 @@ func TestResilienceGrowsWithConcurrency(t *testing.T) {
 	// Fig 7b: higher concurrency means higher computing load, making the
 	// function more sensitive to resources, hence more resilience.
 	p := testProfiler(t)
-	fp1, err := p.ProfileFunction("ts", 1)
+	fp1, err := profileFunction(p, "ts", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp3, err := p.ProfileFunction("ts", 3)
+	fp3, err := profileFunction(p, "ts", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +247,7 @@ func TestResilienceGrowsWithConcurrency(t *testing.T) {
 
 func TestMinCoresWithin(t *testing.T) {
 	p := testProfiler(t)
-	fp, err := p.ProfileFunction("qa", 1)
+	fp, err := profileFunction(p, "qa", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +269,11 @@ func TestMinCoresWithin(t *testing.T) {
 
 func TestProfileDeterminism(t *testing.T) {
 	p := testProfiler(t)
-	a, err := p.ProfileFunction("od", 1)
+	a, err := profileFunction(p, "od", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.ProfileFunction("od", 1)
+	b, err := profileFunction(p, "od", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,14 +295,14 @@ func TestProfilerValidation(t *testing.T) {
 		t.Error("nil colocation accepted")
 	}
 	p := testProfiler(t)
-	if _, err := p.ProfileFunction("nope", 1); err == nil {
+	if _, err := profileFunction(p, "nope", 1); err == nil {
 		t.Error("unknown function accepted")
 	}
-	if _, err := p.ProfileFunction("fe", 2); err == nil {
+	if _, err := profileFunction(p, "fe", 2); err == nil {
 		t.Error("unsupported batch accepted")
 	}
 	p.SamplesPerConfig = 10
-	if _, err := p.ProfileFunction("od", 1); err == nil {
+	if _, err := profileFunction(p, "od", 1); err == nil {
 		t.Error("tiny sample count accepted")
 	}
 }
@@ -346,7 +349,7 @@ func TestProfileWorkflowNonChain(t *testing.T) {
 	if set.At(0).Function != "od" || set.At(1).Function != "par(2)+qa+ts" {
 		t.Fatalf("group profiles = %q, %q", set.At(0).Function, set.At(1).Function)
 	}
-	qa, err := p.ProfileFunction("qa", 1)
+	qa, err := profileFunction(p, "qa", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +364,7 @@ func TestProfileWorkflowNonChain(t *testing.T) {
 
 func TestSampleAccess(t *testing.T) {
 	p := testProfiler(t)
-	fp, err := p.ProfileFunction("od", 1)
+	fp, err := profileFunction(p, "od", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +379,7 @@ func TestSampleAccess(t *testing.T) {
 
 func TestFunctionProfileJSONRoundTrip(t *testing.T) {
 	p := testProfiler(t)
-	fp, err := p.ProfileFunction("qa", 2)
+	fp, err := profileFunction(p, "qa", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,8 +387,11 @@ func TestFunctionProfileJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseFunctionProfile(data)
-	if err != nil {
+	var back FunctionProfile
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.init(); err != nil {
 		t.Fatal(err)
 	}
 	if back.Function != "qa" || back.Batch != 2 {
@@ -399,40 +405,63 @@ func TestFunctionProfileJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseFunctionProfileRejectsBadData(t *testing.T) {
-	if _, err := ParseFunctionProfile([]byte("{")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-	// Valid JSON, inconsistent shape.
-	bad := `{"function":"f","batch":1,"grid":{"Min":1000,"Max":3000,"Step":100},"percentiles":[1,99],"latency_ms":[[1]]}`
-	if _, err := ParseFunctionProfile([]byte(bad)); err == nil {
-		t.Error("inconsistent shape accepted")
-	}
-}
-
+// TestSetJSONRoundTrip round-trips the va chain and a dynamic workflow
+// with a map step: the parsed set must carry every profile and shape
+// variant and re-marshal to the same bytes, and the static set's wire
+// form must carry no shapes at all.
 func TestSetJSONRoundTrip(t *testing.T) {
 	p := testProfiler(t)
-	set, err := p.ProfileWorkflow(workflow.VideoAnalyze(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseSet(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Workflow.Name() != "va" || back.Len() != 3 {
-		t.Fatal("set header lost")
-	}
-	if back.At(1).LMs(99, 2000) != set.At(1).LMs(99, 2000) {
-		t.Fatal("set latencies lost")
+	for _, w := range []*workflow.Workflow{workflow.VideoAnalyze(), dynWorkflow(t)} {
+		set, err := p.ProfileWorkflow(w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSet(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Workflow.Name() != w.Name() || back.Len() != set.Len() {
+			t.Fatalf("%s: set header lost", w.Name())
+		}
+		for i := range set.Profiles {
+			if !reflect.DeepEqual(back.At(i).LatencyMs, set.At(i).LatencyMs) || back.At(i).Function != set.At(i).Function {
+				t.Fatalf("%s: group %d profile lost", w.Name(), i)
+			}
+		}
+		if !reflect.DeepEqual(back.Shaped, set.Shaped) {
+			t.Fatalf("%s: shape variants lost", w.Name())
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(data) {
+			t.Fatalf("%s: re-marshaled set differs", w.Name())
+		}
+		if w.IsDynamic() != strings.Contains(string(data), `"shaped"`) {
+			t.Fatalf("%s: dynamic %v but wire form shaped %v", w.Name(), w.IsDynamic(), !w.IsDynamic())
+		}
 	}
 }
 
+// TestParseSetRejectsMismatchedProfiles pins that a set file whose
+// profiles do not fit its workflow is rejected: bad JSON, a profile of
+// inconsistent shape, profiles out of group order, a map group's base
+// not named for its widest variant, and shape variants under a key or
+// name its map cannot resolve to.
 func TestParseSetRejectsMismatchedProfiles(t *testing.T) {
+	if _, err := ParseSet([]byte("{")); err == nil {
+		t.Error("bad JSON accepted")
+	}
+	bad := `{"workflow":{"name":"w","slo_ms":1000,"functions":[{"name":"f","function":"f"}]},"batch":1,` +
+		`"profiles":[{"function":"f","batch":1,"grid":{"Min":1000,"Max":3000,"Step":100},"percentiles":[1,99],"latency_ms":[[1]]}]}`
+	if _, err := ParseSet([]byte(bad)); err == nil {
+		t.Error("inconsistent profile shape accepted")
+	}
 	p := testProfiler(t)
 	set, err := p.ProfileWorkflow(workflow.VideoAnalyze(), 1)
 	if err != nil {
@@ -445,18 +474,30 @@ func TestParseSetRejectsMismatchedProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ParseSet(data); err == nil {
-		t.Fatal("mismatched profile order accepted")
+		t.Error("mismatched profile order accepted")
 	}
-}
-
-func TestSortedPercentiles(t *testing.T) {
-	in := []int{99, 1, 50}
-	out := SortedPercentiles(in)
-	if out[0] != 1 || out[2] != 99 {
-		t.Fatalf("SortedPercentiles = %v", out)
-	}
-	if in[0] != 99 {
-		t.Fatal("input mutated")
+	w := dynWorkflow(t)
+	og := mapGroup(t, w, "ocr")
+	for name, mutate := range map[string]func(s *Set){
+		"base named for a narrower width":  func(s *Set) { s.Profiles[og] = s.Shaped[og]["w=2"] },
+		"variant under the wrong key":      func(s *Set) { s.Shaped[og]["w=3"] = s.Shaped[og]["w=1"] },
+		"width beyond the map":             func(s *Set) { s.Shaped[og]["w=5"] = s.Shaped[og]["w=4"] },
+		"non-canonical key":                func(s *Set) { s.Shaped[og]["w=04"] = s.Shaped[og]["w=4"] },
+		"variants for a group with no map": func(s *Set) { s.Shaped[0] = s.Shaped[og] },
+		"variants out of range":            func(s *Set) { s.Shaped[len(s.Profiles)] = s.Shaped[og] },
+	} {
+		set, err := p.ProfileWorkflow(w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(set)
+		data, err := json.Marshal(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseSet(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -484,11 +525,11 @@ func TestProfileGroupCompositeDominatesBranches(t *testing.T) {
 		for i, f := range fns {
 			nodes[i] = workflow.Node{Name: f, Function: f}
 		}
-		fp, err := p.ProfileGroup(workflow.Group{Nodes: nodes}, 1)
+		fps, err := p.profileGroup(workflow.Group{Nodes: nodes}, len(nodes)-1, 1, 1, "parallel", false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fp
+		return fps[0]
 	}
 	composite, qa, ts := group("qa", "ts"), group("qa"), group("ts")
 	// max(QA, TS) stochastically dominates each branch. The estimates come

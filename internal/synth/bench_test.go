@@ -8,10 +8,11 @@ import "testing"
 // plan into one arena per worker, so allocs/op is a per-table constant
 // however many budgets the range holds; the bench guard pins it.
 func BenchmarkSynthesizeCone(b *testing.B) {
-	s, err := New(Config{Profiles: iaProfiles(b), Mode: ModeJanus, BudgetStepMs: 1, Parallelism: 1})
+	s, err := New(Config{Profiles: iaProfiles(b), Mode: ModeJanus, BudgetStepMs: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.workers = 1
 	budgets := 0
 	b.ReportAllocs()
 	for b.Loop() {

@@ -55,12 +55,12 @@ func TestKernelMatchesReference(t *testing.T) {
 		}
 		for _, cfg := range configs {
 			cfg.Profiles = set
-			cfg.Parallelism = 2
 			t.Run(fmt.Sprintf("%s/%v/w=%v/step=%d/floor=%d", w.Name(), cfg.Mode, cfg.Weight, cfg.BudgetStepMs, cfg.BudgetFloorMs), func(t *testing.T) {
 				s, err := synth.New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				synth.SetWorkers(s, 2)
 				if err := synth.CheckReference(s); err != nil {
 					t.Fatal(err)
 				}

@@ -393,11 +393,11 @@ func FuzzKernelMatchesReference(f *testing.F) {
 			Mode:          mode,
 			BudgetStepMs:  1 + int(step%40),
 			BudgetFloorMs: int(floorMs % 2000),
-			Parallelism:   1 + int(seed%3),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.workers = 1 + int(seed%3)
 		if err := CheckReference(s); err != nil {
 			t.Fatalf("seed %d layers %d mode %v: %v", seed, layers, mode, err)
 		}

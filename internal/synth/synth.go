@@ -37,7 +37,6 @@ package synth
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"janus/internal/chunk"
@@ -96,9 +95,6 @@ type Config struct {
 	// deployed one was missing on; budgets below the cone's minimum
 	// feasible latency still yield no hint. Zero means no extension.
 	BudgetFloorMs int
-	// Parallelism bounds the worker goroutines sweeping budgets; default
-	// GOMAXPROCS.
-	Parallelism int
 }
 
 // Synthesizer generates hints for one (workflow, batch, weight, mode).
@@ -114,6 +110,11 @@ type Synthesizer struct {
 	// the decision instant — keep the conservative base, so every
 	// variant shares the base program's P99 DP.
 	shaped map[int]map[string]*coneProgram
+
+	// workers bounds the goroutines a budget sweep is spread over:
+	// GOMAXPROCS when zero. Every budget's hint depends on the budget
+	// alone, so only tests set it, and the tables never depend on it.
+	workers int
 }
 
 // coneProgram is the Algorithm 1 machinery for one decision group's cone:
@@ -229,9 +230,6 @@ func New(cfg Config) (*Synthesizer, error) {
 	}
 	if cfg.Mode != ModeJanus && cfg.Mode != ModeJanusMinus && cfg.Mode != ModeJanusPlus {
 		return nil, fmt.Errorf("synth: unknown mode %d", int(cfg.Mode))
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if cfg.BudgetOverrideMs[0] < 0 || cfg.BudgetOverrideMs[1] < cfg.BudgetOverrideMs[0] {
 		return nil, fmt.Errorf("synth: invalid budget override %v", cfg.BudgetOverrideMs)
@@ -485,7 +483,7 @@ func (s *Synthesizer) generateTable(prog *coneProgram, suffix int) (*hints.RawTa
 	// positive grid level) and are dropped below.
 	out := make([]hints.Hint, count)
 	layers := len(prog.profiles)
-	chunk.Run(count, 1, s.cfg.Parallelism, func(lo, hi int) {
+	chunk.Run(count, 1, s.workers, func(lo, hi int) {
 		arena := make([]int, (hi-lo)*layers)
 		for i := lo; i < hi; i++ {
 			plan := arena[:layers:layers]
@@ -646,11 +644,27 @@ func (p *coneProgram) exploreSecond(p1, k1 int, headTimeout int32, budget1 int) 
 	return best, best.cost >= 0
 }
 
+// condensedTable sweeps one cone program of group g, base or shape
+// variant, and condenses the raw table into a bundle table stamped with
+// the workflow and batch; it also returns the raw hint count.
+func (s *Synthesizer) condensedTable(prog *coneProgram, g int) (*hints.Table, int, error) {
+	raw, err := s.generateTable(prog, g)
+	if err != nil {
+		return nil, 0, err
+	}
+	tab, err := hints.Condense(raw)
+	if err != nil {
+		return nil, 0, err
+	}
+	tab.Workflow = s.set.Workflow.Name()
+	tab.Batch = s.set.Batch
+	return tab, len(raw.Hints), nil
+}
+
 // GenerateBundle generates and condenses tables for every decision group's
 // cone.
 func (s *Synthesizer) GenerateBundle() (*Result, error) {
 	start := time.Now()
-	n := s.set.Len()
 	res := &Result{
 		Bundle: &hints.Bundle{
 			Workflow:      s.set.Workflow.Name(),
@@ -660,33 +674,21 @@ func (s *Synthesizer) GenerateBundle() (*Result, error) {
 			MaxMillicores: s.set.At(0).Grid.Max,
 		},
 	}
-	for i := 0; i < n; i++ {
-		raw, err := s.GenerateSuffix(i)
+	for i, prog := range s.programs {
+		tab, raw, err := s.condensedTable(prog, i)
 		if err != nil {
 			return nil, err
 		}
-		tab, err := hints.Condense(raw)
-		if err != nil {
-			return nil, err
-		}
-		tab.Workflow = s.set.Workflow.Name()
-		tab.Batch = s.set.Batch
 		res.Bundle.Tables = append(res.Bundle.Tables, tab)
-		res.RawCounts = append(res.RawCounts, len(raw.Hints))
+		res.RawCounts = append(res.RawCounts, raw)
 		res.CondensedCounts = append(res.CondensedCounts, tab.Size())
 	}
 	for g, variants := range s.shaped {
 		for shape, prog := range variants {
-			raw, err := s.generateTable(prog, g)
+			tab, _, err := s.condensedTable(prog, g)
 			if err != nil {
 				return nil, err
 			}
-			tab, err := hints.Condense(raw)
-			if err != nil {
-				return nil, err
-			}
-			tab.Workflow = s.set.Workflow.Name()
-			tab.Batch = s.set.Batch
 			if res.Bundle.Shaped == nil {
 				res.Bundle.Shaped = map[int]map[string]*hints.Table{}
 			}

@@ -351,8 +351,9 @@ func TestGenerateBundle(t *testing.T) {
 }
 
 func TestGenerateDeterministicAcrossParallelism(t *testing.T) {
-	a := newSynth(t, Config{Mode: ModeJanus, Parallelism: 1})
-	b := newSynth(t, Config{Mode: ModeJanus, Parallelism: 8})
+	a := newSynth(t, Config{Mode: ModeJanus})
+	b := newSynth(t, Config{Mode: ModeJanus})
+	a.workers, b.workers = 1, 8
 	ra, err := a.GenerateSuffix(0)
 	if err != nil {
 		t.Fatal(err)
