@@ -1,9 +1,9 @@
 // TestBenchGuard is the benchmark-regression harness: it replays the
 // alloc-critical benchmarks for a fixed stretch of time (guardBenchtime)
 // and diffs allocs/op against the thresholds committed in
-// BENCH_PR24.json (the `guard` section). The indexed cluster's contract
-// is that pickNode and the Colocated census never allocate on the hot
-// path, and the serving plane's contract is that a park/wake cycle at
+// BENCH_PR26.json (the `guard` section). The indexed cluster's contract
+// is that pickNode and the acquire/release cycle never allocate on the
+// hot path, and the serving plane's contract is that a park/wake cycle at
 // fleet depth (BenchmarkParkWake), the event loop's schedule/fire cycle
 // (BenchmarkEngine) and an adapter decide (BenchmarkAdapterDecide) are
 // allocation-free steady-state. The synthesizer's budget sweep
@@ -27,7 +27,7 @@
 // Knobs:
 //
 //	JANUS_BENCHGUARD=off   skip the guard (triaging an intentional
-//	                       allocation change; update BENCH_PR24.json's
+//	                       allocation change; update BENCH_PR26.json's
 //	                       thresholds in the same commit instead of
 //	                       leaving the knob set)
 //
@@ -60,7 +60,7 @@ import (
 	"testing"
 )
 
-// benchTrajectory mirrors the slice of BENCH_PR24.json the guard consumes;
+// benchTrajectory mirrors the slice of BENCH_PR26.json the guard consumes;
 // the measurement sections are documented in docs/BENCHMARKS.md.
 // guardBenchtime is the -benchtime every guarded benchmark runs for.
 const guardBenchtime = "100ms"
@@ -80,16 +80,16 @@ func TestBenchGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench guard runs real benchmarks; skipped in -short mode")
 	}
-	raw, err := os.ReadFile("BENCH_PR24.json")
+	raw, err := os.ReadFile("BENCH_PR26.json")
 	if err != nil {
 		t.Fatalf("reading committed trajectory: %v", err)
 	}
 	var traj benchTrajectory
 	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_PR24.json: %v", err)
+		t.Fatalf("parsing BENCH_PR26.json: %v", err)
 	}
 	if len(traj.Guard.AllocsPerOp) == 0 {
-		t.Fatal("BENCH_PR24.json has no guard.allocs_per_op thresholds; the guard is guarding nothing")
+		t.Fatal("BENCH_PR26.json has no guard.allocs_per_op thresholds; the guard is guarding nothing")
 	}
 	pkgs := make([]string, 0, len(traj.Guard.AllocsPerOp))
 	for pkg := range traj.Guard.AllocsPerOp {
@@ -110,12 +110,12 @@ func TestBenchGuard(t *testing.T) {
 		for _, name := range names {
 			allocs, ok := got[name]
 			if !ok {
-				t.Errorf("%s: benchmark %s did not run — renamed or deleted? update BENCH_PR24.json's guard section", pkg, name)
+				t.Errorf("%s: benchmark %s did not run — renamed or deleted? update BENCH_PR26.json's guard section", pkg, name)
 				continue
 			}
 			t.Logf("%s: %s %d allocs/op (threshold %d)", pkg, name, allocs, thresholds[name])
 			if max := thresholds[name]; allocs > max {
-				t.Errorf("%s: %s allocates %d/op, threshold %d/op — the hot path regressed to per-call allocation (set JANUS_BENCHGUARD=off only while triaging; fix or re-baseline BENCH_PR24.json)",
+				t.Errorf("%s: %s allocates %d/op, threshold %d/op — the hot path regressed to per-call allocation (set JANUS_BENCHGUARD=off only while triaging; fix or re-baseline BENCH_PR26.json)",
 					pkg, name, allocs, max)
 			}
 		}

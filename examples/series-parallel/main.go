@@ -63,9 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := janus.DefaultExecutorConfig()
-	cfg.Seed = 9
-	ex, err := janus.NewExecutor(cfg, janus.Catalog())
+	ex, err := janus.NewExecutor(janus.DefaultExecutorConfig(), janus.Catalog())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,12 +6,12 @@
 // when taken from the pool and cold-started (hundreds of milliseconds) when
 // the pool is empty.
 //
-// The cluster owns millicore accounting per node and reports the live
-// co-location census — how many instances of the same function are busy on
-// a node — which is what drives the interference model at serving time.
-// New pods land on nodes per a deterministic Placement policy (spread or
-// first-fit), so where a pod runs — and therefore how much interference it
-// sees — is a consequence of cluster state, not chance.
+// The cluster owns millicore accounting per node. New pods land on nodes
+// per a deterministic Placement policy (spread or first-fit), so where a
+// pod runs — and therefore which allocations fit, which acquisitions park
+// and which starts are cold — is a consequence of cluster state, not
+// chance. Interference is not placement's to decide: each request carries
+// its slowdown in its pre-sampled draws.
 package cluster
 
 import (
@@ -34,14 +34,12 @@ type Placement int
 
 const (
 	// PlacementSpread places each pod on the node with the most free
-	// millicores — the Kubernetes LeastAllocated default. Spreading
-	// minimizes same-function co-location, and with it interference, at
-	// the price of fragmenting free capacity across nodes.
+	// millicores — the Kubernetes LeastAllocated default — at the price of
+	// fragmenting free capacity across nodes.
 	PlacementSpread Placement = iota
 	// PlacementFirstFit places each pod on the lowest-ID node that fits —
-	// bin-packing-style consolidation. Packed nodes concentrate
-	// co-location (more interference for tenants sharing functions) but
-	// keep whole nodes free for large allocations.
+	// bin-packing-style consolidation that keeps whole nodes free for
+	// large allocations.
 	PlacementFirstFit
 )
 
@@ -112,7 +110,7 @@ type Pod struct {
 	millicores int
 	busy       bool
 	// fnIdx is the dense index Deploy assigned to Function, so pools,
-	// targets and the busy census are integer-indexed rather than keyed
+	// targets and the busy counts are integer-indexed rather than keyed
 	// by name on the hot path.
 	fnIdx int
 	// slot is the pod's position in its node's pod slice, or -1 once the
@@ -134,12 +132,6 @@ type node struct {
 	// pods lists the hosted pods in no particular order; each pod's slot
 	// is its position, so removal is a swap with the last entry.
 	pods []*Pod
-	// busyPods and busyByFn are incrementally maintained censuses: the
-	// node's executing-pod count and its per-function breakdown (indexed
-	// by the dense function index). They make Colocated, NodeColocated,
-	// and NodeBusyPods O(1) reads instead of scans over pods.
-	busyPods int
-	busyByFn []int
 }
 
 // Cluster tracks nodes, pods, and warm pools. It is not safe for concurrent
@@ -162,7 +154,7 @@ type Cluster struct {
 	grown, shrunk int
 
 	// The indexed state below is derived from nodes/pods and maintained
-	// incrementally at every mutation, so census and placement reads cost
+	// incrementally at every mutation, so count and placement reads cost
 	// O(1) (O(log nodes) for placement) regardless of fleet size.
 	//
 	// fnIdx assigns each deployed function a dense integer in deployment
@@ -212,20 +204,17 @@ func (c *Cluster) setAllocated(n *node, delta int) {
 }
 
 // setBusy is the single mutation point for a pod's busy bit; it keeps the
-// node and cluster censuses honest.
+// cluster-wide busy counts honest.
 func (c *Cluster) setBusy(pod *Pod, busy bool) {
 	if pod.busy == busy {
 		return
 	}
 	pod.busy = busy
-	n := c.nodes[pod.NodeID]
-	d := 1
-	if !busy {
-		d = -1
+	if busy {
+		c.busyByFn[pod.fnIdx]++
+	} else {
+		c.busyByFn[pod.fnIdx]--
 	}
-	n.busyPods += d
-	n.busyByFn[pod.fnIdx] += d
-	c.busyByFn[pod.fnIdx] += d
 }
 
 // Deploy pre-warms PoolSize pods for the function, spreading them across
@@ -245,9 +234,6 @@ func (c *Cluster) Deploy(function string) error {
 	c.targets = append(c.targets, c.cfg.PoolSize)
 	c.gen++ // the function's threshold moves from 0 to the free max
 	c.busyByFn = append(c.busyByFn, 0)
-	for _, n := range c.nodes {
-		n.busyByFn = append(n.busyByFn, 0)
-	}
 	at := sort.SearchStrings(c.fnSorted, function)
 	c.fnSorted = append(c.fnSorted, "")
 	copy(c.fnSorted[at+1:], c.fnSorted[at:])
@@ -444,14 +430,6 @@ func (c *Cluster) destroy(pod *Pod) error {
 	return nil
 }
 
-// Colocated reports how many busy pods of the same function share the
-// pod's node, including the pod itself — the census the interference model
-// consumes. The incrementally maintained per-node counters make this an
-// O(1) indexed read.
-func (c *Cluster) Colocated(pod *Pod) int {
-	return c.nodes[pod.NodeID].busyByFn[pod.fnIdx]
-}
-
 // Nodes reports the number of worker nodes.
 func (c *Cluster) Nodes() int { return len(c.nodes) }
 
@@ -477,27 +455,10 @@ func (c *Cluster) NodePods(nodeID int) int {
 	return len(c.nodes[nodeID].pods)
 }
 
-// NodeBusyPods reports how many of a node's pods are executing — the
-// occupancy the placement policies trade against co-location interference.
-func (c *Cluster) NodeBusyPods(nodeID int) int {
-	return c.nodes[nodeID].busyPods
-}
-
-// NodeColocated reports a node's busy-instance census for one function —
-// the per-placement quantity Colocated reads for a hosted pod, exposed by
-// node so experiment reports can break occupancy down without a pod in
-// hand. Undeployed functions have no pods, so their census is zero.
-func (c *Cluster) NodeColocated(nodeID int, function string) int {
-	idx, ok := c.fnIdx[function]
-	if !ok {
-		return 0
-	}
-	return c.nodes[nodeID].busyByFn[idx]
-}
-
-// BusyPods reports the cluster-wide executing-pod census for one function
-// — the sum of NodeColocated over every node, maintained incrementally so
-// per-tick telemetry does not scan the fleet.
+// BusyPods reports how many of the function's pods are executing across
+// the cluster, maintained incrementally so per-tick telemetry does not
+// scan the fleet. Undeployed functions have no pods, so their count is
+// zero.
 func (c *Cluster) BusyPods(function string) int {
 	idx, ok := c.fnIdx[function]
 	if !ok {

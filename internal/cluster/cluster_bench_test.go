@@ -6,11 +6,11 @@ import (
 )
 
 // The cluster microbenchmarks pin the serving plane's per-operation
-// substrate costs at fleet scale: a 200-node cluster with a populated
-// co-location census, the dimensions the fleet replay scenario drives.
-// The BENCH_*.json files record their trajectory, and the bench-guard test
-// (../../benchguard_test.go) fails CI when pickNode or Colocated regress
-// to per-call allocation.
+// substrate costs at fleet scale: a 200-node cluster hosting hundreds of
+// busy pods, the dimensions the fleet replay scenario drives. The
+// BENCH_*.json files record their trajectory, and the bench-guard test
+// (../../benchguard_test.go) fails CI when pickNode or the acquire/release
+// cycle regress to per-call allocation.
 
 const (
 	benchNodes      = 200
@@ -22,7 +22,7 @@ const (
 // pool size is zero so every acquire is a cold start through pickNode —
 // under first-fit a warm pod can otherwise land on a node that later
 // saturates, and resizing it out of idle would fail.
-func benchCluster(b *testing.B, placement Placement, fns, busyPerFn int) (*Cluster, []*Pod) {
+func benchCluster(b *testing.B, placement Placement, fns, busyPerFn int) *Cluster {
 	b.Helper()
 	c, err := New(Config{
 		Nodes:          benchNodes,
@@ -34,25 +34,22 @@ func benchCluster(b *testing.B, placement Placement, fns, busyPerFn int) (*Clust
 	if err != nil {
 		b.Fatal(err)
 	}
-	var pods []*Pod
 	for f := 0; f < fns; f++ {
 		name := fmt.Sprintf("f%d", f)
 		if err := c.Deploy(name); err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < busyPerFn; i++ {
-			p, _, err := acquire(c, name, 1000)
-			if err != nil {
+			if _, _, err := acquire(c, name, 1000); err != nil {
 				b.Fatal(err)
 			}
-			pods = append(pods, p)
 		}
 	}
-	return c, pods
+	return c
 }
 
 func benchmarkPickNode(b *testing.B, placement Placement) {
-	c, _ := benchCluster(b, placement, 8, 64)
+	c := benchCluster(b, placement, 8, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,37 +67,9 @@ func BenchmarkPickNodeSpread(b *testing.B) { benchmarkPickNode(b, PlacementSprea
 // query over the same fleet.
 func BenchmarkPickNodeFirstFit(b *testing.B) { benchmarkPickNode(b, PlacementFirstFit) }
 
-// BenchmarkColocated measures the same-function busy census read the
-// interference model consumes, on a node hosting tens of pods.
-func BenchmarkColocated(b *testing.B) {
-	c, pods := benchCluster(b, PlacementFirstFit, 8, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var census int
-	for i := 0; i < b.N; i++ {
-		census += c.Colocated(pods[i%len(pods)])
-	}
-	if census <= 0 {
-		b.Fatal("census never counted the pod itself")
-	}
-}
-
-// BenchmarkNodeBusyPods measures the per-node occupancy read the replay
-// control loop samples each tick.
-func BenchmarkNodeBusyPods(b *testing.B) {
-	c, _ := benchCluster(b, PlacementFirstFit, 8, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var busy int
-	for i := 0; i < b.N; i++ {
-		busy += c.NodeBusyPods(i % benchNodes)
-	}
-	_ = busy
-}
-
 // BenchmarkAcquireRelease measures the steady-state warm-pod serving
-// cycle: pool pop, resize, busy-census update, release, idle-shrink,
-// pool push.
+// cycle: pool pop, resize, busy-count update, release, idle-shrink, pool
+// push.
 func BenchmarkAcquireRelease(b *testing.B) {
 	c, err := New(Config{
 		Nodes:          benchNodes,

@@ -209,27 +209,40 @@ func TestResizeAccounting(t *testing.T) {
 	}
 }
 
-func TestColocatedCountsBusySameFunction(t *testing.T) {
-	c := mustCluster(t, Config{Nodes: 1, NodeMillicores: 20000, PoolSize: 3, IdleMillicores: 100})
+func TestBusyPodsCountsBusySameFunction(t *testing.T) {
+	c := mustCluster(t, Config{Nodes: 2, NodeMillicores: 20000, PoolSize: 3, IdleMillicores: 100})
 	for _, f := range []string{"f", "g"} {
 		if err := c.Deploy(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f1, _, _ := acquire(c, "f", 1000)
-	f2, _, _ := acquire(c, "f", 1000)
-	g1, _, _ := acquire(c, "g", 1000)
-	if got := c.Colocated(f1); got != 2 {
-		t.Fatalf("Colocated(f1) = %d, want 2", got)
+	if got := c.BusyPods("f"); got != 0 {
+		t.Fatalf("BusyPods(f) with only warm pods = %d, want 0", got)
 	}
-	if got := c.Colocated(g1); got != 1 {
-		t.Fatalf("Colocated(g1) = %d, want 1", got)
+	var f2 *Pod
+	for _, fn := range []string{"f", "f", "g"} {
+		p, _, err := acquire(c, fn, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fn == "f" {
+			f2 = p
+		}
+	}
+	if got := c.BusyPods("f"); got != 2 {
+		t.Fatalf("BusyPods(f) = %d, want 2", got)
+	}
+	if got := c.BusyPods("g"); got != 1 {
+		t.Fatalf("BusyPods(g) = %d, want 1", got)
 	}
 	if err := c.Release(f2); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Colocated(f1); got != 1 {
-		t.Fatalf("Colocated(f1) after release = %d, want 1", got)
+	if got := c.BusyPods("f"); got != 1 {
+		t.Fatalf("BusyPods(f) after release = %d, want 1", got)
+	}
+	if got := c.BusyPods("h"); got != 0 {
+		t.Fatalf("BusyPods of an undeployed function = %d, want 0", got)
 	}
 }
 
@@ -279,10 +292,6 @@ func TestFirstFitPacksLowNodes(t *testing.T) {
 	if p3.NodeID != 1 {
 		t.Fatalf("overflow pod on node %d, want 1", p3.NodeID)
 	}
-	// Packing concentrates the same-function census on node 0.
-	if got := c.Colocated(p1); got != 2 {
-		t.Fatalf("Colocated(p1) = %d, want 2", got)
-	}
 }
 
 func TestPlacementValidation(t *testing.T) {
@@ -303,27 +312,17 @@ func TestNodeOccupancyAccounting(t *testing.T) {
 	if c.Nodes() != 2 {
 		t.Fatalf("Nodes() = %d, want 2", c.Nodes())
 	}
-	// The single warm pod idles on one node; find it.
-	warm := 0
-	if c.NodePods(1) == 1 {
-		warm = 1
-	}
-	if got := c.NodeBusyPods(warm); got != 0 {
-		t.Fatalf("idle pod counted busy: %d", got)
+	// The single warm pod idles on one node.
+	if got := c.NodePods(0) + c.NodePods(1); got != 1 {
+		t.Fatalf("NodePods sum to %d, want the one warm pod", got)
 	}
 	p, _, err := acquire(c, "f", 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := p.NodeID
-	if got := c.NodeBusyPods(n); got != 1 {
-		t.Fatalf("NodeBusyPods(%d) = %d, want 1", n, got)
-	}
-	if got := c.NodeColocated(n, "f"); got != 1 {
-		t.Fatalf("NodeColocated(%d, f) = %d, want 1", n, got)
-	}
-	if got := c.NodeColocated(n, "g"); got != 0 {
-		t.Fatalf("NodeColocated(%d, g) = %d, want 0", n, got)
+	if got := c.NodePods(n); got != 1 {
+		t.Fatalf("NodePods(%d) = %d, want 1", n, got)
 	}
 	if got := c.NodeFree(n); got != c.NodeCapacity(n)-c.NodeAllocated(n) {
 		t.Fatalf("NodeFree(%d) = %d, inconsistent with capacity %d - allocated %d",

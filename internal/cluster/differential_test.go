@@ -8,10 +8,10 @@ import (
 
 // This file locks the indexed cluster to the semantics of the original
 // scan-based implementation. refCluster below re-implements the substrate
-// the slow way — linear scans for placement and every census, no derived
+// the slow way — linear scans for placement and every count, no derived
 // state — and TestClusterIndexedMatchesReference drives both through long
 // seeded random op sequences, asserting identical outputs (placements,
-// cold flags, errors, censuses) at every step. Any divergence in the
+// cold flags, errors, counts) at every step. Any divergence in the
 // index maintenance or the segment tree's tie-breaking shows up as a
 // mismatch with the op trace that produced it.
 
@@ -186,31 +186,13 @@ func (c *refCluster) removeWarmPod(function string) error {
 	return nil
 }
 
-func (c *refCluster) colocated(pod *refPod) int {
+func (c *refCluster) busyPods(function string) int {
 	count := 0
-	for _, other := range c.nodes[pod.nodeID].pods {
-		if other.function == pod.function && other.busy {
-			count++
-		}
-	}
-	return count
-}
-
-func (c *refCluster) nodeColocated(nodeID int, function string) int {
-	count := 0
-	for _, p := range c.nodes[nodeID].pods {
-		if p.function == function && p.busy {
-			count++
-		}
-	}
-	return count
-}
-
-func (c *refCluster) nodeBusyPods(nodeID int) int {
-	count := 0
-	for _, p := range c.nodes[nodeID].pods {
-		if p.busy {
-			count++
+	for _, n := range c.nodes {
+		for _, p := range n.pods {
+			if p.function == function && p.busy {
+				count++
+			}
 		}
 	}
 	return count
@@ -255,7 +237,7 @@ func (d *diffDriver) checkErrs(op string, gotErr, refErr error) bool {
 	return gotErr == nil
 }
 
-// checkState compares every observable census after an op.
+// checkState compares every observable count after an op.
 func (d *diffDriver) checkState() {
 	d.t.Helper()
 	if g, r := d.got.TotalPods(), d.ref.totalPods(); g != r {
@@ -265,16 +247,8 @@ func (d *diffDriver) checkState() {
 		if g, r := d.got.NodeAllocated(n), d.ref.nodes[n].allocated; g != r {
 			d.fatalf("NodeAllocated(%d): indexed %d, reference %d", n, g, r)
 		}
-		if g, r := d.got.NodeBusyPods(n), d.ref.nodeBusyPods(n); g != r {
-			d.fatalf("NodeBusyPods(%d): indexed %d, reference %d", n, g, r)
-		}
 		if g, r := d.got.NodePods(n), len(d.ref.nodes[n].pods); g != r {
 			d.fatalf("NodePods(%d): indexed %d, reference %d", n, g, r)
-		}
-		for _, fn := range d.fns {
-			if g, r := d.got.NodeColocated(n, fn), d.ref.nodeColocated(n, fn); g != r {
-				d.fatalf("NodeColocated(%d, %s): indexed %d, reference %d", n, fn, g, r)
-			}
 		}
 	}
 	for _, fn := range d.fns {
@@ -284,12 +258,8 @@ func (d *diffDriver) checkState() {
 		if g, r := d.got.WarmPods(fn), len(d.ref.pools[fn]); g != r {
 			d.fatalf("WarmPods(%s): indexed %d, reference %d", fn, g, r)
 		}
-		refBusy := 0
-		for n := range d.ref.nodes {
-			refBusy += d.ref.nodeColocated(n, fn)
-		}
-		if g := d.got.BusyPods(fn); g != refBusy {
-			d.fatalf("BusyPods(%s): indexed %d, reference %d", fn, g, refBusy)
+		if g, r := d.got.BusyPods(fn), d.ref.busyPods(fn); g != r {
+			d.fatalf("BusyPods(%s): indexed %d, reference %d", fn, g, r)
 		}
 		// AcquireThreshold must be exact — the serving plane skips parked
 		// retries on its word: acquire succeeds iff mc <= threshold.
@@ -308,11 +278,6 @@ func (d *diffDriver) checkState() {
 		fi, _ := d.got.Index(fn)
 		if g := d.got.AcquireThreshold(fi); g != refThr {
 			d.fatalf("AcquireThreshold(%s): indexed %d, reference %d", fn, g, refThr)
-		}
-	}
-	for _, pair := range d.busy {
-		if g, r := d.got.Colocated(pair.got), d.ref.colocated(pair.ref); g != r {
-			d.fatalf("Colocated(pod %d): indexed %d, reference %d", pair.got.ID, g, r)
 		}
 	}
 	g1, s1 := d.got.PoolChurn()

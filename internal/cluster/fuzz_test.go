@@ -23,29 +23,17 @@ func checkClusterInvariants(c *Cluster) error {
 	clusterBusy := make([]int, len(c.busyByFn))
 	for _, n := range c.nodes {
 		allocated := 0
-		busy := 0
-		busyByFn := make([]int, len(n.busyByFn))
 		for i, p := range n.pods {
 			if p.slot != i || p.NodeID != n.id {
 				return fmt.Errorf("node %d: pod %d at position %d has back-index %d on node %d", n.id, p.ID, i, p.slot, p.NodeID)
 			}
 			allocated += p.millicores
 			if p.busy {
-				busy++
-				busyByFn[p.fnIdx]++
 				clusterBusy[p.fnIdx]++
 			}
 		}
 		if allocated != n.allocated {
 			return fmt.Errorf("node %d: allocated %d, pods sum to %d", n.id, n.allocated, allocated)
-		}
-		if busy != n.busyPods {
-			return fmt.Errorf("node %d: busyPods %d, recount %d", n.id, n.busyPods, busy)
-		}
-		for i := range busyByFn {
-			if busyByFn[i] != n.busyByFn[i] {
-				return fmt.Errorf("node %d: busyByFn[%d] = %d, recount %d", n.id, i, n.busyByFn[i], busyByFn[i])
-			}
 		}
 		if got := c.free.tree[c.free.base+n.id]; got != n.capacity-n.allocated {
 			return fmt.Errorf("node %d: free index holds %d, node has %d free", n.id, got, n.capacity-n.allocated)
@@ -191,7 +179,7 @@ func FuzzClusterInvariants(f *testing.F) {
 						t.Fatalf("SetPoolTarget(%s, %d) failed: %v", fn, arg%6, err)
 					}
 					// Release trims pools lazily; the target change alone
-					// must not break any census.
+					// must not break any derived count.
 				}
 			case 6:
 				if c.Deployed(fn) {

@@ -47,8 +47,6 @@ type Options struct {
 	BudgetOverrideMs [2]int
 	// SamplesPerConfig overrides the profiler's per-cell sample count.
 	SamplesPerConfig int
-	// MissThreshold overrides the adapter's regeneration threshold.
-	MissThreshold float64
 	// DisableRegeneration turns off the asynchronous reprofiling loop;
 	// controlled experiments need bundles to stay fixed for a whole run.
 	DisableRegeneration bool
@@ -115,9 +113,6 @@ func DeployProfiled(set *profile.Set, opts Options) (*Deployment, error) {
 	var adapterOpts []adapter.Option
 	if !opts.DisableRegeneration {
 		adapterOpts = append(adapterOpts, adapter.WithRegenerateCallback(func(float64) { d.regenerate() }))
-	}
-	if opts.MissThreshold > 0 {
-		adapterOpts = append(adapterOpts, adapter.WithMissThreshold(opts.MissThreshold))
 	}
 	a, err := adapter.New(res.Bundle, adapterOpts...)
 	if err != nil {

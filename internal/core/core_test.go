@@ -93,14 +93,13 @@ func TestDeployModes(t *testing.T) {
 }
 
 func TestRegenerationSwapsBundle(t *testing.T) {
-	o := opts(t)
-	o.MissThreshold = 0.5
-	d, err := Deploy(workflow.IntelligentAssistant(), o)
+	d, err := Deploy(workflow.IntelligentAssistant(), opts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := d.Adapter.Bundle()
-	// Force misses past the threshold: tiny remaining budgets always miss.
+	// Force misses past the default 1% threshold: tiny remaining budgets
+	// always miss.
 	for i := 0; i < 150; i++ {
 		if _, err := d.Adapter.Decide(0, time.Millisecond); err != nil {
 			t.Fatal(err)

@@ -303,7 +303,7 @@ func FormatFig6(rows []Fig6Row) string {
 		ratio := float64(r.JanusPlusSynth) / float64(r.JanusSynth)
 		fmt.Fprintf(&b, "%8v %14.1f %14.1f %14v %14v %7.1fx\n",
 			r.SLO, r.JanusMillicores, r.JanusPlusMillicores,
-			r.JanusSynth.Round(time.Millisecond), r.JanusPlusSynth.Round(time.Millisecond), ratio)
+			r.JanusSynth.Round(time.Microsecond), r.JanusPlusSynth.Round(time.Microsecond), ratio)
 	}
 	return b.String()
 }

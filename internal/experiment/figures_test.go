@@ -216,6 +216,24 @@ func TestFig6JanusPlusCostsMore(t *testing.T) {
 	}
 }
 
+// TestFormatFig6PrintsWhatTheRatioDivides pins Fig 6b's synthesis columns
+// at the resolution the ratio is computed from: a sub-millisecond Janus
+// median must print as itself, not as 0s beside a finite ratio.
+func TestFormatFig6PrintsWhatTheRatioDivides(t *testing.T) {
+	out := FormatFig6([]Fig6Row{{
+		SLO:                 3 * time.Second,
+		JanusMillicores:     2000,
+		JanusPlusMillicores: 1950,
+		JanusSynth:          350 * time.Microsecond,
+		JanusPlusSynth:      45 * time.Millisecond,
+	}})
+	for _, want := range []string{"350µs", "45ms", "128.6x"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("FormatFig6 output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestFig7Shapes(t *testing.T) {
 	s := quickSuite(t)
 	f, err := s.Fig7()

@@ -12,10 +12,11 @@ import (
 // AARC-style fleet sweeps in PAPERS.md imply — hundreds of nodes and
 // hundreds of thousands of requests in one discrete-event run. The grid exists to
 // prove the serving plane's hot path at fleet dimensions: placement
-// decisions over FleetNodes nodes, a co-location census over thousands of
-// pods, and capacity parking queues thousands deep during the burst. It
-// is the workload the indexed cluster state (internal/cluster) is sized
-// against, and the one BENCH_*.json trajectory files track.
+// decisions over FleetNodes nodes, busy and warm pods counted across
+// thousands of pods, and capacity parking queues thousands deep during
+// the burst. It is the workload the indexed cluster state
+// (internal/cluster) is sized against, and the one BENCH_*.json
+// trajectory files track.
 
 const (
 	// FleetNodes is the fleet cluster's node count — two hundred of the

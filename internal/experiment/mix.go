@@ -12,13 +12,14 @@ import (
 
 // The tenant-mix scenario: the paper's provider serves *many* tenants'
 // workflows on one shared substrate, and that contention — shared warm
-// pools, shared node millicores, co-location-driven interference — is what
-// motivates bilateral adaptation. This file serves three tenants (the IA
-// chain, the VA chain, and the series-parallel Video Analyze DAG, each
-// with its own SLO) as one merged arrival stream on one multi-node
-// cluster via platform.Executor.RunMixed, then splits per-tenant and
-// aggregate metrics out of the mixed trace set. A node-count scale-out
-// sweep and a placement-policy comparison ride on the same machinery.
+// pools and shared node millicores, on top of the interference each
+// request draws — is what motivates bilateral adaptation. This file
+// serves three tenants (the IA chain, the VA chain, and the
+// series-parallel Video Analyze DAG, each with its own SLO) as one merged
+// arrival stream on one multi-node cluster via
+// platform.Executor.RunMixed, then splits per-tenant and aggregate
+// metrics out of the mixed trace set. A node-count scale-out sweep and a
+// placement-policy comparison ride on the same machinery.
 
 // MixTenant pairs a tenant name with the workflow it serves.
 type MixTenant struct {
@@ -29,9 +30,9 @@ type MixTenant struct {
 // MixTenants returns the scenario's tenants: the IA chain (3 s SLO), the
 // VA chain (1.5 s SLO), and the series-parallel Video Analyze DAG (1.1 s
 // SLO). VA and VA-SP deliberately share functions (fe, icl, ico): their
-// pods draw from the same warm pools and inflate each other's co-location
-// census, the same-function contention the paper's interference study
-// (Fig 1c) measures.
+// pods draw from the same warm pools, so one tenant's burst drains the
+// other's warm pods and costs it cold starts. Interference is drawn per
+// request, independent of where pods land.
 func MixTenants() ([]MixTenant, error) {
 	return []MixTenant{
 		{Tenant: "ia", Workflow: workflow.IntelligentAssistant()},
@@ -212,9 +213,10 @@ func (s *Suite) MixScaleOut() ([]*MixRun, error) {
 }
 
 // MixPlacement contrasts the two placement policies for the late-binding
-// adapter on the default mix cluster: spread minimizes same-function
-// co-location (less interference), first-fit consolidates (more
-// interference, less fragmentation).
+// adapter on the default mix cluster: spread balances free millicores
+// across nodes, first-fit consolidates onto the lowest nodes (less
+// fragmentation). Placement changes capacity, parking and cold starts;
+// every request's interference is its own draw under both.
 func (s *Suite) MixPlacement() ([]*MixRun, error) {
 	return s.runMixedSpecs([]mixSpec{
 		{system: SysJanus, nodes: MixDefaultNodes, placement: cluster.PlacementSpread},

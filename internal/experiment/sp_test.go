@@ -105,9 +105,7 @@ func TestSeriesParallelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := platform.DefaultExecutorConfig()
-	cfg.Seed = 9
-	ex, err := platform.NewExecutor(cfg, perfmodel.Catalog())
+	ex, err := platform.NewExecutor(platform.DefaultExecutorConfig(), perfmodel.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}

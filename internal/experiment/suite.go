@@ -332,7 +332,6 @@ func (s *Suite) WorkloadAtRate(w *workflow.Workflow, batch int, rate float64) ([
 func (s *Suite) executorConfig(nodes, nodeMc, pool int, placement cluster.Placement) platform.ExecutorConfig {
 	cfg := platform.DefaultExecutorConfig()
 	cfg.Cluster = cluster.Config{Nodes: nodes, NodeMillicores: nodeMc, PoolSize: pool, IdleMillicores: 100, Placement: placement}
-	cfg.Seed = s.cfg.Seed
 	return cfg
 }
 

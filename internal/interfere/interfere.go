@@ -47,10 +47,8 @@ func Dimensions() []Dimension { return []Dimension{CPU, Memory, IO, Network} }
 // Model maps (dimension, co-located instance count) to a latency slowdown
 // factor >= 1. The zero value is not useful; use Default.
 type Model struct {
-	// MaxInstances is the largest co-location count with a calibrated
-	// point; larger counts extrapolate with the last slope.
-	MaxInstances int
-	// curves[d][n-1] is the slowdown with n co-located instances.
+	// curves[d][n-1] is the slowdown with n co-located instances; counts
+	// past a curve's end extrapolate with its last slope.
 	curves map[Dimension][]float64
 	// Jitter is the lognormal sigma applied on top of the curve to model
 	// measurement-to-measurement contention variability.
@@ -62,7 +60,6 @@ type Model struct {
 // one reaches ~8.1x.
 func Default() *Model {
 	return &Model{
-		MaxInstances: 6,
 		curves: map[Dimension][]float64{
 			CPU:     {1.00, 1.12, 1.30, 1.55, 1.85, 2.30},
 			Memory:  {1.00, 1.35, 1.95, 2.80, 3.90, 5.20},
@@ -105,34 +102,9 @@ func (m *Model) Sample(d Dimension, n int, s *rng.Stream) float64 {
 	return f
 }
 
-// SetCurve replaces the calibration for one dimension. The curve must be
-// non-empty, start at >= 1, and be non-decreasing.
-func (m *Model) SetCurve(d Dimension, curve []float64) error {
-	if len(curve) == 0 {
-		return fmt.Errorf("interfere: empty curve for %v", d)
-	}
-	prev := 1.0
-	for i, v := range curve {
-		if v < prev {
-			return fmt.Errorf("interfere: curve for %v decreases at index %d (%v < %v)", d, i, v, prev)
-		}
-		prev = v
-	}
-	if m.curves == nil {
-		m.curves = make(map[Dimension][]float64)
-	}
-	cp := make([]float64, len(curve))
-	copy(cp, curve)
-	m.curves[d] = cp
-	if len(curve) > m.MaxInstances {
-		m.MaxInstances = len(curve)
-	}
-	return nil
-}
-
 // CountSampler draws a co-location count from a configured distribution.
-// The offline profiler uses it to expose profiles to the same contention
-// mix the platform produces at serving time.
+// The offline profiler and the workload generator both draw from it, so
+// profiles see the same contention mix the served requests carry.
 type CountSampler struct {
 	// Weights[i] is the probability weight of observing i+1 co-located
 	// instances.

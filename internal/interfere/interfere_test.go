@@ -97,51 +97,6 @@ func TestSampleNilStreamIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestSetCurveValidation(t *testing.T) {
-	m := Default()
-	if err := m.SetCurve(CPU, nil); err == nil {
-		t.Error("empty curve accepted")
-	}
-	if err := m.SetCurve(CPU, []float64{1.0, 0.9}); err == nil {
-		t.Error("decreasing curve accepted")
-	}
-	if err := m.SetCurve(CPU, []float64{0.5, 2}); err == nil {
-		t.Error("curve starting below 1 accepted")
-	}
-	if err := m.SetCurve(CPU, []float64{1, 2, 3}); err != nil {
-		t.Errorf("valid curve rejected: %v", err)
-	}
-	if got := m.Slowdown(CPU, 3); got != 3 {
-		t.Errorf("SetCurve not applied: %v", got)
-	}
-}
-
-func TestSetCurveCopiesInput(t *testing.T) {
-	m := Default()
-	curve := []float64{1, 2}
-	if err := m.SetCurve(CPU, curve); err != nil {
-		t.Fatal(err)
-	}
-	curve[1] = 100
-	if got := m.Slowdown(CPU, 2); got != 2 {
-		t.Fatalf("SetCurve aliased caller slice: %v", got)
-	}
-}
-
-func TestSetCurveExtendsMaxInstances(t *testing.T) {
-	m := Default()
-	curve := make([]float64, 9)
-	for i := range curve {
-		curve[i] = 1 + float64(i)
-	}
-	if err := m.SetCurve(IO, curve); err != nil {
-		t.Fatal(err)
-	}
-	if m.MaxInstances != 9 {
-		t.Fatalf("MaxInstances = %d, want 9", m.MaxInstances)
-	}
-}
-
 func TestCountSamplerValidation(t *testing.T) {
 	if _, err := NewCountSampler(nil); err == nil {
 		t.Error("nil weights accepted")

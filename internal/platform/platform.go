@@ -32,9 +32,11 @@
 //
 // The plane is multi-tenant: RunMixed merges several workloads — each
 // paired with its own Allocator — into one discrete-event run on one
-// shared cluster, so tenants contend for warm pods, node millicores, and
-// the co-location census exactly as the paper's provider-side deployment
-// does. Run is the single-tenant special case.
+// shared cluster, so tenants contend for warm pods and node millicores as
+// the paper's provider-side deployment does. Placement decides capacity,
+// parking and cold starts; every execution's interference slowdown is its
+// request's pre-sampled draw, wherever its pod lands. Run is the
+// single-tenant special case.
 package platform
 
 import (
@@ -662,13 +664,8 @@ type ExecutorConfig struct {
 	// DecisionOverhead models the allocator's per-stage decision cost
 	// (the paper measures Janus's online adaptation at < 3 ms).
 	DecisionOverhead time.Duration
-	// LiveInterference recomputes each stage's slowdown from the live
-	// cluster co-location census instead of the pre-sampled draw. The
-	// clairvoyant Optimal allocator is only meaningful with this off.
-	LiveInterference bool
-	// Interference is required when LiveInterference is set.
-	Interference *interfere.Model
-	// Seed drives live-interference jitter.
+	// Seed is unread: every random condition a run faces is pre-sampled
+	// into its requests' draws.
 	Seed uint64
 	// Tracer, when non-nil, receives the run's typed event stream on the
 	// virtual clock (package obs): admission, decisions, parks/wakes,
@@ -712,9 +709,6 @@ type Executor struct {
 func NewExecutor(cfg ExecutorConfig, fns map[string]*perfmodel.Function) (*Executor, error) {
 	if cfg.WarmStartup < 0 || cfg.ColdStartup < 0 || cfg.DecisionOverhead < 0 {
 		return nil, fmt.Errorf("platform: startup/overhead durations must be >= 0")
-	}
-	if cfg.LiveInterference && cfg.Interference == nil {
-		return nil, fmt.Errorf("platform: LiveInterference requires an interference model")
 	}
 	if len(fns) == 0 {
 		return nil, fmt.Errorf("platform: executor needs a function catalog")
@@ -805,7 +799,6 @@ type runState struct {
 	engine  *simclock.Engine
 	cluster *cluster.Cluster
 	tenants []*tenantRun
-	stream  *rng.Stream
 	// plans caches the readiness structure per workflow: requests of one
 	// workload share one plan. memoRows counts the decision groups of
 	// every plan, the length of a tenant's memo.
@@ -984,7 +977,7 @@ func newDAGPlan(w *workflow.Workflow) *dagPlan {
 // workflow's first request: every node is bound to its latency model and
 // cluster function index, deploying functions in first-use order — the
 // union of every tenant's functions deployed once, so tenants running
-// the same function share its warm pool and co-location census.
+// the same function share its warm pool.
 func (st *runState) planFor(tenant string, r *Request) (*dagPlan, error) {
 	if p, ok := st.plans[r.Workflow]; ok {
 		return p, nil
@@ -1060,11 +1053,10 @@ func (e *Executor) Run(reqs []*Request, alloc Allocator) ([]Trace, error) {
 // RunMixed merges the arrival streams of several tenants' workloads into
 // one discrete-event run on one shared cluster and returns each tenant's
 // traces (ordered by request ID) keyed by tenant name. Tenants genuinely
-// contend: warm pools, node millicores, the FIFO capacity queue, and the
-// co-location census behind the interference model are all shared, so a
-// burst from one tenant inflates another's cold starts, parking, and
-// interference — the multi-tenant serving condition that motivates
-// bilateral adaptation.
+// contend: warm pools, node millicores and the FIFO capacity queue are all
+// shared, so a burst from one tenant inflates another's cold starts and
+// parking — the multi-tenant serving condition that motivates bilateral
+// adaptation. Interference stays each request's own pre-sampled draw.
 //
 // Requests that never finish — their allocation can never be placed on any
 // node, so their continuations stay parked after the event queue drains —
@@ -1124,7 +1116,6 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 		ex:      e,
 		engine:  simclock.New(),
 		cluster: cl,
-		stream:  rng.New(e.cfg.Seed).Split("executor"),
 		plans:   make(map[*workflow.Workflow]*dagPlan),
 		total:   total,
 		tracer:  e.cfg.Tracer,
@@ -1686,15 +1677,11 @@ type completion struct {
 	run  nodeRun
 }
 
-// launch prices one node attempt on its acquired pod — live
-// interference, startup, latency — and schedules its completion on a
-// record from the run's free list.
+// launch prices one node attempt on its acquired pod — startup, and the
+// latency of the request's draw at the pod's allocation — and schedules
+// its completion on a record from the run's free list.
 func (st *runState) launch(n nodeRun, draw perfmodel.Draw) {
 	fn := n.rs.plan.node[n.rs.plan.base[n.group]+n.member].model
-	if st.ex.cfg.LiveInterference {
-		census := st.cluster.Colocated(n.pod)
-		draw.Slowdown = st.ex.cfg.Interference.Sample(fn.Dimension(), census, st.stream)
-	}
 	n.startup = st.ex.cfg.WarmStartup
 	if n.cold {
 		n.startup = st.ex.cfg.ColdStartup

@@ -263,27 +263,6 @@ func TestCapacityQueueingEventuallyServes(t *testing.T) {
 	}
 }
 
-func TestLiveInterferenceMode(t *testing.T) {
-	cfg := DefaultExecutorConfig()
-	cfg.LiveInterference = true
-	cfg.Interference = interfere.Default()
-	e, err := NewExecutor(cfg, perfmodel.Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := e.Run(iaWorkload(t, 40), &Fixed{System: "live", Sizes: []int{2000, 2000, 2000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 40 {
-		t.Fatalf("%d traces", len(traces))
-	}
-	cfg.Interference = nil
-	if _, err := NewExecutor(cfg, perfmodel.Catalog()); err == nil {
-		t.Fatal("LiveInterference without model accepted")
-	}
-}
-
 func TestExecutorValidation(t *testing.T) {
 	if _, err := NewExecutor(DefaultExecutorConfig(), nil); err == nil {
 		t.Error("nil catalog accepted")
@@ -811,13 +790,11 @@ func TestServeInheritsQueueingFromTheSubstrate(t *testing.T) {
 }
 
 // TestSeriesParallelColdStartsAndParkingDeterministic runs the diamond on a
-// pool-less tiny cluster with live interference: every branch cold-starts,
-// parking is rampant, and two identical runs stay byte-identical.
+// pool-less tiny cluster: every branch cold-starts, parking is rampant,
+// and two identical runs stay byte-identical.
 func TestSeriesParallelColdStartsAndParkingDeterministic(t *testing.T) {
 	cfg := DefaultExecutorConfig()
 	cfg.Cluster = cluster.Config{Nodes: 1, NodeMillicores: 7000, PoolSize: 0, IdleMillicores: 100}
-	cfg.LiveInterference = true
-	cfg.Interference = interfere.Default()
 	e, err := NewExecutor(cfg, perfmodel.Catalog())
 	if err != nil {
 		t.Fatal(err)
@@ -850,6 +827,49 @@ func TestSeriesParallelColdStartsAndParkingDeterministic(t *testing.T) {
 	}
 	if parked == 0 {
 		t.Fatal("tiny cluster produced no parking")
+	}
+}
+
+// TestPlacementNeverChangesStageLatency serves the diamond on a crowded
+// two-node cluster under each placement policy. Placement moves pods
+// between nodes, parks acquisitions and decides cold starts, but every
+// stage's latency must be its request's pre-sampled draw priced at the
+// stage's allocation — the property baseline.Optimal's clairvoyance and
+// the paired comparisons across systems rest on.
+func TestPlacementNeverChangesStageLatency(t *testing.T) {
+	reqs := spWorkload(t, diamondSP(t), 60)
+	fns := perfmodel.Catalog()
+	for _, placement := range []cluster.Placement{cluster.PlacementSpread, cluster.PlacementFirstFit} {
+		cfg := DefaultExecutorConfig()
+		cfg.Cluster = cluster.Config{Nodes: 2, NodeMillicores: 7000, PoolSize: 1, IdleMillicores: 100, Placement: placement}
+		e, err := NewExecutor(cfg, fns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := e.Run(reqs, &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked := 0
+		used := map[int]bool{}
+		for _, tr := range traces {
+			parked += tr.Parked
+			req := reqs[tr.RequestID]
+			for _, st := range tr.Stages {
+				used[st.Node] = true
+				want := fns[st.Function].Latency(req.Draws[st.Stage][st.Branch], st.Millicores)
+				if st.Latency != want {
+					t.Fatalf("%v: request %d stage %d branch %d on node %d ran %v, its draw at %d mc prices %v",
+						placement, tr.RequestID, st.Stage, st.Branch, st.Node, st.Latency, st.Millicores, want)
+				}
+			}
+		}
+		if len(used) != 2 {
+			t.Fatalf("%v: stages ran on nodes %v, want both", placement, used)
+		}
+		if parked == 0 {
+			t.Fatalf("%v: crowded cluster parked no acquisitions", placement)
+		}
 	}
 }
 

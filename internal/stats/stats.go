@@ -1,7 +1,6 @@
 // Package stats provides the statistical machinery the reproduction relies
-// on: empirical samples with percentile queries, CDFs, histograms, online
-// summaries, Monte-Carlo distribution convolution (used by the ORION
-// baseline), and the paper's slack metric.
+// on: empirical samples with percentile queries, online summaries, and the
+// paper's slack metric.
 package stats
 
 import (
@@ -9,8 +8,6 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"janus/internal/rng"
 )
 
 // Sample is a collection of observations supporting percentile queries.
@@ -23,15 +20,6 @@ type Sample struct {
 // NewSample wraps the given values (taking ownership of the slice).
 func NewSample(values []float64) *Sample {
 	return &Sample{xs: values}
-}
-
-// FromDurations builds a Sample of millisecond values from durations.
-func FromDurations(ds []time.Duration) *Sample {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = float64(d) / float64(time.Millisecond)
-	}
-	return NewSample(xs)
 }
 
 // Add appends an observation.
@@ -144,17 +132,6 @@ type Point struct {
 	F float64
 }
 
-// CDF returns the empirical CDF as (value, fraction <= value) points.
-func (s *Sample) CDF() []Point {
-	s.sort()
-	pts := make([]Point, len(s.xs))
-	n := float64(len(s.xs))
-	for i, v := range s.xs {
-		pts[i] = Point{X: v, F: float64(i+1) / n}
-	}
-	return pts
-}
-
 // FractionAtOrBelow reports the fraction of observations <= x.
 func (s *Sample) FractionAtOrBelow(x float64) float64 {
 	if len(s.xs) == 0 {
@@ -165,22 +142,6 @@ func (s *Sample) FractionAtOrBelow(x float64) float64 {
 	return float64(idx) / float64(len(s.xs))
 }
 
-// Clone returns an independent copy of the sample.
-func (s *Sample) Clone() *Sample {
-	xs := make([]float64, len(s.xs))
-	copy(xs, s.xs)
-	return &Sample{xs: xs, sorted: s.sorted}
-}
-
-// Scale returns a new sample with every observation multiplied by f.
-func (s *Sample) Scale(f float64) *Sample {
-	xs := make([]float64, len(s.xs))
-	for i, v := range s.xs {
-		xs[i] = v * f
-	}
-	return &Sample{xs: xs, sorted: s.sorted && f >= 0}
-}
-
 // Slack is the paper's resource-inefficiency metric: 1 - latency/slo.
 // A request finishing at 40% of its SLO has slack 0.6. Latencies above the
 // SLO yield negative slack.
@@ -189,75 +150,6 @@ func Slack(latency, slo time.Duration) float64 {
 		panic("stats: Slack requires positive SLO")
 	}
 	return 1 - float64(latency)/float64(slo)
-}
-
-// SumSamples estimates the distribution of the sum of one draw from each
-// input sample (independent draws), using n Monte-Carlo trials from the
-// given stream. It is the convolution primitive behind the ORION baseline's
-// end-to-end latency model.
-func SumSamples(parts []*Sample, n int, stream *rng.Stream) *Sample {
-	if len(parts) == 0 || n <= 0 {
-		return &Sample{}
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		total := 0.0
-		for _, p := range parts {
-			if p.Len() == 0 {
-				continue
-			}
-			total += p.xs[stream.IntN(p.Len())]
-		}
-		out[i] = total
-	}
-	return NewSample(out)
-}
-
-// Histogram counts observations into fixed-width buckets over [lo, hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	width   float64
-	under   int
-	over    int
-	total   int
-}
-
-// NewHistogram creates a histogram with nbuckets buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if hi <= lo || nbuckets <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{
-		Lo:      lo,
-		Hi:      hi,
-		Buckets: make([]int, nbuckets),
-		width:   (hi - lo) / float64(nbuckets),
-	}
-}
-
-// Observe adds one observation.
-func (h *Histogram) Observe(v float64) {
-	h.total++
-	switch {
-	case v < h.Lo:
-		h.under++
-	case v >= h.Hi:
-		h.over++
-	default:
-		h.Buckets[int((v-h.Lo)/h.width)]++
-	}
-}
-
-// Total reports the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// BucketFraction reports the fraction of all observations in bucket i.
-func (h *Histogram) BucketFraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.total)
 }
 
 // Summary accumulates count/mean/variance/min/max online (Welford).

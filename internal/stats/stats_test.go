@@ -96,25 +96,9 @@ func TestMeanStdMinMax(t *testing.T) {
 }
 
 func TestFromDurationsAndPercentileDuration(t *testing.T) {
-	s := FromDurations([]time.Duration{100 * time.Millisecond, 300 * time.Millisecond})
+	s := NewSample([]float64{100, 300})
 	if got := s.PercentileDuration(50); got != 200*time.Millisecond {
 		t.Fatalf("PercentileDuration(50) = %v, want 200ms", got)
-	}
-}
-
-func TestCDFIsMonotoneAndEndsAtOne(t *testing.T) {
-	s := NewSample([]float64{3, 1, 2, 2})
-	pts := s.CDF()
-	if len(pts) != 4 {
-		t.Fatalf("CDF has %d points, want 4", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].F < pts[i-1].F {
-			t.Fatal("CDF not monotone")
-		}
-	}
-	if pts[len(pts)-1].F != 1 {
-		t.Fatalf("CDF final fraction = %v, want 1", pts[len(pts)-1].F)
 	}
 }
 
@@ -128,22 +112,6 @@ func TestFractionAtOrBelow(t *testing.T) {
 		if got := s.FractionAtOrBelow(c.x); got != c.want {
 			t.Errorf("FractionAtOrBelow(%v) = %v, want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	s := NewSample([]float64{1, 2})
-	c := s.Clone()
-	c.Add(100)
-	if s.Len() != 2 || c.Len() != 3 {
-		t.Fatal("Clone shares state with original")
-	}
-}
-
-func TestScale(t *testing.T) {
-	s := NewSample([]float64{1, 2}).Scale(3)
-	if s.Percentile(100) != 6 {
-		t.Fatalf("Scale: max = %v, want 6", s.Percentile(100))
 	}
 }
 
@@ -163,77 +131,6 @@ func TestSlackPanicsOnZeroSLO(t *testing.T) {
 		}
 	}()
 	Slack(time.Second, 0)
-}
-
-func TestSumSamplesMeanAdds(t *testing.T) {
-	st := rng.New(5)
-	a := NewSample([]float64{10, 10, 10})
-	b := NewSample([]float64{5, 5})
-	sum := SumSamples([]*Sample{a, b}, 1000, st)
-	if got := sum.Mean(); math.Abs(got-15) > 1e-9 {
-		t.Fatalf("SumSamples mean = %v, want 15", got)
-	}
-}
-
-func TestSumSamplesP99BelowSumOfP99s(t *testing.T) {
-	// The whole point of distribution-aware sizing (ORION): the P99 of a sum
-	// of independent variables is below the sum of the per-part P99s.
-	st := rng.New(7)
-	mk := func(label string) *Sample {
-		s := &Sample{}
-		child := st.Split(label)
-		for i := 0; i < 5000; i++ {
-			s.Add(child.LogNormal(0, 0.8))
-		}
-		return s
-	}
-	parts := []*Sample{mk("a"), mk("b"), mk("c")}
-	sum := SumSamples(parts, 20000, st.Split("mc"))
-	p99Sum := sum.Percentile(99)
-	sumP99 := 0.0
-	for _, p := range parts {
-		sumP99 += p.Percentile(99)
-	}
-	if p99Sum >= sumP99 {
-		t.Fatalf("P99(sum)=%v should be < sum(P99)=%v", p99Sum, sumP99)
-	}
-}
-
-func TestSumSamplesEmpty(t *testing.T) {
-	if s := SumSamples(nil, 10, rng.New(1)); s.Len() != 0 {
-		t.Fatal("SumSamples(nil) should be empty")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Observe(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Fatalf("bucket 0 = %d, want 2", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // 2
-		t.Fatalf("bucket 1 = %d, want 1", h.Buckets[1])
-	}
-	if h.Buckets[4] != 1 { // 9.99
-		t.Fatalf("bucket 4 = %d, want 1", h.Buckets[4])
-	}
-	if got := h.BucketFraction(0); math.Abs(got-2.0/7) > 1e-9 {
-		t.Fatalf("BucketFraction(0) = %v", got)
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram with hi <= lo did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
 }
 
 func TestSummaryMatchesSample(t *testing.T) {

@@ -256,8 +256,8 @@ func GenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 // Executor serves workloads on a simulated cluster in virtual time. Run
 // serves one workload; RunMixed merges several tenants' workloads — each
 // paired with its own Allocator — into one discrete-event run on one
-// shared cluster, so tenants contend for warm pods, node millicores, and
-// co-location-driven interference.
+// shared cluster, so tenants contend for warm pods and node millicores.
+// Interference is each request's pre-sampled draw.
 type Executor = platform.Executor
 
 // ExecutorConfig sizes the serving plane.
@@ -286,13 +286,14 @@ type ClusterConfig = cluster.Config
 func DefaultClusterConfig() ClusterConfig { return cluster.DefaultConfig() }
 
 // PlacementPolicy selects the node a new pod lands on; placement is
-// deterministic so discrete-event runs replay byte for byte.
+// deterministic so discrete-event runs replay byte for byte. It decides
+// capacity, parking and cold starts, never a stage's latency: interference
+// is drawn per request.
 type PlacementPolicy = cluster.Placement
 
 // Placement policies: spread puts each pod on the node with the most free
-// millicores (minimal same-function co-location); first-fit packs the
-// lowest-ID node that fits (consolidation, more interference, less
-// fragmentation).
+// millicores; first-fit packs the lowest-ID node that fits (consolidation,
+// less fragmentation).
 const (
 	PlacementSpread   = cluster.PlacementSpread
 	PlacementFirstFit = cluster.PlacementFirstFit
@@ -471,8 +472,7 @@ type MixTenant = experiment.MixTenant
 
 // MixExperimentTenants returns the scenario's tenants: ia (3 s SLO), va
 // (1.5 s), and va-sp (1.1 s). VA and VA-SP share functions, so their pods
-// draw from the same warm pools and inflate each other's co-location
-// census.
+// draw from the same warm pools.
 func MixExperimentTenants() ([]MixTenant, error) { return experiment.MixTenants() }
 
 // MixRun is one mixed serving run: every tenant under one system on one
