@@ -1,33 +1,37 @@
 // TestBenchGuard is the benchmark-regression harness: it replays the
 // alloc-critical benchmarks for a fixed stretch of time (guardBenchtime)
-// and diffs allocs/op against the thresholds committed in
-// BENCH_PR26.json (the `guard` section). The indexed cluster's contract
-// is that pickNode and the acquire/release cycle never allocate on the
-// hot path, and the serving plane's contract is that a park/wake cycle at
-// fleet depth (BenchmarkParkWake), the event loop's schedule/fire cycle
-// (BenchmarkEngine) and an adapter decide (BenchmarkAdapterDecide) are
-// allocation-free steady-state. The synthesizer's budget sweep
-// (BenchmarkSynthesizeCone) allocates per table, not per budget, the
-// profiler (BenchmarkProfileGroup) per grid level, not per draw, request
-// generation (BenchmarkGenerateWorkload) per worker chunk, not per
-// request, a catalog reload (BenchmarkCatalogReload) per decoded value,
-// not per range or per compared bundle, and a dynamic replay
-// (BenchmarkDynamicServing) per run, not per request or trigger, a
-// static replay under a pool controller (BenchmarkReplayServing) per
-// control tick, pool build and created pod, not per decision, and a
-// janusd decide through the HTTP handler (BenchmarkDecideHandler) for
-// its body, response and request recorder, never for a metric lookup,
-// and a regeneration cycle of the online loop (BenchmarkRegenTick) for
-// the swap action, its closure and the adapter's deployed record, never
-// for a decide or an epoch-window read. An
-// accidental closure capture or slice growth there would be invisible
-// to the functional tests and only show up as a fleet-grid slowdown
-// months later, so CI fails the moment allocs/op crosses a threshold.
+// and diffs allocs/op, and B/op where a ceiling is set, against the
+// thresholds committed in BENCH_PR28.json (the `guard` section). The
+// indexed cluster's contract is that pickNode and the acquire/release
+// cycle never allocate on the hot path, and the serving plane's contract
+// is that a park/wake cycle at fleet depth (BenchmarkParkWake), the event
+// loop's schedule/fire cycle (BenchmarkEngine) and an adapter decide
+// (BenchmarkAdapterDecide) are allocation-free steady-state. The
+// synthesizer's budget sweep (BenchmarkSynthesizeCone) allocates per
+// table, not per budget, the profiler (BenchmarkProfileGroup) per grid
+// level, not per draw, request generation (BenchmarkGenerateWorkload) per
+// worker chunk, not per request, a catalog reload
+// (BenchmarkCatalogReload) per decoded value, not per range or per
+// compared bundle, and a dynamic replay (BenchmarkDynamicServing) per
+// run, not per request or trigger, a static replay under a pool
+// controller (BenchmarkReplayServing) per control tick, pool build and
+// created pod, not per decision, and a janusd decide through the HTTP
+// handler (BenchmarkDecideHandler) for its body, response and request
+// recorder, never for a metric lookup, and a regeneration cycle of the
+// online loop (BenchmarkRegenTick) for the swap action, its closure and
+// the adapter's deployed record, never for a decide or an epoch-window
+// read. An accidental closure capture or slice growth there would be
+// invisible to the functional tests and only show up as a fleet-grid
+// slowdown months later, so CI fails the moment allocs/op crosses a
+// threshold. The serving benchmarks also carry B/op ceilings: a change
+// that widens a per-stage record allocates no more often, only more
+// bytes, and only a bytes ceiling holds a memory saving that allocs/op
+// cannot see.
 //
 // Knobs:
 //
 //	JANUS_BENCHGUARD=off   skip the guard (triaging an intentional
-//	                       allocation change; update BENCH_PR26.json's
+//	                       allocation change; update BENCH_PR28.json's
 //	                       thresholds in the same commit instead of
 //	                       leaving the knob set)
 //
@@ -54,23 +58,35 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// benchTrajectory mirrors the slice of BENCH_PR26.json the guard consumes;
-// the measurement sections are documented in docs/BENCHMARKS.md.
+// guardFile is the trajectory file whose `guard` section the guard
+// enforces; the measurement sections are documented in docs/BENCHMARKS.md.
+const guardFile = "BENCH_PR28.json"
+
 // guardBenchtime is the -benchtime every guarded benchmark runs for.
 const guardBenchtime = "100ms"
 
+// benchTrajectory mirrors the slice of the trajectory file the guard
+// consumes. Each ceiling map takes package path -> benchmark name ->
+// maximum allowed value per op.
 type benchTrajectory struct {
 	Guard struct {
-		// AllocsPerOp maps package path -> benchmark name -> maximum
-		// allowed allocs/op.
 		AllocsPerOp map[string]map[string]int64 `json:"allocs_per_op"`
+		// BytesPerOp is optional: a benchmark listed only here still runs
+		// and is held to its B/op ceiling alone.
+		BytesPerOp map[string]map[string]int64 `json:"bytes_per_op"`
 	} `json:"guard"`
+}
+
+// benchResult is one benchmark's measured cost per op.
+type benchResult struct {
+	allocs, bytes int64
 }
 
 func TestBenchGuard(t *testing.T) {
@@ -80,56 +96,66 @@ func TestBenchGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench guard runs real benchmarks; skipped in -short mode")
 	}
-	raw, err := os.ReadFile("BENCH_PR26.json")
+	raw, err := os.ReadFile(guardFile)
 	if err != nil {
 		t.Fatalf("reading committed trajectory: %v", err)
 	}
 	var traj benchTrajectory
 	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_PR26.json: %v", err)
+		t.Fatalf("parsing %s: %v", guardFile, err)
 	}
 	if len(traj.Guard.AllocsPerOp) == 0 {
-		t.Fatal("BENCH_PR26.json has no guard.allocs_per_op thresholds; the guard is guarding nothing")
+		t.Fatalf("%s has no guard.allocs_per_op thresholds; the guard is guarding nothing", guardFile)
 	}
-	pkgs := make([]string, 0, len(traj.Guard.AllocsPerOp))
-	for pkg := range traj.Guard.AllocsPerOp {
+	byPkg := map[string][]string{}
+	for _, ceilings := range []map[string]map[string]int64{traj.Guard.AllocsPerOp, traj.Guard.BytesPerOp} {
+		for pkg, thresholds := range ceilings {
+			for name := range thresholds {
+				if !slices.Contains(byPkg[pkg], name) {
+					byPkg[pkg] = append(byPkg[pkg], name)
+				}
+			}
+		}
+	}
+	pkgs := make([]string, 0, len(byPkg))
+	for pkg := range byPkg {
 		pkgs = append(pkgs, pkg)
 	}
 	sort.Strings(pkgs)
 	for _, pkg := range pkgs {
-		thresholds := traj.Guard.AllocsPerOp[pkg]
-		got, err := runBenchmarks(pkg, thresholds)
+		names := byPkg[pkg]
+		sort.Strings(names)
+		got, err := runBenchmarks(pkg, names)
 		if err != nil {
 			t.Fatalf("package %s: %v", pkg, err)
 		}
-		names := make([]string, 0, len(thresholds))
-		for name := range thresholds {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		for _, name := range names {
-			allocs, ok := got[name]
+			res, ok := got[name]
 			if !ok {
-				t.Errorf("%s: benchmark %s did not run — renamed or deleted? update BENCH_PR26.json's guard section", pkg, name)
+				t.Errorf("%s: benchmark %s did not run — renamed or deleted? update %s's guard section", pkg, name, guardFile)
 				continue
 			}
-			t.Logf("%s: %s %d allocs/op (threshold %d)", pkg, name, allocs, thresholds[name])
-			if max := thresholds[name]; allocs > max {
-				t.Errorf("%s: %s allocates %d/op, threshold %d/op — the hot path regressed to per-call allocation (set JANUS_BENCHGUARD=off only while triaging; fix or re-baseline BENCH_PR26.json)",
-					pkg, name, allocs, max)
+			if max, ok := traj.Guard.AllocsPerOp[pkg][name]; ok {
+				t.Logf("%s: %s %d allocs/op (threshold %d)", pkg, name, res.allocs, max)
+				if res.allocs > max {
+					t.Errorf("%s: %s allocates %d/op, threshold %d/op — the hot path regressed to per-call allocation (set JANUS_BENCHGUARD=off only while triaging; fix or re-baseline %s)",
+						pkg, name, res.allocs, max, guardFile)
+				}
+			}
+			if max, ok := traj.Guard.BytesPerOp[pkg][name]; ok {
+				t.Logf("%s: %s %d B/op (threshold %d)", pkg, name, res.bytes, max)
+				if res.bytes > max {
+					t.Errorf("%s: %s allocates %d B/op, threshold %d B/op — a per-op record or arena grew (set JANUS_BENCHGUARD=off only while triaging; fix or re-baseline %s)",
+						pkg, name, res.bytes, max, guardFile)
+				}
 			}
 		}
 	}
 }
 
 // runBenchmarks executes the named benchmarks for guardBenchtime each and
-// returns their measured allocs/op.
-func runBenchmarks(pkg string, thresholds map[string]int64) (map[string]int64, error) {
-	names := make([]string, 0, len(thresholds))
-	for name := range thresholds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// returns their measured allocs/op and B/op.
+func runBenchmarks(pkg string, names []string) (map[string]benchResult, error) {
 	pattern := "^(" + strings.Join(names, "|") + ")$"
 	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
 		"-benchtime", guardBenchtime, "-benchmem", "-timeout", "15m", pkg)
@@ -139,11 +165,11 @@ func runBenchmarks(pkg string, thresholds map[string]int64) (map[string]int64, e
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go test -bench failed: %v\n%s", err, out.String())
 	}
-	got := make(map[string]int64)
+	got := make(map[string]benchResult)
 	for _, line := range strings.Split(out.String(), "\n") {
 		fields := strings.Fields(line)
 		// A result line reads: BenchmarkName-8  1  123 ns/op  0 B/op  0 allocs/op
-		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") || fields[len(fields)-1] != "allocs/op" {
+		if len(fields) < 7 || !strings.HasPrefix(fields[0], "Benchmark") || fields[len(fields)-1] != "allocs/op" || fields[len(fields)-3] != "B/op" {
 			continue
 		}
 		name := fields[0]
@@ -154,7 +180,11 @@ func runBenchmarks(pkg string, thresholds map[string]int64) (map[string]int64, e
 		if err != nil {
 			return nil, fmt.Errorf("unparseable allocs/op in %q: %v", line, err)
 		}
-		got[name] = allocs
+		bytesPerOp, err := strconv.ParseInt(fields[len(fields)-4], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("unparseable B/op in %q: %v", line, err)
+		}
+		got[name] = benchResult{allocs: allocs, bytes: bytesPerOp}
 	}
 	return got, nil
 }

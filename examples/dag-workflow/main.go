@@ -100,10 +100,12 @@ func main() {
 
 	// The fusion join in action: fuse starts only after detect, classify,
 	// AND ocr have all released their pods — readiness, not stages.
+	// A stage's (Stage, Branch) coordinates name its workflow node.
 	tr := traces[0]
+	groups := w.DecisionGroups()
 	fmt.Println("\nrequest 0 node schedule (start -> end):")
 	for _, st := range tr.Stages {
-		fmt.Printf("  %-10s group %d  %6v -> %6v\n", st.Step, st.Stage,
+		fmt.Printf("  %-10s group %d  %6v -> %6v\n", groups[st.Stage].Nodes[st.Branch].Name, st.Stage,
 			st.Start.Round(time.Millisecond), st.End.Round(time.Millisecond))
 	}
 }

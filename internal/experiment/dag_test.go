@@ -109,7 +109,7 @@ func TestDAGDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq, par := dumpRuns(seqRuns), dumpRuns(parRuns); seq != par {
+	if seq, par := dumpRuns(points, seqRuns), dumpRuns(points, parRuns); seq != par {
 		t.Fatal("DAG grid diverged across parallelism")
 	}
 }

@@ -104,7 +104,7 @@ func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dumpReplayRuns(runs)
+		return dumpReplayRuns(t, runs)
 	}
 	sequential := tinyFleetSuite()
 	sequential.SetParallelism(1)

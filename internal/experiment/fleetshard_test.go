@@ -109,7 +109,7 @@ func TestFleetShardDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dumpReplayRuns(runs)
+		return dumpReplayRuns(t, runs)
 	}
 	sequential := tinyFleetSuite()
 	sequential.SetParallelism(1)

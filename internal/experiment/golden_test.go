@@ -16,32 +16,56 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current engine output")
 
-// traceDigest renders a trace — including every executed branch — into a
-// stable text form. Only fields that predate the node-granular engine are
-// printed, so the digest is comparable across the stage-indexed and
-// node-granular implementations. dyn adds the node identity only the
-// dynamic scheduler produces: step name, map replica and retry attempt.
-func traceDigest(tr *platform.Trace, dyn bool) string {
+// stageNode is the workflow node a stage executed: its (Stage, Branch)
+// coordinates index w's decision groups.
+func stageNode(w *workflow.Workflow, st *platform.StageTrace) workflow.Node {
+	return w.DecisionGroups()[st.Stage].Nodes[st.Branch]
+}
+
+// tenantWorkflows maps each tenant a scenario serves to its workflow, so
+// a tenant's stages can be named through stageNode.
+func tenantWorkflows(t testing.TB, tenants func() ([]MixTenant, error)) map[string]*workflow.Workflow {
+	t.Helper()
+	list, err := tenants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]*workflow.Workflow, len(list))
+	for _, mt := range list {
+		byName[mt.Tenant] = mt.Workflow
+	}
+	return byName
+}
+
+// traceDigest renders a trace of workflow w — including every executed
+// branch — into a stable text form. Only fields that predate the
+// node-granular engine are printed, so the digest is comparable across
+// the stage-indexed and node-granular implementations. dyn adds the node
+// identity only the dynamic scheduler produces: step name, map replica
+// and retry attempt.
+func traceDigest(w *workflow.Workflow, tr *platform.Trace, dyn bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "req=%d sys=%s arr=%d done=%d e2e=%d slo=%d mc=%d dec=%d miss=%d park=%d\n",
 		tr.RequestID, tr.System, tr.Arrival, tr.Done, tr.E2E, tr.SLO,
 		tr.TotalMillicores, tr.Decisions, tr.Misses, tr.Parked)
-	for _, st := range tr.Stages {
+	for i := range tr.Stages {
+		st := &tr.Stages[i]
+		node := stageNode(w, st)
 		fmt.Fprintf(&b, "  fn=%s stage=%d branch=%d node=%d mc=%d start=%d end=%d startup=%d lat=%d cold=%v hit=%v",
-			st.Function, st.Stage, st.Branch, st.Node, st.Millicores,
+			node.Function, st.Stage, st.Branch, st.Node, st.Millicores,
 			st.Start, st.End, st.Startup, st.Latency, st.Cold, st.Hit)
 		if dyn {
-			fmt.Fprintf(&b, " step=%s replica=%d attempt=%d", st.Step, st.Replica, st.Attempt)
+			fmt.Fprintf(&b, " step=%s replica=%d attempt=%d", node.Name, st.Replica, st.Attempt)
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-func runHash(traces []platform.Trace, dyn bool) string {
+func runHash(w *workflow.Workflow, traces []platform.Trace, dyn bool) string {
 	h := sha256.New()
 	for i := range traces {
-		fmt.Fprint(h, traceDigest(&traces[i], dyn))
+		fmt.Fprint(h, traceDigest(w, &traces[i], dyn))
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -110,7 +134,7 @@ func TestChainSPGolden(t *testing.T) {
 			r := runs[sys]
 			fmt.Fprintf(&b, "run %s/%v/b1 %s p50=%d p99=%d viol=%.4f mc=%.1f miss=%.4f sha=%s\n",
 				g.w.Name(), g.w.SLO(), sys, r.P50E2E.Milliseconds(), r.P99E2E.Milliseconds(),
-				r.ViolationRate, r.MeanMillicores, r.MissRate, runHash(r.Traces, false))
+				r.ViolationRate, r.MeanMillicores, r.MissRate, runHash(g.w, r.Traces, false))
 		}
 	}
 
@@ -164,10 +188,14 @@ func TestTriggerGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, err := TriggerWorkflow()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	for _, run := range runs {
 		fmt.Fprintf(&b, "run %s traces=%d pod-s=%.3f peak=%d sha=%s\n",
-			run.Config, len(run.Traces), run.Metrics.PodSeconds, run.Metrics.PeakPods, runHash(run.Traces, true))
+			run.Config, len(run.Traces), run.Metrics.PodSeconds, run.Metrics.PeakPods, runHash(w, run.Traces, true))
 	}
 	b.WriteString(FormatTrigger(runs))
 	checkGolden(t, "golden_trigger.txt", "trigger", b.String())
@@ -180,11 +208,12 @@ func TestTriggerGolden(t *testing.T) {
 // instants and floors.
 func TestScheduleGolden(t *testing.T) {
 	var b strings.Builder
+	workflows := tenantWorkflows(t, ReplayTenants)
 	dump := func(runs []*ReplayRun) {
 		for _, run := range runs {
 			for _, row := range run.Rows {
 				fmt.Fprintf(&b, "run %s/%s %s traces=%d sha=%s\n",
-					run.Scenario, run.Config, row.Tenant, len(run.Traces[row.Tenant]), runHash(run.Traces[row.Tenant], false))
+					run.Scenario, run.Config, row.Tenant, len(run.Traces[row.Tenant]), runHash(workflows[row.Tenant], run.Traces[row.Tenant], false))
 			}
 		}
 	}
@@ -232,7 +261,7 @@ func TestDAGMixGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sys := range DAGSystems() {
-		fmt.Fprintf(&b, "run %s %s sha=%s\n", dag.Name(), sys, runHash(runs[sys].Traces, false))
+		fmt.Fprintf(&b, "run %s %s sha=%s\n", dag.Name(), sys, runHash(dag, runs[sys].Traces, false))
 	}
 	rows, err := s.DAGScenario()
 	if err != nil {
@@ -240,11 +269,12 @@ func TestDAGMixGolden(t *testing.T) {
 	}
 	b.WriteString(FormatDAGScenario(rows))
 
+	workflows := tenantWorkflows(t, MixTenants)
 	dumpMix := func(runs []*MixRun) {
 		for _, run := range runs {
 			for _, row := range run.Tenants {
 				fmt.Fprintf(&b, "run mix/%s/n%d/%s %s sha=%s\n",
-					run.System, run.Nodes, run.Placement, row.Tenant, runHash(run.Traces[row.Tenant], false))
+					run.System, run.Nodes, run.Placement, row.Tenant, runHash(workflows[row.Tenant], run.Traces[row.Tenant], false))
 			}
 		}
 	}

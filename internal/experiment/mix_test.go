@@ -135,8 +135,9 @@ func TestMixPlacementPolicies(t *testing.T) {
 // dumpMixRuns serializes every field the mix drivers consume — per-tenant
 // summaries plus the full per-branch traces — so two runs compare byte for
 // byte (the mixed analogue of dumpRuns).
-func dumpMixRuns(runs []*MixRun) string {
+func dumpMixRuns(t testing.TB, runs []*MixRun) string {
 	var b strings.Builder
+	workflows := tenantWorkflows(t, MixTenants)
 	tenantsOf := func(run *MixRun) []string {
 		names := make([]string, len(run.Tenants))
 		for i, row := range run.Tenants {
@@ -153,7 +154,7 @@ func dumpMixRuns(runs []*MixRun) string {
 					tenant, tr.RequestID, tr.Arrival, tr.Done, tr.E2E, tr.TotalMillicores, tr.Decisions, tr.Misses, tr.Parked)
 				for _, st := range tr.Stages {
 					fmt.Fprintf(&b, "    s%d.b%d n%d %s mc=%d start=%v end=%v cold=%t hit=%t\n",
-						st.Stage, st.Branch, st.Node, st.Function, st.Millicores, st.Start, st.End, st.Cold, st.Hit)
+						st.Stage, st.Branch, st.Node, stageNode(workflows[tenant], &st).Function, st.Millicores, st.Start, st.End, st.Cold, st.Hit)
 				}
 			}
 		}
@@ -182,7 +183,7 @@ func TestMixDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dumpMixRuns(scenario) + dumpMixRuns(sweep) + dumpMixRuns(placement)
+		return dumpMixRuns(t, scenario) + dumpMixRuns(t, sweep) + dumpMixRuns(t, placement)
 	}
 	sequential := QuickSuite()
 	sequential.SetParallelism(1)

@@ -37,10 +37,10 @@ func TestReplayTracerDoesNotPerturb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := dumpReplayRuns(runs)
+	base := dumpReplayRuns(t, runs)
 
 	traced, events := tracedReplay(t)
-	if got := dumpReplayRuns(traced); got != base {
+	if got := dumpReplayRuns(t, traced); got != base {
 		t.Fatal("attaching a tracer changed the replay results")
 	}
 	if len(events) == 0 {

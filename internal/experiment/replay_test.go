@@ -209,8 +209,9 @@ func TestReplayClosedLoopBeatsStaticPools(t *testing.T) {
 // dumpReplayRuns serializes every field the replay driver consumes — rows,
 // provisioning metrics, swap instants, and the full per-node traces — so
 // two runs compare byte for byte (the replay analogue of dumpMixRuns).
-func dumpReplayRuns(runs []*ReplayRun) string {
+func dumpReplayRuns(t testing.TB, runs []*ReplayRun) string {
 	var b strings.Builder
+	workflows := tenantWorkflows(t, ReplayTenants)
 	for _, run := range runs {
 		fmt.Fprintf(&b, "%s sched=%q pods=%.6f peak=%d ticks=%d churn=%d/%d\n",
 			run.Config, run.Schedule, run.Metrics.PodSeconds, run.Metrics.PeakPods,
@@ -228,8 +229,9 @@ func dumpReplayRuns(runs []*ReplayRun) string {
 				fmt.Fprintf(&b, "  %s req=%d arr=%v done=%v e2e=%v mc=%d dec=%d miss=%d parked=%d\n",
 					mt, tr.RequestID, tr.Arrival, tr.Done, tr.E2E, tr.TotalMillicores, tr.Decisions, tr.Misses, tr.Parked)
 				for _, st := range tr.Stages {
+					node := stageNode(workflows[mt], &st)
 					fmt.Fprintf(&b, "    %s s%d.b%d n%d %s mc=%d start=%v end=%v cold=%t hit=%t\n",
-						st.Step, st.Stage, st.Branch, st.Node, st.Function, st.Millicores, st.Start, st.End, st.Cold, st.Hit)
+						node.Name, st.Stage, st.Branch, st.Node, node.Function, st.Millicores, st.Start, st.End, st.Cold, st.Hit)
 				}
 			}
 		}
@@ -248,7 +250,7 @@ func TestReplayDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dumpReplayRuns(runs)
+		return dumpReplayRuns(t, runs)
 	}
 	sequential := QuickSuite()
 	sequential.SetParallelism(1)

@@ -9,10 +9,11 @@ import (
 )
 
 // dumpRuns serializes every field the drivers consume — summaries plus the
-// full per-stage traces — so two runs compare byte for byte.
-func dumpRuns(runs []*SystemRun) string {
+// full per-stage traces — so two runs compare byte for byte. runs[i] is
+// the result of points[i], whose workflow names its stages.
+func dumpRuns(points []Point, runs []*SystemRun) string {
 	var b strings.Builder
-	for _, r := range runs {
+	for i, r := range runs {
 		fmt.Fprintf(&b, "%s slo=%v mc=%.9f p50=%v p99=%v viol=%.9f miss=%.9f\n",
 			r.System, r.SLO, r.MeanMillicores, r.P50E2E, r.P99E2E, r.ViolationRate, r.MissRate)
 		for _, tr := range r.Traces {
@@ -20,7 +21,7 @@ func dumpRuns(runs []*SystemRun) string {
 				tr.RequestID, tr.Arrival, tr.Done, tr.E2E, tr.TotalMillicores, tr.Decisions, tr.Misses, tr.Parked)
 			for _, st := range tr.Stages {
 				fmt.Fprintf(&b, "    s%d.b%d %s mc=%d start=%v end=%v startup=%v lat=%v cold=%t hit=%t\n",
-					st.Stage, st.Branch, st.Function, st.Millicores, st.Start, st.End, st.Startup, st.Latency, st.Cold, st.Hit)
+					st.Stage, st.Branch, stageNode(points[i].Workflow, &st).Function, st.Millicores, st.Start, st.End, st.Startup, st.Latency, st.Cold, st.Hit)
 			}
 		}
 	}
@@ -61,7 +62,7 @@ func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, par := dumpRuns(seqRuns), dumpRuns(parRuns)
+	seq, par := dumpRuns(points, seqRuns), dumpRuns(points, parRuns)
 	if seq != par {
 		// Find the first divergent line for a readable failure.
 		a, b := strings.Split(seq, "\n"), strings.Split(par, "\n")

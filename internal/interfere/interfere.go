@@ -41,9 +41,6 @@ func (d Dimension) String() string {
 	}
 }
 
-// Dimensions lists all modeled dimensions in display order.
-func Dimensions() []Dimension { return []Dimension{CPU, Memory, IO, Network} }
-
 // Model maps (dimension, co-located instance count) to a latency slowdown
 // factor >= 1. The zero value is not useful; use Default.
 type Model struct {

@@ -7,10 +7,13 @@ import (
 	"janus/internal/rng"
 )
 
+// dimensions lists the four modeled dimensions in display order.
+var dimensions = []Dimension{CPU, Memory, IO, Network}
+
 func TestDefaultCurvesMatchFig1c(t *testing.T) {
 	m := Default()
 	// Alone, every dimension runs at factor 1.
-	for _, d := range Dimensions() {
+	for _, d := range dimensions {
 		if got := m.Slowdown(d, 1); got != 1 {
 			t.Errorf("Slowdown(%v, 1) = %v, want 1", d, got)
 		}
@@ -33,7 +36,7 @@ func TestDefaultCurvesMatchFig1c(t *testing.T) {
 
 func TestSlowdownMonotoneInInstances(t *testing.T) {
 	m := Default()
-	for _, d := range Dimensions() {
+	for _, d := range dimensions {
 		prev := 0.0
 		for n := 1; n <= 10; n++ {
 			got := m.Slowdown(d, n)

@@ -165,13 +165,15 @@ func checkDynamicShapes(t *testing.T, e *Executor, wantParks bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := w.DecisionGroups()
+	step := func(st StageTrace) string { return groups[st.Stage].Nodes[st.Branch].Name }
 	parks := 0
 	for _, tr := range traces[""] {
 		parks += tr.Parked
 		r := reqs[tr.RequestID]
 		byStep := map[string]int{}
 		for _, st := range tr.Stages {
-			byStep[st.Step]++
+			byStep[step(st)]++
 		}
 		heavy := r.Dyn.Choice("triage") == 1
 		if heavy {
@@ -196,7 +198,7 @@ func checkDynamicShapes(t *testing.T, e *Executor, wantParks bool) {
 		}
 		// The gate never starts before its trigger fires.
 		for _, st := range tr.Stages {
-			if st.Step == "gate" && st.Start < r.Arrival+120*time.Millisecond {
+			if step(st) == "gate" && st.Start < r.Arrival+120*time.Millisecond {
 				t.Fatalf("request %d gate started %v, trigger at %v", tr.RequestID, st.Start, r.Arrival+120*time.Millisecond)
 			}
 		}

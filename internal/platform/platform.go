@@ -228,27 +228,27 @@ type Trigger struct {
 	Step string
 }
 
-// StageTrace records one executed node of a request. The name is kept
-// from the stage-indexed engine: Stage is the node's decision-group index
-// and Branch its position within the group, which for chains and
-// series-parallel workflows are exactly the old stage/branch coordinates.
+// StageTrace records one executed node of a request in 64 pointer-free
+// bytes: one cache line, in an arena the collector never scans. Stage is
+// the node's decision-group index and Branch its position within the
+// group, so the pair names the workflow node:
+// w.DecisionGroups()[Stage].Nodes[Branch] carries its function and step
+// name. For chains and series-parallel workflows they are exactly the
+// stage-indexed engine's stage/branch coordinates.
 type StageTrace struct {
-	Function string
-	// Step is the workflow node's step name — the node identity the
-	// stage-indexed engine could not express.
-	Step  string
-	Stage int
-	// Branch is the node's position within its decision group.
-	Branch int
+	Stage  int32
+	Branch int32
 	// Node is the cluster node the pod ran on — the placement the
 	// configured cluster policy chose.
-	Node int
+	Node int32
 	// Replica and Attempt locate the execution within a dynamic node:
 	// the map replica index and the 0-based retry attempt. Both are 0
 	// for static workflows and for dynamic nodes without map/retry.
-	Replica    int
-	Attempt    int
-	Millicores int
+	Replica int32
+	Attempt int32
+	// Millicores is the pod's allocation; the scheduler accepts only
+	// allocations in (0, MaxInt32].
+	Millicores int32
 	Start      time.Duration
 	End        time.Duration
 	Startup    time.Duration
@@ -1264,6 +1264,7 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	// shared callback per kind serve them all.
 	st.admits = st.admissionOrder(tenants)
 	admit, fire := st.admitNext, st.triggerNext
+	st.engine.Grow(len(st.admits) + len(st.triggers))
 	next := 0
 	for _, rs := range st.admits {
 		for ; next < len(st.triggers) && st.triggers[next].at <= rs.r.Arrival; next++ {
@@ -1713,17 +1714,14 @@ func (c *completion) done(end time.Duration) {
 		return
 	}
 	rs := n.rs
-	node := rs.plan.groups[n.group][n.member]
 	mc := n.pod.Millicores()
 	rs.tr.Stages = append(rs.tr.Stages, StageTrace{
-		Function:   node.Function,
-		Step:       node.Name,
-		Stage:      n.group,
-		Branch:     n.member,
-		Replica:    n.replica,
-		Attempt:    n.attempt,
-		Node:       n.pod.NodeID,
-		Millicores: mc,
+		Stage:      int32(n.group),
+		Branch:     int32(n.member),
+		Replica:    int32(n.replica),
+		Attempt:    int32(n.attempt),
+		Node:       int32(n.pod.NodeID),
+		Millicores: int32(mc),
 		Start:      n.start,
 		End:        end,
 		Startup:    n.startup,
@@ -1735,13 +1733,13 @@ func (c *completion) done(end time.Duration) {
 	if st.tracer != nil {
 		ev := reqEvent(rs, end, obs.KindRelease)
 		ev.Group, ev.Member, ev.Replica = n.group, n.member, n.replica
-		ev.Function = node.Function
+		ev.Function = rs.plan.groups[n.group][n.member].Function
 		ev.Value = int64(mc)
 		ev.Aux = int64(n.pod.NodeID)
 		st.tracer.Emit(ev)
 	}
 	if rs.tn.om != nil {
-		rs.tn.om.observeNode(rs.plan.node[rs.plan.base[n.group]+n.member].fn, node.Function, n.latency)
+		rs.tn.om.observeNode(rs.plan.node[rs.plan.base[n.group]+n.member].fn, rs.plan.groups[n.group][n.member].Function, n.latency)
 	}
 	if err := st.cluster.Release(n.pod); err != nil {
 		st.fail(err)

@@ -350,7 +350,7 @@ func TestMetricsHelpers(t *testing.T) {
 		t.Errorf("MissRate = %v", got)
 	}
 	slack := SlackSample(traces)
-	if slack.Len() != 2 || slack.Min() != -0.5 || slack.Max() != 0.5 {
+	if slack.Len() != 2 || slack.Percentile(0) != -0.5 || slack.Max() != 0.5 {
 		t.Errorf("SlackSample = %v", slack.Values())
 	}
 	if E2ESample(traces).Mean() != 2000 {
@@ -422,10 +422,12 @@ func TestGenerateWorkloadSeriesParallel(t *testing.T) {
 // branches launched together after stage 0, and the join — stage 2's start —
 // gated by the slowest branch.
 func TestSeriesParallelJoinSemantics(t *testing.T) {
-	traces, err := defaultExecutor(t).Run(spWorkload(t, diamondSP(t), 40), &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}})
+	w := diamondSP(t)
+	traces, err := defaultExecutor(t).Run(spWorkload(t, w, 40), &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := w.DecisionGroups()
 	for i, tr := range traces {
 		if len(tr.Stages) != 4 {
 			t.Fatalf("trace %d has %d branch executions, want 4", i, len(tr.Stages))
@@ -436,7 +438,7 @@ func TestSeriesParallelJoinSemantics(t *testing.T) {
 		if tr.TotalMillicores != 8000 {
 			t.Fatalf("trace %d total millicores = %d, want 8000 (branches included)", i, tr.TotalMillicores)
 		}
-		byStage := map[int][]StageTrace{}
+		byStage := map[int32][]StageTrace{}
 		for _, st := range tr.Stages {
 			byStage[st.Stage] = append(byStage[st.Stage], st)
 		}
@@ -450,7 +452,7 @@ func TestSeriesParallelJoinSemantics(t *testing.T) {
 		var slowest time.Duration
 		for _, b := range byStage[1] {
 			if b.Start < end0 {
-				t.Fatalf("trace %d: branch %s started %v before stage 0 ended %v", i, b.Function, b.Start, end0)
+				t.Fatalf("trace %d: branch %s started %v before stage 0 ended %v", i, groups[b.Stage].Nodes[b.Branch].Function, b.Start, end0)
 			}
 			if b.End > slowest {
 				slowest = b.End
@@ -726,7 +728,7 @@ func TestRunMixedMultiNodePlacement(t *testing.T) {
 		for _, traces := range out {
 			for _, tr := range traces {
 				for _, st := range tr.Stages {
-					used[st.Node]++
+					used[int(st.Node)]++
 				}
 			}
 		}
@@ -837,8 +839,10 @@ func TestSeriesParallelColdStartsAndParkingDeterministic(t *testing.T) {
 // stage's allocation — the property baseline.Optimal's clairvoyance and
 // the paired comparisons across systems rest on.
 func TestPlacementNeverChangesStageLatency(t *testing.T) {
-	reqs := spWorkload(t, diamondSP(t), 60)
+	w := diamondSP(t)
+	reqs := spWorkload(t, w, 60)
 	fns := perfmodel.Catalog()
+	groups := w.DecisionGroups()
 	for _, placement := range []cluster.Placement{cluster.PlacementSpread, cluster.PlacementFirstFit} {
 		cfg := DefaultExecutorConfig()
 		cfg.Cluster = cluster.Config{Nodes: 2, NodeMillicores: 7000, PoolSize: 1, IdleMillicores: 100, Placement: placement}
@@ -851,13 +855,14 @@ func TestPlacementNeverChangesStageLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		parked := 0
-		used := map[int]bool{}
+		used := map[int32]bool{}
 		for _, tr := range traces {
 			parked += tr.Parked
 			req := reqs[tr.RequestID]
 			for _, st := range tr.Stages {
 				used[st.Node] = true
-				want := fns[st.Function].Latency(req.Draws[st.Stage][st.Branch], st.Millicores)
+				fn := fns[groups[st.Stage].Nodes[st.Branch].Function]
+				want := fn.Latency(req.Draws[st.Stage][st.Branch], int(st.Millicores))
 				if st.Latency != want {
 					t.Fatalf("%v: request %d stage %d branch %d on node %d ran %v, its draw at %d mc prices %v",
 						placement, tr.RequestID, st.Stage, st.Branch, st.Node, st.Latency, st.Millicores, want)
@@ -927,6 +932,7 @@ func TestNodeGranularReadinessSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := w.DecisionGroups()
 	for i, tr := range traces {
 		if len(tr.Stages) != 5 {
 			t.Fatalf("trace %d ran %d nodes, want 5", i, len(tr.Stages))
@@ -940,9 +946,9 @@ func TestNodeGranularReadinessSemantics(t *testing.T) {
 		}
 		byStep := map[string]StageTrace{}
 		for _, st := range tr.Stages {
-			byStep[st.Step] = st
+			byStep[groups[st.Stage].Nodes[st.Branch].Name] = st
 		}
-		for step, group := range map[string]int{"pre": 0, "detect": 1, "classify": 1, "ocr": 2, "fuse": 3} {
+		for step, group := range map[string]int32{"pre": 0, "detect": 1, "classify": 1, "ocr": 2, "fuse": 3} {
 			st, ok := byStep[step]
 			if !ok {
 				t.Fatalf("trace %d has no execution for node %q", i, step)

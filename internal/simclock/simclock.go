@@ -9,6 +9,7 @@ package simclock
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -54,6 +55,15 @@ func New() *Engine { return &Engine{} }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
+
+// Grow makes room for at least n more in-order schedulings without
+// another allocation, like slices.Grow: a caller about to preload an
+// ascending event stream of known length sizes the lane once instead of
+// letting append regrow it. It is a capacity hint only; the firing
+// order never depends on it. A negative n panics.
+func (e *Engine) Grow(n int) {
+	e.lane = slices.Grow(e.lane, n)
+}
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero (run at the current instant, after already-queued events at the

@@ -194,10 +194,11 @@ func (s *side) schedule(delay time.Duration) {
 
 // runProgram drives the new engine and the reference through the same
 // program: bursts of colliding events, monotone bursts that fill the
-// lane, single steps, and runs cut short by in-event Stops, comparing
-// every firing (instant, event, pending count), Now() and Pending()
-// after every operation. ops, ref and got are three identical decision
-// streams.
+// lane, single steps, runs cut short by in-event Stops, and capacity
+// hints to the new engine's lane (Grow, which the reference lacks: a
+// hint must never change what fires), comparing every firing (instant,
+// event, pending count), Now() and Pending() after every operation. ops,
+// ref and got are three identical decision streams.
 func runProgram(t *testing.T, ops, refD, gotD decisions, maxOps int) {
 	ref := &side{t: t, e: &refEngine{}, d: refD}
 	got := &side{t: t, e: New(), d: gotD}
@@ -218,7 +219,7 @@ func runProgram(t *testing.T, ops, refD, gotD decisions, maxOps int) {
 		}
 	}
 	for op := 0; op < maxOps; op++ {
-		switch ops.intn(5) {
+		switch ops.intn(6) {
 		case 0: // a burst of colliding events
 			n := 1 + ops.intn(20)
 			for _, s := range sides {
@@ -254,6 +255,9 @@ func runProgram(t *testing.T, ops, refD, gotD decisions, maxOps int) {
 				s.e.Run()
 			}
 			check("run")
+		case 4: // a capacity hint of any size, whatever the lane holds
+			got.e.(*Engine).Grow(ops.intn(256))
+			check("grow")
 		default: // a Stop outside Run does not preempt the next Run
 			for _, s := range sides {
 				s.e.Stop()

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -93,30 +92,6 @@ func (s *Sample) Mean() float64 {
 	return total / float64(len(s.xs))
 }
 
-// Std returns the population standard deviation, or 0 for n < 2.
-func (s *Sample) Std() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	acc := 0.0
-	for _, v := range s.xs {
-		d := v - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
-}
-
-// Min returns the smallest observation. It panics on an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		panic("stats: Min on empty sample")
-	}
-	s.sort()
-	return s.xs[0]
-}
-
 // Max returns the largest observation. It panics on an empty sample.
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
@@ -152,53 +127,19 @@ func Slack(latency, slo time.Duration) float64 {
 	return 1 - float64(latency)/float64(slo)
 }
 
-// Summary accumulates count/mean/variance/min/max online (Welford).
-// The zero value is ready to use.
+// Summary accumulates a running mean online (Welford's update). The zero
+// value is ready to use.
 type Summary struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n    int
+	mean float64
 }
 
 // Observe adds one observation.
 func (s *Summary) Observe(v float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
 	delta := v - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (v - s.mean)
 }
-
-// N reports the number of observations.
-func (s *Summary) N() int { return s.n }
 
 // Mean reports the running mean (0 if empty).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Std reports the running population standard deviation.
-func (s *Summary) Std() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n))
-}
-
-// Min reports the smallest observation (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max reports the largest observation (0 if empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// String formats the summary for experiment logs.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f std=%.2f min=%.2f max=%.2f", s.n, s.mean, s.Std(), s.min, s.max)
-}

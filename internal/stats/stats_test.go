@@ -82,16 +82,13 @@ func TestAddInvalidatesSortCache(t *testing.T) {
 	}
 }
 
-func TestMeanStdMinMax(t *testing.T) {
+func TestMeanAndMax(t *testing.T) {
 	s := NewSample([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if got := s.Mean(); got != 5 {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
-	if got := s.Std(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("Std = %v, want 2", got)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
+	if got := s.Max(); got != 9 {
+		t.Fatalf("Max = %v, want 9", got)
 	}
 }
 
@@ -142,17 +139,8 @@ func TestSummaryMatchesSample(t *testing.T) {
 		sum.Observe(v)
 		s.Add(v)
 	}
-	if sum.N() != 1000 {
-		t.Fatalf("N = %d", sum.N())
-	}
 	if math.Abs(sum.Mean()-s.Mean()) > 1e-9 {
 		t.Fatalf("Summary mean %v != sample mean %v", sum.Mean(), s.Mean())
-	}
-	if math.Abs(sum.Std()-s.Std()) > 1e-6 {
-		t.Fatalf("Summary std %v != sample std %v", sum.Std(), s.Std())
-	}
-	if sum.Min() != s.Min() || sum.Max() != s.Max() {
-		t.Fatal("Summary min/max mismatch")
 	}
 }
 
