@@ -269,3 +269,89 @@ func ExampleExecutor_RunReplay() {
 	// served 111 requests over 40s with elastic pools (churn 31 grown, 8 shrunk)
 	// pod-seconds accounted: true
 }
+
+// ExampleNewOnlineRegen closes the bilateral loop on one virtual clock. A
+// deployed bundle serves a plateau and then a burst on one 20-core node;
+// when queueing pushes remaining budgets below the tables' coverage and
+// the adapter's epoch miss rate over 1%, the hook re-synthesizes the
+// bundle down to the observed budget floor and hot-swaps it. Every draw
+// is seeded and the swap lands on the replay's clock, so the swaps and
+// their floors are the same on every run.
+func ExampleNewOnlineRegen() {
+	w := janus.IntelligentAssistant()
+	coloc, err := janus.NewColocationSampler([]float64{0.5, 0.35, 0.15})
+	if err != nil {
+		log.Fatal(err)
+	}
+	dep, err := janus.Deploy(w, janus.DeployOptions{
+		Functions:        janus.Catalog(),
+		Colocation:       coloc,
+		Interference:     janus.DefaultInterference(),
+		Seed:             3,
+		SamplesPerConfig: 400,
+		BudgetStepMs:     25,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The developer's half: re-synthesize from the deployment's profiles
+	// with the sweep extended down to the floor the adapter observed.
+	regen, err := janus.NewOnlineRegen(janus.OnlineRegenConfig{
+		Adapter: dep.Adapter,
+		Synthesize: func(floorMs int) (*janus.Bundle, error) {
+			s, err := janus.NewSynthesizer(janus.SynthesizerConfig{
+				Profiles: dep.Profiles, BudgetStepMs: 25, BudgetFloorMs: floorMs,
+			})
+			if err != nil {
+				return nil, err
+			}
+			res, err := s.GenerateBundle()
+			if err != nil {
+				return nil, err
+			}
+			return res.Bundle, nil
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sched, err := janus.NewReplaySchedule(3, janus.ReplayZipfMix("assistant"),
+		janus.ReplayPlateau(10*time.Second, 2),
+		janus.ReplayBurst(20*time.Second, 2, 20),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	reqs, err := janus.GenerateWorkload(janus.WorkloadConfig{
+		Workflow: w, Functions: janus.Catalog(), Batch: 1,
+		Arrivals: janus.ReplayTenantArrivalTimes(sched.Arrivals())["assistant"], Colocation: coloc,
+		Interference: janus.DefaultInterference(), StageCorrelation: 0.5, Seed: 3,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := janus.DefaultExecutorConfig()
+	cfg.Cluster = janus.ClusterConfig{
+		Nodes: 1, NodeMillicores: 20000, PoolSize: 3, IdleMillicores: 100,
+		Placement: janus.PlacementSpread,
+	}
+	ex, err := janus.NewExecutor(cfg, janus.Catalog())
+	if err != nil {
+		log.Fatal(err)
+	}
+	traces, _, err := ex.RunReplay(
+		[]janus.TenantWorkload{{Requests: reqs, Allocator: dep.Allocator("janus")}},
+		janus.ReplayConfig{Interval: 500 * time.Millisecond, Horizon: sched.Duration(), OnTick: regen.Tick},
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	swaps := regen.Swaps()
+	fmt.Println("served:", len(traces[""]))
+	fmt.Println("swaps:", len(swaps))
+	fmt.Printf("first swap floor: %dms\n", swaps[0].FloorMs)
+	// Output:
+	// served: 174
+	// swaps: 4
+	// first swap floor: 1057ms
+}

@@ -47,13 +47,12 @@ func main() {
 	}
 	fmt.Println("\nprofiling each decision group and synthesizing per-cone hints tables...")
 	dep, err := janus.Deploy(w, janus.DeployOptions{
-		Functions:           janus.Catalog(),
-		Colocation:          coloc,
-		Interference:        janus.DefaultInterference(),
-		Seed:                3,
-		SamplesPerConfig:    1500,
-		BudgetStepMs:        5,
-		DisableRegeneration: true,
+		Functions:        janus.Catalog(),
+		Colocation:       coloc,
+		Interference:     janus.DefaultInterference(),
+		Seed:             3,
+		SamplesPerConfig: 1500,
+		BudgetStepMs:     5,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -32,13 +32,12 @@ func main() {
 
 	fmt.Println("reducing the diamond to an effective chain (parallel stage -> max-of-branches profile)...")
 	dep, err := janus.Deploy(w, janus.DeployOptions{
-		Functions:           janus.Catalog(),
-		Colocation:          coloc,
-		Interference:        janus.DefaultInterference(),
-		Seed:                3,
-		SamplesPerConfig:    1500,
-		BudgetStepMs:        5,
-		DisableRegeneration: true,
+		Functions:        janus.Catalog(),
+		Colocation:       coloc,
+		Interference:     janus.DefaultInterference(),
+		Seed:             3,
+		SamplesPerConfig: 1500,
+		BudgetStepMs:     5,
 	})
 	if err != nil {
 		log.Fatal(err)

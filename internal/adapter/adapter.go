@@ -28,6 +28,10 @@ import (
 // DefaultMissThreshold is the paper's regeneration trigger (1%).
 const DefaultMissThreshold = 0.01
 
+// minDecisions is how many decisions an epoch must accumulate before its
+// miss rate is trusted, so a lone early miss cannot fire the notification.
+const minDecisions = 100
+
 // Decision is one adaptation outcome.
 type Decision struct {
 	// Millicores is the allocation for the sub-workflow's head function.
@@ -38,11 +42,6 @@ type Decision struct {
 	Percentile int
 }
 
-// Adapter serves adaptation decisions for one deployed bundle. It is safe
-// for concurrent use, including Replace swapping in a regenerated bundle
-// while decide traffic is in flight: the bundle is held behind an atomic
-// pointer, so every decision reads one consistent bundle without taking
-// the supervisor lock.
 // deployed pairs a bundle with its epoch number so a decision's outcome
 // can be attributed to the bundle that actually produced it, even when
 // Replace lands between the lookup and the recording.
@@ -52,6 +51,11 @@ type deployed struct {
 	epoch int64
 }
 
+// Adapter serves adaptation decisions for one deployed bundle. It is safe
+// for concurrent use, including Replace swapping in a regenerated bundle
+// while decide traffic is in flight: the bundle is held behind an atomic
+// pointer, so every decision reads one consistent bundle without taking
+// the supervisor lock.
 type Adapter struct {
 	bundle atomic.Pointer[deployed]
 
@@ -77,7 +81,6 @@ type Adapter struct {
 	epochBudgetSeen bool
 
 	missThreshold float64
-	minDecisions  int64
 	onRegenerate  func(missRate float64)
 	notified      bool
 }
@@ -97,12 +100,6 @@ func WithRegenerateCallback(fn func(missRate float64)) Option {
 	return func(a *Adapter) { a.onRegenerate = fn }
 }
 
-// WithMinDecisions sets how many decisions must accumulate before the miss
-// rate is trusted (avoids firing on the first lone miss).
-func WithMinDecisions(n int64) Option {
-	return func(a *Adapter) { a.minDecisions = n }
-}
-
 // New validates the bundle and builds an adapter.
 func New(b *hints.Bundle, opts ...Option) (*Adapter, error) {
 	if b == nil {
@@ -111,10 +108,7 @@ func New(b *hints.Bundle, opts ...Option) (*Adapter, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Adapter{
-		missThreshold: DefaultMissThreshold,
-		minDecisions:  100,
-	}
+	a := &Adapter{missThreshold: DefaultMissThreshold}
 	a.bundle.Store(&deployed{b: b})
 	for _, o := range opts {
 		o(a)
@@ -130,24 +124,9 @@ func (a *Adapter) Bundle() *hints.Bundle { return a.bundle.Load().b }
 
 // Decide returns the allocation for decision group `suffix` — the head of
 // the sub-workflow formed by its descendant cone — given the remaining
-// budget until the SLO deadline.
-// The bundle is snapshotted once, so a concurrent Replace cannot tear a
-// decision across two bundles; the snapshot's epoch travels with the
-// outcome so a decision against a just-replaced bundle cannot leak into
-// the new bundle's regeneration window.
+// budget until the SLO deadline. It is DecideShaped with no shape.
 func (a *Adapter) Decide(suffix int, remaining time.Duration) (Decision, error) {
-	d := a.bundle.Load()
-	b := d.b
-	if suffix < 0 || suffix >= b.Stages() {
-		return Decision{}, fmt.Errorf("adapter: suffix %d out of range [0, %d)", suffix, b.Stages())
-	}
-	r, ok := b.Tables[suffix].Lookup(remaining)
-	a.record(ok, d.epoch, remaining)
-	if !ok {
-		// Miss: scale to the ceiling to protect the SLO (§III-D).
-		return Decision{Millicores: b.MaxMillicores, Hit: false, Percentile: 99}, nil
-	}
-	return Decision{Millicores: r.Millicores, Hit: true, Percentile: r.Percentile}, nil
+	return a.DecideShaped(suffix, "", remaining)
 }
 
 // DecideShaped is Decide for a dynamic workflow's decision: when the
@@ -157,18 +136,28 @@ func (a *Adapter) Decide(suffix int, remaining time.Duration) (Decision, error) 
 // resolved width instead of the worst case, so tight budgets that would
 // miss on the conservative base table still find a plan. With no shape
 // resolved, or a bundle carrying no variant for the key (static bundles
-// carry none at all), the decision falls back to the base table and is
-// exactly Decide.
+// carry none at all), the base table answers.
+//
+// The bundle is snapshotted once, so a concurrent Replace cannot tear a
+// decision across two bundles; the snapshot's epoch travels with the
+// outcome so a decision against a just-replaced bundle cannot leak into
+// the new bundle's regeneration window.
 func (a *Adapter) DecideShaped(group int, shape string, remaining time.Duration) (Decision, error) {
 	d := a.bundle.Load()
 	b := d.b
-	t, ok := b.ShapedTable(group, shape)
-	if shape == "" || !ok {
-		return a.Decide(group, remaining)
+	if group < 0 || group >= b.Stages() {
+		return Decision{}, fmt.Errorf("adapter: suffix %d out of range [0, %d)", group, b.Stages())
+	}
+	t := b.Tables[group]
+	if shape != "" {
+		if st, ok := b.ShapedTable(group, shape); ok {
+			t = st
+		}
 	}
 	r, hit := t.Lookup(remaining)
 	a.record(hit, d.epoch, remaining)
 	if !hit {
+		// Miss: scale to the ceiling to protect the SLO (§III-D).
 		return Decision{Millicores: b.MaxMillicores, Hit: false, Percentile: 99}, nil
 	}
 	return Decision{Millicores: r.Millicores, Hit: true, Percentile: r.Percentile}, nil
@@ -207,7 +196,7 @@ func (a *Adapter) record(hit bool, epoch int64, remaining time.Duration) {
 	epochTotal := a.epochHits + a.epochMisses
 	shouldNotify := !a.notified &&
 		a.onRegenerate != nil &&
-		epochTotal >= a.minDecisions &&
+		epochTotal >= minDecisions &&
 		a.epochMissRateLocked() > a.missThreshold
 	var rate float64
 	if shouldNotify {
@@ -304,15 +293,10 @@ type Allocator struct {
 // Name implements platform.Allocator.
 func (al *Allocator) Name() string { return al.System }
 
-// Allocate implements platform.Allocator.
+// Allocate implements platform.Allocator. It is AllocateShaped with no
+// shape.
 func (al *Allocator) Allocate(req *platform.Request, group int, remaining time.Duration) (int, bool) {
-	d, err := al.Decide(group, remaining)
-	if err != nil {
-		// Group indices come from the executor and bundles are validated
-		// against the workflow at deployment; a mismatch is a bug.
-		panic(err)
-	}
-	return d.Millicores, d.Hit
+	return al.AllocateShaped(req, group, "", remaining)
 }
 
 // AllocateShaped implements platform.ShapeAwareAllocator: a dynamic
@@ -325,8 +309,8 @@ func (al *Allocator) AllocateShaped(req *platform.Request, group int, shape stri
 	}
 	d, err := al.DecideShaped(group, shape, remaining)
 	if err != nil {
-		// Same contract as Allocate: the executor only hands us groups the
-		// validated bundle covers.
+		// Group indices come from the executor and bundles are validated
+		// against the workflow at deployment; a mismatch is a bug.
 		panic(err)
 	}
 	return d.Millicores, d.Hit

@@ -102,26 +102,28 @@ func TestDecideSuffixRange(t *testing.T) {
 	}
 }
 
+// decideN makes n decisions of group 0 at the remaining budget.
+func decideN(t *testing.T, a *Adapter, n int, remaining time.Duration) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := a.Decide(0, remaining); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRegenerationCallbackFiresOnceAboveThreshold(t *testing.T) {
 	fired := make(chan float64, 10)
 	a, err := New(bundle(t),
 		WithMissThreshold(0.1),
-		WithMinDecisions(10),
 		WithRegenerateCallback(func(rate float64) { fired <- rate }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 9 hits then misses: rate crosses 10% at the 10th+ decision.
-	for i := 0; i < 9; i++ {
-		if _, err := a.Decide(0, 3*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := a.Decide(0, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// 90 hits then misses: the rate reaches 10% at the 100th decision and
+	// crosses it at the 101st.
+	decideN(t, a, 90, 3*time.Second)
+	decideN(t, a, 15, time.Millisecond)
 	select {
 	case rate := <-fired:
 		if rate <= 0.1 {
@@ -131,11 +133,7 @@ func TestRegenerationCallbackFiresOnceAboveThreshold(t *testing.T) {
 		t.Fatal("callback never fired")
 	}
 	// No second notification without Replace.
-	for i := 0; i < 5; i++ {
-		if _, err := a.Decide(0, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
+	decideN(t, a, 5, time.Millisecond)
 	select {
 	case <-fired:
 		t.Fatal("callback fired twice")
@@ -145,21 +143,22 @@ func TestRegenerationCallbackFiresOnceAboveThreshold(t *testing.T) {
 
 func TestCallbackRespectsMinDecisions(t *testing.T) {
 	fired := make(chan float64, 1)
-	a, err := New(bundle(t),
-		WithMissThreshold(0.01),
-		WithMinDecisions(100),
-		WithRegenerateCallback(func(rate float64) { fired <- rate }))
+	a, err := New(bundle(t), WithRegenerateCallback(func(rate float64) { fired <- rate }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A lone early miss (100% rate) must not trigger with < 100 decisions.
-	if _, err := a.Decide(0, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	// Early misses (100% rate) must not trigger with < 100 decisions.
+	decideN(t, a, 99, time.Millisecond)
 	select {
 	case <-fired:
-		t.Fatal("callback fired before MinDecisions")
+		t.Fatal("callback fired before 100 decisions")
 	case <-time.After(50 * time.Millisecond):
+	}
+	decideN(t, a, 1, time.Millisecond)
+	select {
+	case <-fired:
+	case <-time.After(2 * time.Second):
+		t.Fatal("callback never fired at the 100th decision")
 	}
 }
 
@@ -167,21 +166,16 @@ func TestReplaceSwapsBundleAndRearms(t *testing.T) {
 	fired := make(chan float64, 10)
 	a, err := New(bundle(t),
 		WithMissThreshold(0.1),
-		WithMinDecisions(1),
 		WithRegenerateCallback(func(rate float64) { fired <- rate }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Decide(0, time.Millisecond); err != nil { // miss -> notify
-		t.Fatal(err)
-	}
+	decideN(t, a, 100, time.Millisecond) // misses -> notify
 	<-fired
 	if err := a.Replace(bundle(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Decide(0, time.Millisecond); err != nil { // miss again -> notify again
-		t.Fatal(err)
-	}
+	decideN(t, a, 100, time.Millisecond) // misses again -> notify again
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
@@ -204,17 +198,12 @@ func TestReplaceDoesNotRefireFromPreSwapMisses(t *testing.T) {
 	fired := make(chan float64, 10)
 	a, err := New(bundle(t),
 		WithMissThreshold(0.1),
-		WithMinDecisions(5),
 		WithRegenerateCallback(func(rate float64) { fired <- rate }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Miss storm against the first bundle: fires once.
-	for i := 0; i < 20; i++ {
-		if _, err := a.Decide(0, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
+	decideN(t, a, 100, time.Millisecond)
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
@@ -226,39 +215,32 @@ func TestReplaceDoesNotRefireFromPreSwapMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits, misses, _ := a.Stats()
-	if misses != 20 {
-		t.Fatalf("Stats after Replace = %d hits / %d misses, want cumulative 0/20", hits, misses)
+	if misses != 100 {
+		t.Fatalf("Stats after Replace = %d hits / %d misses, want cumulative 0/100", hits, misses)
 	}
 	if eh, em, _ := a.EpochStats(); eh != 0 || em != 0 {
 		t.Fatalf("EpochStats after Replace = %d/%d, want a fresh window", eh, em)
 	}
 	// Post-swap traffic hits the new bundle. The cumulative miss rate is
-	// still far above the threshold (20 misses vs a handful of hits) —
+	// still far above the threshold (100 misses vs at most 100 hits) —
 	// the buggy adapter re-fires on the first decision here.
-	for i := 0; i < 10; i++ {
-		if _, err := a.Decide(0, 3*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
+	decideN(t, a, 100, 3*time.Second)
 	select {
 	case rate := <-fired:
 		t.Fatalf("callback re-fired from pre-swap misses (rate %v) despite a healthy new bundle", rate)
 	case <-time.After(50 * time.Millisecond):
 	}
-	// A genuine post-swap miss storm must still be able to re-fire.
-	for i := 0; i < 20; i++ {
-		if _, err := a.Decide(0, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// A genuine post-swap miss storm must still be able to re-fire: 20
+	// misses after 100 hits read 16.7%.
+	decideN(t, a, 20, time.Millisecond)
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
 		t.Fatal("callback never re-fired for a post-swap miss storm")
 	}
 	hits, misses, _ = a.Stats()
-	if hits != 10 || misses != 40 {
-		t.Fatalf("cumulative Stats = %d hits / %d misses, want 10/40", hits, misses)
+	if hits != 100 || misses != 120 {
+		t.Fatalf("cumulative Stats = %d hits / %d misses, want 100/120", hits, misses)
 	}
 }
 
@@ -271,7 +253,6 @@ func TestStaleEpochDecisionsExcludedFromWindow(t *testing.T) {
 	fired := make(chan float64, 10)
 	a, err := New(bundle(t),
 		WithMissThreshold(0.1),
-		WithMinDecisions(3),
 		WithRegenerateCallback(func(rate float64) { fired <- rate }))
 	if err != nil {
 		t.Fatal(err)
@@ -282,13 +263,13 @@ func TestStaleEpochDecisionsExcludedFromWindow(t *testing.T) {
 	}
 	// The in-flight decisions complete after the swap: all misses, all
 	// attributed to the pre-swap bundle.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 100; i++ {
 		a.record(false, stale.epoch, 100*time.Millisecond)
 	}
 	if eh, em, _ := a.EpochStats(); eh != 0 || em != 0 {
 		t.Fatalf("stale-epoch decisions leaked into the new window: %d/%d", eh, em)
 	}
-	if _, misses, _ := a.Stats(); misses != 5 {
+	if _, misses, _ := a.Stats(); misses != 100 {
 		t.Fatalf("stale-epoch decisions lost from cumulative stats: %d misses", misses)
 	}
 	select {
@@ -297,11 +278,7 @@ func TestStaleEpochDecisionsExcludedFromWindow(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	// Fresh misses against the new bundle still trigger normally.
-	for i := 0; i < 5; i++ {
-		if _, err := a.Decide(0, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
+	decideN(t, a, 100, time.Millisecond)
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
@@ -443,7 +420,7 @@ func TestEpochBudgetRangeTracksAndResets(t *testing.T) {
 // way an equivalent Decide would.
 func TestMemoContractMatchesDecide(t *testing.T) {
 	build := func() *Allocator {
-		a, err := New(bundle(t), WithMinDecisions(1), WithRegenerateCallback(func(float64) {}))
+		a, err := New(bundle(t), WithRegenerateCallback(func(float64) {}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,12 +434,18 @@ func TestMemoContractMatchesDecide(t *testing.T) {
 		2003 * time.Millisecond, 2003*time.Millisecond + 400*time.Microsecond,
 		time.Millisecond, 500 * time.Millisecond, -20 * time.Millisecond,
 	}
-	for _, b := range budgets {
-		// The cached twin replays every one of decided's outcomes through
-		// RecordCached alone; its statistics must land exactly where
-		// decided's Decide-driven bookkeeping does.
-		_, hit := decided.Allocate(nil, 0, b)
-		cached.RecordCached(0, b, cached.AllocEpoch(), hit)
+	// Twenty rounds make the 100 decisions the trigger waits for.
+	for range minDecisions / len(budgets) {
+		for _, b := range budgets {
+			// The cached twin replays every one of decided's outcomes
+			// through RecordCached alone; its statistics must land exactly
+			// where decided's Decide-driven bookkeeping does.
+			_, hit := decided.Allocate(nil, 0, b)
+			cached.RecordCached(0, b, cached.AllocEpoch(), hit)
+		}
+	}
+	if !decided.notified || !cached.notified {
+		t.Fatalf("trigger diverged or never fired: decide %t, cached %t", decided.notified, cached.notified)
 	}
 	dh, dm, dr := decided.Stats()
 	ch, cm, cr := cached.Stats()

@@ -87,8 +87,10 @@ func TestDecideShapedStaticBundle(t *testing.T) {
 	if ds != d {
 		t.Fatalf("static bundle: DecideShaped %+v != Decide %+v", ds, d)
 	}
-	if _, err := a.DecideShaped(9, "", time.Second); err == nil {
-		t.Fatal("out-of-range group accepted")
+	for _, shape := range []string{"", "w=3"} {
+		if _, err := a.DecideShaped(9, shape, time.Second); err == nil {
+			t.Fatalf("out-of-range group accepted with shape %q", shape)
+		}
 	}
 }
 

@@ -12,15 +12,14 @@
 //     the full cold-start delay (see cluster.AddWarmPod and the
 //     pool-churn accounting).
 //
-//   - Regen, the online bilateral hook: it watches the adapter's
+//   - Regen, the one regeneration loop: it watches the adapter's
 //     per-epoch miss rate during the replay, and when drifted traffic
-//     pushes it over the threshold, re-synthesizes the hint bundle
-//     against the observed (drifted) budget distribution — the adapter's
-//     EpochBudgetRange supplies the floor — and hot-swaps it via the
-//     adapter's atomic Replace after a virtual regeneration latency,
-//     recording the swap instant. The offline regeneration loop in
-//     package core does the same thing wall-clock-asynchronously; Regen
-//     is its deterministic, virtual-time form, which is what lets replay
+//     pushes it over the paper's 1% (adapter.DefaultMissThreshold),
+//     re-synthesizes the hint bundle against the observed (drifted)
+//     budget distribution — the adapter's EpochBudgetRange supplies the
+//     floor — and hot-swaps it via the adapter's atomic Replace after a
+//     virtual regeneration latency, recording the swap instant. It runs
+//     on the replay's virtual clock, which is what lets replay
 //     experiments compare regeneration on and off request for request.
 package autoscale
 
@@ -214,9 +213,6 @@ type RegenConfig struct {
 	// adapter observed this epoch (clamped to >= 1 ms). It must be
 	// deterministic for replay runs to be.
 	Synthesize func(floorMs int) (*hints.Bundle, error)
-	// Threshold is the epoch miss rate that triggers regeneration
-	// (default adapter.DefaultMissThreshold, the paper's 1%).
-	Threshold float64
 	// MinDecisions is how many epoch decisions must accumulate before the
 	// miss rate is trusted (default 50).
 	MinDecisions int64
@@ -252,12 +248,6 @@ func NewRegen(cfg RegenConfig) (*Regen, error) {
 	if cfg.Synthesize == nil {
 		return nil, fmt.Errorf("autoscale: regen needs a synthesize hook")
 	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = adapter.DefaultMissThreshold
-	}
-	if cfg.Threshold <= 0 || cfg.Threshold >= 1 {
-		return nil, fmt.Errorf("autoscale: regen threshold %v outside (0, 1)", cfg.Threshold)
-	}
 	if cfg.MinDecisions == 0 {
 		cfg.MinDecisions = 50
 	}
@@ -274,18 +264,18 @@ func NewRegen(cfg RegenConfig) (*Regen, error) {
 }
 
 // Tick checks the adapter's epoch window at a control instant. When the
-// miss rate has crossed the threshold (and no regeneration is already in
-// flight), it synthesizes a bundle against the observed budget floor now
-// and returns the hot-swap as a delayed action: the adapter keeps serving
-// the stale bundle until the swap instant, when Replace atomically
-// installs the new one, resets the epoch window, and the swap is
-// recorded.
+// miss rate has crossed adapter.DefaultMissThreshold (and no regeneration
+// is already in flight), it synthesizes a bundle against the observed
+// budget floor now and returns the hot-swap as a delayed action: the
+// adapter keeps serving the stale bundle until the swap instant, when
+// Replace atomically installs the new one, resets the epoch window, and
+// the swap is recorded.
 func (r *Regen) Tick(now time.Duration) []platform.ReplayAction {
 	if r.inFlight {
 		return nil
 	}
 	hits, misses, rate := r.cfg.Adapter.EpochStats()
-	if hits+misses < r.cfg.MinDecisions || rate <= r.cfg.Threshold {
+	if hits+misses < r.cfg.MinDecisions || rate <= adapter.DefaultMissThreshold {
 		return nil
 	}
 	lo, _, ok := r.cfg.Adapter.EpochBudgetRange()
@@ -307,7 +297,7 @@ func (r *Regen) Tick(now time.Duration) []platform.ReplayAction {
 		r.cfg.Tracer.Emit(obs.Event{At: now, Kind: obs.KindScaleAudit, Request: -1,
 			Tenant: r.cfg.Tenant, Value: int64(floorMs), Aux: ppm(rate),
 			Reason: fmt.Sprintf("regen: epoch miss rate %.4f over threshold %.4f after %d decisions; resynthesizing at budget floor %dms",
-				rate, r.cfg.Threshold, hits+misses, floorMs)})
+				rate, adapter.DefaultMissThreshold, hits+misses, floorMs)})
 	}
 	return []platform.ReplayAction{{Delay: r.cfg.Latency, Do: func(at time.Duration) {
 		if err := r.cfg.Adapter.Replace(bundle); err == nil {

@@ -155,9 +155,6 @@ func TestNewRegenValidation(t *testing.T) {
 	if _, err := NewRegen(RegenConfig{Adapter: a}); err == nil {
 		t.Fatal("regen without synthesize hook accepted")
 	}
-	if _, err := NewRegen(RegenConfig{Adapter: a, Synthesize: synth, Threshold: 1.5}); err == nil {
-		t.Fatal("threshold outside (0,1) accepted")
-	}
 	if _, err := NewRegen(RegenConfig{Adapter: a, Synthesize: synth, Latency: -time.Second}); err == nil {
 		t.Fatal("negative latency accepted")
 	}

@@ -92,33 +92,28 @@ func TestDeployModes(t *testing.T) {
 	}
 }
 
+// TestRegenerationSwapsBundle pins that a caller shipping the deployment's
+// bundle ships the one the adapter serves, not the deploy-time synthesis,
+// once a regenerated bundle is swapped in.
 func TestRegenerationSwapsBundle(t *testing.T) {
 	d, err := Deploy(workflow.IntelligentAssistant(), opts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := d.Adapter.Bundle()
-	// Force misses past the default 1% threshold: tiny remaining budgets
-	// always miss.
-	for i := 0; i < 150; i++ {
-		if _, err := d.Adapter.Decide(0, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+	before := d.Bundle()
+	o := opts(t)
+	o.Weight = 3
+	regen, err := DeployProfiled(d.Profiles, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Regeneration runs asynchronously; poll for the swap.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if now := d.Adapter.Bundle(); now != before {
-			// A caller shipping the deployment's bundle ships the one
-			// the adapter serves, not the deploy-time synthesis.
-			if got := d.Bundle(); got != now {
-				t.Fatalf("Bundle() = %p after the swap, adapter serves %p", got, now)
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	now := regen.Bundle()
+	if err := d.Adapter.Replace(now); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("bundle never regenerated")
+	if got := d.Bundle(); got != now || got == before {
+		t.Fatalf("Bundle() = %p after the swap, adapter serves %p (deploy-time %p)", got, now, before)
+	}
 }
 
 func TestDeployProfiledReuse(t *testing.T) {

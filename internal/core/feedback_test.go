@@ -38,13 +38,12 @@ func TestFeedbackLoopRecoversFromStaleProfiles(t *testing.T) {
 
 	// Deploy with STALE profiles.
 	d, err := Deploy(w, Options{
-		Functions:           staleCatalog(),
-		Colocation:          coloc,
-		Interference:        interfere.Default(),
-		Seed:                5,
-		SamplesPerConfig:    1200,
-		BudgetStepMs:        10,
-		DisableRegeneration: true, // replaced by the instrumented loop below
+		Functions:        staleCatalog(),
+		Colocation:       coloc,
+		Interference:     interfere.Default(),
+		Seed:             5,
+		SamplesPerConfig: 1200,
+		BudgetStepMs:     10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,13 +54,12 @@ func TestFeedbackLoopRecoversFromStaleProfiles(t *testing.T) {
 	regenerated := make(chan struct{}, 1)
 	reProfile := func(float64) {
 		fresh, err := Deploy(w, Options{
-			Functions:           perfmodel.Catalog(),
-			Colocation:          coloc,
-			Interference:        interfere.Default(),
-			Seed:                6,
-			SamplesPerConfig:    1200,
-			BudgetStepMs:        10,
-			DisableRegeneration: true,
+			Functions:        perfmodel.Catalog(),
+			Colocation:       coloc,
+			Interference:     interfere.Default(),
+			Seed:             6,
+			SamplesPerConfig: 1200,
+			BudgetStepMs:     10,
 		})
 		if err != nil {
 			t.Error(err)
@@ -78,7 +76,6 @@ func TestFeedbackLoopRecoversFromStaleProfiles(t *testing.T) {
 	}
 	a, err := adapter.New(oldBundle,
 		adapter.WithMissThreshold(0.03),
-		adapter.WithMinDecisions(30),
 		adapter.WithRegenerateCallback(reProfile))
 	if err != nil {
 		t.Fatal(err)

@@ -81,14 +81,13 @@ func TestSeriesParallelEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep, err := core.Deploy(w, core.Options{
-		Functions:           perfmodel.Catalog(),
-		Colocation:          coloc,
-		Interference:        interfere.Default(),
-		Seed:                3,
-		SamplesPerConfig:    1000,
-		Mode:                synth.ModeJanus,
-		BudgetStepMs:        10,
-		DisableRegeneration: true,
+		Functions:        perfmodel.Catalog(),
+		Colocation:       coloc,
+		Interference:     interfere.Default(),
+		Seed:             3,
+		SamplesPerConfig: 1000,
+		Mode:             synth.ModeJanus,
+		BudgetStepMs:     10,
 	})
 	if err != nil {
 		t.Fatal(err)

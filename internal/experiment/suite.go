@@ -282,15 +282,10 @@ func (s *Suite) Deployment(w *workflow.Workflow, batch int, mode synth.Mode, wei
 			return nil, err
 		}
 		return core.DeployProfiled(set, core.Options{
-			Functions:           s.functions,
-			Colocation:          s.colocationFor(w.Name()),
-			Interference:        s.interf,
-			Seed:                s.cfg.Seed,
-			Batch:               batch,
-			Weight:              weight,
-			Mode:                mode,
-			BudgetStepMs:        s.cfg.BudgetStepMs,
-			DisableRegeneration: true,
+			Batch:        batch,
+			Weight:       weight,
+			Mode:         mode,
+			BudgetStepMs: s.cfg.BudgetStepMs,
 		})
 	})
 }

@@ -184,11 +184,14 @@ func NewSynthesizer(cfg SynthesizerConfig) (*Synthesizer, error) { return synth.
 
 // Deployment pipeline.
 
-// DeployOptions configures the offline pipeline.
+// DeployOptions configures the developer's offline pipeline: profiling,
+// synthesis and condensing. A deployment never regenerates on its own;
+// OnlineRegen is the regeneration loop, and WithRegenerateCallback is the
+// adapter's notification to the developer.
 type DeployOptions = core.Options
 
-// Deployment is a workflow deployed under Janus: profiles, synthesized
-// hints, and the live adapter.
+// Deployment is a workflow deployed under Janus: its profiles and the live
+// adapter serving the synthesized hints.
 type Deployment = core.Deployment
 
 // Deploy profiles the workflow, synthesizes hints, and starts the adapter.
@@ -580,11 +583,13 @@ func NewAutoscaler(cfg AutoscalerConfig) (*Autoscaler, error) { return autoscale
 // experiment tunes its own AutoscalerConfig to its schedule.
 func DefaultAutoscalerConfig() AutoscalerConfig { return autoscale.DefaultConfig() }
 
-// OnlineRegen closes the bilateral loop during a replay: it watches an
-// adapter's epoch miss rate, re-synthesizes the hint bundle against the
-// observed (drifted) budget distribution, and hot-swaps it via the
-// adapter's atomic Replace after a virtual regeneration latency. Plug
-// its Tick into ReplayConfig.OnTick.
+// OnlineRegen is the one regeneration loop: during a replay it watches an
+// adapter's epoch miss rate, and once the rate crosses the paper's 1% it
+// re-synthesizes the hint bundle against the observed (drifted) budget
+// distribution and hot-swaps it via the adapter's atomic Replace after a
+// virtual regeneration latency. It runs on the replay's virtual clock, so
+// a run with it replays byte for byte. Plug its Tick into
+// ReplayConfig.OnTick.
 type OnlineRegen = autoscale.Regen
 
 // OnlineRegenConfig parameterizes an OnlineRegen hook.
