@@ -1,7 +1,7 @@
 // TestBenchGuard is the benchmark-regression harness: it replays the
 // alloc-critical benchmarks for a fixed stretch of time (guardBenchtime)
 // and diffs allocs/op, and B/op where a ceiling is set, against the
-// thresholds committed in BENCH_PR28.json (the `guard` section). The
+// thresholds committed in BENCH_PR30.json (the `guard` section). The
 // indexed cluster's contract is that pickNode and the acquire/release
 // cycle never allocate on the hot path, and the serving plane's contract
 // is that a park/wake cycle at fleet depth (BenchmarkParkWake), the event
@@ -23,15 +23,17 @@
 // read. An accidental closure capture or slice growth there would be
 // invisible to the functional tests and only show up as a fleet-grid
 // slowdown months later, so CI fails the moment allocs/op crosses a
-// threshold. The serving benchmarks also carry B/op ceilings: a change
-// that widens a per-stage record allocates no more often, only more
-// bytes, and only a bytes ceiling holds a memory saving that allocs/op
-// cannot see.
+// threshold. The serving benchmarks and request generation also carry
+// B/op ceilings: a change that widens a per-stage record, keeps a state
+// for every request rather than for those in flight, or splits a
+// request's draws into per-group slices adds bytes, not allocations an
+// allocs/op ceiling would notice, so only a bytes ceiling holds such a
+// memory saving.
 //
 // Knobs:
 //
 //	JANUS_BENCHGUARD=off   skip the guard (triaging an intentional
-//	                       allocation change; update BENCH_PR28.json's
+//	                       allocation change; update BENCH_PR30.json's
 //	                       thresholds in the same commit instead of
 //	                       leaving the knob set)
 //
@@ -67,7 +69,7 @@ import (
 
 // guardFile is the trajectory file whose `guard` section the guard
 // enforces; the measurement sections are documented in docs/BENCHMARKS.md.
-const guardFile = "BENCH_PR28.json"
+const guardFile = "BENCH_PR30.json"
 
 // guardBenchtime is the -benchtime every guarded benchmark runs for.
 const guardBenchtime = "100ms"

@@ -213,11 +213,11 @@ func ExampleExecutor_RunMixed() {
 	}
 	for _, tenant := range []string{"assistant", "video"} {
 		traces := byTenant[tenant]
-		fmt.Printf("%s: %d traces, tenant tag %q\n", tenant, len(traces), traces[0].Tenant)
+		fmt.Printf("%s: %d traces, mean %.0f mc\n", tenant, len(traces), janus.MeanMillicores(traces))
 	}
 	// Output:
-	// assistant: 50 traces, tenant tag "assistant"
-	// video: 50 traces, tenant tag "video"
+	// assistant: 50 traces, mean 6000 mc
+	// video: 50 traces, mean 4500 mc
 }
 
 // ExampleExecutor_RunReplay serves a deterministic non-stationary arrival

@@ -122,6 +122,10 @@ func New(b *hints.Bundle, opts ...Option) (*Adapter, error) {
 // Bundle returns the deployed hints bundle.
 func (a *Adapter) Bundle() *hints.Bundle { return a.bundle.Load().b }
 
+// MissThreshold returns the miss rate above which the adapter asks for
+// regeneration: DefaultMissThreshold unless WithMissThreshold set it.
+func (a *Adapter) MissThreshold() float64 { return a.missThreshold }
+
 // Decide returns the allocation for decision group `suffix` — the head of
 // the sub-workflow formed by its descendant cone — given the remaining
 // budget until the SLO deadline. It is DecideShaped with no shape.

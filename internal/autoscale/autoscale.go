@@ -14,8 +14,9 @@
 //
 //   - Regen, the one regeneration loop: it watches the adapter's
 //     per-epoch miss rate during the replay, and when drifted traffic
-//     pushes it over the paper's 1% (adapter.DefaultMissThreshold),
-//     re-synthesizes the hint bundle against the observed (drifted)
+//     pushes it over the adapter's miss threshold (the paper's 1%,
+//     adapter.DefaultMissThreshold, unless WithMissThreshold set
+//     another), re-synthesizes the hint bundle against the observed (drifted)
 //     budget distribution — the adapter's EpochBudgetRange supplies the
 //     floor — and hot-swaps it via the adapter's atomic Replace after a
 //     virtual regeneration latency, recording the swap instant. It runs
@@ -238,6 +239,7 @@ type Regen struct {
 	cfg      RegenConfig
 	inFlight bool
 	swaps    []Swap
+	failures int
 }
 
 // NewRegen validates the configuration and builds the hook.
@@ -264,18 +266,20 @@ func NewRegen(cfg RegenConfig) (*Regen, error) {
 }
 
 // Tick checks the adapter's epoch window at a control instant. When the
-// miss rate has crossed adapter.DefaultMissThreshold (and no regeneration
-// is already in flight), it synthesizes a bundle against the observed
-// budget floor now and returns the hot-swap as a delayed action: the
-// adapter keeps serving the stale bundle until the swap instant, when
-// Replace atomically installs the new one, resets the epoch window, and
-// the swap is recorded.
+// miss rate has crossed the adapter's own MissThreshold (and no
+// regeneration is already in flight), it synthesizes a bundle against
+// the observed budget floor now and returns the hot-swap as a delayed
+// action: the adapter keeps serving the stale bundle until the swap
+// instant, when Replace atomically installs the new one, resets the epoch
+// window, and the swap is recorded. A failed synthesis is counted
+// (Failures) and audited, and the next tick retries.
 func (r *Regen) Tick(now time.Duration) []platform.ReplayAction {
 	if r.inFlight {
 		return nil
 	}
+	threshold := r.cfg.Adapter.MissThreshold()
 	hits, misses, rate := r.cfg.Adapter.EpochStats()
-	if hits+misses < r.cfg.MinDecisions || rate <= adapter.DefaultMissThreshold {
+	if hits+misses < r.cfg.MinDecisions || rate <= threshold {
 		return nil
 	}
 	lo, _, ok := r.cfg.Adapter.EpochBudgetRange()
@@ -290,6 +294,12 @@ func (r *Regen) Tick(now time.Duration) []platform.ReplayAction {
 	if err != nil {
 		// Regeneration failing must not take serving down; the stale
 		// bundle keeps escalating misses and the next tick retries.
+		r.failures++
+		if r.cfg.Tracer != nil {
+			r.cfg.Tracer.Emit(obs.Event{At: now, Kind: obs.KindScaleAudit, Request: -1,
+				Tenant: r.cfg.Tenant, Value: int64(floorMs), Aux: ppm(rate),
+				Reason: fmt.Sprintf("regen: resynthesis at budget floor %dms failed: %v", floorMs, err)})
+		}
 		return nil
 	}
 	r.inFlight = true
@@ -297,7 +307,7 @@ func (r *Regen) Tick(now time.Duration) []platform.ReplayAction {
 		r.cfg.Tracer.Emit(obs.Event{At: now, Kind: obs.KindScaleAudit, Request: -1,
 			Tenant: r.cfg.Tenant, Value: int64(floorMs), Aux: ppm(rate),
 			Reason: fmt.Sprintf("regen: epoch miss rate %.4f over threshold %.4f after %d decisions; resynthesizing at budget floor %dms",
-				rate, adapter.DefaultMissThreshold, hits+misses, floorMs)})
+				rate, threshold, hits+misses, floorMs)})
 	}
 	return []platform.ReplayAction{{Delay: r.cfg.Latency, Do: func(at time.Duration) {
 		if err := r.cfg.Adapter.Replace(bundle); err == nil {
@@ -318,3 +328,6 @@ func ppm(rate float64) int64 { return int64(rate * 1e6) }
 
 // Swaps returns the run's hot-swap record, in swap order.
 func (r *Regen) Swaps() []Swap { return append([]Swap(nil), r.swaps...) }
+
+// Failures counts the regenerations whose Synthesize hook failed.
+func (r *Regen) Failures() int { return r.failures }

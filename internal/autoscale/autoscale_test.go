@@ -2,11 +2,13 @@ package autoscale
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"janus/internal/adapter"
 	"janus/internal/hints"
+	"janus/internal/obs"
 	"janus/internal/platform"
 )
 
@@ -257,5 +259,121 @@ func TestRegenSynthesizeFailureKeepsServing(t *testing.T) {
 	}
 	if len(r.Swaps()) != 0 {
 		t.Fatal("failed regeneration recorded a swap")
+	}
+}
+
+// TestRegenReadsAdapterThreshold pins that Regen compares the epoch miss
+// rate with the watched adapter's own threshold, not the default: an
+// adapter built WithMissThreshold(0.2) stays quiet at a 10% epoch miss
+// rate, where a default adapter fed the same decisions regenerates, and
+// fires above 20%, auditing the threshold it used.
+func TestRegenReadsAdapterThreshold(t *testing.T) {
+	decide := func(a *adapter.Adapter, hits, misses int) {
+		t.Helper()
+		for range hits {
+			if d, err := a.Decide(0, 2500*time.Millisecond); err != nil || !d.Hit {
+				t.Fatalf("decision at 2500ms: %+v, %v", d, err)
+			}
+		}
+		for range misses {
+			if d, err := a.Decide(0, 400*time.Millisecond); err != nil || d.Hit {
+				t.Fatalf("decision at 400ms: %+v, %v", d, err)
+			}
+		}
+	}
+	regen := func(a *adapter.Adapter, tracer obs.Tracer) *Regen {
+		t.Helper()
+		r, err := NewRegen(RegenConfig{
+			Adapter:      a,
+			MinDecisions: 10,
+			Synthesize:   func(floorMs int) (*hints.Bundle, error) { return regenBundle(t, floorMs), nil },
+			Tracer:       tracer,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	def, err := adapter.New(regenBundle(t, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide(def, 90, 10)
+	if acts := regen(def, nil).Tick(time.Second); len(acts) != 1 {
+		t.Fatalf("default adapter at a 10%% miss rate: %d actions, want a regeneration", len(acts))
+	}
+	a, err := adapter.New(regenBundle(t, 2000), adapter.WithMissThreshold(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.MissThreshold(); got != 0.2 {
+		t.Fatalf("MissThreshold() = %v, want 0.2", got)
+	}
+	col := &obs.Collector{}
+	r := regen(a, col)
+	decide(a, 90, 10)
+	if acts := r.Tick(time.Second); acts != nil {
+		t.Fatalf("10%% epoch miss rate under a 20%% threshold returned %d actions", len(acts))
+	}
+	decide(a, 0, 20) // 30 misses in 120 decisions: 25%
+	if acts := r.Tick(2 * time.Second); len(acts) != 1 {
+		t.Fatalf("25%% epoch miss rate under a 20%% threshold returned %d actions, want 1", len(acts))
+	}
+	evs := col.Events()
+	if len(evs) != 1 || evs[0].Kind != obs.KindScaleAudit || !strings.Contains(evs[0].Reason, "over threshold 0.2000") {
+		t.Fatalf("audit events %+v, want one naming threshold 0.2000", evs)
+	}
+}
+
+// TestRegenCountsFailures pins that a failing Synthesize hook is counted
+// and audited, and that the next tick retries: a hook that fails twice
+// and then succeeds leaves two failures, two audits naming the error,
+// and one swap.
+func TestRegenCountsFailures(t *testing.T) {
+	a, err := adapter.New(regenBundle(t, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	col := &obs.Collector{}
+	r, err := NewRegen(RegenConfig{
+		Adapter:      a,
+		MinDecisions: 5,
+		Tracer:       col,
+		Synthesize: func(floorMs int) (*hints.Bundle, error) {
+			calls++
+			if calls <= 2 {
+				return nil, fmt.Errorf("profiling unavailable (attempt %d)", calls)
+			}
+			return regenBundle(t, floorMs), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 6 {
+		if _, err := a.Decide(0, 100*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var swaps int
+	for tick := 1; tick <= 3; tick++ {
+		for _, act := range r.Tick(time.Duration(tick) * time.Second) {
+			act.Do(time.Duration(tick)*time.Second + act.Delay)
+			swaps++
+		}
+	}
+	if r.Failures() != 2 || swaps != 1 || len(r.Swaps()) != 1 {
+		t.Fatalf("failures %d, swap actions %d, swaps recorded %d; want 2, 1, 1", r.Failures(), swaps, len(r.Swaps()))
+	}
+	var failed []string
+	for _, ev := range col.Events() {
+		if ev.Kind == obs.KindScaleAudit && strings.Contains(ev.Reason, "failed") {
+			failed = append(failed, ev.Reason)
+		}
+	}
+	if len(failed) != 2 || !strings.Contains(failed[0], "profiling unavailable (attempt 1)") ||
+		!strings.Contains(failed[1], "profiling unavailable (attempt 2)") {
+		t.Fatalf("failure audits %q, want two carrying the hook's errors", failed)
 	}
 }

@@ -273,8 +273,9 @@ func ORION(set *profile.Set, slo time.Duration, cfg ORIONConfig) (*platform.Fixe
 // workflows every layer is one stage, so this is exactly the classic
 // per-stage oracle. Requests infeasible even at Kmax run entirely at Kmax.
 type Optimal struct {
-	// members holds, per layer, the (group, member) coordinates and
-	// latency model of every node executing in that layer.
+	// members holds, per layer, the flat node index (the node's position
+	// in Request.Draws) and latency model of every node executing in
+	// that layer.
 	members [][]layerMember
 	// layerOf maps group index -> layer index.
 	layerOf  []int
@@ -286,8 +287,8 @@ type Optimal struct {
 }
 
 type layerMember struct {
-	group, branch int
-	fn            *perfmodel.Function
+	flat int
+	fn   *perfmodel.Function
 }
 
 // NewOptimal builds the oracle for any workflow DAG. headroom is
@@ -309,6 +310,11 @@ func NewOptimal(w *workflow.Workflow, fns map[string]*perfmodel.Function, grid p
 		members:  make([][]layerMember, len(layers)),
 		plans:    make(map[int][]int),
 	}
+	// base[g] is the flat index of group g's first member.
+	base := make([]int, len(groups))
+	for g := 1; g < len(groups); g++ {
+		base[g] = base[g-1] + len(groups[g-1].Nodes)
+	}
 	for d, layer := range layers {
 		for _, g := range layer {
 			o.layerOf[g] = d
@@ -317,7 +323,7 @@ func NewOptimal(w *workflow.Workflow, fns map[string]*perfmodel.Function, grid p
 				if !ok {
 					return nil, fmt.Errorf("baseline: Optimal missing function %q", node.Function)
 				}
-				o.members[d] = append(o.members[d], layerMember{group: g, branch: b, fn: f})
+				o.members[d] = append(o.members[d], layerMember{flat: base[g] + b, fn: f})
 			}
 		}
 	}
@@ -359,7 +365,7 @@ func (o *Optimal) solve(req *platform.Request) []int {
 		for ki, k := range levels {
 			var worst time.Duration
 			for _, m := range members {
-				if l := m.fn.Latency(req.Draws[m.group][m.branch], k); l > worst {
+				if l := m.fn.Latency(req.Draws[m.flat], k); l > worst {
 					worst = l
 				}
 			}

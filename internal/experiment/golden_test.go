@@ -37,16 +37,17 @@ func tenantWorkflows(t testing.TB, tenants func() ([]MixTenant, error)) map[stri
 	return byName
 }
 
-// traceDigest renders a trace of workflow w — including every executed
-// branch — into a stable text form. Only fields that predate the
-// node-granular engine are printed, so the digest is comparable across
-// the stage-indexed and node-granular implementations. dyn adds the node
-// identity only the dynamic scheduler produces: step name, map replica
-// and retry attempt.
-func traceDigest(w *workflow.Workflow, tr *platform.Trace, dyn bool) string {
+// traceDigest renders a trace of workflow w served by system sys —
+// including every executed branch — into a stable text form. Only fields
+// that predate the node-granular engine are printed, so the digest is
+// comparable across the stage-indexed and node-granular implementations;
+// the system name, which traces no longer carry, comes from the run. dyn
+// adds the node identity only the dynamic scheduler produces: step name,
+// map replica and retry attempt.
+func traceDigest(w *workflow.Workflow, sys string, tr *platform.Trace, dyn bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "req=%d sys=%s arr=%d done=%d e2e=%d slo=%d mc=%d dec=%d miss=%d park=%d\n",
-		tr.RequestID, tr.System, tr.Arrival, tr.Done, tr.E2E, tr.SLO,
+		tr.RequestID, sys, tr.Arrival, tr.Done, tr.E2E, tr.SLO,
 		tr.TotalMillicores, tr.Decisions, tr.Misses, tr.Parked)
 	for i := range tr.Stages {
 		st := &tr.Stages[i]
@@ -62,10 +63,10 @@ func traceDigest(w *workflow.Workflow, tr *platform.Trace, dyn bool) string {
 	return b.String()
 }
 
-func runHash(w *workflow.Workflow, traces []platform.Trace, dyn bool) string {
+func runHash(w *workflow.Workflow, sys string, traces []platform.Trace, dyn bool) string {
 	h := sha256.New()
 	for i := range traces {
-		fmt.Fprint(h, traceDigest(w, &traces[i], dyn))
+		fmt.Fprint(h, traceDigest(w, sys, &traces[i], dyn))
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -134,7 +135,7 @@ func TestChainSPGolden(t *testing.T) {
 			r := runs[sys]
 			fmt.Fprintf(&b, "run %s/%v/b1 %s p50=%d p99=%d viol=%.4f mc=%.1f miss=%.4f sha=%s\n",
 				g.w.Name(), g.w.SLO(), sys, r.P50E2E.Milliseconds(), r.P99E2E.Milliseconds(),
-				r.ViolationRate, r.MeanMillicores, r.MissRate, runHash(g.w, r.Traces, false))
+				r.ViolationRate, r.MeanMillicores, r.MissRate, runHash(g.w, sys, r.Traces, false))
 		}
 	}
 
@@ -195,7 +196,7 @@ func TestTriggerGolden(t *testing.T) {
 	var b strings.Builder
 	for _, run := range runs {
 		fmt.Fprintf(&b, "run %s traces=%d pod-s=%.3f peak=%d sha=%s\n",
-			run.Config, len(run.Traces), run.Metrics.PodSeconds, run.Metrics.PeakPods, runHash(w, run.Traces, true))
+			run.Config, len(run.Traces), run.Metrics.PodSeconds, run.Metrics.PeakPods, runHash(w, run.Config, run.Traces, true))
 	}
 	b.WriteString(FormatTrigger(runs))
 	checkGolden(t, "golden_trigger.txt", "trigger", b.String())
@@ -213,7 +214,7 @@ func TestScheduleGolden(t *testing.T) {
 		for _, run := range runs {
 			for _, row := range run.Rows {
 				fmt.Fprintf(&b, "run %s/%s %s traces=%d sha=%s\n",
-					run.Scenario, run.Config, row.Tenant, len(run.Traces[row.Tenant]), runHash(workflows[row.Tenant], run.Traces[row.Tenant], false))
+					run.Scenario, run.Config, row.Tenant, len(run.Traces[row.Tenant]), runHash(workflows[row.Tenant], SysJanus, run.Traces[row.Tenant], false))
 			}
 		}
 	}
@@ -261,7 +262,7 @@ func TestDAGMixGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sys := range DAGSystems() {
-		fmt.Fprintf(&b, "run %s %s sha=%s\n", dag.Name(), sys, runHash(dag, runs[sys].Traces, false))
+		fmt.Fprintf(&b, "run %s %s sha=%s\n", dag.Name(), sys, runHash(dag, sys, runs[sys].Traces, false))
 	}
 	rows, err := s.DAGScenario()
 	if err != nil {
@@ -274,7 +275,7 @@ func TestDAGMixGolden(t *testing.T) {
 		for _, run := range runs {
 			for _, row := range run.Tenants {
 				fmt.Fprintf(&b, "run mix/%s/n%d/%s %s sha=%s\n",
-					run.System, run.Nodes, run.Placement, row.Tenant, runHash(workflows[row.Tenant], run.Traces[row.Tenant], false))
+					run.System, run.Nodes, run.Placement, row.Tenant, runHash(workflows[row.Tenant], run.System, run.Traces[row.Tenant], false))
 			}
 		}
 	}

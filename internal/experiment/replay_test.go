@@ -121,8 +121,8 @@ func TestReplayScenarioShape(t *testing.T) {
 			}
 			merged += len(traces)
 			for _, tr := range traces {
-				if tr.Tenant != mt.Tenant || tr.System != SysJanus {
-					t.Fatalf("run %s: trace tagged %s/%s", run.Config, tr.Tenant, tr.System)
+				if tr.SLO != mt.Workflow.SLO() {
+					t.Fatalf("run %s tenant %s trace has SLO %v", run.Config, mt.Tenant, tr.SLO)
 				}
 			}
 		}

@@ -15,7 +15,8 @@ import (
 // still defines the decision groups and readiness countdowns; the
 // scheduler (startGroup, launchGroup, decide, startNode, replicaDone,
 // nodeDone in platform.go) is shared with static workflows and consults
-// these overlays only for requests whose reqState carries a dynReqState:
+// these overlays only for requests of a dynamic plan, whose pooled
+// reqState carries a dynReqState:
 //
 //   - liveness: a completed choice node kills its unchosen successor
 //     edges; a node all of whose incoming edges are dead is pruned —
@@ -206,14 +207,16 @@ func (dp *dynPlan) executions(d *DynDraws) int {
 	return n
 }
 
-// dynReqState is one request's dynamic-shape serving state. prepareRun
-// carves both slices from run-wide arenas.
+// dynReqState is one request's dynamic-shape serving state, part of its
+// pooled reqState: the run's pool carves both slices from its slabs at
+// the run's largest sizes, and admission re-slices and re-initializes
+// them for the request (runState.take).
 type dynReqState struct {
 	// node is indexed by flat node index.
 	node []dynNode
 	// attempt mirrors Request.Dyn's attempt counts: attempt[att+replica]
 	// is the replica's current 0-based attempt.
-	attempt []int
+	attempt []int32
 }
 
 // dynNode is one node's dynamic-shape serving state.
@@ -222,10 +225,10 @@ type dynNode struct {
 	// dies when it reaches zero); repsLeft counts outstanding replicas
 	// (the node completes when the last replica's final attempt lands).
 	liveIn, repsLeft int32
-	// dead marks a pruned node. armed marks an await step a trigger will
-	// fire for; fired latches an early trigger; waitingTrig marks
-	// readiness reached with the decision deferred to the trigger.
-	dead, armed, fired, waitingTrig bool
+	// dead marks a pruned node. fired latches an early trigger;
+	// waitingTrig marks readiness reached with the decision deferred to
+	// the trigger.
+	dead, fired, waitingTrig bool
 }
 
 // dynReady reports whether a dynamic group's decision runs at its
@@ -317,15 +320,20 @@ func (st *runState) edgeDead(rs *reqState, flat int, end time.Duration) {
 // fireTrigger delivers an external event to its await step: if the
 // step already reached readiness the deferred decision runs now; an
 // early trigger latches so the step proceeds without waiting when it
-// becomes ready; a trigger into a pruned branch is a no-op.
-func (st *runState) fireTrigger(rs *reqState, flat int, now time.Duration) {
+// becomes ready — before admission, in the request's trigger chain,
+// which admission copies into the overlay; a trigger into a pruned
+// branch, or after its request finished, only emits its event.
+func (st *runState) fireTrigger(tn *tenantRun, rec *reqTrig, flat int, now time.Duration) {
 	if st.failed != nil {
 		return
 	}
 	if st.tracer != nil {
-		ev := reqEvent(rs, now, obs.KindTrigger)
-		ev.Reason = rs.plan.dyn.steps[flat]
-		st.tracer.Emit(ev)
+		st.tracer.Emit(obs.Event{At: now, Kind: obs.KindTrigger, Tenant: tn.name, Request: rec.r.ID,
+			Reason: st.plans[rec.r.Workflow].dyn.steps[flat]})
+	}
+	rs := rec.rs
+	if rs == nil {
+		return
 	}
 	nd := &rs.dyn.node[flat]
 	nd.fired = true

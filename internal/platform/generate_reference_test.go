@@ -14,9 +14,9 @@ import (
 // drawn in chunks: one request at a time on the calling goroutine, every
 // child stream a fresh Split, every label a fmt.Sprintf, every request's
 // draws and dynamic resolution allocated on their own. It is kept,
-// unchanged but for its names and the Request.Groups copy it no longer
-// fills, as the oracle the chunked generator must reproduce exactly at any
-// worker count.
+// unchanged but for its names, the Request.Groups copy it no longer
+// fills and the draws it appends into one flat slice, as the oracle the
+// chunked generator must reproduce exactly at any worker count.
 func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	if cfg.Workflow == nil {
 		return nil, fmt.Errorf("platform: workload needs a workflow")
@@ -85,10 +85,9 @@ func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 		stream := root.Split(fmt.Sprintf("req/%d", i))
 		shared := stream.Float64() < cfg.StageCorrelation
 		common := stream.Split("common")
-		draws := make([][]perfmodel.Draw, len(stages))
+		var draws []perfmodel.Draw
 		for s := range stages {
-			draws[s] = make([]perfmodel.Draw, len(stages[s]))
-			for b, f := range fns[s] {
+			for _, f := range fns[s] {
 				drawStream := stream
 				if shared {
 					// Every draw replays an identical stream: comonotonic
@@ -96,7 +95,7 @@ func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 					drawStream = common.Split("replay")
 				}
 				coloc := cfg.Colocation.Sample(drawStream)
-				draws[s][b] = f.NewDraw(drawStream, cfg.Batch, coloc, cfg.Interference)
+				draws = append(draws, f.NewDraw(drawStream, cfg.Batch, coloc, cfg.Interference))
 			}
 		}
 		var dyn *DynDraws

@@ -98,9 +98,9 @@ func TestChunkedGenerationMatchesReference(t *testing.T) {
 }
 
 // TestChunkedRequestsDoNotShareCapacity checks that requests carved from
-// one chunk's arenas stay independent: appending to a request's group
-// slice, to one of its draw slices, or to a dynamic replica's draws or
-// attempts never writes into the next request.
+// one chunk's arenas stay independent: appending to a request's flat
+// Draws, or to a dynamic replica's draws or attempts, never writes into
+// the next request.
 func TestChunkedRequestsDoNotShareCapacity(t *testing.T) {
 	for _, w := range generationWorkflows(t) {
 		cfg := generationConfig(t, w, 600, 0.5)
@@ -115,9 +115,7 @@ func TestChunkedRequestsDoNotShareCapacity(t *testing.T) {
 		marker := perfmodel.Draw{WS: -1, Slowdown: -1, Noise: -1, Batch: -1}
 		for i := 0; i+1 < len(reqs); i++ {
 			r := reqs[i]
-			last := len(r.Draws) - 1
-			_ = append(r.Draws[last], marker)
-			_ = append(r.Draws, []perfmodel.Draw{marker})
+			_ = append(r.Draws, marker)
 			if r.Dyn != nil {
 				for _, step := range w.DynamicSteps() {
 					_ = append(r.Dyn.Attempts(step), -1)

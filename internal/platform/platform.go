@@ -63,9 +63,11 @@ type Request struct {
 	ID int
 	// Workflow is the application being served.
 	Workflow *workflow.Workflow
-	// Draws holds one pre-sampled draw per node, Draws[g][b] matching
-	// member b of the workflow's decision group g.
-	Draws [][]perfmodel.Draw
+	// Draws holds one pre-sampled draw per workflow node in flat node
+	// order: the members of decision group 0, then group 1, and so on
+	// (workflow.DecisionGroups), so member b of group g is
+	// Draws[n_0+...+n_{g-1}+b], where n_i counts group i's members.
+	Draws []perfmodel.Draw
 	// Arrival is the request's admission time.
 	Arrival time.Duration
 	// Batch is the batch size (the paper's "concurrency") the request's
@@ -111,7 +113,7 @@ type dynStep struct {
 	width int32
 	// reps counts the replicas that carry attempt counts and draws: the
 	// width of a map step, 1 for a retry-only step, 0 for choice and
-	// await-only steps, which execute off the base Draws[g][b] entry.
+	// await-only steps, which execute off their base Draws entry.
 	reps int32
 	// att and draw are the record's first indexes into attempts and
 	// draws.
@@ -257,13 +259,14 @@ type StageTrace struct {
 	Hit        bool
 }
 
-// Trace records one served request.
+// Trace records one served request in 96 bytes. It names neither its
+// tenant nor its serving system: RunMixed returns each tenant's traces
+// under the tenant's name, and the system is the tenant's
+// Allocator.Name().
 type Trace struct {
 	RequestID int
-	// Tenant names the workload the request belongs to in a mixed run
-	// (empty for single-workload Run).
-	Tenant  string
-	System  string
+	// Arrival is the instant the request's SLO clock started: its own
+	// Arrival, or the fire instant of its start trigger.
 	Arrival time.Duration
 	Done    time.Duration
 	E2E     time.Duration
@@ -370,11 +373,9 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 	if cfg.StageCorrelation < 0 || cfg.StageCorrelation > 1 {
 		return nil, fmt.Errorf("platform: StageCorrelation %v outside [0, 1]", cfg.StageCorrelation)
 	}
-	groups := cfg.Workflow.DecisionGroups()
-	g := &generator{cfg: &cfg, fns: make([][]*perfmodel.Function, len(groups))}
-	for s, group := range groups {
-		g.fns[s] = make([]*perfmodel.Function, len(group.Nodes))
-		for b, n := range group.Nodes {
+	g := &generator{cfg: &cfg}
+	for _, group := range cfg.Workflow.DecisionGroups() {
+		for _, n := range group.Nodes {
 			f, ok := cfg.Functions[n.Function]
 			if !ok {
 				return nil, fmt.Errorf("platform: workflow %s references unknown function %q", cfg.Workflow.Name(), n.Function)
@@ -382,9 +383,8 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 			if !f.SupportsBatch(cfg.Batch) {
 				return nil, fmt.Errorf("platform: function %s does not support batch size %d", n.Function, cfg.Batch)
 			}
-			g.fns[s][b] = f
+			g.fns = append(g.fns, f)
 		}
-		g.nodes += len(group.Nodes)
 	}
 	if cfg.Workflow.IsDynamic() {
 		g.dyn = newDynSampler(&cfg)
@@ -422,10 +422,9 @@ func arrivalInstants(cfg *WorkloadConfig, root *rng.Stream) []time.Duration {
 // filling a chunk of it.
 type generator struct {
 	cfg *WorkloadConfig
-	// fns are the functions of every decision group's members.
-	fns [][]*perfmodel.Function
-	// nodes counts a request's base draws, one per workflow node.
-	nodes    int
+	// fns are the functions of the workflow's nodes in flat order, one
+	// per base draw of a request.
+	fns      []*perfmodel.Function
 	arrivals []time.Duration
 	root     *rng.Stream
 	dyn      *dynSampler
@@ -437,16 +436,15 @@ type chunkStreams struct {
 	req, common, replay, dyn rng.Stream
 }
 
-// fill draws requests [lo, hi) into reqs. Their Requests, group slices
-// and draws are carved from arenas allocated once per chunk, each slice
-// at exact capacity, so an append to one request's slice never reaches
+// fill draws requests [lo, hi) into reqs. Their Requests and draws are
+// carved from arenas allocated once per chunk, each request's draws at
+// exact capacity, so an append to one request's Draws never reaches
 // another's.
 func (g *generator) fill(reqs []*Request, lo, hi int) {
 	cfg := g.cfg
-	n := hi - lo
+	n, k := hi-lo, len(g.fns)
 	rs := make([]Request, n)
-	groups := make([][]perfmodel.Draw, n*len(g.fns))
-	draws := make([]perfmodel.Draw, n*g.nodes)
+	draws := make([]perfmodel.Draw, n*k)
 	st := new(chunkStreams)
 	var dc *dynChunk
 	if g.dyn != nil {
@@ -458,12 +456,9 @@ func (g *generator) fill(reqs []*Request, lo, hi int) {
 		shared := st.req.Float64() < cfg.StageCorrelation
 		st.req.SplitInto(&st.common, "common")
 		r := &rs[i-lo]
-		r.Draws, groups = groups[:len(g.fns):len(g.fns)], groups[len(g.fns):]
-		for s, fns := range g.fns {
-			r.Draws[s], draws = draws[:len(fns):len(fns)], draws[len(fns):]
-			for b, f := range fns {
-				r.Draws[s][b] = g.draw(f, &st.req, st, shared)
-			}
+		r.Draws, draws = draws[:k:k], draws[k:]
+		for b, f := range g.fns {
+			r.Draws[b] = g.draw(f, &st.req, st, shared)
 		}
 		if dc != nil {
 			// Dynamic resolutions ride a dedicated child stream, so a
@@ -774,10 +769,18 @@ type memoEntry struct {
 type tenantRun struct {
 	name  string
 	alloc Allocator
+	// reqs is the tenant's request stream as given; admitRef indexes it.
+	reqs []*Request
 	// traces holds one trace per request, indexed by request ID; each
 	// request accumulates into its slot in place.
 	traces []Trace
 	done   int
+	// w and plan cache the tenant's last plan lookup (planOf).
+	w    *workflow.Workflow
+	plan *dagPlan
+	// trig holds every request's external-event record, indexed by
+	// request ID; nil in a run without triggers.
+	trig []reqTrig
 	// memoable/memo cache decisions of a MemoizableAllocator; memo is nil
 	// for allocators without the contract. memo[plan.memoBase+group] is
 	// the dense row of one (plan, group), indexed by the millisecond
@@ -838,13 +841,13 @@ type runState struct {
 	retrySlot int
 	retryPos  int
 	failed    error
-	// reqStates holds every request's in-flight state in one arena,
-	// initialized up front by prepareRun.
-	reqStates []reqState
+	// pool recycles the request states: a request holds one only between
+	// its admission and its last node's completion.
+	pool reqPool
 	// admits lists the requests admitted at their own Arrival, in the
 	// order their admission events fire; admitted is the cursor the one
 	// shared admission callback advances (admitNext).
-	admits   []*reqState
+	admits   []admitRef
 	admitted int
 	// triggers is the armed external-event queue in firing order;
 	// triggered is the cursor the one shared trigger callback advances
@@ -853,7 +856,8 @@ type runState struct {
 	triggered int
 	// free holds the completion records not in flight; each binds its
 	// event callback once, so a completion allocates nothing once the
-	// list has grown to the run's peak in-flight node count.
+	// list has grown to the run's peak in-flight node count. Request
+	// states recycle the same way (pool).
 	free []*completion
 	// window accumulates the per-function observations a replay run's
 	// control ticks consume; nil outside RunReplay.
@@ -893,7 +897,7 @@ type dagPlan struct {
 	groups [][]workflow.Node
 	// predCount[g] is the number of distinct predecessor nodes of group g;
 	// the group becomes ready when that many completions have arrived.
-	predCount []int
+	predCount []int32
 	// base[g] is the flat index of group g's first member: nodes are
 	// numbered group by group, flat = base[g] + member. Flat order is
 	// topological: a group's predecessors all sit in earlier groups.
@@ -931,7 +935,7 @@ func newDAGPlan(w *workflow.Workflow) *dagPlan {
 	decision := w.DecisionGroups()
 	p := &dagPlan{
 		groups:    make([][]workflow.Node, len(decision)),
-		predCount: make([]int, len(decision)),
+		predCount: make([]int32, len(decision)),
 		base:      make([]int, len(decision)),
 		memoMs:    int(min(w.SLO()/time.Millisecond, memoCapMs)),
 	}
@@ -939,7 +943,7 @@ func newDAGPlan(w *workflow.Workflow) *dagPlan {
 	preds := 0
 	for g, grp := range decision {
 		p.groups[g] = grp.Nodes
-		p.predCount[g] = len(grp.Preds)
+		p.predCount[g] = int32(len(grp.Preds))
 		p.base[g] = p.nodes
 		for _, n := range grp.Nodes {
 			flat[n.Name] = p.nodes
@@ -1004,15 +1008,21 @@ func (st *runState) planFor(tenant string, r *Request) (*dagPlan, error) {
 	p.memoBase = st.memoRows
 	st.memoRows += len(p.groups)
 	st.plans[r.Workflow] = p
+	st.pool.groups = max(st.pool.groups, len(p.groups))
+	if p.dyn != nil {
+		st.pool.nodes = max(st.pool.nodes, p.nodes)
+	}
 	return p, nil
 }
 
-// reqState is one in-flight request: its trace plus the per-group
-// readiness countdowns. States live in the run's arena; the trace is the
-// request's slot in its tenant's traces, accumulated in place, and
-// pending / tr.Stages are arena sub-slices sized exactly by the request's
-// plan (and, for a dynamic request, its resolution's live executions),
-// so serving a request allocates nothing beyond its scheduled events.
+// reqState is one in-flight request: the per-group readiness countdowns
+// and, for a dynamic plan, the shape overlay, with the request's trace
+// accumulating in place in its slot of the tenant's traces (its Stages
+// carved by prepareRun at exactly the request's executed-node count).
+// States are pooled per run: admission takes one and re-initializes it
+// from the request's plan, and the request's last node puts it back, so a
+// run holds as many states as it ever has requests in flight, not one per
+// request.
 type reqState struct {
 	tn   *tenantRun
 	r    *Request
@@ -1022,21 +1032,96 @@ type reqState struct {
 	// group starts when it reaches zero. A dead node (pruned by an
 	// upstream choice) counts as finished the instant its death is
 	// determined.
-	pending []int
+	pending []int32
 	// remaining counts unfinished nodes; the request completes at zero.
 	remaining int
-	// arrival is the instant the SLO clock started: the request's
-	// Arrival, or the fire instant of its start trigger.
-	arrival time.Duration
-	// external marks a request admitted by a start trigger rather than
-	// its own Arrival instant.
-	external bool
-	// dyn holds the per-request dynamic-shape state (liveness, replica
-	// joins, retry counters, await latches), carved from the run's
-	// overlay arenas; nil for static plans, so a static request takes
-	// none of it and the scheduler's dynamic branches reduce to one nil
-	// check each.
-	dyn *dynReqState
+	// dyn holds the dynamic-shape state (liveness, replica joins, retry
+	// counters, await latches), sliced to length only for a dynamic
+	// plan; the scheduler's dynamic branches reduce to one check of the
+	// plan each (dynamic).
+	dyn dynReqState
+	// next links the states on the pool's free list.
+	next *reqState
+}
+
+// dynamic reports whether the request's plan carries a dynamic overlay.
+func (rs *reqState) dynamic() bool { return rs.plan.dyn != nil }
+
+// slabMin is the most states the pool's first slab holds.
+const slabMin = 128
+
+// reqPool recycles a run's request states. A state is carved only when
+// the free list is empty, so the pool holds exactly as many states as the
+// run's peak number of requests in flight. Every state is sized for the
+// run's largest request, so any state serves any request. States and their arrays are carved from
+// slabs: the first holds min(slabMin, the run's requests) states and each
+// later one doubles the pool, so a run allocates a few slabs, not a state
+// per request or per new peak.
+type reqPool struct {
+	free *reqState
+	// made counts the states carved so far.
+	made int
+	// groups, nodes and attempts are every state's capacities: the most
+	// decision groups of the run's plans, and the most nodes and retry
+	// counters of its dynamic plans and resolutions.
+	groups, nodes, attempts int
+	// states, ints and dyn are the current slab's uncarved remainder.
+	states []reqState
+	ints   []int32
+	dyn    []dynNode
+}
+
+// take returns a state for request r, re-initialized from its plan p:
+// countdowns from predCount and, for a dynamic plan, the overlay from
+// inDeg with every retry counter at zero. Nothing carries over from the
+// request that held the state before.
+func (st *runState) take(p *dagPlan, r *Request) *reqState {
+	pl := &st.pool
+	rs := pl.free
+	if rs != nil {
+		pl.free, rs.next = rs.next, nil
+	} else {
+		rs = pl.carve(st.total)
+	}
+	rs.plan = p
+	rs.pending = rs.pending[:len(p.predCount)]
+	copy(rs.pending, p.predCount)
+	rs.remaining = p.nodes
+	if dp := p.dyn; dp != nil {
+		rs.dyn.node = rs.dyn.node[:p.nodes]
+		for flat, in := range dp.inDeg {
+			rs.dyn.node[flat] = dynNode{liveIn: int32(in)}
+		}
+		rs.dyn.attempt = rs.dyn.attempt[:len(r.Dyn.attempts)]
+		clear(rs.dyn.attempt)
+	}
+	return rs
+}
+
+// carve makes a new state from the current slab, allocating the next
+// slab when the current one is used up; requests caps the first.
+func (pl *reqPool) carve(requests int) *reqState {
+	if len(pl.states) == 0 {
+		n := max(pl.made, min(requests, slabMin))
+		pl.states = make([]reqState, n)
+		pl.ints = make([]int32, n*(pl.groups+pl.attempts))
+		if pl.nodes > 0 {
+			pl.dyn = make([]dynNode, n*pl.nodes)
+		}
+	}
+	rs := &pl.states[0]
+	pl.states = pl.states[1:]
+	rs.pending, pl.ints = pl.ints[:0:pl.groups], pl.ints[pl.groups:]
+	rs.dyn.attempt, pl.ints = pl.ints[:0:pl.attempts], pl.ints[pl.attempts:]
+	rs.dyn.node, pl.dyn = pl.dyn[:0:pl.nodes], pl.dyn[pl.nodes:]
+	pl.made++
+	return rs
+}
+
+// put returns a finished request's state to the pool.
+func (pl *reqPool) put(rs *reqState) {
+	rs.tn, rs.r, rs.tr = nil, nil, nil
+	rs.next, pl.free = pl.free, rs
 }
 
 // Run serves the requests with the given allocator and returns one trace
@@ -1124,30 +1209,20 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 		st.om = newRunObs(e.cfg.Metrics)
 	}
 	// Validate every request's draws against the plan the engine will
-	// actually execute — the workflow's decision groups — building and
+	// actually execute — one draw per workflow node — building and
 	// binding each workflow's plan at its first request (planFor). The
-	// same pass sizes the run's arenas: the total readiness countdowns,
-	// executed-node traces — every node of a static request, the live
-	// executions its resolution implies for a dynamic one — and dynamic
-	// overlays across all requests.
-	totalPending, totalStages := 0, 0
-	dynReqs, dynNodes, dynAttempts := 0, 0, 0
+	// same pass sizes the stage arena: every node of a static request,
+	// the live executions its resolution implies for a dynamic one.
+	totalStages := 0
 	for _, tw := range tenants {
 		for _, r := range tw.Requests {
 			plan, err := st.planFor(tw.Tenant, r)
 			if err != nil {
 				return nil, err
 			}
-			totalPending += len(plan.predCount)
-			if len(r.Draws) != len(plan.groups) {
-				return nil, fmt.Errorf("platform: tenant %q request %d carries %d draw rows, workflow %s has %d decision groups",
-					tw.Tenant, r.ID, len(r.Draws), r.Workflow.Name(), len(plan.groups))
-			}
-			for g, group := range plan.groups {
-				if len(r.Draws[g]) != len(group) {
-					return nil, fmt.Errorf("platform: tenant %q request %d group %d carries %d draws, workflow %s has %d members",
-						tw.Tenant, r.ID, g, len(r.Draws[g]), r.Workflow.Name(), len(group))
-				}
+			if len(r.Draws) != plan.nodes {
+				return nil, fmt.Errorf("platform: tenant %q request %d carries %d draws, workflow %s has %d nodes",
+					tw.Tenant, r.ID, len(r.Draws), r.Workflow.Name(), plan.nodes)
 			}
 			if plan.dyn == nil {
 				totalStages += plan.nodes
@@ -1157,29 +1232,19 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 				return nil, err
 			}
 			totalStages += plan.dyn.executions(r.Dyn)
-			dynReqs++
-			dynNodes += plan.nodes
-			dynAttempts += len(r.Dyn.attempts)
+			st.pool.attempts = max(st.pool.attempts, len(r.Dyn.attempts))
 		}
 	}
 	st.park.init(st.fns)
 	st.thr, st.thrGen = make([]int, st.fns), make([]uint64, st.fns)
-	// Every request's in-flight state is fully initialized here out of
-	// run-wide arenas (states, countdowns, stage traces, and the dynamic
-	// overlays); admission merely arms the root groups.
-	st.reqStates = make([]reqState, total)
-	pendArena := make([]int, totalPending)
+	// Only the run's outputs are built up front: every trace's header,
+	// its Stages carved from one arena at exactly the request's
+	// executed-node count. In-flight state comes from the plans' pools at
+	// admission.
 	stageArena := make([]StageTrace, totalStages)
-	dynArena := make([]dynReqState, dynReqs)
-	nodeArena := make([]dynNode, dynNodes)
-	attemptArena := make([]int, dynAttempts)
-	var byTenant map[string][]*reqState
-	if len(triggers) > 0 {
-		byTenant = make(map[string][]*reqState, len(tenants))
-	}
-	ri, po, so, di, no, ao := 0, 0, 0, 0, 0, 0
+	so := 0
 	for _, tw := range tenants {
-		tn := &tenantRun{name: tw.Tenant, alloc: tw.Allocator, traces: make([]Trace, len(tw.Requests))}
+		tn := &tenantRun{name: tw.Tenant, alloc: tw.Allocator, reqs: tw.Requests, traces: make([]Trace, len(tw.Requests))}
 		if st.om != nil {
 			tn.om = st.om.tenant(tw.Tenant, st.fns)
 		}
@@ -1189,69 +1254,33 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			tn.memoEpoch = m.AllocEpoch()
 			tn.memoGen = 1 // zero-valued entries are empty
 		}
-		st.tenants = append(st.tenants, tn)
-		var byID []*reqState
-		if byTenant != nil {
-			byID = make([]*reqState, len(tw.Requests))
-			byTenant[tw.Tenant] = byID
+		if len(triggers) > 0 {
+			tn.trig = make([]reqTrig, len(tw.Requests))
 		}
+		st.tenants = append(st.tenants, tn)
 		for _, r := range tw.Requests {
-			plan := st.plans[r.Workflow]
-			rs := &st.reqStates[ri]
-			ri++
-			rs.tn, rs.r, rs.plan = tn, r, plan
-			np := len(plan.predCount)
-			rs.pending = pendArena[po : po+np : po+np]
-			po += np
-			copy(rs.pending, plan.predCount)
-			rs.remaining = plan.nodes
-			rs.arrival = r.Arrival
+			plan := st.planOf(tn, r)
 			stages := plan.nodes
 			if dp := plan.dyn; dp != nil {
 				stages = dp.executions(r.Dyn)
-				rs.dyn = &dynArena[di]
-				di++
-				rs.dyn.node = nodeArena[no : no+plan.nodes : no+plan.nodes]
-				no += plan.nodes
-				for flat, in := range dp.inDeg {
-					rs.dyn.node[flat].liveIn = int32(in)
-				}
-				na := len(r.Dyn.attempts)
-				rs.dyn.attempt = attemptArena[ao : ao+na : ao+na]
-				ao += na
 			}
-			rs.tr = &tn.traces[r.ID]
-			*rs.tr = Trace{
+			tn.traces[r.ID] = Trace{
 				RequestID: r.ID,
-				Tenant:    tn.name,
-				System:    tn.alloc.Name(),
 				Arrival:   r.Arrival,
 				SLO:       r.Workflow.SLO(),
 				Stages:    stageArena[so : so : so+stages],
 			}
 			so += stages
-			if byID != nil {
-				byID[r.ID] = rs
+			if tn.trig != nil {
+				tn.trig[r.ID] = reqTrig{r: r, awaits: -1}
 			}
 		}
 	}
-	if err := st.armTriggers(triggers, byTenant); err != nil {
+	if err := st.armTriggers(triggers); err != nil {
 		return nil, err
 	}
-	// Every await step must have a trigger addressed to it, or its
-	// request could never finish: awaits resume only via the replay
-	// engine's external-event queue.
-	for i := range st.reqStates {
-		rs := &st.reqStates[i]
-		if rs.dyn == nil {
-			continue
-		}
-		for _, flat := range rs.plan.dyn.awaits {
-			if !rs.dyn.node[flat].armed {
-				return nil, fmt.Errorf("platform: await step %q of tenant %q request %d has no trigger; awaits resume only through ReplayConfig.Triggers",
-					rs.plan.dyn.steps[flat], rs.tn.name, rs.r.ID)
-			}
-		}
+	if err := st.checkAwaits(); err != nil {
+		return nil, err
 	}
 	// Admissions fire by arrival, ties broken by tenant and then input
 	// position, so the interleaving is a pure function of the inputs and
@@ -1262,15 +1291,16 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	// engine's in-order lane rather than its heap, and the k-th admission
 	// (trigger) to fire is the k-th of its kind scheduled, which lets one
 	// shared callback per kind serve them all.
-	st.admits = st.admissionOrder(tenants)
+	st.admits = st.admissionOrder()
 	admit, fire := st.admitNext, st.triggerNext
 	st.engine.Grow(len(st.admits) + len(st.triggers))
 	next := 0
-	for _, rs := range st.admits {
-		for ; next < len(st.triggers) && st.triggers[next].at <= rs.r.Arrival; next++ {
+	for _, a := range st.admits {
+		at := st.tenants[a.tenant].reqs[a.idx].Arrival
+		for ; next < len(st.triggers) && st.triggers[next].at <= at; next++ {
 			st.engine.ScheduleAt(st.triggers[next].at, fire)
 		}
-		st.engine.ScheduleAt(rs.r.Arrival, admit)
+		st.engine.ScheduleAt(at, admit)
 	}
 	for _, tr := range st.triggers[next:] {
 		st.engine.ScheduleAt(tr.at, fire)
@@ -1278,39 +1308,53 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	return st, nil
 }
 
+// planOf returns the plan of tenant tn's request r. A tenant's requests
+// usually share one workflow, so the tenant caches its last lookup.
+func (st *runState) planOf(tn *tenantRun, r *Request) *dagPlan {
+	if r.Workflow != tn.w {
+		tn.w, tn.plan = r.Workflow, st.plans[r.Workflow]
+	}
+	return tn.plan
+}
+
+// admitRef names a request admitted at its own Arrival: its tenant's
+// index in the run and its position in the tenant's stream.
+type admitRef struct{ tenant, idx int32 }
+
 // admissionOrder lists the requests admitted at their own Arrival (not
 // by a start trigger) by arrival, ties broken by tenant and then input
-// position: a stable sort of the tenant-major arena by arrival. Each
-// tenant's stream is ascending as GenerateWorkload emits it (a stream
-// that is not is stably sorted first), so the order is a T-way merge of
-// the tenants' streams that takes the lowest tenant on a tie.
-func (st *runState) admissionOrder(tenants []TenantWorkload) []*reqState {
-	byArrival := func(a, b *reqState) int { return cmp.Compare(a.r.Arrival, b.r.Arrival) }
-	streams := make([][]*reqState, len(tenants))
-	flat := make([]*reqState, 0, len(st.reqStates))
-	off := 0
-	for t, tw := range tenants {
+// position. Each tenant's stream is ascending as GenerateWorkload emits
+// it (a stream that is not is stably sorted first), so the order is a
+// T-way merge of the tenants' streams that takes the lowest tenant on a
+// tie.
+func (st *runState) admissionOrder() []admitRef {
+	streams := make([][]int32, len(st.tenants))
+	flat := make([]int32, 0, st.total)
+	for t, tn := range st.tenants {
 		lo := len(flat)
-		for i := range tw.Requests {
-			if rs := &st.reqStates[off+i]; !rs.external {
-				flat = append(flat, rs)
+		for i, r := range tn.reqs {
+			if tn.trig == nil || !tn.trig[r.ID].external {
+				flat = append(flat, int32(i))
 			}
 		}
-		off += len(tw.Requests)
 		streams[t] = flat[lo:]
+		byArrival := func(a, b int32) int { return cmp.Compare(tn.reqs[a].Arrival, tn.reqs[b].Arrival) }
 		if !slices.IsSortedFunc(streams[t], byArrival) {
 			slices.SortStableFunc(streams[t], byArrival)
 		}
 	}
-	order := make([]*reqState, 0, len(flat))
+	order := make([]admitRef, 0, len(flat))
 	for len(order) < len(flat) {
-		best := -1
+		best, at := -1, time.Duration(0)
 		for t, s := range streams {
-			if len(s) > 0 && (best < 0 || s[0].r.Arrival < streams[best][0].r.Arrival) {
-				best = t
+			if len(s) == 0 {
+				continue
+			}
+			if a := st.tenants[t].reqs[s[0]].Arrival; best < 0 || a < at {
+				best, at = t, a
 			}
 		}
-		order = append(order, streams[best][0])
+		order = append(order, admitRef{tenant: int32(best), idx: streams[best][0]})
 		streams[best] = streams[best][1:]
 	}
 	return order
@@ -1320,60 +1364,125 @@ func (st *runState) admissionOrder(tenants []TenantWorkload) []*reqState {
 // names the request, because admissions fire in the order prepareRun
 // scheduled them.
 func (st *runState) admitNext(time.Duration) {
-	rs := st.admits[st.admitted]
+	a := st.admits[st.admitted]
 	st.admitted++
-	st.startRequest(rs)
+	tn := st.tenants[a.tenant]
+	st.startRequest(tn, tn.reqs[a.idx])
+}
+
+// reqTrig is one request's external-event record, kept only in runs with
+// triggers. Triggers address a (tenant, request) pair, not a state: the
+// request may not be admitted yet when one fires, or may have finished.
+type reqTrig struct {
+	r *Request
+	// rs is the request's state while it is in flight; nil before its
+	// admission and after it finished.
+	rs *reqState
+	// awaits is the index in runState.triggers of the request's first
+	// await trigger; the chain goes on through armedTrigger.next in
+	// firing order, and -1 ends it. Triggers fire in index order, so the
+	// chain's entries before the trigger cursor are the ones that fired:
+	// an await trigger that fires before admission latches there, and
+	// admission copies the latch into the overlay.
+	awaits int32
+	// external marks a request admitted by a start trigger rather than
+	// its own Arrival instant.
+	external bool
 }
 
 // armedTrigger is one validated external event: flat names the await
-// step it resumes, or is -1 for a start trigger.
+// step it resumes, or is -1 for a start trigger; next chains one
+// request's await triggers (reqTrig.awaits).
 type armedTrigger struct {
-	at   time.Duration
-	rs   *reqState
-	flat int
+	at                      time.Duration
+	tenant, req, flat, next int32
 }
 
-// armTriggers validates the external-event queue against the prepared
-// request states, found per tenant by request ID, and arms it in firing
-// order: stably sorted by instant, so same-instant triggers keep their
-// queue order and runs replay byte for byte. Start triggers take over
-// their request's admission; resume triggers latch into the addressed
-// await step.
-func (st *runState) armTriggers(triggers []Trigger, byTenant map[string][]*reqState) error {
+// armTriggers validates the external-event queue against the tenants'
+// requests, found by request ID, and arms it in firing order: stably
+// sorted by instant, so same-instant triggers keep their queue order and
+// runs replay byte for byte. A start trigger marks its request external,
+// which takes it out of the admission order.
+func (st *runState) armTriggers(triggers []Trigger) error {
 	st.triggers = make([]armedTrigger, 0, len(triggers))
+	if len(triggers) == 0 {
+		return nil
+	}
+	byName := make(map[string]int32, len(st.tenants))
+	for t, tn := range st.tenants {
+		byName[tn.name] = int32(t)
+	}
 	for i, tr := range triggers {
 		if tr.At < 0 {
 			return fmt.Errorf("platform: trigger %d fires at negative instant %v", i, tr.At)
 		}
-		byID, ok := byTenant[tr.Tenant]
+		t, ok := byName[tr.Tenant]
 		if !ok {
 			return fmt.Errorf("platform: trigger %d addresses unknown tenant %q", i, tr.Tenant)
 		}
-		if tr.Request < 0 || tr.Request >= len(byID) {
+		tn := st.tenants[t]
+		if tr.Request < 0 || tr.Request >= len(tn.trig) {
 			return fmt.Errorf("platform: trigger %d addresses unknown request %d of tenant %q", i, tr.Request, tr.Tenant)
 		}
-		rs := byID[tr.Request]
+		rec := &tn.trig[tr.Request]
+		armed := armedTrigger{at: tr.At, tenant: t, req: int32(tr.Request), flat: -1, next: -1}
 		if tr.Step == "" {
-			if rs.external {
+			if rec.external {
 				return fmt.Errorf("platform: tenant %q request %d has more than one start trigger", tr.Tenant, tr.Request)
 			}
-			rs.external = true
-			st.triggers = append(st.triggers, armedTrigger{at: tr.At, rs: rs, flat: -1})
+			rec.external = true
+			st.triggers = append(st.triggers, armed)
 			continue
 		}
-		if rs.plan.dyn == nil {
-			return fmt.Errorf("platform: trigger %d resumes step %q of static workflow %s", i, tr.Step, rs.r.Workflow.Name())
+		dp := st.plans[rec.r.Workflow].dyn
+		if dp == nil {
+			return fmt.Errorf("platform: trigger %d resumes step %q of static workflow %s", i, tr.Step, rec.r.Workflow.Name())
 		}
-		flat, ok := rs.plan.dyn.flat[tr.Step]
-		if !ok || !rs.plan.dyn.isAwait(flat) {
-			return fmt.Errorf("platform: trigger %d resumes step %q of workflow %s, which is not an await step", i, tr.Step, rs.r.Workflow.Name())
+		flat, ok := dp.flat[tr.Step]
+		if !ok || !dp.isAwait(flat) {
+			return fmt.Errorf("platform: trigger %d resumes step %q of workflow %s, which is not an await step", i, tr.Step, rec.r.Workflow.Name())
 		}
-		rs.dyn.node[flat].armed = true
-		st.triggers = append(st.triggers, armedTrigger{at: tr.At, rs: rs, flat: flat})
+		armed.flat = int32(flat)
+		st.triggers = append(st.triggers, armed)
 	}
 	byAt := func(a, b armedTrigger) int { return cmp.Compare(a.at, b.at) }
 	if !slices.IsSortedFunc(st.triggers, byAt) {
 		slices.SortStableFunc(st.triggers, byAt)
+	}
+	for k := len(st.triggers) - 1; k >= 0; k-- {
+		if tr := &st.triggers[k]; tr.flat >= 0 {
+			rec := &st.tenants[tr.tenant].trig[tr.req]
+			tr.next, rec.awaits = rec.awaits, int32(k)
+		}
+	}
+	return nil
+}
+
+// checkAwaits verifies, over the armed trigger list, that every await
+// step of every request has a trigger addressed to it: awaits resume
+// only through the replay engine's external-event queue, so an uncovered
+// one could never finish.
+func (st *runState) checkAwaits() error {
+	for _, tn := range st.tenants {
+		for _, r := range tn.reqs {
+			dp := st.planOf(tn, r).dyn
+			if dp == nil {
+				continue
+			}
+			for _, flat := range dp.awaits {
+				k := int32(-1)
+				if tn.trig != nil {
+					k = tn.trig[r.ID].awaits
+				}
+				for k >= 0 && int(st.triggers[k].flat) != flat {
+					k = st.triggers[k].next
+				}
+				if k < 0 {
+					return fmt.Errorf("platform: await step %q of tenant %q request %d has no trigger; awaits resume only through ReplayConfig.Triggers",
+						dp.steps[flat], tn.name, r.ID)
+				}
+			}
+		}
 	}
 	return nil
 }
@@ -1382,26 +1491,25 @@ func (st *runState) armTriggers(triggers []Trigger, byTenant map[string][]*reqSt
 // cursor names the trigger, because triggers fire in the order
 // prepareRun scheduled them.
 func (st *runState) triggerNext(now time.Duration) {
-	tr := st.triggers[st.triggered]
+	tr := &st.triggers[st.triggered]
 	st.triggered++
+	tn := st.tenants[tr.tenant]
+	rec := &tn.trig[tr.req]
 	if tr.flat < 0 {
-		st.startRequestAt(tr.rs, now)
+		st.startRequestAt(tn, rec.r, now)
 	} else {
-		st.fireTrigger(tr.rs, tr.flat, now)
+		st.fireTrigger(tn, rec, int(tr.flat), now)
 	}
 }
 
 // startRequestAt admits a trigger-started request: its SLO clock starts
 // at the fire instant, not the (unused) Arrival it was generated with.
-func (st *runState) startRequestAt(rs *reqState, now time.Duration) {
-	rs.arrival = now
-	rs.tr.Arrival = now
+func (st *runState) startRequestAt(tn *tenantRun, r *Request, now time.Duration) {
+	tn.traces[r.ID].Arrival = now
 	if st.tracer != nil {
-		ev := reqEvent(rs, now, obs.KindTrigger)
-		ev.Reason = "start"
-		st.tracer.Emit(ev)
+		st.tracer.Emit(obs.Event{At: now, Kind: obs.KindTrigger, Tenant: tn.name, Request: r.ID, Reason: "start"})
 	}
-	st.startRequest(rs)
+	st.startRequest(tn, r)
 }
 
 // collect checks the drained run for failures and starvation and splits
@@ -1428,19 +1536,29 @@ func (st *runState) collect() (map[string][]Trace, error) {
 	return out, nil
 }
 
-// startRequest admits one request whose state prepareRun already armed:
-// every group with no predecessors (the root group) starts immediately.
-func (st *runState) startRequest(rs *reqState) {
+// startRequest admits request r of tenant tn: it takes a state from the
+// run's pool, latches the await triggers that fired before admission,
+// and starts every group with no predecessors (the root group).
+func (st *runState) startRequest(tn *tenantRun, r *Request) {
 	if st.failed != nil {
 		return
+	}
+	rs := st.take(st.planOf(tn, r), r)
+	rs.tn, rs.r, rs.tr = tn, r, &tn.traces[r.ID]
+	if tn.trig != nil {
+		rec := &tn.trig[r.ID]
+		rec.rs = rs
+		for k := rec.awaits; k >= 0 && int(k) < st.triggered; k = st.triggers[k].next {
+			rs.dyn.node[st.triggers[k].flat].fired = true
+		}
 	}
 	if st.tracer != nil {
 		ev := reqEvent(rs, st.engine.Now(), obs.KindAdmit)
 		ev.Value = int64(rs.r.Workflow.SLO())
 		st.tracer.Emit(ev)
 	}
-	for g := range rs.pending {
-		if rs.pending[g] == 0 {
+	for g, n := range rs.pending {
+		if n == 0 {
 			st.startGroup(rs, g)
 			if st.failed != nil {
 				return
@@ -1458,7 +1576,7 @@ func (st *runState) startGroup(rs *reqState, group int) {
 	if st.failed != nil {
 		return
 	}
-	if rs.dyn != nil && !rs.dynReady(group) {
+	if rs.dynamic() && !rs.dynReady(group) {
 		return
 	}
 	st.launchGroup(rs, group)
@@ -1475,7 +1593,7 @@ func (st *runState) launchGroup(rs *reqState, group int) {
 	}
 	for b := range rs.plan.groups[group] {
 		width := 1
-		if rs.dyn != nil {
+		if rs.dynamic() {
 			width = rs.armReplicas(group, b)
 		}
 		for rep := 0; rep < width; rep++ {
@@ -1498,10 +1616,10 @@ func (st *runState) launchGroup(rs *reqState, group int) {
 // (allocateDyn). An allocation outside (0, MaxInt32] fails the run: the
 // park record and the memo hold allocations in 32 bits.
 func (st *runState) decide(rs *reqState, group int, now time.Duration) (int, bool) {
-	remaining := rs.r.Workflow.SLO() - (now - rs.arrival)
+	remaining := rs.tr.SLO - (now - rs.tr.Arrival)
 	var mc int
 	var hit bool
-	if rs.dyn == nil {
+	if !rs.dynamic() {
 		mc, hit = st.allocate(rs, group, remaining)
 	} else {
 		mc, hit = st.allocateDyn(rs, group, remaining)
@@ -1520,7 +1638,7 @@ func (st *runState) decide(rs *reqState, group int, now time.Duration) (int, boo
 		ev.Value = int64(mc)
 		ev.Aux = int64(remaining)
 		ev.Flag = hit
-		if rs.dyn != nil {
+		if rs.dynamic() {
 			ev.Reason = st.groupShape(rs, group)
 		}
 		st.tracer.Emit(ev)
@@ -1584,7 +1702,8 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 	if st.failed != nil {
 		return
 	}
-	fn := rs.plan.node[rs.plan.base[group]+member].fn
+	flat := rs.plan.base[group] + member
+	fn := rs.plan.node[flat].fn
 	pod, cold, err := st.cluster.Acquire(fn, mc)
 	if err != nil {
 		// No capacity right now: park the continuation until a release.
@@ -1645,13 +1764,13 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 		}
 	}
 	n := nodeRun{rs: rs, pod: pod, group: group, member: member, replica: replica, cold: cold, hit: hit}
-	draw := rs.r.Draws[group][member]
-	if rs.dyn != nil {
+	draw := rs.r.Draws[flat]
+	if rs.dynamic() {
 		// Map replicas and retry attempts run off their own pre-sampled
 		// draws; other dynamic nodes keep the base draw.
-		if k := rs.plan.dyn.rec[rs.plan.base[group]+member]; k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
+		if k := rs.plan.dyn.rec[flat]; k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
 			s := &rs.r.Dyn.steps[k]
-			n.attempt = rs.dyn.attempt[int(s.att)+replica]
+			n.attempt = int(rs.dyn.attempt[int(s.att)+replica])
 			draw = rs.r.Dyn.replicaDraws(s, replica)[n.attempt]
 		}
 	}
@@ -1755,12 +1874,12 @@ func (c *completion) done(end time.Duration) {
 // choice node kills its unchosen successor edges — settling every
 // downstream readiness countdown — before its own completion counts.
 func (st *runState) replicaDone(rs *reqState, group, member, replica int, end time.Duration) {
-	if rs.dyn != nil {
+	if rs.dynamic() {
 		dp := rs.plan.dyn
 		flat := rs.plan.base[group] + member
 		k := dp.rec[flat]
 		if k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
-			if i := int(rs.r.Dyn.steps[k].att) + replica; rs.dyn.attempt[i] < rs.r.Dyn.attempts[i] {
+			if i := int(rs.r.Dyn.steps[k].att) + replica; int(rs.dyn.attempt[i]) < rs.r.Dyn.attempts[i] {
 				rs.dyn.attempt[i]++
 				// The re-attempt is a new readiness instant for this node:
 				// a fresh decision against the SLO budget that remains now.
@@ -1808,7 +1927,7 @@ func (st *runState) nodeDone(rs *reqState, group, member int, end time.Duration)
 		return
 	}
 	flat := rs.plan.base[group] + member
-	if rs.dyn != nil && rs.dyn.node[flat].dead {
+	if rs.dynamic() && rs.dyn.node[flat].dead {
 		for _, next := range rs.plan.dyn.succ[flat] {
 			st.edgeDead(rs, next, end)
 			if st.failed != nil {
@@ -1827,15 +1946,20 @@ func (st *runState) nodeDone(rs *reqState, group, member int, end time.Duration)
 	}
 }
 
-// finishRequest completes a request's trace once its last node finished.
+// finishRequest completes a request's trace once its last node finished
+// and returns its state to the run's pool: nothing may touch rs after.
 func (st *runState) finishRequest(rs *reqState, end time.Duration) {
 	rs.tr.Done = end
-	rs.tr.E2E = end - rs.arrival
+	rs.tr.E2E = end - rs.tr.Arrival
 	rs.tn.done++
 	st.done++
 	if st.tracer != nil || rs.tn.om != nil {
 		st.observeComplete(rs, end)
 	}
+	if rs.tn.trig != nil {
+		rs.tn.trig[rs.r.ID].rs = nil
+	}
+	st.pool.put(rs)
 }
 
 // threshold reports function fn's current acquire threshold,

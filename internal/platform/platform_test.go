@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -43,14 +44,9 @@ func TestGenerateWorkloadShape(t *testing.T) {
 			t.Fatalf("arrivals not strictly increasing at %d", i)
 		}
 		prev = r.Arrival
-		for s, branches := range r.Draws {
-			if len(branches) != 1 {
-				t.Fatalf("request %d chain stage %d has %d branch draws", i, s, len(branches))
-			}
-			for b, d := range branches {
-				if d.WS <= 0 || d.Slowdown < 1 || d.Noise <= 0 {
-					t.Fatalf("request %d stage %d branch %d has invalid draw %+v", i, s, b, d)
-				}
+		for s, d := range r.Draws {
+			if d.WS <= 0 || d.Slowdown < 1 || d.Noise <= 0 {
+				t.Fatalf("request %d stage %d has invalid draw %+v", i, s, d)
 			}
 		}
 	}
@@ -63,12 +59,8 @@ func TestGenerateWorkloadDeterministic(t *testing.T) {
 		if a[i].Arrival != b[i].Arrival {
 			t.Fatal("arrivals differ across identical generations")
 		}
-		for s := range a[i].Draws {
-			for br := range a[i].Draws[s] {
-				if a[i].Draws[s][br] != b[i].Draws[s][br] {
-					t.Fatal("draws differ across identical generations")
-				}
-			}
+		if !slices.Equal(a[i].Draws, b[i].Draws) {
+			t.Fatal("draws differ across identical generations")
 		}
 	}
 }
@@ -143,9 +135,6 @@ func TestRunProducesCompleteTraces(t *testing.T) {
 		}
 		if tr.E2E < stageSum {
 			t.Fatalf("trace %d e2e %v below stage sum %v", i, tr.E2E, stageSum)
-		}
-		if tr.System != "fixed" {
-			t.Fatalf("trace system = %q", tr.System)
 		}
 	}
 }
@@ -282,17 +271,20 @@ func TestExecutorValidation(t *testing.T) {
 }
 
 // TestRunRejectsDrawsOfAnotherShape re-points chain requests at
-// workflows of another decision-group shape: the run fails on the draw
-// rows or a group's draw count instead of serving draws that do not match
-// the groups.
+// workflows with more and fewer nodes: the run fails on the draw count
+// instead of serving nodes without a draw or draws without a node.
 func TestRunRejectsDrawsOfAnotherShape(t *testing.T) {
 	e := defaultExecutor(t)
+	pair, err := workflow.NewChain("pair", time.Second, "od", "qa")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		w    *workflow.Workflow
 		want string
 	}{
-		{workflow.VideoAnalyzeSP(), "carries 3 draw rows, workflow va-sp has 2 decision groups"},
-		{diamondSP(t), "group 1 carries 1 draws, workflow diamond has 2 members"},
+		{diamondSP(t), "carries 3 draws, workflow diamond has 4 nodes"},
+		{pair, "carries 3 draws, workflow pair has 2 nodes"},
 	} {
 		reqs := iaWorkload(t, 2)
 		for _, r := range reqs {
@@ -408,11 +400,11 @@ func TestGenerateWorkloadSeriesParallel(t *testing.T) {
 	reqs := spWorkload(t, diamondSP(t), 20)
 	for i, r := range reqs {
 		groups := r.Workflow.DecisionGroups()
-		if len(groups) != 3 || len(r.Draws) != 3 {
-			t.Fatalf("request %d: %d stages / %d draw stages", i, len(groups), len(r.Draws))
+		if len(groups) != 3 || len(groups[1].Nodes) != 2 {
+			t.Fatalf("request %d: %d stages, fan-out stage of %d branches", i, len(groups), len(groups[1].Nodes))
 		}
-		if len(groups[1].Nodes) != 2 || len(r.Draws[1]) != 2 {
-			t.Fatalf("request %d: fan-out stage has %d branches / %d draws", i, len(groups[1].Nodes), len(r.Draws[1]))
+		if len(r.Draws) != 4 {
+			t.Fatalf("request %d: %d draws for 4 nodes", i, len(r.Draws))
 		}
 	}
 }
@@ -614,9 +606,6 @@ func TestRunMixedTenantAccounting(t *testing.T) {
 		for i, tr := range traces {
 			if tr.RequestID != i {
 				t.Fatalf("tenant %s trace %d has request ID %d", tw.Tenant, i, tr.RequestID)
-			}
-			if tr.Tenant != tw.Tenant || tr.System != tw.Allocator.Name() {
-				t.Fatalf("tenant %s trace %d tagged %q/%q", tw.Tenant, i, tr.Tenant, tr.System)
 			}
 			if len(tr.Stages) != 3 || tr.E2E <= 0 {
 				t.Fatalf("tenant %s trace %d incomplete: %d stages e2e=%v", tw.Tenant, i, len(tr.Stages), tr.E2E)
@@ -862,7 +851,11 @@ func TestPlacementNeverChangesStageLatency(t *testing.T) {
 			for _, st := range tr.Stages {
 				used[st.Node] = true
 				fn := fns[groups[st.Stage].Nodes[st.Branch].Function]
-				want := fn.Latency(req.Draws[st.Stage][st.Branch], int(st.Millicores))
+				flat := int(st.Branch)
+				for g := range st.Stage {
+					flat += len(groups[g].Nodes)
+				}
+				want := fn.Latency(req.Draws[flat], int(st.Millicores))
 				if st.Latency != want {
 					t.Fatalf("%v: request %d stage %d branch %d on node %d ran %v, its draw at %d mc prices %v",
 						placement, tr.RequestID, st.Stage, st.Branch, st.Node, st.Latency, st.Millicores, want)

@@ -36,6 +36,16 @@ func TestStageTraceIsOneCacheLine(t *testing.T) {
 	walk("StageTrace", reflect.TypeOf(StageTrace{}))
 }
 
+// TestTraceIs96Bytes pins the per-request record's size: a run keeps one
+// Trace per request for its whole length, and a tag added back (the
+// tenant and system names it once carried cost 32 bytes) fails here
+// instead of showing up later as serving RSS.
+func TestTraceIs96Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Trace{}); got != 96 {
+		t.Fatalf("Trace is %d bytes, want 96", got)
+	}
+}
+
 // TestStageCoordinatesNameTheNode checks that a stage's (Stage, Branch)
 // coordinates name the node that ran: for every stage of the diamond and
 // of the dynamic trigger workflow (map replicas and retries included),

@@ -224,10 +224,14 @@ func WithRegenerateCallback(fn func(missRate float64)) AdapterOption {
 
 // Serving plane.
 
-// Request is one workflow execution with pre-sampled runtime conditions.
+// Request is one workflow execution with pre-sampled runtime conditions:
+// Draws holds one draw per workflow node in one flat slice, decision
+// group by group and member by member.
 type Request = platform.Request
 
-// Trace records one served request.
+// Trace records one served request. It carries no tenant or system tag:
+// RunMixed returns each tenant's traces under the tenant's name, and the
+// system is the tenant's Allocator.Name().
 type Trace = platform.Trace
 
 // Allocator decides per-stage millicore allocations; serving systems are
