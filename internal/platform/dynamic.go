@@ -216,7 +216,7 @@ type dynReqState struct {
 	node []dynNode
 	// attempt mirrors Request.Dyn's attempt counts: attempt[att+replica]
 	// is the replica's current 0-based attempt.
-	attempt []int32
+	attempt []int
 }
 
 // dynNode is one node's dynamic-shape serving state.

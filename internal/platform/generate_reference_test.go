@@ -15,15 +15,18 @@ import (
 // child stream a fresh Split, every label a fmt.Sprintf, every request's
 // draws and dynamic resolution allocated on their own. It is kept,
 // unchanged but for its names, the Request.Groups copy it no longer
-// fills and the draws it appends into one flat slice, as the oracle the
-// chunked generator must reproduce exactly at any worker count.
+// fills, the draws it appends into one flat slice and the draw shape it
+// stamps on every request, as the oracle the chunked generator must
+// reproduce exactly at any worker count.
 func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	if cfg.Workflow == nil {
 		return nil, fmt.Errorf("platform: workload needs a workflow")
 	}
 	var stages [][]workflow.Node
+	shape := new(drawShape)
 	for _, g := range cfg.Workflow.DecisionGroups() {
 		stages = append(stages, g.Nodes)
+		shape.sizes = append(shape.sizes, len(g.Nodes))
 	}
 	if len(cfg.Arrivals) > 0 {
 		if cfg.N != 0 && cfg.N != len(cfg.Arrivals) {
@@ -112,6 +115,7 @@ func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 			Arrival:  at,
 			Batch:    cfg.Batch,
 			Dyn:      dyn,
+			shape:    shape,
 		}
 	}
 	return reqs, nil

@@ -80,7 +80,16 @@ type Request struct {
 	// dynamic runs byte-identical across parallelism and lets every
 	// serving system face the same resolved shapes.
 	Dyn *DynDraws
+	// shape is the decision-group shape GenerateWorkload drew Draws for,
+	// shared by the workload's requests, so a run can reject a request
+	// re-pointed at a workflow of another shape; nil for a request built
+	// by hand.
+	shape *drawShape
 }
+
+// drawShape is the member count of each decision group of the workflow a
+// workload's draws were drawn for, in group order.
+type drawShape struct{ sizes []int }
 
 // DynDraws is a request's pre-sampled dynamic-shape resolution: one
 // record per annotated step, in Workflow.DynamicSteps order, with every
@@ -373,8 +382,10 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 	if cfg.StageCorrelation < 0 || cfg.StageCorrelation > 1 {
 		return nil, fmt.Errorf("platform: StageCorrelation %v outside [0, 1]", cfg.StageCorrelation)
 	}
-	g := &generator{cfg: &cfg}
-	for _, group := range cfg.Workflow.DecisionGroups() {
+	groups := cfg.Workflow.DecisionGroups()
+	g := &generator{cfg: &cfg, shape: &drawShape{sizes: make([]int, len(groups))}}
+	for i, group := range groups {
+		g.shape.sizes[i] = len(group.Nodes)
 		for _, n := range group.Nodes {
 			f, ok := cfg.Functions[n.Function]
 			if !ok {
@@ -424,7 +435,10 @@ type generator struct {
 	cfg *WorkloadConfig
 	// fns are the functions of the workflow's nodes in flat order, one
 	// per base draw of a request.
-	fns      []*perfmodel.Function
+	fns []*perfmodel.Function
+	// shape is the workflow's decision-group sizes, shared by every
+	// request drawn.
+	shape    *drawShape
 	arrivals []time.Duration
 	root     *rng.Stream
 	dyn      *dynSampler
@@ -467,7 +481,7 @@ func (g *generator) fill(reqs []*Request, lo, hi int) {
 			st.req.SplitInto(&st.dyn, "dyn")
 			r.Dyn = dc.sample(g, i-lo, st, shared)
 		}
-		r.ID, r.Workflow, r.Arrival, r.Batch = i, cfg.Workflow, g.arrivals[i], cfg.Batch
+		r.ID, r.Workflow, r.Arrival, r.Batch, r.shape = i, cfg.Workflow, g.arrivals[i], cfg.Batch, g.shape
 		reqs[i] = r
 	}
 }
@@ -775,9 +789,6 @@ type tenantRun struct {
 	// request accumulates into its slot in place.
 	traces []Trace
 	done   int
-	// w and plan cache the tenant's last plan lookup (planOf).
-	w    *workflow.Workflow
-	plan *dagPlan
 	// trig holds every request's external-event record, indexed by
 	// request ID; nil in a run without triggers.
 	trig []reqTrig
@@ -897,7 +908,7 @@ type dagPlan struct {
 	groups [][]workflow.Node
 	// predCount[g] is the number of distinct predecessor nodes of group g;
 	// the group becomes ready when that many completions have arrived.
-	predCount []int32
+	predCount []int
 	// base[g] is the flat index of group g's first member: nodes are
 	// numbered group by group, flat = base[g] + member. Flat order is
 	// topological: a group's predecessors all sit in earlier groups.
@@ -935,7 +946,7 @@ func newDAGPlan(w *workflow.Workflow) *dagPlan {
 	decision := w.DecisionGroups()
 	p := &dagPlan{
 		groups:    make([][]workflow.Node, len(decision)),
-		predCount: make([]int32, len(decision)),
+		predCount: make([]int, len(decision)),
 		base:      make([]int, len(decision)),
 		memoMs:    int(min(w.SLO()/time.Millisecond, memoCapMs)),
 	}
@@ -943,7 +954,7 @@ func newDAGPlan(w *workflow.Workflow) *dagPlan {
 	preds := 0
 	for g, grp := range decision {
 		p.groups[g] = grp.Nodes
-		p.predCount[g] = int32(len(grp.Preds))
+		p.predCount[g] = len(grp.Preds)
 		p.base[g] = p.nodes
 		for _, n := range grp.Nodes {
 			flat[n.Name] = p.nodes
@@ -1015,6 +1026,27 @@ func (st *runState) planFor(tenant string, r *Request) (*dagPlan, error) {
 	return p, nil
 }
 
+// checkShape rejects a request whose draws were drawn for decision groups
+// other than the plan's: its flat draws would be served by the nodes that
+// happen to sit at their positions. A request built by hand carries no
+// shape and is checked only for one draw per node.
+func (p *dagPlan) checkShape(tenant string, r *Request) error {
+	if r.shape == nil {
+		return nil
+	}
+	if len(r.shape.sizes) != len(p.groups) {
+		return fmt.Errorf("platform: tenant %q request %d carries %d draw rows, workflow %s has %d decision groups",
+			tenant, r.ID, len(r.shape.sizes), r.Workflow.Name(), len(p.groups))
+	}
+	for g, group := range p.groups {
+		if r.shape.sizes[g] != len(group) {
+			return fmt.Errorf("platform: tenant %q request %d group %d carries %d draws, workflow %s has %d members",
+				tenant, r.ID, g, r.shape.sizes[g], r.Workflow.Name(), len(group))
+		}
+	}
+	return nil
+}
+
 // reqState is one in-flight request: the per-group readiness countdowns
 // and, for a dynamic plan, the shape overlay, with the request's trace
 // accumulating in place in its slot of the tenant's traces (its Stages
@@ -1032,7 +1064,7 @@ type reqState struct {
 	// group starts when it reaches zero. A dead node (pruned by an
 	// upstream choice) counts as finished the instant its death is
 	// determined.
-	pending []int32
+	pending []int
 	// remaining counts unfinished nodes; the request completes at zero.
 	remaining int
 	// dyn holds the dynamic-shape state (liveness, replica joins, retry
@@ -1051,12 +1083,13 @@ func (rs *reqState) dynamic() bool { return rs.plan.dyn != nil }
 const slabMin = 128
 
 // reqPool recycles a run's request states. A state is carved only when
-// the free list is empty, so the pool holds exactly as many states as the
-// run's peak number of requests in flight. Every state is sized for the
-// run's largest request, so any state serves any request. States and their arrays are carved from
-// slabs: the first holds min(slabMin, the run's requests) states and each
-// later one doubles the pool, so a run allocates a few slabs, not a state
-// per request or per new peak.
+// the free list is empty, so the pool carves as many states as the run's
+// peak number of requests in flight. Every state is sized for the run's
+// largest request, so any state serves any request. States and their
+// arrays are carved from slabs: the first holds min(slabMin, the run's
+// requests) states and each later one doubles the pool, so a run
+// allocates a few slabs, not a state per request or per new peak, and
+// its slabs hold at most max(slabMin, twice the peak) states.
 type reqPool struct {
 	free *reqState
 	// made counts the states carved so far.
@@ -1067,7 +1100,7 @@ type reqPool struct {
 	groups, nodes, attempts int
 	// states, ints and dyn are the current slab's uncarved remainder.
 	states []reqState
-	ints   []int32
+	ints   []int
 	dyn    []dynNode
 }
 
@@ -1104,7 +1137,7 @@ func (pl *reqPool) carve(requests int) *reqState {
 	if len(pl.states) == 0 {
 		n := max(pl.made, min(requests, slabMin))
 		pl.states = make([]reqState, n)
-		pl.ints = make([]int32, n*(pl.groups+pl.attempts))
+		pl.ints = make([]int, n*(pl.groups+pl.attempts))
 		if pl.nodes > 0 {
 			pl.dyn = make([]dynNode, n*pl.nodes)
 		}
@@ -1209,15 +1242,19 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 		st.om = newRunObs(e.cfg.Metrics)
 	}
 	// Validate every request's draws against the plan the engine will
-	// actually execute — one draw per workflow node — building and
-	// binding each workflow's plan at its first request (planFor). The
-	// same pass sizes the stage arena: every node of a static request,
-	// the live executions its resolution implies for a dynamic one.
+	// actually execute — drawn for the workflow's decision groups, one
+	// draw per node — building and binding each workflow's plan at its
+	// first request (planFor). The same pass sizes the stage arena: every
+	// node of a static request, the live executions its resolution
+	// implies for a dynamic one.
 	totalStages := 0
 	for _, tw := range tenants {
 		for _, r := range tw.Requests {
 			plan, err := st.planFor(tw.Tenant, r)
 			if err != nil {
+				return nil, err
+			}
+			if err := plan.checkShape(tw.Tenant, r); err != nil {
 				return nil, err
 			}
 			if len(r.Draws) != plan.nodes {
@@ -1239,7 +1276,7 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	st.thr, st.thrGen = make([]int, st.fns), make([]uint64, st.fns)
 	// Only the run's outputs are built up front: every trace's header,
 	// its Stages carved from one arena at exactly the request's
-	// executed-node count. In-flight state comes from the plans' pools at
+	// executed-node count. In-flight state comes from the run's pool at
 	// admission.
 	stageArena := make([]StageTrace, totalStages)
 	so := 0
@@ -1259,7 +1296,7 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 		}
 		st.tenants = append(st.tenants, tn)
 		for _, r := range tw.Requests {
-			plan := st.planOf(tn, r)
+			plan := st.plans[r.Workflow]
 			stages := plan.nodes
 			if dp := plan.dyn; dp != nil {
 				stages = dp.executions(r.Dyn)
@@ -1306,15 +1343,6 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 		st.engine.ScheduleAt(tr.at, fire)
 	}
 	return st, nil
-}
-
-// planOf returns the plan of tenant tn's request r. A tenant's requests
-// usually share one workflow, so the tenant caches its last lookup.
-func (st *runState) planOf(tn *tenantRun, r *Request) *dagPlan {
-	if r.Workflow != tn.w {
-		tn.w, tn.plan = r.Workflow, st.plans[r.Workflow]
-	}
-	return tn.plan
 }
 
 // admitRef names a request admitted at its own Arrival: its tenant's
@@ -1465,7 +1493,7 @@ func (st *runState) armTriggers(triggers []Trigger) error {
 func (st *runState) checkAwaits() error {
 	for _, tn := range st.tenants {
 		for _, r := range tn.reqs {
-			dp := st.planOf(tn, r).dyn
+			dp := st.plans[r.Workflow].dyn
 			if dp == nil {
 				continue
 			}
@@ -1543,7 +1571,7 @@ func (st *runState) startRequest(tn *tenantRun, r *Request) {
 	if st.failed != nil {
 		return
 	}
-	rs := st.take(st.planOf(tn, r), r)
+	rs := st.take(st.plans[r.Workflow], r)
 	rs.tn, rs.r, rs.tr = tn, r, &tn.traces[r.ID]
 	if tn.trig != nil {
 		rec := &tn.trig[r.ID]
@@ -1770,7 +1798,7 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 		// draws; other dynamic nodes keep the base draw.
 		if k := rs.plan.dyn.rec[flat]; k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
 			s := &rs.r.Dyn.steps[k]
-			n.attempt = int(rs.dyn.attempt[int(s.att)+replica])
+			n.attempt = rs.dyn.attempt[int(s.att)+replica]
 			draw = rs.r.Dyn.replicaDraws(s, replica)[n.attempt]
 		}
 	}
@@ -1879,7 +1907,7 @@ func (st *runState) replicaDone(rs *reqState, group, member, replica int, end ti
 		flat := rs.plan.base[group] + member
 		k := dp.rec[flat]
 		if k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
-			if i := int(rs.r.Dyn.steps[k].att) + replica; int(rs.dyn.attempt[i]) < rs.r.Dyn.attempts[i] {
+			if i := int(rs.r.Dyn.steps[k].att) + replica; rs.dyn.attempt[i] < rs.r.Dyn.attempts[i] {
 				rs.dyn.attempt[i]++
 				// The re-attempt is a new readiness instant for this node:
 				// a fresh decision against the SLO budget that remains now.

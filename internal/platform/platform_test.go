@@ -270,29 +270,34 @@ func TestExecutorValidation(t *testing.T) {
 	}
 }
 
-// TestRunRejectsDrawsOfAnotherShape re-points chain requests at
-// workflows with more and fewer nodes: the run fails on the draw count
-// instead of serving nodes without a draw or draws without a node.
+// TestRunRejectsDrawsOfAnotherShape serves chain requests whose draws do
+// not fit the workflow they name: re-pointed at workflows of another
+// decision-group shape — va-sp has as many nodes, 3 — or carrying a draw
+// too few. The run fails on the group count, a group's size or the draw
+// count instead of serving draws at the positions of other nodes. A
+// request built by hand carries no shape and is held to the draw count.
 func TestRunRejectsDrawsOfAnotherShape(t *testing.T) {
 	e := defaultExecutor(t)
-	pair, err := workflow.NewChain("pair", time.Second, "od", "qa")
-	if err != nil {
-		t.Fatal(err)
-	}
+	vasp, diamond := workflow.VideoAnalyzeSP(), diamondSP(t)
 	for _, c := range []struct {
-		w    *workflow.Workflow
+		name string
+		edit func(r *Request)
 		want string
 	}{
-		{diamondSP(t), "carries 3 draws, workflow diamond has 4 nodes"},
-		{pair, "carries 3 draws, workflow pair has 2 nodes"},
+		{"va-sp", func(r *Request) { r.Workflow = vasp }, "carries 3 draw rows, workflow va-sp has 2 decision groups"},
+		{"diamond", func(r *Request) { r.Workflow = diamond }, "group 1 carries 1 draws, workflow diamond has 2 members"},
+		{"short", func(r *Request) { r.Draws = r.Draws[:2] }, "carries 2 draws, workflow ia has 3 nodes"},
+		{"by hand", func(r *Request) {
+			*r = Request{ID: r.ID, Workflow: diamond, Draws: r.Draws, Arrival: r.Arrival, Batch: r.Batch}
+		}, "carries 3 draws, workflow diamond has 4 nodes"},
 	} {
 		reqs := iaWorkload(t, 2)
 		for _, r := range reqs {
-			r.Workflow = c.w
+			c.edit(r)
 		}
 		_, err := e.Run(reqs, &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want %q", c.w.Name(), err, c.want)
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

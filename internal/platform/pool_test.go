@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"janus/internal/interfere"
+	"janus/internal/perfmodel"
 	"janus/internal/workflow"
 )
 
@@ -151,48 +153,77 @@ func TestTriggerAfterFinishLeavesRecycledStateAlone(t *testing.T) {
 	}
 }
 
-// TestPoolHoldsPeakInFlight pins the pool's size on a long, low-rate
-// stream of a dynamic and a static tenant: the run's pool carves one
-// state per request in flight at the run's peak, never one per request.
-// The peak is read off the traces, counting a request admitted at the
-// instant another finishes as overlapping it, which can only overstate
-// it.
+// TestPoolHoldsPeakInFlight pins the pool's size on two streams: a long,
+// low-rate stream of a dynamic and a static tenant, and a static burst
+// past the cluster's capacity, whose backlog outgrows the first slab.
+// The run's pool carves one state per request in flight at the run's
+// peak, never one per request, and its doubling slabs hold at most
+// max(slabMin, twice the peak). The peak is read off the traces,
+// counting a request admitted at the instant another finishes as
+// overlapping it, which can only overstate it.
 func TestPoolHoldsPeakInFlight(t *testing.T) {
 	dyn := trigWorkload(t, trigWorkflow(t), 400)
-	stat := iaWorkload(t, 2000)
-	tenants := []TenantWorkload{
-		{Tenant: "dyn", Requests: dyn, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}},
-		{Tenant: "stat", Requests: stat, Allocator: &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}}},
-	}
-	st, err := defaultExecutor(t).prepareRun(tenants, timedTriggers(dyn, "dyn", 120*time.Millisecond, 0))
+	coloc, err := interfere.NewCountSampler([]float64{0.5, 0.35, 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.engine.Run()
-	out, err := st.collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	type edge struct {
-		at    time.Duration
-		delta int
-	}
-	var edges []edge
-	for _, traces := range out {
-		for _, tr := range traces {
-			edges = append(edges, edge{tr.Arrival, 1}, edge{tr.Done, -1})
-		}
-	}
-	slices.SortFunc(edges, func(a, b edge) int {
-		// Admissions first at a tie: closed intervals.
-		return cmp.Or(cmp.Compare(a.at, b.at), b.delta-a.delta)
+	burst, err := GenerateWorkload(WorkloadConfig{
+		Workflow: workflow.IntelligentAssistant(), Functions: perfmodel.Catalog(), N: 1500,
+		ArrivalRatePerSec: 20, Colocation: coloc, Interference: interfere.Default(), Seed: 42,
 	})
-	peak, live := 0, 0
-	for _, e := range edges {
-		live += e.delta
-		peak = max(peak, live)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if made := st.pool.made; made < 1 || made > peak || made*10 > st.total {
-		t.Fatalf("pool holds %d states for %d requests, peak in flight %d", made, st.total, peak)
+	iaSizes := []int{2000, 2000, 2000}
+	for _, c := range []struct {
+		name     string
+		tenants  []TenantWorkload
+		triggers []Trigger
+		lowRate  bool
+	}{
+		{"low rate", []TenantWorkload{
+			{Tenant: "dyn", Requests: dyn, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}},
+			{Tenant: "stat", Requests: iaWorkload(t, 2000), Allocator: &Fixed{System: "fixed", Sizes: iaSizes}},
+		}, timedTriggers(dyn, "dyn", 120*time.Millisecond, 0), true},
+		{"burst", []TenantWorkload{{Requests: burst, Allocator: &Fixed{System: "fixed", Sizes: iaSizes}}}, nil, false},
+	} {
+		st, err := defaultExecutor(t).prepareRun(c.tenants, c.triggers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.engine.Run()
+		out, err := st.collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		type edge struct {
+			at    time.Duration
+			delta int
+		}
+		var edges []edge
+		for _, traces := range out {
+			for _, tr := range traces {
+				edges = append(edges, edge{tr.Arrival, 1}, edge{tr.Done, -1})
+			}
+		}
+		slices.SortFunc(edges, func(a, b edge) int {
+			// Admissions first at a tie: closed intervals.
+			return cmp.Or(cmp.Compare(a.at, b.at), b.delta-a.delta)
+		})
+		peak, live := 0, 0
+		for _, e := range edges {
+			live += e.delta
+			peak = max(peak, live)
+		}
+		made, held := st.pool.made, st.pool.made+len(st.pool.states)
+		if made < 1 || made > peak || (c.lowRate && made*10 > st.total) {
+			t.Fatalf("%s: pool carved %d states for %d requests, peak in flight %d", c.name, made, st.total, peak)
+		}
+		if held > max(slabMin, 2*peak) {
+			t.Fatalf("%s: pool's slabs hold %d states, peak in flight %d", c.name, held, peak)
+		}
+		if !c.lowRate && made <= slabMin {
+			t.Fatalf("%s: peak of %d states fits the first slab; the case does not grow the pool", c.name, made)
+		}
 	}
 }

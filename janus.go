@@ -226,7 +226,9 @@ func WithRegenerateCallback(fn func(missRate float64)) AdapterOption {
 
 // Request is one workflow execution with pre-sampled runtime conditions:
 // Draws holds one draw per workflow node in one flat slice, decision
-// group by group and member by member.
+// group by group and member by member. A request GenerateWorkload made
+// also records the decision groups it was drawn for, so serving it under
+// a workflow of another shape fails the run.
 type Request = platform.Request
 
 // Trace records one served request. It carries no tenant or system tag:
