@@ -83,7 +83,10 @@ func NewRegistry(opts ...adapter.Option) *Registry {
 
 // Load validates the catalog and atomically swaps it in, returning the
 // new generation number and the diff against the previous catalog. On
-// error the running catalog is untouched.
+// error the running catalog is untouched. On success Load owns f: it is
+// the catalog Snapshot returns, and the entry of every pair whose bundle
+// is unchanged is pointed at the bundle its adapter already serves, so
+// the registry keeps one decoded copy of each unchanged bundle.
 func (r *Registry) Load(f *File) (int64, []Change, error) {
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()
@@ -134,8 +137,13 @@ func (r *Registry) loadLocked(f *File) (int64, []Change, error) {
 			case prevDep != nil && prevDep.adapter.Bundle().Equal(e.Bundle):
 				// Unchanged: carry the deployment through by pointer —
 				// stats, epoch window, regeneration state and decide
-				// counters all survive.
+				// counters all survive — and install the running bundle
+				// in place of its equal copy. The write is skipped when the
+				// entry already holds it, as when f is the snapshot itself.
 				rt.deployments[wf] = prevDep
+				if running := prevDep.adapter.Bundle(); e.Bundle != running {
+					e.Bundle = running
+				}
 			case prevDep != nil:
 				// Changed bundle on a surviving pair: the adapter's own
 				// atomic Replace — cumulative stats kept, epoch reset.

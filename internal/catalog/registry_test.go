@@ -83,10 +83,33 @@ func TestRegistryUnconfiguredOpenMode(t *testing.T) {
 	}
 }
 
+// sharesRunningBundles checks that every entry of the served catalog
+// holds its adapter's bundle itself, not an equal copy: a reload keeps
+// one decoded copy of each bundle.
+func sharesRunningBundles(t *testing.T, r *Registry) {
+	t.Helper()
+	for name, spec := range r.Snapshot().Tenants {
+		ten, ok := r.Authenticate(spec.APIKey)
+		if !ok || ten.Name() != name {
+			t.Fatalf("tenant %q did not authenticate", name)
+		}
+		for wf, e := range spec.Workflows {
+			a, ok := ten.Adapter(wf)
+			if !ok {
+				t.Fatalf("%s/%s has no adapter", name, wf)
+			}
+			if e.Bundle != a.Bundle() {
+				t.Fatalf("%s/%s: the snapshot holds a copy of the bundle its adapter serves", name, wf)
+			}
+		}
+	}
+}
+
 // TestRegistrySwapCarryOver pins the reload semantics: unchanged
 // (tenant, workflow) pairs keep their adapter — cumulative stats AND
-// epoch window — while changed bundles keep cumulative stats but open a
-// fresh epoch, exactly the adapter's Replace contract generalized.
+// epoch window — and the snapshot shares its bundle, while changed
+// bundles keep cumulative stats but open a fresh epoch, exactly the
+// adapter's Replace contract generalized.
 func TestRegistrySwapCarryOver(t *testing.T) {
 	r := NewRegistry()
 	mustLoad(t, r, validFile(t))
@@ -95,6 +118,7 @@ func TestRegistrySwapCarryOver(t *testing.T) {
 
 	// Reload an identical catalog: everything carries through.
 	mustLoad(t, r, validFile(t))
+	sharesRunningBundles(t, r)
 	ten, _ := r.Authenticate("key-acme")
 	a, _ := ten.Adapter("ia")
 	if hits, misses, _ := a.Stats(); hits+misses != 5 {
@@ -115,6 +139,12 @@ func TestRegistrySwapCarryOver(t *testing.T) {
 	if len(changes) != 1 || changes[0].Kind != BundleChanged {
 		t.Fatalf("changes = %v", changes)
 	}
+	sharesRunningBundles(t, r)
+	// Reloading the served catalog itself changes nothing.
+	if _, changes, err := r.Load(r.Snapshot()); err != nil || len(changes) != 0 {
+		t.Fatalf("reloading the snapshot: changes %v, err %v", changes, err)
+	}
+	sharesRunningBundles(t, r)
 	ten, _ = r.Authenticate("key-acme")
 	a2, _ := ten.Adapter("ia")
 	if hits, misses, _ := a2.Stats(); hits+misses != 5 {

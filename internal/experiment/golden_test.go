@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"janus/internal/platform"
 	"janus/internal/synth"
@@ -20,6 +21,13 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 // coordinates index w's decision groups.
 func stageNode(w *workflow.Workflow, st *platform.StageTrace) workflow.Node {
 	return w.DecisionGroups()[st.Stage].Nodes[st.Branch]
+}
+
+// stageTimes recovers a stage's startup and latency under the startup
+// and decision costs every suite run serves with: Suite.executorConfig
+// keeps DefaultExecutorConfig's.
+func stageTimes(st *platform.StageTrace) (startup, latency time.Duration) {
+	return platform.DefaultExecutorConfig().StageTimes(st)
 }
 
 // tenantWorkflows maps each tenant a scenario serves to its workflow, so
@@ -52,9 +60,10 @@ func traceDigest(w *workflow.Workflow, sys string, tr *platform.Trace, dyn bool)
 	for i := range tr.Stages {
 		st := &tr.Stages[i]
 		node := stageNode(w, st)
+		startup, latency := stageTimes(st)
 		fmt.Fprintf(&b, "  fn=%s stage=%d branch=%d node=%d mc=%d start=%d end=%d startup=%d lat=%d cold=%v hit=%v",
 			node.Function, st.Stage, st.Branch, st.Node, st.Millicores,
-			st.Start, st.End, st.Startup, st.Latency, st.Cold, st.Hit)
+			st.Start, st.End, startup, latency, st.Cold, st.Hit)
 		if dyn {
 			fmt.Fprintf(&b, " step=%s replica=%d attempt=%d", node.Name, st.Replica, st.Attempt)
 		}

@@ -20,8 +20,9 @@ func dumpRuns(points []Point, runs []*SystemRun) string {
 			fmt.Fprintf(&b, "  req=%d arr=%v done=%v e2e=%v mc=%d dec=%d miss=%d parked=%d\n",
 				tr.RequestID, tr.Arrival, tr.Done, tr.E2E, tr.TotalMillicores, tr.Decisions, tr.Misses, tr.Parked)
 			for _, st := range tr.Stages {
+				startup, latency := stageTimes(&st)
 				fmt.Fprintf(&b, "    s%d.b%d %s mc=%d start=%v end=%v startup=%v lat=%v cold=%t hit=%t\n",
-					st.Stage, st.Branch, stageNode(points[i].Workflow, &st).Function, st.Millicores, st.Start, st.End, st.Startup, st.Latency, st.Cold, st.Hit)
+					st.Stage, st.Branch, stageNode(points[i].Workflow, &st).Function, st.Millicores, st.Start, st.End, startup, latency, st.Cold, st.Hit)
 			}
 		}
 	}

@@ -105,8 +105,11 @@ func (b *Bundle) Validate() error {
 // empty Tables differ, and nil and empty Shaped agree, since omitempty
 // drops both.
 func (b *Bundle) Equal(o *Bundle) bool {
+	if b == o {
+		return true
+	}
 	if b == nil || o == nil {
-		return b == o
+		return false
 	}
 	if b.Workflow != o.Workflow || b.Batch != o.Batch || math.Float64bits(b.Weight) != math.Float64bits(o.Weight) ||
 		b.SLOMs != o.SLOMs || b.MaxMillicores != o.MaxMillicores ||

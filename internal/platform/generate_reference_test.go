@@ -27,6 +27,9 @@ func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	for _, g := range cfg.Workflow.DecisionGroups() {
 		stages = append(stages, g.Nodes)
 		shape.sizes = append(shape.sizes, len(g.Nodes))
+		for _, n := range g.Nodes {
+			shape.fns = append(shape.fns, n.Function)
+		}
 	}
 	if len(cfg.Arrivals) > 0 {
 		if cfg.N != 0 && cfg.N != len(cfg.Arrivals) {

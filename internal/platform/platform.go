@@ -87,9 +87,13 @@ type Request struct {
 	shape *drawShape
 }
 
-// drawShape is the member count of each decision group of the workflow a
-// workload's draws were drawn for, in group order.
-type drawShape struct{ sizes []int }
+// drawShape is what a workload's draws were drawn for: the member count
+// of each decision group of its workflow, in group order, and the
+// function of each node, in flat order.
+type drawShape struct {
+	sizes []int
+	fns   []string
+}
 
 // DynDraws is a request's pre-sampled dynamic-shape resolution: one
 // record per annotated step, in Workflow.DynamicSteps order, with every
@@ -239,34 +243,44 @@ type Trigger struct {
 	Step string
 }
 
-// StageTrace records one executed node of a request in 64 pointer-free
-// bytes: one cache line, in an arena the collector never scans. Stage is
-// the node's decision-group index and Branch its position within the
+// StageTrace records one executed node of a request in 32 pointer-free
+// bytes: half a cache line, in an arena the collector never scans. Stage
+// is the node's decision-group index and Branch its position within the
 // group, so the pair names the workflow node:
 // w.DecisionGroups()[Stage].Nodes[Branch] carries its function and step
 // name. For chains and series-parallel workflows they are exactly the
 // stage-indexed engine's stage/branch coordinates.
+//
+// The record stores neither the pod's startup nor the node's latency:
+// startup is the executor's WarmStartup or ColdStartup, as Cold says,
+// and a node completes exactly DecisionOverhead + startup + latency after
+// it started, so ExecutorConfig.StageTimes recovers both.
 type StageTrace struct {
-	Stage  int32
-	Branch int32
+	Start time.Duration
+	End   time.Duration
 	// Node is the cluster node the pod ran on — the placement the
 	// configured cluster policy chose.
 	Node int32
-	// Replica and Attempt locate the execution within a dynamic node:
-	// the map replica index and the 0-based retry attempt. Both are 0
-	// for static workflows and for dynamic nodes without map/retry.
-	Replica int32
-	Attempt int32
 	// Millicores is the pod's allocation; the scheduler accepts only
 	// allocations in (0, MaxInt32].
 	Millicores int32
-	Start      time.Duration
-	End        time.Duration
-	Startup    time.Duration
-	Latency    time.Duration
-	Cold       bool
-	Hit        bool
+	// Stage and Branch fit every node: a run rejects a workflow with more
+	// than 65,536 decision groups, or more members in one group.
+	Stage  uint16
+	Branch uint16
+	// Replica and Attempt locate the execution within a dynamic node:
+	// the map replica index (below workflow.MaxMapWidth) and the 0-based
+	// retry attempt (at most workflow.MaxRetryBound). Both are 0 for
+	// static workflows and for dynamic nodes without map/retry.
+	Replica uint8
+	Attempt uint8
+	Cold    bool
+	Hit     bool
 }
+
+// maxCoord is the most decision groups a plan holds, and the most members
+// one group holds: StageTrace stores a node's coordinates in 16 bits.
+const maxCoord = math.MaxUint16 + 1
 
 // Trace records one served request in 96 bytes. It names neither its
 // tenant nor its serving system: RunMixed returns each tenant's traces
@@ -383,10 +397,11 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 		return nil, fmt.Errorf("platform: StageCorrelation %v outside [0, 1]", cfg.StageCorrelation)
 	}
 	groups := cfg.Workflow.DecisionGroups()
-	g := &generator{cfg: &cfg, shape: &drawShape{sizes: make([]int, len(groups))}}
+	g := &generator{cfg: &cfg, shape: &drawShape{sizes: make([]int, len(groups)), fns: make([]string, 0, cfg.Workflow.Len())}}
 	for i, group := range groups {
 		g.shape.sizes[i] = len(group.Nodes)
 		for _, n := range group.Nodes {
+			g.shape.fns = append(g.shape.fns, n.Function)
 			f, ok := cfg.Functions[n.Function]
 			if !ok {
 				return nil, fmt.Errorf("platform: workflow %s references unknown function %q", cfg.Workflow.Name(), n.Function)
@@ -436,8 +451,8 @@ type generator struct {
 	// fns are the functions of the workflow's nodes in flat order, one
 	// per base draw of a request.
 	fns []*perfmodel.Function
-	// shape is the workflow's decision-group sizes, shared by every
-	// request drawn.
+	// shape is the workflow's decision-group sizes and node functions,
+	// shared by every request drawn.
 	shape    *drawShape
 	arrivals []time.Duration
 	root     *rng.Stream
@@ -693,6 +708,24 @@ type ExecutorConfig struct {
 	Metrics *obs.Registry
 }
 
+// StageTimes returns the startup and latency of a stage the executor
+// served under c: the startup its Cold flag selects, and the rest of its
+// span after the decision overhead, since the scheduler completes every
+// node exactly DecisionOverhead + startup + latency after it starts.
+func (c ExecutorConfig) StageTimes(st *StageTrace) (startup, latency time.Duration) {
+	startup = c.startup(st.Cold)
+	return startup, st.End - st.Start - c.DecisionOverhead - startup
+}
+
+// startup is the delay before a pod runs its node: ColdStartup for a pod
+// created on demand, WarmStartup for one taken from the warm pool.
+func (c ExecutorConfig) startup(cold bool) time.Duration {
+	if cold {
+		return c.ColdStartup
+	}
+	return c.WarmStartup
+}
+
 // DefaultExecutorConfig returns the configuration used by the paper-shaped
 // experiments: warm pools, ~2 ms specialization, ~1 ms decision overhead.
 func DefaultExecutorConfig() ExecutorConfig {
@@ -790,8 +823,10 @@ type tenantRun struct {
 	traces []Trace
 	done   int
 	// trig holds every request's external-event record, indexed by
-	// request ID; nil in a run without triggers.
-	trig []reqTrig
+	// request ID; nil in a run without triggers. starts counts the
+	// requests a start trigger admits.
+	trig   []reqTrig
+	starts int
 	// memoable/memo cache decisions of a MemoizableAllocator; memo is nil
 	// for allocators without the contract. memo[plan.memoBase+group] is
 	// the dense row of one (plan, group), indexed by the millisecond
@@ -927,6 +962,8 @@ type dagPlan struct {
 	// choice targets); nil for static workflows, whose requests never
 	// consult it.
 	dyn *dynPlan
+	// shape is the last draw shape checkShape accepted for the plan.
+	shape *drawShape
 }
 
 // planNode is one node's serving data, filled once per run so a launch
@@ -998,7 +1035,15 @@ func (st *runState) planFor(tenant string, r *Request) (*dagPlan, error) {
 		return p, nil
 	}
 	p := newDAGPlan(r.Workflow)
+	if len(p.groups) > maxCoord {
+		return nil, fmt.Errorf("platform: workflow %s has %d decision groups, a stage trace indexes at most %d",
+			r.Workflow.Name(), len(p.groups), maxCoord)
+	}
 	for g, group := range p.groups {
+		if len(group) > maxCoord {
+			return nil, fmt.Errorf("platform: workflow %s decision group %d has %d members, a stage trace indexes at most %d",
+				r.Workflow.Name(), g, len(group), maxCoord)
+		}
 		for b, n := range group {
 			model, ok := st.ex.fns[n.Function]
 			if !ok {
@@ -1027,23 +1072,34 @@ func (st *runState) planFor(tenant string, r *Request) (*dagPlan, error) {
 }
 
 // checkShape rejects a request whose draws were drawn for decision groups
-// other than the plan's: its flat draws would be served by the nodes that
-// happen to sit at their positions. A request built by hand carries no
-// shape and is checked only for one draw per node.
+// or functions other than the plan's: its flat draws would be served by
+// the nodes that happen to sit at their positions, each priced under
+// another function's model. A workload's requests share one shape, so
+// the plan remembers the last shape that passed and checks another only
+// when a request carries it. A request built by hand carries no shape and
+// is checked only for one draw per node.
 func (p *dagPlan) checkShape(tenant string, r *Request) error {
-	if r.shape == nil {
+	sh := r.shape
+	if sh == nil || sh == p.shape {
 		return nil
 	}
-	if len(r.shape.sizes) != len(p.groups) {
+	if len(sh.sizes) != len(p.groups) {
 		return fmt.Errorf("platform: tenant %q request %d carries %d draw rows, workflow %s has %d decision groups",
-			tenant, r.ID, len(r.shape.sizes), r.Workflow.Name(), len(p.groups))
+			tenant, r.ID, len(sh.sizes), r.Workflow.Name(), len(p.groups))
 	}
 	for g, group := range p.groups {
-		if r.shape.sizes[g] != len(group) {
+		if sh.sizes[g] != len(group) {
 			return fmt.Errorf("platform: tenant %q request %d group %d carries %d draws, workflow %s has %d members",
-				tenant, r.ID, g, r.shape.sizes[g], r.Workflow.Name(), len(group))
+				tenant, r.ID, g, sh.sizes[g], r.Workflow.Name(), len(group))
+		}
+		for b, n := range group {
+			if fn := sh.fns[p.base[g]+b]; fn != n.Function {
+				return fmt.Errorf("platform: tenant %q request %d group %d member %d was drawn for function %s, workflow %s runs %s",
+					tenant, r.ID, g, b, fn, r.Workflow.Name(), n.Function)
+			}
 		}
 	}
+	p.shape = sh
 	return nil
 }
 
@@ -1242,13 +1298,18 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 		st.om = newRunObs(e.cfg.Metrics)
 	}
 	// Validate every request's draws against the plan the engine will
-	// actually execute — drawn for the workflow's decision groups, one
-	// draw per node — building and binding each workflow's plan at its
-	// first request (planFor). The same pass sizes the stage arena: every
-	// node of a static request, the live executions its resolution
-	// implies for a dynamic one.
+	// actually execute — drawn for the workflow's decision groups and
+	// functions, one draw per node — building and binding each workflow's
+	// plan at its first request (planFor). The same pass fills every
+	// trace's header and counts the request's executed nodes: every node
+	// of a static request, the live executions its resolution implies for
+	// a dynamic one. A trace's Stages leaves this pass as a window of that
+	// capacity on a scratch slice, until the stage arena is sized.
+	traces := make([][]Trace, len(tenants))
+	var scratch []StageTrace
 	totalStages := 0
-	for _, tw := range tenants {
+	for t, tw := range tenants {
+		traces[t] = make([]Trace, len(tw.Requests))
 		for _, r := range tw.Requests {
 			plan, err := st.planFor(tw.Tenant, r)
 			if err != nil {
@@ -1261,27 +1322,31 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 				return nil, fmt.Errorf("platform: tenant %q request %d carries %d draws, workflow %s has %d nodes",
 					tw.Tenant, r.ID, len(r.Draws), r.Workflow.Name(), plan.nodes)
 			}
-			if plan.dyn == nil {
-				totalStages += plan.nodes
-				continue
+			stages := plan.nodes
+			if dp := plan.dyn; dp != nil {
+				if err := dp.validateRequest(tw.Tenant, r); err != nil {
+					return nil, err
+				}
+				stages = dp.executions(r.Dyn)
+				st.pool.attempts = max(st.pool.attempts, len(r.Dyn.attempts))
 			}
-			if err := plan.dyn.validateRequest(tw.Tenant, r); err != nil {
-				return nil, err
+			if stages > cap(scratch) {
+				scratch = make([]StageTrace, 0, max(stages, 2*cap(scratch)))
 			}
-			totalStages += plan.dyn.executions(r.Dyn)
-			st.pool.attempts = max(st.pool.attempts, len(r.Dyn.attempts))
+			traces[t][r.ID] = Trace{RequestID: r.ID, Arrival: r.Arrival, SLO: r.Workflow.SLO(), Stages: scratch[:0:stages]}
+			totalStages += stages
 		}
 	}
 	st.park.init(st.fns)
 	st.thr, st.thrGen = make([]int, st.fns), make([]uint64, st.fns)
 	// Only the run's outputs are built up front: every trace's header,
-	// its Stages carved from one arena at exactly the request's
+	// its Stages re-pointed into one arena at exactly the request's
 	// executed-node count. In-flight state comes from the run's pool at
 	// admission.
 	stageArena := make([]StageTrace, totalStages)
 	so := 0
-	for _, tw := range tenants {
-		tn := &tenantRun{name: tw.Tenant, alloc: tw.Allocator, reqs: tw.Requests, traces: make([]Trace, len(tw.Requests))}
+	for t, tw := range tenants {
+		tn := &tenantRun{name: tw.Tenant, alloc: tw.Allocator, reqs: tw.Requests, traces: traces[t]}
 		if st.om != nil {
 			tn.om = st.om.tenant(tw.Tenant, st.fns)
 		}
@@ -1295,20 +1360,14 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 			tn.trig = make([]reqTrig, len(tw.Requests))
 		}
 		st.tenants = append(st.tenants, tn)
-		for _, r := range tw.Requests {
-			plan := st.plans[r.Workflow]
-			stages := plan.nodes
-			if dp := plan.dyn; dp != nil {
-				stages = dp.executions(r.Dyn)
-			}
-			tn.traces[r.ID] = Trace{
-				RequestID: r.ID,
-				Arrival:   r.Arrival,
-				SLO:       r.Workflow.SLO(),
-				Stages:    stageArena[so : so : so+stages],
-			}
+		for i := range tn.traces {
+			tr := &tn.traces[i]
+			stages := cap(tr.Stages)
+			tr.Stages = stageArena[so : so : so+stages]
 			so += stages
-			if tn.trig != nil {
+		}
+		if tn.trig != nil {
+			for _, r := range tw.Requests {
 				tn.trig[r.ID] = reqTrig{r: r, awaits: -1}
 			}
 		}
@@ -1351,41 +1410,65 @@ type admitRef struct{ tenant, idx int32 }
 
 // admissionOrder lists the requests admitted at their own Arrival (not
 // by a start trigger) by arrival, ties broken by tenant and then input
-// position. Each tenant's stream is ascending as GenerateWorkload emits
-// it (a stream that is not is stably sorted first), so the order is a
-// T-way merge of the tenants' streams that takes the lowest tenant on a
-// tie.
+// position: a T-way merge of the tenants' streams that takes the lowest
+// tenant on a tie. A tenant with no start-triggered request whose stream
+// ascends, as GenerateWorkload emits it, is merged in input order; any
+// other tenant's remaining positions are listed and stably sorted first.
 func (st *runState) admissionOrder() []admitRef {
-	streams := make([][]int32, len(st.tenants))
-	flat := make([]int32, 0, st.total)
+	streams := make([]admitStream, len(st.tenants))
+	total := 0
 	for t, tn := range st.tenants {
-		lo := len(flat)
-		for i, r := range tn.reqs {
-			if tn.trig == nil || !tn.trig[r.ID].external {
-				flat = append(flat, int32(i))
+		s := &streams[t]
+		s.reqs, s.n = tn.reqs, len(tn.reqs)
+		if tn.starts > 0 || !slices.IsSortedFunc(tn.reqs, func(a, b *Request) int { return cmp.Compare(a.Arrival, b.Arrival) }) {
+			s.pos = make([]int32, 0, len(tn.reqs)-tn.starts)
+			for i, r := range tn.reqs {
+				if tn.trig == nil || !tn.trig[r.ID].external {
+					s.pos = append(s.pos, int32(i))
+				}
 			}
+			byArrival := func(a, b int32) int { return cmp.Compare(tn.reqs[a].Arrival, tn.reqs[b].Arrival) }
+			if !slices.IsSortedFunc(s.pos, byArrival) {
+				slices.SortStableFunc(s.pos, byArrival)
+			}
+			s.n = len(s.pos)
 		}
-		streams[t] = flat[lo:]
-		byArrival := func(a, b int32) int { return cmp.Compare(tn.reqs[a].Arrival, tn.reqs[b].Arrival) }
-		if !slices.IsSortedFunc(streams[t], byArrival) {
-			slices.SortStableFunc(streams[t], byArrival)
-		}
+		total += s.n
 	}
-	order := make([]admitRef, 0, len(flat))
-	for len(order) < len(flat) {
+	order := make([]admitRef, 0, total)
+	for len(order) < total {
 		best, at := -1, time.Duration(0)
-		for t, s := range streams {
-			if len(s) == 0 {
+		for t := range streams {
+			s := &streams[t]
+			if s.next == s.n {
 				continue
 			}
-			if a := st.tenants[t].reqs[s[0]].Arrival; best < 0 || a < at {
+			if a := s.reqs[s.idx()].Arrival; best < 0 || a < at {
 				best, at = t, a
 			}
 		}
-		order = append(order, admitRef{tenant: int32(best), idx: streams[best][0]})
-		streams[best] = streams[best][1:]
+		s := &streams[best]
+		order = append(order, admitRef{tenant: int32(best), idx: int32(s.idx())})
+		s.next++
 	}
 	return order
+}
+
+// admitStream is one tenant's stream in admissionOrder's merge: the
+// positions of its requests admitted at their own Arrival, in arrival
+// order, or nil when those are all its requests in input order.
+type admitStream struct {
+	reqs    []*Request
+	pos     []int32
+	next, n int
+}
+
+// idx is the stream position of the stream's next request.
+func (s *admitStream) idx() int {
+	if s.pos == nil {
+		return s.next
+	}
+	return int(s.pos[s.next])
 }
 
 // admitNext is the admission event every request shares: the cursor
@@ -1459,6 +1542,7 @@ func (st *runState) armTriggers(triggers []Trigger) error {
 				return fmt.Errorf("platform: tenant %q request %d has more than one start trigger", tr.Tenant, tr.Request)
 			}
 			rec.external = true
+			tn.starts++
 			st.triggers = append(st.triggers, armed)
 			continue
 		}
@@ -1809,12 +1893,12 @@ func (st *runState) startNode(rs *reqState, group, member, replica, mc int, hit,
 // needs to record the stage and advance the request. replica and attempt
 // are always 0 for static workflows.
 type nodeRun struct {
-	rs                      *reqState
-	pod                     *cluster.Pod
-	start, startup, latency time.Duration
-	group, member           int
-	replica, attempt        int
-	cold, hit               bool
+	rs               *reqState
+	pod              *cluster.Pod
+	start            time.Duration
+	group, member    int
+	replica, attempt int
+	cold, hit        bool
 }
 
 // completion is a pooled node-completion event: fire is bound to the
@@ -1830,11 +1914,8 @@ type completion struct {
 // its completion on a record from the run's free list.
 func (st *runState) launch(n nodeRun, draw perfmodel.Draw) {
 	fn := n.rs.plan.node[n.rs.plan.base[n.group]+n.member].model
-	n.startup = st.ex.cfg.WarmStartup
-	if n.cold {
-		n.startup = st.ex.cfg.ColdStartup
-	}
-	n.latency = fn.Latency(draw, n.pod.Millicores())
+	startup := st.ex.cfg.startup(n.cold)
+	latency := fn.Latency(draw, n.pod.Millicores())
 	n.start = st.engine.Now()
 	var c *completion
 	if k := len(st.free); k > 0 {
@@ -1847,7 +1928,7 @@ func (st *runState) launch(n nodeRun, draw perfmodel.Draw) {
 	c.run = n
 	// The group's decision gates every member launch, so each node span
 	// carries the decision overhead alongside its own startup and latency.
-	st.engine.Schedule(st.ex.cfg.DecisionOverhead+n.startup+n.latency, c.fire)
+	st.engine.Schedule(st.ex.cfg.DecisionOverhead+startup+latency, c.fire)
 }
 
 // done is a completion record's event. It copies the record out and
@@ -1863,16 +1944,14 @@ func (c *completion) done(end time.Duration) {
 	rs := n.rs
 	mc := n.pod.Millicores()
 	rs.tr.Stages = append(rs.tr.Stages, StageTrace{
-		Stage:      int32(n.group),
-		Branch:     int32(n.member),
-		Replica:    int32(n.replica),
-		Attempt:    int32(n.attempt),
-		Node:       int32(n.pod.NodeID),
-		Millicores: int32(mc),
 		Start:      n.start,
 		End:        end,
-		Startup:    n.startup,
-		Latency:    n.latency,
+		Node:       int32(n.pod.NodeID),
+		Millicores: int32(mc),
+		Stage:      uint16(n.group),
+		Branch:     uint16(n.member),
+		Replica:    uint8(n.replica),
+		Attempt:    uint8(n.attempt),
 		Cold:       n.cold,
 		Hit:        n.hit,
 	})
@@ -1886,7 +1965,8 @@ func (c *completion) done(end time.Duration) {
 		st.tracer.Emit(ev)
 	}
 	if rs.tn.om != nil {
-		rs.tn.om.observeNode(rs.plan.node[rs.plan.base[n.group]+n.member].fn, rs.plan.groups[n.group][n.member].Function, n.latency)
+		_, latency := st.ex.cfg.StageTimes(&rs.tr.Stages[len(rs.tr.Stages)-1])
+		rs.tn.om.observeNode(rs.plan.node[rs.plan.base[n.group]+n.member].fn, rs.plan.groups[n.group][n.member].Function, latency)
 	}
 	if err := st.cluster.Release(n.pod); err != nil {
 		st.fail(err)

@@ -279,6 +279,10 @@ func TestExecutorValidation(t *testing.T) {
 func TestRunRejectsDrawsOfAnotherShape(t *testing.T) {
 	e := defaultExecutor(t)
 	vasp, diamond := workflow.VideoAnalyzeSP(), diamondSP(t)
+	chain, err := workflow.NewChain("fe-chain", 3*time.Second, "fe", "ico", "aes-encrypt")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		edit func(r *Request)
@@ -286,6 +290,7 @@ func TestRunRejectsDrawsOfAnotherShape(t *testing.T) {
 	}{
 		{"va-sp", func(r *Request) { r.Workflow = vasp }, "carries 3 draw rows, workflow va-sp has 2 decision groups"},
 		{"diamond", func(r *Request) { r.Workflow = diamond }, "group 1 carries 1 draws, workflow diamond has 2 members"},
+		{"functions", func(r *Request) { r.Workflow = chain }, "group 0 member 0 was drawn for function od, workflow fe-chain runs fe"},
 		{"short", func(r *Request) { r.Draws = r.Draws[:2] }, "carries 2 draws, workflow ia has 3 nodes"},
 		{"by hand", func(r *Request) {
 			*r = Request{ID: r.ID, Workflow: diamond, Draws: r.Draws, Arrival: r.Arrival, Batch: r.Batch}
@@ -299,6 +304,19 @@ func TestRunRejectsDrawsOfAnotherShape(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
+	}
+	// A copy of the workflow under another SLO runs the same nodes, so
+	// the draws drawn for the original still serve it.
+	reqs := iaWorkload(t, 2)
+	tighter, err := reqs[0].Workflow.WithSLO(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reqs {
+		r.Workflow = tighter
+	}
+	if _, err := e.Run(reqs, &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}}); err != nil {
+		t.Errorf("WithSLO copy: %v", err)
 	}
 }
 
@@ -435,7 +453,7 @@ func TestSeriesParallelJoinSemantics(t *testing.T) {
 		if tr.TotalMillicores != 8000 {
 			t.Fatalf("trace %d total millicores = %d, want 8000 (branches included)", i, tr.TotalMillicores)
 		}
-		byStage := map[int32][]StageTrace{}
+		byStage := map[uint16][]StageTrace{}
 		for _, st := range tr.Stages {
 			byStage[st.Stage] = append(byStage[st.Stage], st)
 		}
@@ -826,17 +844,17 @@ func TestSeriesParallelColdStartsAndParkingDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlacementNeverChangesStageLatency serves the diamond on a crowded
-// two-node cluster under each placement policy. Placement moves pods
-// between nodes, parks acquisitions and decides cold starts, but every
-// stage's latency must be its request's pre-sampled draw priced at the
-// stage's allocation — the property baseline.Optimal's clairvoyance and
-// the paired comparisons across systems rest on.
+// TestPlacementNeverChangesStageLatency serves the diamond, and the
+// dynamic trigger workflow with its map replicas and retries, on a
+// crowded two-node cluster under each placement policy. Placement moves
+// pods between nodes, parks acquisitions and decides cold starts, but
+// every stage's latency — recovered from its span by
+// ExecutorConfig.StageTimes — must be its request's pre-sampled draw
+// priced at the stage's allocation: the property baseline.Optimal's
+// clairvoyance and the paired comparisons across systems rest on.
 func TestPlacementNeverChangesStageLatency(t *testing.T) {
-	w := diamondSP(t)
-	reqs := spWorkload(t, w, 60)
 	fns := perfmodel.Catalog()
-	groups := w.DecisionGroups()
+	diamond, trig := diamondSP(t), trigWorkflow(t)
 	for _, placement := range []cluster.Placement{cluster.PlacementSpread, cluster.PlacementFirstFit} {
 		cfg := DefaultExecutorConfig()
 		cfg.Cluster = cluster.Config{Nodes: 2, NodeMillicores: 7000, PoolSize: 1, IdleMillicores: 100, Placement: placement}
@@ -844,36 +862,79 @@ func TestPlacementNeverChangesStageLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		check := func(name string, w *workflow.Workflow, reqs []*Request, traces []Trace) (replicas, retries int) {
+			t.Helper()
+			groups := w.DecisionGroups()
+			parked, cold, warm := 0, 0, 0
+			used := map[int32]bool{}
+			for _, tr := range traces {
+				parked += tr.Parked
+				req := reqs[tr.RequestID]
+				for i := range tr.Stages {
+					st := &tr.Stages[i]
+					used[st.Node] = true
+					node := groups[st.Stage].Nodes[st.Branch]
+					_, latency := cfg.StageTimes(st)
+					if st.Cold {
+						cold++
+					} else {
+						warm++
+					}
+					want := fns[node.Function].Latency(stageDraw(groups, req, st), int(st.Millicores))
+					if latency != want {
+						t.Fatalf("%v %s: request %d stage %d branch %d replica %d attempt %d on node %d ran %v, its draw at %d mc prices %v",
+							placement, name, tr.RequestID, st.Stage, st.Branch, st.Replica, st.Attempt, st.Node, latency, st.Millicores, want)
+					}
+					if st.Replica > 0 {
+						replicas++
+					}
+					if st.Attempt > 0 {
+						retries++
+					}
+				}
+			}
+			if len(used) != 2 {
+				t.Fatalf("%v %s: stages ran on nodes %v, want both", placement, name, used)
+			}
+			if parked == 0 || cold == 0 || warm == 0 {
+				t.Fatalf("%v %s: crowded cluster parked %d acquisitions, started %d cold and %d warm pods, want each", placement, name, parked, cold, warm)
+			}
+			return replicas, retries
+		}
+
+		reqs := spWorkload(t, diamond, 60)
 		traces, err := e.Run(reqs, &Fixed{System: "fixed", Sizes: []int{2000, 2000, 2000}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parked := 0
-		used := map[int32]bool{}
-		for _, tr := range traces {
-			parked += tr.Parked
-			req := reqs[tr.RequestID]
-			for _, st := range tr.Stages {
-				used[st.Node] = true
-				fn := fns[groups[st.Stage].Nodes[st.Branch].Function]
-				flat := int(st.Branch)
-				for g := range st.Stage {
-					flat += len(groups[g].Nodes)
-				}
-				want := fn.Latency(req.Draws[flat], int(st.Millicores))
-				if st.Latency != want {
-					t.Fatalf("%v: request %d stage %d branch %d on node %d ran %v, its draw at %d mc prices %v",
-						placement, tr.RequestID, st.Stage, st.Branch, st.Node, st.Latency, st.Millicores, want)
-				}
-			}
+		check("diamond", diamond, reqs, traces)
+
+		reqs = trigWorkload(t, trig, 60)
+		dyn, _, err := e.RunReplay(
+			[]TenantWorkload{{Requests: reqs, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}}},
+			ReplayConfig{Interval: 100 * time.Millisecond, Triggers: gateTriggers(reqs, "", 120*time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(used) != 2 {
-			t.Fatalf("%v: stages ran on nodes %v, want both", placement, used)
-		}
-		if parked == 0 {
-			t.Fatalf("%v: crowded cluster parked no acquisitions", placement)
+		if replicas, retries := check("trig", trig, reqs, dyn[""]); replicas == 0 || retries == 0 {
+			t.Fatalf("%v trig: served %d later map replicas and %d retries, want both", placement, replicas, retries)
 		}
 	}
+}
+
+// stageDraw returns the draw stage st of request r ran off: a map
+// replica's or retry attempt's own draw, or else its node's base draw.
+func stageDraw(groups []workflow.Group, r *Request, st *StageTrace) perfmodel.Draw {
+	if r.Dyn != nil {
+		if draws := r.Dyn.NodeDraws(groups[st.Stage].Nodes[st.Branch].Name, int(st.Replica)); draws != nil {
+			return draws[st.Attempt]
+		}
+	}
+	flat := int(st.Branch)
+	for g := range st.Stage {
+		flat += len(groups[g].Nodes)
+	}
+	return r.Draws[flat]
 }
 
 // crossDAG is the smallest genuinely non-series-parallel shape on catalog
@@ -946,7 +1007,7 @@ func TestNodeGranularReadinessSemantics(t *testing.T) {
 		for _, st := range tr.Stages {
 			byStep[groups[st.Stage].Nodes[st.Branch].Name] = st
 		}
-		for step, group := range map[string]int32{"pre": 0, "detect": 1, "classify": 1, "ocr": 2, "fuse": 3} {
+		for step, group := range map[string]uint16{"pre": 0, "detect": 1, "classify": 1, "ocr": 2, "fuse": 3} {
 			st, ok := byStep[step]
 			if !ok {
 				t.Fatalf("trace %d has no execution for node %q", i, step)

@@ -2,6 +2,8 @@ package platform
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -10,13 +12,14 @@ import (
 	"janus/internal/workflow"
 )
 
-// TestStageTraceIsOneCacheLine pins the per-stage record's layout: 64
-// bytes, so each append fills one cache line, and no pointer anywhere in
+// TestStageTraceIsHalfACacheLine pins the per-stage record's layout: 32
+// bytes, so two records fill one cache line, and no pointer anywhere in
 // it, so the stage arena is a span the collector never scans. A field
-// added back fails here instead of showing up later as serving RSS.
-func TestStageTraceIsOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(StageTrace{}); got != 64 {
-		t.Fatalf("StageTrace is %d bytes, want 64", got)
+// added back (the startup and latency it once carried cost 32 bytes)
+// fails here instead of showing up later as serving RSS.
+func TestStageTraceIsHalfACacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(StageTrace{}); got != 32 {
+		t.Fatalf("StageTrace is %d bytes, want 32", got)
 	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -34,6 +37,27 @@ func TestStageTraceIsOneCacheLine(t *testing.T) {
 		}
 	}
 	walk("StageTrace", reflect.TypeOf(StageTrace{}))
+}
+
+// TestPlanRejectsCoordinatesPastStageTrace serves a fork of maxCoord+1
+// members: a stage's Branch holds 16 bits, so the run must fail naming
+// the group instead of tracing member 65536 as member 0.
+func TestPlanRejectsCoordinatesPastStageTrace(t *testing.T) {
+	nodes := []workflow.Node{{Name: "root", Function: "fe"}}
+	var edges [][2]string
+	for i := range maxCoord + 1 {
+		name := "b" + strconv.Itoa(i)
+		nodes = append(nodes, workflow.Node{Name: name, Function: "fe"})
+		edges = append(edges, [2]string{"root", name})
+	}
+	w, err := workflow.New("wide", time.Second, nodes, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = defaultExecutor(t).Run([]*Request{{Workflow: w}}, &Fixed{System: "fixed", Sizes: []int{1000, 1000}})
+	if want := "decision group 1 has 65537 members"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
 }
 
 // TestTraceIs96Bytes pins the per-request record's size: a run keeps one
