@@ -1,7 +1,7 @@
 // TestBenchGuard is the benchmark-regression harness: it replays the
 // alloc-critical benchmarks for a fixed stretch of time (guardBenchtime)
 // and diffs allocs/op, and B/op where a ceiling is set, against the
-// thresholds committed in BENCH_PR31.json (the `guard` section). The
+// thresholds committed in BENCH_PR32.json (the `guard` section). The
 // indexed cluster's contract is that pickNode and the acquire/release
 // cycle never allocate on the hot path, and the serving plane's contract
 // is that a park/wake cycle at fleet depth (BenchmarkParkWake), the event
@@ -33,7 +33,7 @@
 // Knobs:
 //
 //	JANUS_BENCHGUARD=off   skip the guard (triaging an intentional
-//	                       allocation change; update BENCH_PR31.json's
+//	                       allocation change; update BENCH_PR32.json's
 //	                       thresholds in the same commit instead of
 //	                       leaving the knob set)
 //
@@ -69,7 +69,7 @@ import (
 
 // guardFile is the trajectory file whose `guard` section the guard
 // enforces; the measurement sections are documented in docs/BENCHMARKS.md.
-const guardFile = "BENCH_PR31.json"
+const guardFile = "BENCH_PR32.json"
 
 // guardBenchtime is the -benchtime every guarded benchmark runs for.
 const guardBenchtime = "100ms"

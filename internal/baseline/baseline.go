@@ -365,7 +365,7 @@ func (o *Optimal) solve(req *platform.Request) []int {
 		for ki, k := range levels {
 			var worst time.Duration
 			for _, m := range members {
-				if l := m.fn.Latency(req.Draws[m.flat], k); l > worst {
+				if l := m.fn.Latency(req.Draws[m.flat], req.Batch, k); l > worst {
 					worst = l
 				}
 			}

@@ -228,7 +228,7 @@ func TestOptimalPlansMeetSLOAndAreMinimal(t *testing.T) {
 		// infeasible and the oracle sprints at Kmax).
 		var latency time.Duration
 		for stage, f := range fns {
-			latency += f.Latency(req.Draws[stage], plan[stage])
+			latency += f.Latency(req.Draws[stage], req.Batch, plan[stage])
 		}
 		atMax := plan[0] == 3000 && plan[1] == 3000 && plan[2] == 3000
 		if latency > 3*time.Second && !atMax {
@@ -261,9 +261,9 @@ func TestOptimalCheapestAmongFeasibleFixedPlans(t *testing.T) {
 		for _, k0 := range levels {
 			for _, k1 := range levels {
 				for _, k2 := range levels {
-					lat := fns[0].Latency(req.Draws[0], k0) +
-						fns[1].Latency(req.Draws[1], k1) +
-						fns[2].Latency(req.Draws[2], k2)
+					lat := fns[0].Latency(req.Draws[0], req.Batch, k0) +
+						fns[1].Latency(req.Draws[1], req.Batch, k1) +
+						fns[2].Latency(req.Draws[2], req.Batch, k2)
 					// The oracle rounds latencies up by <=1ms per stage;
 					// mirror that conservatism for a fair comparison.
 					if lat+3*time.Millisecond <= 3*time.Second && k0+k1+k2 < best {

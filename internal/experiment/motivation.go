@@ -127,7 +127,7 @@ func (s *Suite) Fig1c() ([]Fig1cRow, error) {
 			var sum stats.Summary
 			for i := 0; i < 400; i++ {
 				d := fn.NewDraw(stream, 1, n, s.interf)
-				sum.Observe(float64(fn.Latency(d, 2000)) / float64(time.Millisecond))
+				sum.Observe(float64(fn.Latency(d, 1, 2000)) / float64(time.Millisecond))
 			}
 			if n == 1 {
 				base = sum.Mean()

@@ -18,7 +18,7 @@ func profileOnce(f *Function, k, c, n int, cs *interfere.CountSampler, seed uint
 	out := &stats.Sample{}
 	for i := 0; i < n; i++ {
 		d := f.NewDraw(s, c, cs.Sample(s), im)
-		out.AddDuration(f.Latency(d, k))
+		out.AddDuration(f.Latency(d, c, k))
 	}
 	return out
 }

@@ -19,9 +19,10 @@
 // lognormal jitter.
 //
 // The randomness of an invocation is captured once in a Draw; latency is
-// then a pure function of millicores, which is what lets the clairvoyant
-// Optimal baseline evaluate "what would this exact request have cost at a
-// different size".
+// then a pure function of the batch size the draw was taken at and the
+// millicores, which is what lets the clairvoyant Optimal baseline
+// evaluate "what would this exact request have cost at a different
+// size".
 package perfmodel
 
 import (
@@ -160,17 +161,19 @@ func (f *Function) BatchFactor(c int) float64 {
 	return factor
 }
 
-// Draw captures all randomness of one invocation. Latency(draw, k) is then
+// Draw captures all randomness of one invocation in 24 bytes. It does
+// not record the batch size it was drawn at: the caller that drew it
+// holds that once (platform.Request.Batch for a request's draws) and
+// passes it back to Latency, and Latency(draw, batch, k) is then
 // deterministic in k.
 type Draw struct {
 	// WS is the working-set factor for this input.
 	WS float64
 	// Slowdown is the co-location interference factor (>= 1).
 	Slowdown float64
-	// Noise is the residual multiplicative jitter.
+	// Noise is the residual multiplicative jitter, sampled with the
+	// noise sigma of the batch size the draw was taken at.
 	Noise float64
-	// Batch is the batch size the invocation executes with.
-	Batch int
 }
 
 // NewDraw samples an invocation's randomness: its input, the interference
@@ -193,13 +196,15 @@ func (f *Function) NewDraw(s *rng.Stream, batch, colocated int, im *interfere.Mo
 		WS:       f.p.WorkingSet.Sample(s),
 		Slowdown: slowdown,
 		Noise:    noise,
-		Batch:    batch,
 	}
 }
 
-// Latency evaluates the model for a draw at the given allocation.
-func (f *Function) Latency(d Draw, millicores int) time.Duration {
-	factor := f.CPUFactor(millicores) * f.BatchFactor(d.Batch) * d.WS * d.Slowdown * d.Noise
+// Latency evaluates the model for a draw at the given allocation. batch
+// is the batch size the draw was taken at (NewDraw's batch): it selects
+// the batch factor, and it panics on a size the function does not
+// support, as BatchFactor does.
+func (f *Function) Latency(d Draw, batch, millicores int) time.Duration {
+	factor := f.CPUFactor(millicores) * f.BatchFactor(batch) * d.WS * d.Slowdown * d.Noise
 	return time.Duration(float64(f.p.Base) * factor)
 }
 

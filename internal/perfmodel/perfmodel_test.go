@@ -145,8 +145,8 @@ func TestNewDrawPanicsOnUnsupportedBatch(t *testing.T) {
 func TestLatencyDeterministicGivenDraw(t *testing.T) {
 	f := ObjectDetection()
 	d := f.NewDraw(rng.New(7), 1, 2, interfere.Default())
-	l1 := f.Latency(d, 1500)
-	l2 := f.Latency(d, 1500)
+	l1 := f.Latency(d, 1, 1500)
+	l2 := f.Latency(d, 1, 1500)
 	if l1 != l2 {
 		t.Fatal("Latency is not deterministic for a fixed draw")
 	}
@@ -155,9 +155,9 @@ func TestLatencyDeterministicGivenDraw(t *testing.T) {
 func TestLatencyDecreasesWithCores(t *testing.T) {
 	f := QuestionAnswering()
 	d := f.NewDraw(rng.New(8), 1, 1, nil)
-	prev := f.Latency(d, 1000)
+	prev := f.Latency(d, 1, 1000)
 	for k := 1100; k <= 3000; k += 100 {
-		cur := f.Latency(d, k)
+		cur := f.Latency(d, 1, k)
 		if cur >= prev {
 			t.Fatalf("Latency(%d) = %v did not decrease from %v", k, cur, prev)
 		}
@@ -168,10 +168,8 @@ func TestLatencyDecreasesWithCores(t *testing.T) {
 func TestLatencyGrowsWithBatch(t *testing.T) {
 	f := QuestionAnswering()
 	s := rng.New(9)
-	d1 := f.NewDraw(s, 1, 1, nil)
-	d2, d3 := d1, d1
-	d2.Batch, d3.Batch = 2, 3
-	l1, l2, l3 := f.Latency(d1, 2000), f.Latency(d2, 2000), f.Latency(d3, 2000)
+	d := f.NewDraw(s, 1, 1, nil)
+	l1, l2, l3 := f.Latency(d, 1, 2000), f.Latency(d, 2, 2000), f.Latency(d, 3, 2000)
 	if !(l1 < l2 && l2 < l3) {
 		t.Fatalf("latencies by batch = %v, %v, %v; want increasing", l1, l2, l3)
 	}
@@ -252,7 +250,7 @@ func TestScaled(t *testing.T) {
 	od := ObjectDetection()
 	slow := od.Scaled(1.5)
 	d := od.NewDraw(rng.New(42), 1, 1, nil)
-	l0, l1 := od.Latency(d, 2000), slow.Latency(d, 2000)
+	l0, l1 := od.Latency(d, 1, 2000), slow.Latency(d, 1, 2000)
 	ratio := float64(l1) / float64(l0)
 	if ratio < 1.49 || ratio > 1.51 {
 		t.Fatalf("Scaled(1.5) latency ratio = %v", ratio)

@@ -66,6 +66,9 @@ type dynPlan struct {
 	// live is executions' reusable countdown of potentially-live
 	// incoming edges.
 	live []int
+	// shape is the last draw shape whose step names validateRequest
+	// accepted for the plan.
+	shape *drawShape
 }
 
 type dynLoc struct{ group, member int }
@@ -112,11 +115,14 @@ func (dp *dynPlan) isAwait(flat int) bool { return dp.spec[flat].Await }
 
 // validateRequest checks that a request of a dynamic workflow carries a
 // complete, in-range pre-sampled resolution of this workflow's steps
-// (GenerateWorkload's output shape): hand-built or foreign resolutions
-// fail here instead of mid-run. The check is structural — step names,
-// ranges and the flat layout — never the identity of the workflow the
-// resolution was generated for, because callers re-point requests at
-// copies of their workflow (Workflow.WithSLO).
+// (GenerateWorkload's output shape), drawn at the request's batch:
+// hand-built or foreign resolutions fail here instead of mid-run. The
+// check is structural — step names, ranges and the flat layout — never
+// the identity of the workflow the resolution was generated for,
+// because callers re-point requests at copies of their workflow
+// (Workflow.WithSLO). A workload's resolutions share one draw shape, so
+// the step names are checked once per shape, like checkShape's
+// functions.
 func (dp *dynPlan) validateRequest(tenant string, r *Request) error {
 	d := r.Dyn
 	if d == nil {
@@ -127,13 +133,22 @@ func (dp *dynPlan) validateRequest(tenant string, r *Request) error {
 		return fmt.Errorf("platform: tenant %q request %d carries %d step resolutions, workflow %s annotates %d steps",
 			tenant, r.ID, len(d.steps), r.Workflow.Name(), len(dp.annotated))
 	}
+	if d.shape.batch != r.Batch {
+		return fmt.Errorf("platform: tenant %q request %d runs at batch %d, its resolution was drawn at batch %d",
+			tenant, r.ID, r.Batch, d.shape.batch)
+	}
+	if d.shape != dp.shape {
+		for k, flat := range dp.annotated {
+			if name, step := d.shape.steps[k], dp.steps[flat]; name != step {
+				return fmt.Errorf("platform: tenant %q request %d resolution %d names step %q, workflow %s annotates %q there",
+					tenant, r.ID, k, name, r.Workflow.Name(), step)
+			}
+		}
+		dp.shape = d.shape
+	}
 	att, draws := 0, 0
 	for k, flat := range dp.annotated {
 		s, spec, step := &d.steps[k], dp.spec[flat], dp.steps[flat]
-		if s.name != step {
-			return fmt.Errorf("platform: tenant %q request %d resolution %d names step %q, workflow %s annotates %q there",
-				tenant, r.ID, k, s.name, r.Workflow.Name(), step)
-		}
 		if spec.Choice != nil && (s.choice < 0 || int(s.choice) >= len(dp.succ[flat])) {
 			return fmt.Errorf("platform: tenant %q request %d choice step %q resolution %d out of range [0, %d)",
 				tenant, r.ID, step, s.choice, len(dp.succ[flat]))
@@ -158,11 +173,11 @@ func (dp *dynPlan) validateRequest(tenant string, r *Request) error {
 				tenant, r.ID, step, s.choice, s.width, s.reps, s.att, s.draw, choice, width, reps, att, draws, len(d.attempts))
 		}
 		for rep, a := range d.attempts[att : att+reps] {
-			if a < 0 || a > maxRetries {
+			if int(a) > maxRetries {
 				return fmt.Errorf("platform: tenant %q request %d step %q replica %d plans %d failures, retry bound %d",
 					tenant, r.ID, step, rep, a, maxRetries)
 			}
-			draws += a + 1
+			draws += int(a) + 1
 		}
 		att += reps
 	}
@@ -191,9 +206,8 @@ func (dp *dynPlan) executions(d *DynDraws) int {
 		switch {
 		case dead:
 		case k >= 0 && d.steps[k].reps > 0:
-			s := &d.steps[k]
-			for _, a := range d.attempts[s.att : s.att+s.reps] {
-				n += a + 1
+			for _, a := range d.replicaAttempts(&d.steps[k]) {
+				n += int(a) + 1
 			}
 		default:
 			n++

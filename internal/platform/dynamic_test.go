@@ -564,7 +564,17 @@ func TestDynamicResolutionValidation(t *testing.T) {
 		{"foreign workflow", trigWorkload(t, other, 3)[1].Dyn, "step resolutions"},
 		{"wider than the bound", tooWide, "width"},
 		{"choice out of range", mutated(func(d *DynDraws) { d.steps[0].choice = 2 }), "out of range"},
-		{"renamed step", mutated(func(d *DynDraws) { d.steps[1].name = "detect" }), "names step"},
+		{"renamed step", mutated(func(d *DynDraws) {
+			sh := *d.shape
+			sh.steps = slices.Clone(sh.steps)
+			sh.steps[1] = "detect"
+			d.shape = &sh
+		}), "names step"},
+		{"another batch", mutated(func(d *DynDraws) {
+			sh := *d.shape
+			sh.batch = 2
+			d.shape = &sh
+		}), "drawn at batch 2"},
 		{"retries past the bound", mutated(func(d *DynDraws) { d.attempts[0] = 3 }), "retry bound"},
 		{"missing draw", mutated(func(d *DynDraws) { d.draws = d.draws[:len(d.draws)-1] }), "draws"},
 		{"shifted layout", mutated(func(d *DynDraws) { d.steps[1].att++ }), "layout"},
@@ -593,6 +603,63 @@ func TestDynamicResolutionValidation(t *testing.T) {
 		[]TenantWorkload{{Requests: reqs, Allocator: &Fixed{System: "fixed", Sizes: trigSizes}}},
 		ReplayConfig{Interval: 100 * time.Millisecond, Triggers: gateTriggers(reqs, "", time.Millisecond)}); err != nil {
 		t.Fatalf("requests re-pointed at a copy of their workflow rejected: %v", err)
+	}
+}
+
+// TestGenerateRejectsResolutionsPastTheRecord checks GenerateWorkload's
+// bounds on what one request's dynStep records hold. A chain of map
+// steps of width 32 with 8 retries each resolves to up to 288 draws per
+// step: 227 steps (65,376 draws) fit the records' 16-bit offsets and
+// 228 (65,664) do not. A choice over 32,768 successors does not fit the
+// records' signed 16-bit choice.
+func TestGenerateRejectsResolutionsPastTheRecord(t *testing.T) {
+	coloc, err := interfere.NewCountSampler([]float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	generate := func(w *workflow.Workflow) error {
+		_, err := GenerateWorkload(WorkloadConfig{Workflow: w, Functions: perfmodel.Catalog(), N: 1, Colocation: coloc, Seed: 1})
+		return err
+	}
+	chain := func(steps int) *workflow.Workflow {
+		nodes := make([]workflow.Node, steps)
+		var edges [][2]string
+		spec := make([]workflow.DynamicNode, steps)
+		for i := range nodes {
+			nodes[i] = workflow.Node{Name: fmt.Sprintf("s%d", i), Function: "fe"}
+			if i > 0 {
+				edges = append(edges, [2]string{nodes[i-1].Name, nodes[i].Name})
+			}
+			spec[i] = workflow.DynamicNode{Step: nodes[i].Name,
+				Map:   &workflow.MapSpec{MaxWidth: workflow.MaxMapWidth},
+				Retry: &workflow.RetrySpec{MaxRetries: workflow.MaxRetryBound, FailureProb: 0.5}}
+		}
+		w, err := workflow.NewDynamic("chain", time.Hour, nodes, edges, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	if err := generate(chain(227)); err != nil {
+		t.Fatalf("227 steps of up to 288 draws each: %v", err)
+	}
+	if err, want := generate(chain(228)), "up to 65664 draws per request"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("228 steps: err = %v, want %q", err, want)
+	}
+	const fanout = 32768
+	nodes := []workflow.Node{{Name: "route", Function: "fe"}}
+	var edges [][2]string
+	for i := range fanout {
+		nodes = append(nodes, workflow.Node{Name: fmt.Sprintf("b%d", i), Function: "ico"})
+		edges = append(edges, [2]string{"route", nodes[i+1].Name})
+	}
+	w, err := workflow.NewDynamic("wide", time.Hour, nodes, edges,
+		[]workflow.DynamicNode{{Step: "route", Choice: &workflow.ChoiceSpec{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err, want := generate(w), "choice step \"route\" has 32768 successors"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("choice over %d successors: err = %v, want %q", fanout, err, want)
 	}
 }
 

@@ -143,8 +143,7 @@ func mixedDynWorkflow(t *testing.T) *workflow.Workflow {
 func sameDraw(a, b perfmodel.Draw) bool {
 	return math.Float64bits(a.WS) == math.Float64bits(b.WS) &&
 		math.Float64bits(a.Slowdown) == math.Float64bits(b.Slowdown) &&
-		math.Float64bits(a.Noise) == math.Float64bits(b.Noise) &&
-		a.Batch == b.Batch
+		math.Float64bits(a.Noise) == math.Float64bits(b.Noise)
 }
 
 // TestDynDrawsMatchReference pins the flat resolution against the

@@ -15,15 +15,16 @@ import (
 // child stream a fresh Split, every label a fmt.Sprintf, every request's
 // draws and dynamic resolution allocated on their own. It is kept,
 // unchanged but for its names, the Request.Groups copy it no longer
-// fills, the draws it appends into one flat slice and the draw shape it
-// stamps on every request, as the oracle the chunked generator must
-// reproduce exactly at any worker count.
+// fills, the draws it appends into one flat slice, the draw shape it
+// stamps on every request and resolution, and the narrow records and
+// attempt counts it resolves into, as the oracle the chunked generator
+// must reproduce exactly at any worker count.
 func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	if cfg.Workflow == nil {
 		return nil, fmt.Errorf("platform: workload needs a workflow")
 	}
 	var stages [][]workflow.Node
-	shape := new(drawShape)
+	shape := &drawShape{steps: cfg.Workflow.DynamicSteps()}
 	for _, g := range cfg.Workflow.DecisionGroups() {
 		stages = append(stages, g.Nodes)
 		shape.sizes = append(shape.sizes, len(g.Nodes))
@@ -50,6 +51,7 @@ func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 1
 	}
+	shape.batch = cfg.Batch
 	if cfg.Colocation == nil {
 		return nil, fmt.Errorf("platform: workload needs a co-location sampler")
 	}
@@ -72,7 +74,7 @@ func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 	}
 	var sampler *refDynSampler
 	if cfg.Workflow.IsDynamic() {
-		sampler = newRefDynSampler(&cfg, cfg.N)
+		sampler = newRefDynSampler(&cfg, cfg.N, shape)
 	}
 	root := rng.New(cfg.Seed).Split("workload/" + cfg.Workflow.Name())
 	arrivals := root.Split("arrivals")
@@ -131,15 +133,15 @@ func refGenerateWorkload(cfg WorkloadConfig) ([]*Request, error) {
 // reusable buffers one request's counts and draws are drawn into before
 // they are copied out at their exact sizes.
 type refDynSampler struct {
+	shape    *drawShape
 	steps    []refDynSampleStep
 	dyns     []DynDraws
 	records  []dynStep
-	attempts []int
+	attempts []uint8
 	draws    []perfmodel.Draw
 }
 
 type refDynSampleStep struct {
-	name string
 	spec workflow.DynamicNode
 	// weights are a choice step's edge weights, uniform when the spec
 	// leaves them nil.
@@ -150,10 +152,11 @@ type refDynSampleStep struct {
 	fn    *perfmodel.Function
 }
 
-func newRefDynSampler(cfg *WorkloadConfig, n int) *refDynSampler {
+func newRefDynSampler(cfg *WorkloadConfig, n int, shape *drawShape) *refDynSampler {
 	w := cfg.Workflow
 	names := w.DynamicSteps()
 	s := &refDynSampler{
+		shape:   shape,
 		steps:   make([]refDynSampleStep, len(names)),
 		dyns:    make([]DynDraws, n),
 		records: make([]dynStep, n*len(names)),
@@ -161,7 +164,7 @@ func newRefDynSampler(cfg *WorkloadConfig, n int) *refDynSampler {
 	for i, step := range names {
 		d, _ := w.Dynamic(step)
 		node, _ := w.Node(step)
-		ss := refDynSampleStep{name: step, spec: d, fn: cfg.Functions[node.Function]}
+		ss := refDynSampleStep{spec: d, fn: cfg.Functions[node.Function]}
 		if d.Choice != nil {
 			ss.weights = d.Choice.Weights
 			if ss.weights == nil {
@@ -192,14 +195,14 @@ func (s *refDynSampler) sample(cfg *WorkloadConfig, i int, dynStream, common *rn
 	s.attempts, s.draws = s.attempts[:0], s.draws[:0]
 	for j := range s.steps {
 		ss := &s.steps[j]
-		rec := dynStep{name: ss.name, choice: -1, att: int32(len(s.attempts)), draw: int32(len(s.draws))}
+		rec := dynStep{choice: -1, att: uint16(len(s.attempts)), draw: uint16(len(s.draws))}
 		switch d := ss.spec; {
 		case d.Choice != nil:
-			rec.choice = int32(dynStream.Choice(ss.weights))
+			rec.choice = int16(dynStream.Choice(ss.weights))
 		case d.Map != nil || d.Retry != nil:
 			rec.reps = 1
 			if d.Map != nil {
-				rec.width = int32(dynStream.TruncGeometric(d.Map.MaxWidth, ss.decay))
+				rec.width = uint8(dynStream.TruncGeometric(d.Map.MaxWidth, ss.decay))
 				rec.reps = rec.width
 			}
 			for range rec.reps {
@@ -207,10 +210,10 @@ func (s *refDynSampler) sample(cfg *WorkloadConfig, i int, dynStream, common *rn
 				for d.Retry != nil && a < d.Retry.MaxRetries && dynStream.Float64() < d.Retry.FailureProb {
 					a++
 				}
-				s.attempts = append(s.attempts, a)
+				s.attempts = append(s.attempts, uint8(a))
 			}
 			for _, a := range s.attempts[rec.att:] {
-				for range a + 1 {
+				for range int(a) + 1 {
 					drawStream := dynStream
 					if shared {
 						drawStream = common.Split("replay")
@@ -223,6 +226,6 @@ func (s *refDynSampler) sample(cfg *WorkloadConfig, i int, dynStream, common *rn
 		records[j] = rec
 	}
 	dyn := &s.dyns[i]
-	*dyn = DynDraws{steps: records, attempts: slices.Clone(s.attempts), draws: slices.Clone(s.draws)}
+	*dyn = DynDraws{shape: s.shape, steps: records, attempts: slices.Clone(s.attempts), draws: slices.Clone(s.draws)}
 	return dyn
 }

@@ -99,8 +99,8 @@ func TestChunkedGenerationMatchesReference(t *testing.T) {
 
 // TestChunkedRequestsDoNotShareCapacity checks that requests carved from
 // one chunk's arenas stay independent: appending to a request's flat
-// Draws, or to a dynamic replica's draws or attempts, never writes into
-// the next request.
+// Draws, or to a dynamic replica's draws, never writes into the next
+// request. (Attempts returns a copy, so its result shares nothing.)
 func TestChunkedRequestsDoNotShareCapacity(t *testing.T) {
 	for _, w := range generationWorkflows(t) {
 		cfg := generationConfig(t, w, 600, 0.5)
@@ -112,13 +112,12 @@ func TestChunkedRequestsDoNotShareCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		marker := perfmodel.Draw{WS: -1, Slowdown: -1, Noise: -1, Batch: -1}
+		marker := perfmodel.Draw{WS: -1, Slowdown: -1, Noise: -1}
 		for i := 0; i+1 < len(reqs); i++ {
 			r := reqs[i]
 			_ = append(r.Draws, marker)
 			if r.Dyn != nil {
 				for _, step := range w.DynamicSteps() {
-					_ = append(r.Dyn.Attempts(step), -1)
 					for rep := 0; ; rep++ {
 						d := r.Dyn.NodeDraws(step, rep)
 						if d == nil {

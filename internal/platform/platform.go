@@ -71,7 +71,11 @@ type Request struct {
 	// Arrival is the request's admission time.
 	Arrival time.Duration
 	// Batch is the batch size (the paper's "concurrency") the request's
-	// function executions run with.
+	// function executions run with: the one batch a request runs at. Its
+	// draws do not repeat it; every execution is priced with
+	// Function.Latency at this batch, so a run rejects a request whose
+	// Batch is not the batch its draws were drawn at, or, for a request
+	// built by hand, one that some node's function cannot run.
 	Batch int
 	// Dyn carries the pre-sampled dynamic resolutions (chosen branches,
 	// map widths, retry outcomes and their extra draws) for requests of a
@@ -80,62 +84,87 @@ type Request struct {
 	// dynamic runs byte-identical across parallelism and lets every
 	// serving system face the same resolved shapes.
 	Dyn *DynDraws
-	// shape is the decision-group shape GenerateWorkload drew Draws for,
-	// shared by the workload's requests, so a run can reject a request
-	// re-pointed at a workflow of another shape; nil for a request built
-	// by hand.
+	// shape is what GenerateWorkload drew Draws (and Dyn) for, shared by
+	// the workload's requests, so a run can reject a request re-pointed
+	// at a workflow of another shape or a batch of another size; nil for
+	// a request built by hand.
 	shape *drawShape
 }
 
-// drawShape is what a workload's draws were drawn for: the member count
-// of each decision group of its workflow, in group order, and the
-// function of each node, in flat order.
+// drawShape is what a workload's draws were drawn for, stored once for
+// all its requests: the member count of each decision group of its
+// workflow, in group order, the function of each node, in flat order,
+// the batch size every draw was taken at, and, for a dynamic workflow,
+// the annotated steps its resolutions' records stand for, in
+// Workflow.DynamicSteps order.
 type drawShape struct {
 	sizes []int
 	fns   []string
+	batch int
+	steps []string
 }
 
 // DynDraws is a request's pre-sampled dynamic-shape resolution: one
-// record per annotated step, in Workflow.DynamicSteps order, with every
-// replica's failed-attempt count and every extra execution's draw in two
-// flat slices. GenerateWorkload builds it; callers read it through the
-// accessors, which take a step name. The zero value resolves no step, so
-// serving it for a dynamic workflow fails validation.
+// record per annotated step, in the order of its shape's step names
+// (Workflow.DynamicSteps order), with every replica's failed-attempt
+// count and every extra execution's draw in two flat slices.
+// GenerateWorkload builds it; callers read it through the accessors,
+// which take a step name. The zero value resolves no step, so serving
+// it for a dynamic workflow fails validation.
 type DynDraws struct {
+	// shape names the records' steps; it is the workload's draw shape,
+	// shared by every request's resolution.
+	shape *drawShape
 	steps []dynStep
 	// attempts holds, record by record, the failed attempts preceding
 	// each replica's success: a record's replicas are
-	// attempts[att : att+reps].
-	attempts []int
+	// attempts[att : att+reps]. A count is at most
+	// workflow.MaxRetryBound.
+	attempts []uint8
 	// draws holds the draws of every map replica and retry attempt,
 	// record by record, replica by replica, attempt by attempt, starting
 	// at each record's draw offset.
 	draws []perfmodel.Draw
 }
 
-// dynStep is one annotated step's resolution.
+// dynStep is one annotated step's resolution, in 8 bytes: the step it
+// resolves is named once, by the position of its record, in the shape's
+// step names. GenerateWorkload rejects a workflow whose resolutions
+// would not fit these fields (maxDynChoices, maxDynDraws).
 type dynStep struct {
-	name string
 	// choice is a choice step's taken successor edge, in
 	// edge-declaration order; -1 for every other step.
-	choice int32
+	choice int16
 	// width is a map step's fan-out width in [1, MaxWidth] — drawn "at
 	// the fork's readiness instant" in paper terms; pre-sampling it is
 	// observationally identical because the value is revealed to the
 	// allocator only at that instant. 0 for every other step.
-	width int32
+	width uint8
 	// reps counts the replicas that carry attempt counts and draws: the
 	// width of a map step, 1 for a retry-only step, 0 for choice and
 	// await-only steps, which execute off their base Draws entry.
-	reps int32
+	reps uint8
 	// att and draw are the record's first indexes into attempts and
 	// draws.
-	att, draw int32
+	att, draw uint16
 }
 
+// maxDynChoices is the most successors a choice step of a dynamic
+// workflow may have, and maxDynDraws the most draws one request's
+// resolution may carry: dynStep stores a choice in 16 signed bits and
+// its offsets in 16 unsigned bits. Every replica's attempt count comes
+// with at least one draw, so the draw bound bounds the counts too.
+const (
+	maxDynChoices = math.MaxInt16
+	maxDynDraws   = math.MaxUint16
+)
+
 func (d *DynDraws) step(name string) *dynStep {
-	for i := range d.steps {
-		if d.steps[i].name == name {
+	if d.shape == nil {
+		return nil
+	}
+	for i, step := range d.shape.steps {
+		if step == name {
 			return &d.steps[i]
 		}
 	}
@@ -163,12 +192,23 @@ func (d *DynDraws) Width(step string) int {
 // Attempts returns the number of failed attempts preceding each
 // replica's success of a map or retry step, indexed by replica (one
 // entry for a retry-only step, zeros for a map without a retry spec), or
-// nil for any other step. The slice is shared; do not modify it.
+// nil for any other step. The slice is a fresh copy: the resolution
+// stores the counts narrower than int.
 func (d *DynDraws) Attempts(step string) []int {
-	if s := d.step(step); s != nil && s.reps > 0 {
-		return d.attempts[s.att : s.att+s.reps : s.att+s.reps]
+	s := d.step(step)
+	if s == nil || s.reps == 0 {
+		return nil
 	}
-	return nil
+	out := make([]int, s.reps)
+	for i, a := range d.replicaAttempts(s) {
+		out[i] = int(a)
+	}
+	return out
+}
+
+// replicaAttempts returns a record's attempt counts, one per replica.
+func (d *DynDraws) replicaAttempts(s *dynStep) []uint8 {
+	return d.attempts[s.att : int(s.att)+int(s.reps)]
 }
 
 // NodeDraws returns the draws of one replica of a map or retry step,
@@ -186,9 +226,9 @@ func (d *DynDraws) NodeDraws(step string, replica int) []perfmodel.Draw {
 func (d *DynDraws) replicaDraws(s *dynStep, replica int) []perfmodel.Draw {
 	off := int(s.draw)
 	for _, a := range d.attempts[s.att : int(s.att)+replica] {
-		off += a + 1
+		off += int(a) + 1
 	}
-	end := off + d.attempts[int(s.att)+replica] + 1
+	end := off + int(d.attempts[int(s.att)+replica]) + 1
 	return d.draws[off:end:end]
 }
 
@@ -397,7 +437,12 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 		return nil, fmt.Errorf("platform: StageCorrelation %v outside [0, 1]", cfg.StageCorrelation)
 	}
 	groups := cfg.Workflow.DecisionGroups()
-	g := &generator{cfg: &cfg, shape: &drawShape{sizes: make([]int, len(groups)), fns: make([]string, 0, cfg.Workflow.Len())}}
+	g := &generator{cfg: &cfg, shape: &drawShape{
+		sizes: make([]int, len(groups)),
+		fns:   make([]string, 0, cfg.Workflow.Len()),
+		batch: cfg.Batch,
+		steps: cfg.Workflow.DynamicSteps(),
+	}}
 	for i, group := range groups {
 		g.shape.sizes[i] = len(group.Nodes)
 		for _, n := range group.Nodes {
@@ -413,7 +458,11 @@ func generateWorkload(cfg WorkloadConfig, workers int) ([]*Request, error) {
 		}
 	}
 	if cfg.Workflow.IsDynamic() {
-		g.dyn = newDynSampler(&cfg)
+		dyn, err := newDynSampler(&cfg)
+		if err != nil {
+			return nil, err
+		}
+		g.dyn = dyn
 	}
 	g.root = rng.New(cfg.Seed).Split("workload/" + cfg.Workflow.Name())
 	g.arrivals = arrivalInstants(&cfg, g.root)
@@ -451,8 +500,8 @@ type generator struct {
 	// fns are the functions of the workflow's nodes in flat order, one
 	// per base draw of a request.
 	fns []*perfmodel.Function
-	// shape is the workflow's decision-group sizes and node functions,
-	// shared by every request drawn.
+	// shape is the workflow's decision-group sizes, node functions,
+	// batch and annotated steps, shared by every request drawn.
 	shape    *drawShape
 	arrivals []time.Duration
 	root     *rng.Stream
@@ -525,7 +574,6 @@ type dynSampler struct {
 }
 
 type dynSampleStep struct {
-	name string
 	spec workflow.DynamicNode
 	// weights are a choice step's edge weights, uniform when the spec
 	// leaves them nil.
@@ -536,15 +584,21 @@ type dynSampleStep struct {
 	fn    *perfmodel.Function
 }
 
-func newDynSampler(cfg *WorkloadConfig) *dynSampler {
+// newDynSampler builds the workload's resolution plan, rejecting a
+// workflow whose resolutions a dynStep record cannot hold.
+func newDynSampler(cfg *WorkloadConfig) (*dynSampler, error) {
 	w := cfg.Workflow
 	names := w.DynamicSteps()
 	s := &dynSampler{steps: make([]dynSampleStep, len(names))}
 	for i, step := range names {
 		d, _ := w.Dynamic(step)
 		node, _ := w.Node(step)
-		ss := dynSampleStep{name: step, spec: d, fn: cfg.Functions[node.Function]}
+		ss := dynSampleStep{spec: d, fn: cfg.Functions[node.Function]}
 		if d.Choice != nil {
+			if n := len(w.Successors(step)); n > maxDynChoices {
+				return nil, fmt.Errorf("platform: workflow %s choice step %q has %d successors, a resolution records at most %d",
+					w.Name(), step, n, maxDynChoices)
+			}
 			ss.weights = d.Choice.Weights
 			if ss.weights == nil {
 				ss.weights = make([]float64, len(w.Successors(step)))
@@ -572,7 +626,11 @@ func newDynSampler(cfg *WorkloadConfig) *dynSampler {
 		}
 		s.steps[i] = ss
 	}
-	return s
+	if s.maxDraws > maxDynDraws {
+		return nil, fmt.Errorf("platform: workflow %s resolves to up to %d draws per request, a resolution records at most %d",
+			w.Name(), s.maxDraws, maxDynDraws)
+	}
+	return s, nil
 }
 
 // dynChunk is one chunk's DynDraws arenas: every request's DynDraws and
@@ -582,9 +640,9 @@ func newDynSampler(cfg *WorkloadConfig) *dynSampler {
 type dynChunk struct {
 	dyns      []DynDraws
 	records   []dynStep
-	attempts  []int
+	attempts  []uint8
 	draws     []perfmodel.Draw
-	attArena  arena[int]
+	attArena  arena[uint8]
 	drawArena arena[perfmodel.Draw]
 }
 
@@ -592,7 +650,7 @@ func (s *dynSampler) newChunk(n int) *dynChunk {
 	return &dynChunk{
 		dyns:     make([]DynDraws, n),
 		records:  make([]dynStep, n*len(s.steps)),
-		attempts: make([]int, 0, s.maxAttempts),
+		attempts: make([]uint8, 0, s.maxAttempts),
 		draws:    make([]perfmodel.Draw, 0, s.maxDraws),
 	}
 }
@@ -608,14 +666,14 @@ func (c *dynChunk) sample(g *generator, j int, st *chunkStreams, shared bool) *D
 	c.attempts, c.draws = c.attempts[:0], c.draws[:0]
 	for i := range g.dyn.steps {
 		ss := &g.dyn.steps[i]
-		rec := dynStep{name: ss.name, choice: -1, att: int32(len(c.attempts)), draw: int32(len(c.draws))}
+		rec := dynStep{choice: -1, att: uint16(len(c.attempts)), draw: uint16(len(c.draws))}
 		switch d := ss.spec; {
 		case d.Choice != nil:
-			rec.choice = int32(dynStream.Choice(ss.weights))
+			rec.choice = int16(dynStream.Choice(ss.weights))
 		case d.Map != nil || d.Retry != nil:
 			rec.reps = 1
 			if d.Map != nil {
-				rec.width = int32(dynStream.TruncGeometric(d.Map.MaxWidth, ss.decay))
+				rec.width = uint8(dynStream.TruncGeometric(d.Map.MaxWidth, ss.decay))
 				rec.reps = rec.width
 			}
 			for range rec.reps {
@@ -623,10 +681,10 @@ func (c *dynChunk) sample(g *generator, j int, st *chunkStreams, shared bool) *D
 				for d.Retry != nil && a < d.Retry.MaxRetries && dynStream.Float64() < d.Retry.FailureProb {
 					a++
 				}
-				c.attempts = append(c.attempts, a)
+				c.attempts = append(c.attempts, uint8(a))
 			}
 			for _, a := range c.attempts[rec.att:] {
-				for range a + 1 {
+				for range int(a) + 1 {
 					c.draws = append(c.draws, g.draw(ss.fn, dynStream, st, shared))
 				}
 			}
@@ -636,6 +694,7 @@ func (c *dynChunk) sample(g *generator, j int, st *chunkStreams, shared bool) *D
 	left := len(c.dyns) - j
 	dyn := &c.dyns[j]
 	*dyn = DynDraws{
+		shape:    g.shape,
 		steps:    records,
 		attempts: c.attArena.clone(c.attempts, j, left),
 		draws:    c.drawArena.clone(c.draws, j, left),
@@ -891,13 +950,13 @@ type runState struct {
 	// its admission and its last node's completion.
 	pool reqPool
 	// admits lists the requests admitted at their own Arrival, in the
-	// order their admission events fire; admitted is the cursor the one
-	// shared admission callback advances (admitNext).
+	// order their admission events fire; admitted is the cursor
+	// admitNext advances.
 	admits   []admitRef
 	admitted int
 	// triggers is the armed external-event queue in firing order;
-	// triggered is the cursor the one shared trigger callback advances
-	// (triggerNext).
+	// triggered is the cursor triggerNext advances. The engine's feed
+	// merges the two lists from their cursors (fedHead).
 	triggers  []armedTrigger
 	triggered int
 	// free holds the completion records not in flight; each binds its
@@ -1074,13 +1133,29 @@ func (st *runState) planFor(tenant string, r *Request) (*dagPlan, error) {
 // checkShape rejects a request whose draws were drawn for decision groups
 // or functions other than the plan's: its flat draws would be served by
 // the nodes that happen to sit at their positions, each priced under
-// another function's model. A workload's requests share one shape, so
-// the plan remembers the last shape that passed and checks another only
-// when a request carries it. A request built by hand carries no shape and
-// is checked only for one draw per node.
+// another function's model. It also rejects a request whose Batch is not
+// the batch its draws were drawn at, since every launch prices a draw at
+// the request's Batch. A workload's requests share one shape, so the
+// plan remembers the last shape that passed and checks another only when
+// a request carries it. A request built by hand carries no shape: it is
+// checked for a Batch every node's function supports, and only for one
+// draw per node.
 func (p *dagPlan) checkShape(tenant string, r *Request) error {
 	sh := r.shape
-	if sh == nil || sh == p.shape {
+	if sh == nil {
+		for f := range p.node {
+			if fn := p.node[f].model; !fn.SupportsBatch(r.Batch) {
+				return fmt.Errorf("platform: tenant %q request %d runs at batch %d, which function %s does not support",
+					tenant, r.ID, r.Batch, fn.Name())
+			}
+		}
+		return nil
+	}
+	if sh.batch != r.Batch {
+		return fmt.Errorf("platform: tenant %q request %d runs at batch %d, its draws were drawn at batch %d",
+			tenant, r.ID, r.Batch, sh.batch)
+	}
+	if sh == p.shape {
 		return nil
 	}
 	if len(sh.sizes) != len(p.groups) {
@@ -1382,26 +1457,45 @@ func (e *Executor) prepareRun(tenants []TenantWorkload, triggers []Trigger) (*ru
 	// position, so the interleaving is a pure function of the inputs and
 	// mixed runs replay byte for byte; triggers fire by instant, ties
 	// broken by queue position, and a trigger fires before a same-instant
-	// admission. Both queues are scheduled merged in exactly that order,
-	// before anything else, so every preloaded event appends to the
-	// engine's in-order lane rather than its heap, and the k-th admission
-	// (trigger) to fire is the k-th of its kind scheduled, which lets one
-	// shared callback per kind serve them all.
+	// admission. The engine is fed both lists merged in exactly that
+	// order from their cursors (fedHead), and a fed event fires before
+	// anything scheduled at its instant, so nothing of either list is
+	// copied into the engine's queues.
 	st.admits = st.admissionOrder()
-	admit, fire := st.admitNext, st.triggerNext
-	st.engine.Grow(len(st.admits) + len(st.triggers))
-	next := 0
-	for _, a := range st.admits {
-		at := st.tenants[a.tenant].reqs[a.idx].Arrival
-		for ; next < len(st.triggers) && st.triggers[next].at <= at; next++ {
-			st.engine.ScheduleAt(st.triggers[next].at, fire)
-		}
-		st.engine.ScheduleAt(at, admit)
-	}
-	for _, tr := range st.triggers[next:] {
-		st.engine.ScheduleAt(tr.at, fire)
-	}
+	st.engine.Feed(st.nextFed, st.fireFed)
 	return st, nil
+}
+
+// fedHead reports the instant of the next admission or trigger to fire,
+// whether it is a trigger, and false once both lists are spent. A
+// trigger goes first on a tie.
+func (st *runState) fedHead() (at time.Duration, trigger, ok bool) {
+	if st.triggered < len(st.triggers) {
+		at, trigger, ok = st.triggers[st.triggered].at, true, true
+	}
+	if st.admitted < len(st.admits) {
+		a := st.admits[st.admitted]
+		if arr := st.tenants[a.tenant].reqs[a.idx].Arrival; !ok || arr < at {
+			at, trigger, ok = arr, false, true
+		}
+	}
+	return at, trigger, ok
+}
+
+// nextFed is the engine's cursor over the merged admissions and
+// triggers.
+func (st *runState) nextFed() (time.Duration, bool) {
+	at, _, ok := st.fedHead()
+	return at, ok
+}
+
+// fireFed fires the next admission or trigger.
+func (st *runState) fireFed(now time.Duration) {
+	if _, trigger, _ := st.fedHead(); trigger {
+		st.triggerNext(now)
+	} else {
+		st.admitNext(now)
+	}
 }
 
 // admitRef names a request admitted at its own Arrival: its tenant's
@@ -1471,9 +1565,8 @@ func (s *admitStream) idx() int {
 	return int(s.pos[s.next])
 }
 
-// admitNext is the admission event every request shares: the cursor
-// names the request, because admissions fire in the order prepareRun
-// scheduled them.
+// admitNext admits the request the admission cursor names and advances
+// it: admissions fire in admission order.
 func (st *runState) admitNext(time.Duration) {
 	a := st.admits[st.admitted]
 	st.admitted++
@@ -1599,9 +1692,8 @@ func (st *runState) checkAwaits() error {
 	return nil
 }
 
-// triggerNext is the trigger event every armed trigger shares: the
-// cursor names the trigger, because triggers fire in the order
-// prepareRun scheduled them.
+// triggerNext fires the trigger the trigger cursor names and advances
+// it: triggers fire in the armed order.
 func (st *runState) triggerNext(now time.Duration) {
 	tr := &st.triggers[st.triggered]
 	st.triggered++
@@ -1910,12 +2002,12 @@ type completion struct {
 }
 
 // launch prices one node attempt on its acquired pod — startup, and the
-// latency of the request's draw at the pod's allocation — and schedules
-// its completion on a record from the run's free list.
+// latency of the request's draw at its batch and the pod's allocation —
+// and schedules its completion on a record from the run's free list.
 func (st *runState) launch(n nodeRun, draw perfmodel.Draw) {
 	fn := n.rs.plan.node[n.rs.plan.base[n.group]+n.member].model
 	startup := st.ex.cfg.startup(n.cold)
-	latency := fn.Latency(draw, n.pod.Millicores())
+	latency := fn.Latency(draw, n.rs.r.Batch, n.pod.Millicores())
 	n.start = st.engine.Now()
 	var c *completion
 	if k := len(st.free); k > 0 {
@@ -1987,7 +2079,7 @@ func (st *runState) replicaDone(rs *reqState, group, member, replica int, end ti
 		flat := rs.plan.base[group] + member
 		k := dp.rec[flat]
 		if k >= 0 && rs.r.Dyn.steps[k].reps > 0 {
-			if i := int(rs.r.Dyn.steps[k].att) + replica; rs.dyn.attempt[i] < rs.r.Dyn.attempts[i] {
+			if i := int(rs.r.Dyn.steps[k].att) + replica; rs.dyn.attempt[i] < int(rs.r.Dyn.attempts[i]) {
 				rs.dyn.attempt[i]++
 				// The re-attempt is a new readiness instant for this node:
 				// a fresh decision against the SLO budget that remains now.

@@ -272,10 +272,13 @@ func TestExecutorValidation(t *testing.T) {
 
 // TestRunRejectsDrawsOfAnotherShape serves chain requests whose draws do
 // not fit the workflow they name: re-pointed at workflows of another
-// decision-group shape — va-sp has as many nodes, 3 — or carrying a draw
-// too few. The run fails on the group count, a group's size or the draw
-// count instead of serving draws at the positions of other nodes. A
-// request built by hand carries no shape and is held to the draw count.
+// decision-group shape — va-sp has as many nodes, 3 — carrying a draw
+// too few, or re-batched away from the batch their draws were drawn at.
+// The run fails on the group count, a group's size, the draw count or
+// the batch instead of serving draws at the positions of other nodes or
+// at another batch. A request built by hand carries no shape and is held
+// to the draw count and to a batch every node's function supports, so
+// no launch reaches BatchFactor's panic.
 func TestRunRejectsDrawsOfAnotherShape(t *testing.T) {
 	e := defaultExecutor(t)
 	vasp, diamond := workflow.VideoAnalyzeSP(), diamondSP(t)
@@ -295,6 +298,10 @@ func TestRunRejectsDrawsOfAnotherShape(t *testing.T) {
 		{"by hand", func(r *Request) {
 			*r = Request{ID: r.ID, Workflow: diamond, Draws: r.Draws, Arrival: r.Arrival, Batch: r.Batch}
 		}, "carries 3 draws, workflow diamond has 4 nodes"},
+		{"re-batched", func(r *Request) { r.Batch = 2 }, "runs at batch 2, its draws were drawn at batch 1"},
+		{"unsupported batch", func(r *Request) {
+			*r = Request{ID: r.ID, Workflow: r.Workflow, Draws: r.Draws, Arrival: r.Arrival, Batch: 4}
+		}, "runs at batch 4, which function od does not support"},
 	} {
 		reqs := iaWorkload(t, 2)
 		for _, r := range reqs {
@@ -880,7 +887,7 @@ func TestPlacementNeverChangesStageLatency(t *testing.T) {
 					} else {
 						warm++
 					}
-					want := fns[node.Function].Latency(stageDraw(groups, req, st), int(st.Millicores))
+					want := fns[node.Function].Latency(stageDraw(groups, req, st), req.Batch, int(st.Millicores))
 					if latency != want {
 						t.Fatalf("%v %s: request %d stage %d branch %d replica %d attempt %d on node %d ran %v, its draw at %d mc prices %v",
 							placement, name, tr.RequestID, st.Stage, st.Branch, st.Replica, st.Attempt, st.Node, latency, st.Millicores, want)

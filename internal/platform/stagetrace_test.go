@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"janus/internal/obs"
+	"janus/internal/perfmodel"
 	"janus/internal/workflow"
 )
 
@@ -67,6 +68,20 @@ func TestPlanRejectsCoordinatesPastStageTrace(t *testing.T) {
 func TestTraceIs96Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(Trace{}); got != 96 {
 		t.Fatalf("Trace is %d bytes, want 96", got)
+	}
+}
+
+// TestRequestRecordSizes pins the records a request stream carries for
+// a whole run, once per node and once per annotated step of every
+// request: a draw holds no batch size (Request.Batch does) and a
+// dynamic record no step name (its draw shape does), so a fact copied
+// back into them fails here.
+func TestRequestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(perfmodel.Draw{}); got != 24 {
+		t.Errorf("perfmodel.Draw is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(dynStep{}); got != 8 {
+		t.Errorf("dynStep is %d bytes, want 8", got)
 	}
 }
 

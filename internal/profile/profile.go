@@ -528,12 +528,12 @@ func (p *Profiler) profileGroup(g workflow.Group, rep, width, batch int, kind st
 				for _, fn := range others {
 					coloc := p.Colocation.Sample(stream)
 					d := fn.NewDraw(stream, batch, coloc, p.Interference)
-					worst = max(worst, fn.Latency(d, k))
+					worst = max(worst, fn.Latency(d, batch, k))
 				}
 				for v := range level {
 					coloc := p.Colocation.Sample(stream)
 					d := repFn.NewDraw(stream, batch, coloc, p.Interference)
-					worst = max(worst, repFn.Latency(d, k))
+					worst = max(worst, repFn.Latency(d, batch, k))
 					level[v].AddDuration(worst)
 				}
 			}

@@ -126,7 +126,7 @@ func refProfileFunction(p *Profiler, name string, batch int) (*FunctionProfile, 
 		for i := 0; i < p.SamplesPerConfig; i++ {
 			coloc := p.Colocation.Sample(stream)
 			draw := fn.NewDraw(stream, batch, coloc, p.Interference)
-			sample.AddDuration(fn.Latency(draw, k))
+			sample.AddDuration(fn.Latency(draw, batch, k))
 		}
 		fp.samples[ki] = sample
 		for pi, pct := range pcts {
@@ -189,14 +189,14 @@ func refProfileGroupMap(p *Profiler, g workflow.Group, mapStep string, maxWidth,
 			for _, fn := range others {
 				coloc := p.Colocation.Sample(stream)
 				d := fn.NewDraw(stream, batch, coloc, p.Interference)
-				if l := fn.Latency(d, k); l > worst {
+				if l := fn.Latency(d, batch, k); l > worst {
 					worst = l
 				}
 			}
 			for v := 0; v < maxWidth; v++ {
 				coloc := p.Colocation.Sample(stream)
 				d := mapFn.NewDraw(stream, batch, coloc, p.Interference)
-				if l := mapFn.Latency(d, k); l > worst {
+				if l := mapFn.Latency(d, batch, k); l > worst {
 					worst = l
 				}
 				samples[v].AddDuration(worst)
@@ -253,7 +253,7 @@ func refProfileGroup(p *Profiler, g workflow.Group, batch int) (*FunctionProfile
 			for _, fn := range fns {
 				coloc := p.Colocation.Sample(stream)
 				d := fn.NewDraw(stream, batch, coloc, p.Interference)
-				if l := fn.Latency(d, k); l > worst {
+				if l := fn.Latency(d, batch, k); l > worst {
 					worst = l
 				}
 			}

@@ -320,11 +320,26 @@ type Arrival struct {
 // schedule's peak rate, thinned by the instantaneous rate, each accepted
 // arrival attributed to a tenant by the mix in force at its instant. The
 // same schedule and seed always produce the same stream.
+//
+// Candidates only move forward, so one cursor walks the phases, and each
+// mix's weights are laid out once. The output is sized for the expected
+// count plus four standard deviations of the Poisson count around it.
 func (s *Schedule) Arrivals() []Arrival {
 	root := rng.New(s.seed).Split("replay/arrivals")
 	thin := root.Split("thin")
 	pick := root.Split("tenant")
-	var out []Arrival
+	defaults := mixWeights(s.mix)
+	weights := make([][]float64, len(s.phases))
+	for i, p := range s.phases {
+		weights[i] = defaults
+		if p.Mix != nil {
+			weights[i] = mixWeights(p.Mix)
+		}
+	}
+	expected := s.ExpectedArrivals()
+	out := make([]Arrival, 0, int(expected+4*math.Sqrt(expected))+1)
+	// phase is the phase covering t, which starts at start.
+	phase, start := 0, time.Duration(0)
 	t := time.Duration(0)
 	for {
 		gap := thin.Exp(s.peak)
@@ -332,22 +347,44 @@ func (s *Schedule) Arrivals() []Arrival {
 		if t >= s.total {
 			return out
 		}
-		if thin.Float64()*s.peak > s.RateAt(t) {
+		for t-start >= s.phases[phase].Duration {
+			start += s.phases[phase].Duration
+			phase++
+		}
+		p := &s.phases[phase]
+		if thin.Float64()*s.peak > p.rateAt(t-start) {
 			continue
 		}
-		mix := s.MixAt(t)
-		weights := make([]float64, len(mix))
-		for i, ts := range mix {
-			weights[i] = ts.Weight
+		mix := s.mix
+		if p.Mix != nil {
+			mix = p.Mix
 		}
-		out = append(out, Arrival{At: t, Tenant: mix[pick.Choice(weights)].Tenant})
+		out = append(out, Arrival{At: t, Tenant: mix[pick.Choice(weights[phase])].Tenant})
 	}
+}
+
+// mixWeights lays out a mix's weights in mix order, as rng.Choice takes
+// them.
+func mixWeights(mix []TenantShare) []float64 {
+	w := make([]float64, len(mix))
+	for i, ts := range mix {
+		w[i] = ts.Weight
+	}
+	return w
 }
 
 // TenantArrivalTimes splits the stream into per-tenant admission instants,
 // keyed by tenant name — the shape platform workload generation consumes.
+// Each tenant's slice is allocated once, at its count.
 func TenantArrivalTimes(arrivals []Arrival) map[string][]time.Duration {
-	out := make(map[string][]time.Duration)
+	counts := make(map[string]int)
+	for _, a := range arrivals {
+		counts[a.Tenant]++
+	}
+	out := make(map[string][]time.Duration, len(counts))
+	for tenant, n := range counts {
+		out[tenant] = make([]time.Duration, 0, n)
+	}
 	for _, a := range arrivals {
 		out[a.Tenant] = append(out[a.Tenant], a.At)
 	}

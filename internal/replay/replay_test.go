@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"janus/internal/rng"
 )
 
 func testMix() []TenantShare {
@@ -209,5 +211,65 @@ func TestZipfMixAndTenantSplit(t *testing.T) {
 	}
 	if len(byTenant["a"]) <= len(byTenant["c"]) {
 		t.Fatalf("zipf head tenant %d arrivals vs tail %d", len(byTenant["a"]), len(byTenant["c"]))
+	}
+}
+
+// refArrivals is Arrivals as it was before it walked the phases with a
+// cursor and laid out each mix's weights once: every candidate located
+// its phase from the schedule's start, twice, and every accepted
+// arrival built its weights afresh. It is the oracle the cursor must
+// reproduce exactly.
+func refArrivals(s *Schedule) []Arrival {
+	root := rng.New(s.seed).Split("replay/arrivals")
+	thin := root.Split("thin")
+	pick := root.Split("tenant")
+	var out []Arrival
+	t := time.Duration(0)
+	for {
+		gap := thin.Exp(s.peak)
+		t += time.Duration(gap * float64(time.Second))
+		if t >= s.total {
+			return out
+		}
+		if thin.Float64()*s.peak > s.RateAt(t) {
+			continue
+		}
+		mix := s.MixAt(t)
+		weights := make([]float64, len(mix))
+		for i, ts := range mix {
+			weights[i] = ts.Weight
+		}
+		out = append(out, Arrival{At: t, Tenant: mix[pick.Choice(weights)].Tenant})
+	}
+}
+
+// TestArrivalsMatchReference pins Arrivals to the phase-by-phase
+// reference on schedules of every phase kind, with phases that carry
+// their own mix and phases that fall back to the default, and checks
+// that TenantArrivalTimes sizes each tenant's slice at its count.
+func TestArrivalsMatchReference(t *testing.T) {
+	shifted := []TenantShare{{Tenant: "va", Weight: 3}, {Tenant: "dag", Weight: 1}}
+	burst := Burst(30*time.Second, 2, 40)
+	burst.Mix = shifted
+	for seed := uint64(1); seed <= 5; seed++ {
+		s, err := NewSchedule(seed, testMix(),
+			Ramp(10*time.Second, 1, 20),
+			Plateau(7*time.Millisecond, 5),
+			burst,
+			Diurnal(45*time.Second, 1, 15, 20*time.Second),
+			Plateau(20*time.Second, 8),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := s.Arrivals(), refArrivals(s)
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: %d arrivals differ from the reference's %d", seed, len(got), len(want))
+		}
+		for tenant, times := range TenantArrivalTimes(got) {
+			if cap(times) != len(times) {
+				t.Fatalf("seed %d: tenant %q holds %d instants in a slice of capacity %d", seed, tenant, len(times), cap(times))
+			}
+		}
 	}
 }

@@ -2,14 +2,14 @@
 // engine driven by a virtual clock.
 //
 // All latencies in the repository are modeled, not slept: components
-// schedule callbacks at virtual timestamps and the engine executes them in
-// time order. Ties are broken by scheduling sequence so that runs are fully
-// reproducible for a fixed seed.
+// schedule callbacks at virtual timestamps, or feed a pre-ordered stream
+// of them (Engine.Feed), and the engine executes them in time order.
+// Ties are broken by scheduling sequence, a fed event ahead of every
+// scheduled one, so that runs are fully reproducible for a fixed seed.
 package simclock
 
 import (
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -31,16 +31,19 @@ func (a *item) before(b *item) bool {
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // ready to use and starts at virtual time zero.
 //
-// Pending events live in two queues. The lane is a FIFO of events that
+// Scheduled events live in two queues. The lane is a FIFO of events that
 // arrived in (at, seq) order: an event whose instant is no earlier than
-// the newest lane entry's is appended there, which is the common case
-// for a preloaded arrival stream. Every other event goes to a binary
-// min-heap. Each queue's head is its own minimum (the lane because it is
-// sorted), so Step pops whichever head comes first and the engine fires
-// in exactly (at, seq) order; the split only keeps the heap down to the
-// work in flight. Neither queue boxes its items, so scheduling and
-// firing an event allocate nothing once the queues have grown to the
-// run's depth.
+// the newest lane entry's is appended there. Every other event goes to a
+// binary min-heap. Each queue's head is its own minimum (the lane
+// because it is sorted), so Step pops whichever head comes first and the
+// engine fires in exactly (at, seq) order; the split only keeps the heap
+// down to the work in flight. Neither queue boxes its items, so
+// scheduling and firing an event allocate nothing once the queues have
+// grown to the run's depth.
+//
+// A pre-ordered stream known up front, such as a run's arrivals, need
+// not be queued at all: Feed hands the engine a cursor over it, and the
+// engine holds only the stream's next instant.
 type Engine struct {
 	now     time.Duration
 	seq     uint64
@@ -48,6 +51,12 @@ type Engine struct {
 	lane    []item // lane[head:] is pending, ascending by (at, seq)
 	head    int
 	stopped bool
+	// feedNext and feedFire are the feed's cursor and event; feedAt is
+	// the instant of its next event when fed is set.
+	feedNext func() (time.Duration, bool)
+	feedFire Event
+	feedAt   time.Duration
+	fed      bool
 }
 
 // New returns an Engine starting at virtual time zero.
@@ -56,13 +65,41 @@ func New() *Engine { return &Engine{} }
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Grow makes room for at least n more in-order schedulings without
-// another allocation, like slices.Grow: a caller about to preload an
-// ascending event stream of known length sizes the lane once instead of
-// letting append regrow it. It is a capacity hint only; the firing
-// order never depends on it. A negative n panics.
-func (e *Engine) Grow(n int) {
-	e.lane = slices.Grow(e.lane, n)
+// Feed hands the engine a pre-ordered event stream without queueing it:
+// next reports the instant of the stream's next event without consuming
+// it, or false once the stream is exhausted, and fire runs that event,
+// consuming it. The engine calls next now and again after every fire,
+// so it holds one instant of the stream, not the stream.
+//
+// A fed event fires after every earlier event and before any scheduled
+// event at the same instant, whenever either was scheduled: exactly
+// where it would fire had the whole stream been scheduled, in order,
+// before everything else. next must report instants that never
+// decrease and never precede Now; an instant before Now panics, like
+// ScheduleAt in the past. An engine has one feed: Feed panics while the
+// previous one still has events, and fire must not call it.
+func (e *Engine) Feed(next func() (time.Duration, bool), fire Event) {
+	if next == nil || fire == nil {
+		panic("simclock: Feed with nil cursor or event")
+	}
+	if e.fed {
+		panic("simclock: Feed while the previous feed has events")
+	}
+	e.feedNext, e.feedFire = next, fire
+	e.advanceFeed()
+}
+
+// advanceFeed reads the feed's next instant, dropping an exhausted feed.
+func (e *Engine) advanceFeed() {
+	at, ok := e.feedNext()
+	if !ok {
+		e.feedNext, e.feedFire, e.fed = nil, nil, false
+		return
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("simclock: feed event at %v before now %v", at, e.now))
+	}
+	e.feedAt, e.fed = at, true
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
@@ -97,6 +134,13 @@ func (e *Engine) ScheduleAt(at time.Duration, fn Event) {
 
 // Step executes the earliest pending event and reports whether one ran.
 func (e *Engine) Step() bool {
+	if e.fed && (e.head == len(e.lane) || e.feedAt <= e.lane[e.head].at) &&
+		(len(e.heap) == 0 || e.feedAt <= e.heap[0].at) {
+		e.now = e.feedAt
+		e.feedFire(e.now)
+		e.advanceFeed()
+		return true
+	}
 	var it item
 	switch {
 	case e.head < len(e.lane) && (len(e.heap) == 0 || e.lane[e.head].before(&e.heap[0])):
@@ -121,8 +165,15 @@ func (e *Engine) Run() {
 // Stop makes the current Run return after the in-flight event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.head }
+// Pending reports the number of queued events, counting a feed that
+// still has events as one.
+func (e *Engine) Pending() int {
+	n := len(e.heap) + len(e.lane) - e.head
+	if e.fed {
+		n++
+	}
+	return n
+}
 
 // popLane removes the lane's head. The vacated slot is zeroed so the
 // engine does not keep a fired callback reachable, and the consumed

@@ -3,21 +3,38 @@ package simclock
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
 
 // refEngine is the container/heap engine the lane/heap split replaced,
 // kept verbatim in behaviour as the differential oracle: one boxed heap
-// over (at, seq), every event pushed and popped through it.
+// over (at, seq), every event pushed and popped through it. It models a
+// feed the way the engine used to be fed, by preloading the stream's
+// events, here with sequence numbers below every scheduled event's, so
+// a fed event fires before any scheduled event at its instant.
 type refEngine struct {
 	now     time.Duration
-	seq     uint64
+	seq     int64
 	pending refHeap
 	stopped bool
+	// fseq numbers preloaded events from math.MinInt64 up. fedQueued
+	// counts the preloaded events still queued, fedLeft those that have
+	// not finished firing: the feed counts as one pending event until
+	// its last event has fired.
+	fseq               int64
+	fedQueued, fedLeft int
 }
 
-type refHeap []item
+type refItem struct {
+	at  time.Duration
+	seq int64
+	fn  Event
+	fed bool
+}
+
+type refHeap []refItem
 
 func (h refHeap) Len() int { return len(h) }
 
@@ -30,7 +47,7 @@ func (h refHeap) Less(i, j int) bool {
 
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *refHeap) Push(x any) { *h = append(*h, x.(item)) }
+func (h *refHeap) Push(x any) { *h = append(*h, x.(refItem)) }
 
 func (h *refHeap) Pop() any {
 	old := *h
@@ -38,6 +55,15 @@ func (h *refHeap) Pop() any {
 	it := old[n-1]
 	*h = old[:n-1]
 	return it
+}
+
+// preload queues one event of a fed stream, after the stream's earlier
+// events and before every scheduled event at the same instant.
+func (e *refEngine) preload(at time.Duration, fn Event) {
+	heap.Push(&e.pending, refItem{at: at, seq: math.MinInt64 + e.fseq, fn: fn, fed: true})
+	e.fseq++
+	e.fedQueued++
+	e.fedLeft++
 }
 
 func (e *refEngine) Now() time.Duration { return e.now }
@@ -57,16 +83,22 @@ func (e *refEngine) ScheduleAt(at time.Duration, fn Event) {
 		panic(fmt.Sprintf("simclock: scheduling at %v before now %v", at, e.now))
 	}
 	e.seq++
-	heap.Push(&e.pending, item{at: at, seq: e.seq, fn: fn})
+	heap.Push(&e.pending, refItem{at: at, seq: e.seq, fn: fn})
 }
 
 func (e *refEngine) Step() bool {
 	if len(e.pending) == 0 {
 		return false
 	}
-	it := heap.Pop(&e.pending).(item)
+	it := heap.Pop(&e.pending).(refItem)
+	if it.fed {
+		e.fedQueued--
+	}
 	e.now = it.at
 	it.fn(e.now)
+	if it.fed {
+		e.fedLeft--
+	}
 	return true
 }
 
@@ -78,7 +110,13 @@ func (e *refEngine) Run() {
 
 func (e *refEngine) Stop() { e.stopped = true }
 
-func (e *refEngine) Pending() int { return len(e.pending) }
+func (e *refEngine) Pending() int {
+	n := len(e.pending) - e.fedQueued
+	if e.fedLeft > 0 {
+		n++
+	}
+	return n
+}
 
 // engine is the surface both implementations share.
 type engine interface {
@@ -145,6 +183,8 @@ type side struct {
 	ids     int
 	spawned int
 	last    time.Duration
+	// feeding counts the current feed's events not yet fired.
+	feeding int
 }
 
 // delay draws a scheduling delay skewed toward collisions: the current
@@ -164,27 +204,31 @@ func (s *side) delay() time.Duration {
 	}
 }
 
+// fire is event id's body, scheduled or fed: it logs the firing, may
+// stop the run, and may schedule more events.
+func (s *side) fire(id int, now time.Duration) {
+	if now < s.last {
+		s.t.Fatalf("event %d fired at %v after an event at %v: the clock ran backwards", id, now, s.last)
+	}
+	if now != s.e.Now() {
+		s.t.Fatalf("event %d fired with now=%v but Now()=%v", id, now, s.e.Now())
+	}
+	s.last = now
+	s.log = append(s.log, firing{at: now, id: id, pending: s.e.Pending()})
+	if s.d.intn(9) == 1 {
+		s.e.Stop()
+	}
+	for k := s.d.intn(3); k > 0 && s.spawned < maxSpawned; k-- {
+		s.spawned++
+		s.schedule(s.delay())
+	}
+}
+
 // schedule adds one event through either scheduling surface.
 func (s *side) schedule(delay time.Duration) {
 	id := s.ids
 	s.ids++
-	fn := func(now time.Duration) {
-		if now < s.last {
-			s.t.Fatalf("event %d fired at %v after an event at %v: the clock ran backwards", id, now, s.last)
-		}
-		if now != s.e.Now() {
-			s.t.Fatalf("event %d fired with now=%v but Now()=%v", id, now, s.e.Now())
-		}
-		s.last = now
-		s.log = append(s.log, firing{at: now, id: id, pending: s.e.Pending()})
-		if s.d.intn(9) == 1 {
-			s.e.Stop()
-		}
-		for k := s.d.intn(3); k > 0 && s.spawned < maxSpawned; k-- {
-			s.spawned++
-			s.schedule(s.delay())
-		}
-	}
+	fn := func(now time.Duration) { s.fire(id, now) }
 	if delay >= 0 && s.d.intn(2) == 0 {
 		s.e.ScheduleAt(s.e.Now()+delay, fn)
 	} else {
@@ -192,13 +236,44 @@ func (s *side) schedule(delay time.Duration) {
 	}
 }
 
+// feed hands the engine a pre-ordered stream of events at the ascending
+// instants ats: the engine through Feed and a cursor, the reference by
+// preloading every event.
+func (s *side) feed(ats []time.Duration) {
+	first := s.ids
+	s.ids += len(ats)
+	s.feeding = len(ats)
+	switch e := s.e.(type) {
+	case *Engine:
+		next := 0
+		e.Feed(func() (time.Duration, bool) {
+			if next == len(ats) {
+				return 0, false
+			}
+			return ats[next], true
+		}, func(now time.Duration) {
+			id := first + next
+			next++
+			s.feeding--
+			s.fire(id, now)
+		})
+	case *refEngine:
+		for i, at := range ats {
+			e.preload(at, func(now time.Duration) {
+				s.feeding--
+				s.fire(first+i, now)
+			})
+		}
+	}
+}
+
 // runProgram drives the new engine and the reference through the same
 // program: bursts of colliding events, monotone bursts that fill the
-// lane, single steps, runs cut short by in-event Stops, and capacity
-// hints to the new engine's lane (Grow, which the reference lacks: a
-// hint must never change what fires), comparing every firing (instant,
-// event, pending count), Now() and Pending() after every operation. ops,
-// ref and got are three identical decision streams.
+// lane, single steps, runs cut short by in-event Stops, and fed streams
+// (Feed, which the reference models by preloading), comparing every
+// firing (instant, event, pending count), Now() and Pending() after
+// every operation. ops, ref and got are three identical decision
+// streams.
 func runProgram(t *testing.T, ops, refD, gotD decisions, maxOps int) {
 	ref := &side{t: t, e: &refEngine{}, d: refD}
 	got := &side{t: t, e: New(), d: gotD}
@@ -255,9 +330,24 @@ func runProgram(t *testing.T, ops, refD, gotD decisions, maxOps int) {
 				s.e.Run()
 			}
 			check("run")
-		case 4: // a capacity hint of any size, whatever the lane holds
-			got.e.(*Engine).Grow(ops.intn(256))
-			check("grow")
+		case 4: // a fed stream, once the previous one has fired
+			n, at := ops.intn(40), time.Duration(ops.intn(100))*time.Millisecond
+			gaps := make([]time.Duration, n)
+			for i := range gaps {
+				gaps[i] = time.Duration(ops.intn(3)) * time.Millisecond
+			}
+			if got.feeding > 0 {
+				break
+			}
+			for _, s := range sides {
+				ats, base := make([]time.Duration, n), s.e.Now()+at
+				for i, g := range gaps {
+					base += g
+					ats[i] = base
+				}
+				s.feed(ats)
+			}
+			check("feed")
 		default: // a Stop outside Run does not preempt the next Run
 			for _, s := range sides {
 				s.e.Stop()

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -133,4 +134,93 @@ func TestManyEventsStayOrdered(t *testing.T) {
 		})
 	}
 	e.Run()
+}
+
+// TestFeedOrder pins where fed events fire: after every earlier event,
+// scheduled before or after the feed, and before every scheduled event
+// at their own instant, including one a fed event schedules at that
+// instant; a Stop inside a fed event holds the rest of the feed for the
+// next Run, and Pending counts the feed as one event until its cursor
+// runs dry.
+func TestFeedOrder(t *testing.T) {
+	e := New()
+	var order []string
+	at := func(name string) Event {
+		return func(time.Duration) { order = append(order, name) }
+	}
+	e.ScheduleAt(time.Millisecond, at("s1"))
+	e.ScheduleAt(2*time.Millisecond, at("s2"))
+	fed := []struct {
+		at   time.Duration
+		name string
+	}{{2 * time.Millisecond, "f0"}, {2 * time.Millisecond, "f1"}, {4 * time.Millisecond, "f2"}}
+	next := 0
+	e.Feed(func() (time.Duration, bool) {
+		if next == len(fed) {
+			return 0, false
+		}
+		return fed[next].at, true
+	}, func(now time.Duration) {
+		f := fed[next]
+		next++
+		if now != f.at {
+			t.Errorf("%s fired at %v, fed for %v", f.name, now, f.at)
+		}
+		order = append(order, f.name)
+		switch f.name {
+		case "f0":
+			e.Schedule(0, at("z"))
+		case "f1":
+			e.Stop()
+		}
+	})
+	e.ScheduleAt(3*time.Millisecond, at("s3"))
+	if got := e.Pending(); got != 4 {
+		t.Fatalf("Pending() = %d before the run, want 3 scheduled events and the feed", got)
+	}
+	e.Run()
+	if want := "[s1 f0 f1]"; fmt.Sprint(order) != want {
+		t.Fatalf("run stopped by f1 fired %v, want %s", order, want)
+	}
+	if e.Now() != 2*time.Millisecond || e.Pending() != 4 {
+		t.Fatalf("after the stop: Now() = %v, Pending() = %d, want 2ms and 4 (s2, z, s3 and the feed)", e.Now(), e.Pending())
+	}
+	e.Run()
+	if want := "[s1 f0 f1 s2 z s3 f2]"; fmt.Sprint(order) != want {
+		t.Fatalf("fired %v, want %s", order, want)
+	}
+	if e.Pending() != 0 || e.Step() {
+		t.Fatalf("drained engine reports Pending() = %d or steps again", e.Pending())
+	}
+	// An exhausted feed makes room for another.
+	e.Feed(func() (time.Duration, bool) { return 0, false }, at("never"))
+	if e.Pending() != 0 {
+		t.Fatalf("an empty feed counts as %d pending events", e.Pending())
+	}
+}
+
+// TestFeedMisusePanics checks the feed's contract: a second feed while
+// the first has events, and a fed instant before Now, both panic.
+func TestFeedMisusePanics(t *testing.T) {
+	never := func() (time.Duration, bool) { return time.Second, true }
+	for name, misuse := range map[string]func(e *Engine){
+		"second feed": func(e *Engine) {
+			e.Feed(never, func(time.Duration) {})
+			e.Feed(never, func(time.Duration) {})
+		},
+		"fed into the past": func(e *Engine) {
+			e.ScheduleAt(2*time.Second, func(time.Duration) {})
+			e.Run()
+			e.Feed(never, func(time.Duration) {})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			misuse(New())
+		})
+	}
 }
